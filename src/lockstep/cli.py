@@ -259,7 +259,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     mutate = args.mutate == "drop-default-write"
-    if args.trials:
+    if args.trials is not None:
         report = oracle.sample_and_verify(args.n, args.rounds, args.trials, args.seed,
                                           min_level_decide,
                                           read_state=(ServiceLevel.HIGH,) * args.n,

@@ -5,8 +5,15 @@ into one effective-delivery matrix per round: entry [j][i] says whether
 vehicle i ended the round holding j's message, directly or relayed. What a
 vehicle gossips next round is fully determined by that: its application value
 after a complete round, DEFAULT after an incomplete one. This small model is
-the ground truth the timed simulator is checked against, and it is cheap
-enough to enumerate every delivery pattern for small fleets.
+the ground truth the timed simulator is checked against.
+
+A round reads its matrix only through the completeness vector (vehicle i is
+complete when column i is all true), and stability is "every vehicle
+complete", so every matrix with the same vector gives the same decisions and
+verdict. The exhaustive check therefore enumerates the 2^n completeness
+vectors per round instead of the 2^(n(n-1)) matrices, and counts covered
+delivery patterns with their multiplicity. Its size bound is n x rounds <= 18,
+so 3 vehicles x 6 rounds, 4 x 4 and 5 x 3 are all exhaustive.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .protocol import DEFAULT, Datum, DecideFn, checked_decide, is_default
+from .protocol import DEFAULT, ConfigError, Datum, DecideFn, checked_decide, is_default
 
 # E[j][i] == True iff vehicle i+1 effectively receives the round message of
 # vehicle j+1. The diagonal is forced true (own slot is always present).
@@ -221,16 +228,32 @@ def verify_sequence(
     return Counterexample(rule, rnd, list(matrices), decisions)
 
 
-def _all_matrices(n: int) -> list[DeliveryMatrix]:
-    """Every delivery matrix over n vehicles (diagonal forced true)."""
+def _class_representatives(n: int) -> list[tuple[int, DeliveryMatrix]]:
+    """One delivery matrix per realizable completeness vector, with its literal index.
+
+    The literal order is ``itertools.product((True, False))`` over the
+    off-diagonal cells, row-major; a matrix's index is its rank in it. The
+    smallest matrix of a class cuts, for each incomplete vehicle i, only the
+    link of column i that comes last in that order. Sorted by index.
+    """
     offdiag = [(j, i) for j in range(n) for i in range(n) if j != i]
-    out = []
-    for bits in itertools.product((True, False), repeat=len(offdiag)):
+    last_cell: dict[int, int] = {}
+    for k, (_, i) in enumerate(offdiag):
+        last_cell[i] = k
+    # A vehicle without links (n == 1) is always complete.
+    choices = [(None, last_cell[i]) if i in last_cell else (None,) for i in range(n)]
+    reps = []
+    for cuts in itertools.product(*choices):
         rows = [[True] * n for _ in range(n)]
-        for (j, i), present in zip(offdiag, bits):
-            rows[j][i] = present
-        out.append(tuple(tuple(row) for row in rows))
-    return out
+        index = 0
+        for k in cuts:
+            if k is not None:
+                j, i = offdiag[k]
+                rows[j][i] = False
+                index |= 1 << (len(offdiag) - 1 - k)
+        reps.append((index, tuple(tuple(row) for row in rows)))
+    reps.sort()
+    return reps
 
 
 def enumerate_and_verify(
@@ -240,21 +263,33 @@ def enumerate_and_verify(
     read_state: Optional[tuple] = None,
     drop_default_write: bool = False,
 ) -> VerificationReport:
-    """Check every delivery-pattern sequence of the given size; halt on a counterexample."""
-    bits = n * (n - 1) * rounds
+    """Check every delivery-pattern sequence of the given size; halt on a counterexample.
+
+    Each completeness-vector sequence is checked once, through its smallest
+    matrix sequence. On a pass ``patterns_checked`` counts every matrix
+    sequence covered, 2^(n(n-1) x rounds). On a failure it is the rank of the
+    first failing matrix sequence in literal order, plus one: failure depends
+    only on the class sequence, so that sequence is the per-round smallest
+    representatives of the first failing class sequence.
+    """
+    # One completeness bit per vehicle and round; a lone vehicle has no links,
+    # so its only class is the complete one.
+    bits = (n if n > 1 else 0) * rounds
     if bits > MAX_EXHAUSTIVE_BITS:
-        raise ValueError(
-            f"search space 2^{bits} exceeds the exhaustive bound 2^{MAX_EXHAUSTIVE_BITS}; "
-            "use sample_and_verify"
+        raise ConfigError(
+            f"exhaustive search over n x rounds = {bits} completeness bits exceeds "
+            f"the bound {MAX_EXHAUSTIVE_BITS}; use sampling (--trials)"
         )
-    per_round = _all_matrices(n)
-    checked = 0
+    cell_bits = n * (n - 1)
+    per_round = _class_representatives(n)
     for seq in itertools.product(per_round, repeat=rounds):
-        checked += 1
-        ce = verify_sequence(n, seq, decide, read_state, drop_default_write)
+        ce = verify_sequence(n, [m for _, m in seq], decide, read_state, drop_default_write)
         if ce is not None:
-            return VerificationReport(n, rounds, checked, ce, {"mode": "exhaustive"})
-    return VerificationReport(n, rounds, checked, None, {"mode": "exhaustive"})
+            rank = 0
+            for index, _ in seq:
+                rank = (rank << cell_bits) | index
+            return VerificationReport(n, rounds, rank + 1, ce, {"mode": "exhaustive"})
+    return VerificationReport(n, rounds, 1 << (cell_bits * rounds), None, {"mode": "exhaustive"})
 
 
 def sample_matrix(rng: random.Random, n: int, link_up_probability: float) -> DeliveryMatrix:
@@ -285,7 +320,7 @@ def sample_and_verify(
     produces runs that alternate between stable and unstable periods.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)
     complete = full_matrix(n)
     for trial in range(trials):

@@ -36,9 +36,6 @@ class _Default:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _Default)
 
-    def __ne__(self, other: object) -> bool:
-        return not isinstance(other, _Default)
-
     def __hash__(self) -> int:
         return hash(_Default)
 

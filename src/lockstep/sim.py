@@ -455,10 +455,21 @@ class Trace:
 
 def read_trace_header(path: Union[str, Path]) -> tuple[SimConfig, dict]:
     with open(path) as fh:
-        header = json.loads(fh.readline())
-    if header.get("format") != TRACE_FORMAT:
+        try:
+            header = json.loads(fh.readline())
+        except ValueError as exc:  # not text, or not JSON
+            raise ConfigError(f"{path} is not a {TRACE_FORMAT} file: {exc}") from None
+    if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
         raise ConfigError(f"{path} is not a {TRACE_FORMAT} file")
-    return SimConfig.from_json(header["config"]), header["app"]
+    if header.get("version") != TRACE_VERSION:
+        raise ConfigError(f"{path} has trace version {header.get('version')!r}, "
+                          f"this build reads version {TRACE_VERSION}")
+    try:
+        return SimConfig.from_json(header["config"]), header["app"]
+    except KeyError as exc:
+        raise ConfigError(f"{path} header is missing key {exc}") from None
+    except TypeError as exc:
+        raise ConfigError(f"{path} header has a field of the wrong type: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

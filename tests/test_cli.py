@@ -67,6 +67,22 @@ def test_verify_sampled_mode(capsys):
     assert out["passed"] and out["mode"] == "sampled"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "5", "--rounds", "4"],  # 20 completeness bits, over the bound
+    ["verify", "--n", "3", "--rounds", "3", "--trials", "0"],
+])
+def test_verify_usage_errors_exit_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_4x3_is_exhaustive(capsys):
+    assert main(["verify", "--n", "4", "--rounds", "3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["mode"] == "exhaustive" and out["patterns_checked"] == 2**36
+
+
 def test_sweep_single_cell(tmp_path):
     code = main(["sweep", "--n-list", "3", "--round-ms-list", "260", "--seeds", "1",
                  "--duration-s", "10", "--processes", "1", "--out", str(tmp_path)])
@@ -131,6 +147,41 @@ def test_replay_command_detects_tampering(tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n")
     assert main(["replay", str(path)]) == 1
     assert "diverged at line 3" in capsys.readouterr().err
+
+
+def _record_small_trace(tmp_path):
+    main(["run", "--n", "2", "--duration-s", "2", "--seed", "6", "--out", str(tmp_path)])
+    path = tmp_path / "trace.jsonl"
+    return path, path.read_text().splitlines()
+
+
+def _rewrite_header(path, lines, edit):
+    header = json.loads(lines[0])
+    edit(header)
+    path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+
+
+@pytest.mark.parametrize("case,message", [
+    ("not-json", "is not a lockstep-trace file"),
+    ("missing-config", "missing key 'config'"),
+    ("wrong-version", "trace version 2"),
+    ("wrong-type", "field of the wrong type"),
+])
+def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message):
+    path, lines = _record_small_trace(tmp_path)
+    if case == "not-json":
+        path.write_text("this is not json\n" + "\n".join(lines[1:]) + "\n")
+    elif case == "missing-config":
+        _rewrite_header(path, lines, lambda h: h.pop("config"))
+    elif case == "wrong-version":
+        _rewrite_header(path, lines, lambda h: h.update(version=2))
+    else:
+        _rewrite_header(path, lines, lambda h: h.update(config=5))
+    capsys.readouterr()
+    assert main(["replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_replay_missing_file_is_usage_error():

@@ -1,10 +1,14 @@
 """Tests for the round-granularity abstract model and its brute-force verifier."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lockstep.oracle import (
+    MAX_EXHAUSTIVE_BITS,
     Counterexample,
+    VerificationReport,
     abstract_round,
     enumerate_and_verify,
     full_matrix,
@@ -14,7 +18,7 @@ from lockstep.oracle import (
     verify_sequence,
 )
 from lockstep.platoon import ServiceLevel, min_level_decide
-from lockstep.protocol import is_default
+from lockstep.protocol import ConfigError, is_default
 
 HIGH = ServiceLevel.HIGH
 
@@ -60,9 +64,51 @@ def test_enumerate_n2_all_patterns_pass():
     assert report.patterns_checked == 64
 
 
+def test_enumerate_3x4_passes_with_multiplicity():
+    report = enumerate_and_verify(3, 4, min_level_decide, high_state(3))
+    assert report.passed
+    assert report.patterns_checked == 2**24
+
+
 def test_enumerate_rejects_oversized_space():
-    with pytest.raises(ValueError):
-        enumerate_and_verify(3, 4, min_level_decide, high_state(3))
+    assert 3 * 7 > MAX_EXHAUSTIVE_BITS
+    with pytest.raises(ConfigError):
+        enumerate_and_verify(3, 7, min_level_decide, high_state(3))
+
+
+def all_matrices(n):
+    """Every delivery matrix over n vehicles (diagonal forced true), in literal order."""
+    offdiag = [(j, i) for j in range(n) for i in range(n) if j != i]
+    out = []
+    for bits in itertools.product((True, False), repeat=len(offdiag)):
+        rows = [[True] * n for _ in range(n)]
+        for (j, i), present in zip(offdiag, bits):
+            rows[j][i] = present
+        out.append(tuple(tuple(row) for row in rows))
+    return out
+
+
+def literal_enumerate_and_verify(n, rounds, decide, read_state, drop_default_write=False):
+    """Reference: check every matrix sequence one by one, in literal order."""
+    checked = 0
+    for seq in itertools.product(all_matrices(n), repeat=rounds):
+        checked += 1
+        ce = verify_sequence(n, seq, decide, read_state, drop_default_write)
+        if ce is not None:
+            return VerificationReport(n, rounds, checked, ce, {"mode": "exhaustive"})
+    return VerificationReport(n, rounds, checked, None, {"mode": "exhaustive"})
+
+
+@pytest.mark.parametrize("mutant", [False, True])
+@pytest.mark.parametrize("n,rounds", [(1, 3), (2, 1), (2, 2), (2, 3), (2, 4),
+                                      (3, 1), (3, 2), (3, 3)])
+def test_enumerate_matches_literal_enumeration(n, rounds, mutant):
+    """The completeness-vector quotient reports exactly what matrix enumeration does."""
+    got = enumerate_and_verify(n, rounds, min_level_decide, high_state(n),
+                               drop_default_write=mutant)
+    want = literal_enumerate_and_verify(n, rounds, min_level_decide, high_state(n),
+                                        drop_default_write=mutant)
+    assert got.to_json() == want.to_json()
 
 
 def test_mutant_without_default_write_is_caught():
