@@ -3,10 +3,13 @@
 Works on complete traces with an omniscient view. A round is *stable* when
 every vehicle ended it holding every member's message (reconstructed from the
 ack snapshots that each vehicle emits on entering the next round); otherwise
-it is unstable. The three checkers verify, over maximal stable/unstable
-periods, that disagreement is confined to single isolated rounds, that
-unstable periods settle on the default value, and that stable periods carry
-uniform non-default decisions after a two-round prefix.
+it is unstable. The three checkers read the bounded-disagreement rules from
+``oracle.rule_violations``, the implementation the abstract-model verifier
+uses too. They verify that disagreement is confined to single isolated
+rounds at the start of unstable periods (P3), that unstable periods settle
+on the default value (P2), and that decisions agree through recovery and are
+non-default after a two-round stable prefix (P1; the prefix check is the one
+rule kept here).
 
 Conventions: the decision "at round t" is the one emitted on entering round
 t (it is used during round t). Round 0 produces no decision. The trailing
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
+from .oracle import rule_violations, split
 from .protocol import Datum, is_default
 from .sim import OutputEvent, Trace
 
@@ -46,7 +50,6 @@ class Period:
     kind: str
     start: int
     end: int
-    maximal: bool = True
 
 
 @dataclass(frozen=True)
@@ -156,83 +159,68 @@ def maximal_periods(classes: Sequence[RoundClass]) -> list[Period]:
     return periods
 
 
-def _split(row: tuple) -> bool:
-    first = row[0]
-    return any(d != first for d in row[1:])
-
-
 def check_bounded_uncertainty(trace_or_view: Union[Trace, RoundView]) -> PropertyReport:
     """Disagreement rounds are isolated and pinned to the start of unstable periods.
 
-    Fails if two consecutive rounds both show split decisions, or if a split
-    happens at any round other than r1+1 for a maximal unstable period
-    starting at r1.
+    The one-round-uncertainty and agreement rules of
+    ``oracle.rule_violations``: fails at two consecutive rounds with split
+    decisions, or at a split at any round other than r1+1 for a maximal
+    unstable period starting at r1. Reports whichever starts first, the
+    consecutive pair on a tie.
     """
     pid = "P3-bounded-uncertainty"
     view = _as_view(trace_or_view)
-    classes = classify_rounds(view)
-    split_rounds = [t for t in range(1, view.rounds + 1) if _split(view.decisions[t - 1])]
-    split_set = set(split_rounds)
-    for t in split_rounds:
-        if t + 1 in split_set:
-            return PropertyReport(pid, False, CheckCounterexample(
-                t + 1, view.decisions[t], "consecutive disagreement rounds"))
-        starts_unstable = not classes[t - 1].stable and (t - 1 == 0 or classes[t - 2].stable)
-        if not starts_unstable:
-            return PropertyReport(pid, False, CheckCounterexample(
-                t, view.decisions[t - 1],
-                "disagreement not at the first round after an unstable period began"))
+    first = rule_violations([c.stable for c in classify_rounds(view)], view.decisions)
+    u, a = first["one-round-uncertainty"], first["agreement"]
+    if u is not None and (a is None or u <= a + 1):
+        return PropertyReport(pid, False, CheckCounterexample(
+            u, view.decisions[u - 1], "consecutive disagreement rounds"))
+    if a is not None:
+        return PropertyReport(pid, False, CheckCounterexample(
+            a, view.decisions[a - 1],
+            "disagreement not at the first round after an unstable period began"))
+    split_rounds = [t for t, row in enumerate(view.decisions, start=1) if split(row)]
     return PropertyReport(pid, True, details={"disagreement_rounds": split_rounds})
 
 
 def check_disagreement_correction(trace_or_view: Union[Trace, RoundView]) -> PropertyReport:
-    """Every maximal unstable period [r1, r2] forces all-default decisions on [r1+2, r2+1]."""
+    """Every maximal unstable period [r1, r2] forces all-default decisions on [r1+2, r2+1].
+
+    The default-correction rule of ``oracle.rule_violations``.
+    """
     pid = "P2-correction"
     view = _as_view(trace_or_view)
-    periods = maximal_periods(classify_rounds(view))
-    for p in periods:
-        if p.kind != "unstable":
-            continue
-        for t in range(max(p.start + 2, 1), min(p.end + 1, view.rounds) + 1):
-            row = view.decisions[t - 1]
-            if any(not is_default(d) for d in row):
-                return PropertyReport(pid, False, CheckCounterexample(
-                    t, row, f"non-default decision inside correction span of [{p.start},{p.end}]"))
-    return PropertyReport(pid, True)
+    classes = classify_rounds(view)
+    t = rule_violations([c.stable for c in classes], view.decisions)["default-correction"]
+    if t is None:
+        return PropertyReport(pid, True)
+    p = next(p for p in maximal_periods(classes) if p.start <= t - 1 <= p.end)
+    return PropertyReport(pid, False, CheckCounterexample(
+        t, view.decisions[t - 1],
+        f"non-default decision inside correction span of [{p.start},{p.end}]"))
 
 
 def check_certainty(trace_or_view: Union[Trace, RoundView]) -> PropertyReport:
     """Agreement through recovery, and non-default decisions after a stable prefix.
 
-    For each maximal unstable period [r1, r2] followed by a maximal stable
-    period [r2+1, r3], decisions must agree across vehicles on every round in
-    [r1+2, r3+1]; a run that starts stable must agree from round 1. Within
-    every maximal stable period [a, b], decisions must be non-default on
+    The agreement rule of ``oracle.rule_violations``: for each maximal
+    unstable period [r1, r2] followed by a maximal stable period [r2+1, r3],
+    decisions must agree across vehicles on every round in [r1+2, r3+1]; a
+    run that starts stable must agree from round 1. Then, within every
+    maximal stable period [a, b], decisions must be non-default on
     [a+2, b+1] (round 1 is startup and exempt; the measured prefix length is
     reported). Assumes the application never reads a default state.
     """
     pid = "P1-certainty"
     view = _as_view(trace_or_view)
-    periods = maximal_periods(classify_rounds(view))
-
-    spans = []
-    if periods and periods[0].kind == "stable":
-        # Startup behaves like a freshly recovered period: agreement from round 1.
-        spans.append((1, periods[0].end + 1))
-    for i, p in enumerate(periods):
-        if p.kind != "unstable":
-            continue
-        r3 = periods[i + 1].end if i + 1 < len(periods) else p.end
-        spans.append((p.start + 2, r3 + 1))
-    for lo, hi in spans:
-        for t in range(max(lo, 1), min(hi, view.rounds) + 1):
-            row = view.decisions[t - 1]
-            if _split(row):
-                return PropertyReport(pid, False, CheckCounterexample(
-                    t, row, "vehicles used different values inside a certainty span"))
+    classes = classify_rounds(view)
+    t = rule_violations([c.stable for c in classes], view.decisions)["agreement"]
+    if t is not None:
+        return PropertyReport(pid, False, CheckCounterexample(
+            t, view.decisions[t - 1], "vehicles used different values inside a certainty span"))
 
     max_prefix = 0
-    for p in periods:
+    for p in maximal_periods(classes):
         if p.kind != "stable":
             continue
         lo, hi = p.start + 1, min(p.end + 1, view.rounds)

@@ -20,12 +20,14 @@ from typing import Optional, Sequence
 
 from . import analysis, oracle
 from .platoon import (
+    SCENARIO_CHECKS,
     LevelApp,
     ScenarioSpec,
     ServiceLevel,
     min_level_decide,
     run_baseline,
     run_worst_case,
+    scenario_facts,
     write_kinematics_csv,
 )
 from .protocol import ConfigError, ProtocolConfig
@@ -296,48 +298,13 @@ def cmd_scenario(args) -> int:
     (directory / "scenario.json").write_text(
         json.dumps(scenario.to_json(), indent=2, sort_keys=True) + "\n")
 
-    u = scenario.outage_round
-    brake_round = u + scenario.brake_after_rounds
-    low = ServiceLevel.LOW
-    initial_gap = default_initial_gap(scenario)
-    gaps_opened = all(
-        (protocol_res.gap_at(brake_round, vid) or 0.0) > initial_gap
-        for vid in range(2, scenario.n + 1)
-    )
-    outage_span = range(u + 1, u + scenario.outage_rounds + 1)
-    facts = {
-        "first_affected_round": u,
-        "cut_vehicle_low_at": u + 1,
-        "cut_vehicle_low_ok": protocol_res.levels[u + 1][scenario.cut_vehicle] == low,
-        "all_low_at": u + 2,
-        "all_low_ok": all(lv == low for lv in protocol_res.levels[u + 2].values()),
-        "gaps_open_before_brake": gaps_opened,
-        "min_gap": protocol_res.min_gap,
-        "min_gap_positive": protocol_res.min_gap > 0,
-        "baseline_tail_vehicle_level": [
-            baseline_res.levels[r][scenario.n].to_json() for r in outage_span
-            if r in baseline_res.levels
-        ],
-        "baseline_tail_stays_initial": all(
-            baseline_res.levels[r][scenario.n] == scenario.initial_level
-            for r in outage_span if r in baseline_res.levels
-        ),
-        "baseline_min_gap": baseline_res.min_gap,
-    }
+    facts = scenario_facts(scenario, protocol_res, baseline_res)
     (directory / "scenario_report.json").write_text(
         json.dumps(facts, indent=2, sort_keys=True) + "\n")
-    ok = (facts["cut_vehicle_low_ok"] and facts["all_low_ok"]
-          and facts["gaps_open_before_brake"] and facts["min_gap_positive"]
-          and facts["baseline_tail_stays_initial"])
-    for key in ("cut_vehicle_low_ok", "all_low_ok", "gaps_open_before_brake",
-                "min_gap_positive", "baseline_tail_stays_initial"):
+    for key in SCENARIO_CHECKS:
         print(f"{key}: {'pass' if facts[key] else 'FAIL'}")
     print(f"artifacts in {directory}")
-    return 0 if ok else 1
-
-
-def default_initial_gap(scenario: ScenarioSpec) -> float:
-    return scenario.level_table[scenario.initial_level].headway
+    return 0 if all(facts[key] for key in SCENARIO_CHECKS) else 1
 
 
 def cmd_replay(args) -> int:

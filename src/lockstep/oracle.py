@@ -14,6 +14,9 @@ verdict. The exhaustive check therefore enumerates the 2^n completeness
 vectors per round instead of the 2^(n(n-1)) matrices, and counts covered
 delivery patterns with their multiplicity. Its size bound is n x rounds <= 18,
 so 3 vehicles x 6 rounds, 4 x 4 and 5 x 3 are all exhaustive.
+
+The bounded-disagreement rules are implemented once, in ``rule_violations``;
+the trace checkers in ``analysis`` read the same function.
 """
 
 from __future__ import annotations
@@ -109,9 +112,6 @@ class Counterexample:
     matrices: list[DeliveryMatrix]
     decisions: list[tuple]
 
-    def describe(self) -> str:
-        return f"{self.rule} violated at round {self.round}"
-
 
 @dataclass
 class VerificationReport:
@@ -144,68 +144,61 @@ class VerificationReport:
         return out
 
 
-def _unstable_periods(stable: Sequence[bool]) -> list[tuple[int, int]]:
-    periods = []
-    start = None
-    for r, ok in enumerate(stable):
-        if not ok and start is None:
-            start = r
-        elif ok and start is not None:
-            periods.append((start, r - 1))
-            start = None
-    if start is not None:
-        periods.append((start, len(stable) - 1))
-    return periods
+RULES = ("one-round-uncertainty", "default-correction", "agreement")
+
+
+def split(row: tuple) -> bool:
+    """True when the vehicles of one decision row do not all decide the same."""
+    return row.count(row[0]) != len(row)
+
+
+def rule_violations(
+    stable: Sequence[bool], decisions: Sequence[tuple]
+) -> dict[str, Optional[int]]:
+    """The first round breaking each bounded-disagreement rule, or None per rule.
+
+    ``stable[r]`` classifies round r (r = 0..T-1); ``decisions[t-1]`` is the
+    vector entering round t (t = 1..T). Every rule is a check on row t that
+    looks back at most two rounds, at the classes of rounds t-1 and t-2:
+
+      one-round-uncertainty: rows t-1 and t are not both split;
+      default-correction:    if rounds t-2 and t-1 are both unstable, row t
+                             is all DEFAULT (for a maximal unstable period
+                             [r1, r2] these are rows r1+2 .. r2+1);
+      agreement:             row t is not split, unless round t-1 is unstable
+                             and round t-2 is stable or before round 0 (row
+                             r1+1, where a period starting at r1 may split).
+
+    The keys are ``RULES``, in order.
+    """
+    uncertainty = correction = agreement = None
+    # Rounds before round 0 count as stable.
+    two_back = one_back = True
+    split_before = False
+    for t, row in enumerate(decisions, start=1):
+        two_back, one_back = one_back, stable[t - 1]
+        is_split = split(row)
+        if is_split and split_before and uncertainty is None:
+            uncertainty = t
+        if (not (one_back or two_back) and correction is None
+                and any(not is_default(d) for d in row)):
+            correction = t
+        if is_split and (one_back or not two_back) and agreement is None:
+            agreement = t
+        split_before = is_split
+    return dict(zip(RULES, (uncertainty, correction, agreement)))
 
 
 def check_decision_sequence(
     stable: Sequence[bool], decisions: Sequence[tuple]
 ) -> Optional[tuple[str, int]]:
-    """Check the bounded-disagreement rules on one run of the abstract model.
+    """The first rule of ``RULES`` that one run of the abstract model breaks.
 
-    ``stable[r]`` classifies round r (r = 0..T-1); ``decisions[t-1]`` is the
-    vector entering round t (t = 1..T). Returns (rule, round) for the first
-    violation, or None. The rules, for every maximal unstable period [r1, r2]
-    and any directly following maximal stable period [r2+1, r3]:
-
-      one-round-uncertainty: no two consecutive rounds with split decisions;
-      default-correction:    all-DEFAULT decisions on [r1+2, r2+1];
-      agreement:             identical decisions on [r1+2, r3+1], and on
-                             [1, r3+1] for a run that starts stable.
+    Returns (rule, round) with the round from ``rule_violations``, or None.
     """
-    T = len(decisions)
-
-    def row(t: int) -> tuple:
-        return decisions[t - 1]
-
-    def split(t: int) -> bool:
-        first = row(t)[0]
-        return any(d != first for d in row(t)[1:])
-
-    for t in range(1, T):
-        if split(t) and split(t + 1):
-            return ("one-round-uncertainty", t + 1)
-
-    periods = _unstable_periods(stable)
-    for r1, r2 in periods:
-        for t in range(r1 + 2, min(r2 + 1, T) + 1):
-            if any(not is_default(d) for d in row(t)):
-                return ("default-correction", t)
-
-    # Agreement intervals: a leading stable prefix acts like the tail of a
-    # recovered period; each unstable period covers up to the end of the
-    # stable period that follows it (or the horizon).
-    spans = []
-    if not periods or periods[0][0] > 0:
-        first_unstable = periods[0][0] if periods else len(stable)
-        spans.append((1, first_unstable))  # decisions 1..r3+1 with r3 = first_unstable-1
-    for idx, (r1, r2) in enumerate(periods):
-        r3 = periods[idx + 1][0] - 1 if idx + 1 < len(periods) else len(stable) - 1
-        spans.append((r1 + 2, r3 + 1))
-    for lo, hi in spans:
-        for t in range(max(lo, 1), min(hi, T) + 1):
-            if split(t):
-                return ("agreement", t)
+    for rule, rnd in rule_violations(stable, decisions).items():
+        if rnd is not None:
+            return rule, rnd
     return None
 
 
@@ -226,6 +219,11 @@ def verify_sequence(
         return None
     rule, rnd = hit
     return Counterexample(rule, rnd, list(matrices), decisions)
+
+
+def _check_size(n: int, rounds: int) -> None:
+    if n < 1 or rounds < 1:
+        raise ConfigError(f"verification needs n >= 1 and rounds >= 1, got n={n}, rounds={rounds}")
 
 
 def _class_representatives(n: int) -> list[tuple[int, DeliveryMatrix]]:
@@ -272,6 +270,7 @@ def enumerate_and_verify(
     only on the class sequence, so that sequence is the per-round smallest
     representatives of the first failing class sequence.
     """
+    _check_size(n, rounds)
     # One completeness bit per vehicle and round; a lone vehicle has no links,
     # so its only class is the complete one.
     bits = (n if n > 1 else 0) * rounds
@@ -319,6 +318,7 @@ def sample_and_verify(
     all-true; otherwise each off-diagonal link is up independently. The mix
     produces runs that alternate between stable and unstable periods.
     """
+    _check_size(n, rounds)
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)

@@ -436,15 +436,49 @@ class ScenarioResult:
     levels: dict[int, dict[int, ServiceLevel]]
     min_gap: float
 
-    def levels_at(self, rnd: int) -> tuple:
-        per = self.levels.get(rnd, {})
-        return tuple(per.get(vid) for vid in sorted(per))
-
     def gap_at(self, rnd: int, vid: int) -> Optional[float]:
         for row in self.rows:
             if row.round == rnd and row.vehicle == vid:
                 return row.gap
         return None
+
+
+# The facts of ``scenario_facts`` that must hold for the scenario to pass.
+SCENARIO_CHECKS = ("cut_vehicle_low_ok", "all_low_ok", "gaps_open_before_brake",
+                   "min_gap_positive", "baseline_tail_stays_initial")
+
+
+def scenario_facts(scenario: ScenarioSpec, protocol_res: ScenarioResult,
+                   baseline_res: ScenarioResult) -> dict:
+    """What the worst case showed, protocol run against baseline run.
+
+    The protocol must put the cut vehicle on LOW one round after the outage
+    begins and every vehicle one round later, and open every gap before the
+    brake. The baseline's tail vehicle is read over the outage rounds
+    u .. u+outage_rounds-1, the rounds ``run_baseline`` cuts.
+    """
+    u = scenario.outage_round
+    low = ServiceLevel.LOW
+    brake_round = u + scenario.brake_after_rounds
+    initial_gap = scenario.level_table[scenario.initial_level].headway
+    tail = [baseline_res.levels[r][scenario.n]
+            for r in range(u, u + scenario.outage_rounds) if r in baseline_res.levels]
+    return {
+        "first_affected_round": u,
+        "cut_vehicle_low_at": u + 1,
+        "cut_vehicle_low_ok": protocol_res.levels[u + 1][scenario.cut_vehicle] == low,
+        "all_low_at": u + 2,
+        "all_low_ok": all(lv == low for lv in protocol_res.levels[u + 2].values()),
+        "gaps_open_before_brake": all(
+            (protocol_res.gap_at(brake_round, vid) or 0.0) > initial_gap
+            for vid in range(2, scenario.n + 1)
+        ),
+        "min_gap": protocol_res.min_gap,
+        "min_gap_positive": protocol_res.min_gap > 0,
+        "baseline_tail_vehicle_level": [lv.to_json() for lv in tail],
+        "baseline_tail_stays_initial": all(lv == scenario.initial_level for lv in tail),
+        "baseline_min_gap": baseline_res.min_gap,
+    }
 
 
 def run_worst_case(scenario: ScenarioSpec) -> ScenarioResult:

@@ -339,11 +339,6 @@ def sample_offsets(seed: int, n: int, sync_bound: int) -> tuple[int, ...]:
     return tuple(v - lo for v in vals)
 
 
-def local_clock(vehicle: int, global_time: int, offsets: Sequence[int]) -> int:
-    """A vehicle's clock reading at a global instant."""
-    return global_time + offsets[vehicle - 1]
-
-
 # ---------------------------------------------------------------------------
 # Trace
 # ---------------------------------------------------------------------------

@@ -124,7 +124,6 @@ def test_maximal_periods_all_unstable():
 def test_maximal_periods_alternating():
     periods = maximal_periods(make_classes([False, True, False]))
     assert [p.kind for p in periods] == ["unstable", "stable", "unstable"]
-    assert periods[0].maximal and periods[1].maximal
 
 
 def test_periods_tile_without_overlap():

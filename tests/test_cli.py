@@ -70,6 +70,10 @@ def test_verify_sampled_mode(capsys):
 @pytest.mark.parametrize("argv", [
     ["verify", "--n", "5", "--rounds", "4"],  # 20 completeness bits, over the bound
     ["verify", "--n", "3", "--rounds", "3", "--trials", "0"],
+    ["verify", "--n", "0", "--rounds", "1"],
+    ["verify", "--n", "3", "--rounds", "-1"],
+    ["verify", "--n", "3", "--rounds", "-1", "--trials", "5"],
+    ["verify", "--n", "3", "--rounds", "0"],
 ])
 def test_verify_usage_errors_exit_2(argv, capsys):
     assert main(argv) == 2

@@ -18,6 +18,7 @@ from lockstep.platoon import (
     platoon_decide,
     run_baseline,
     run_worst_case,
+    scenario_facts,
     step_world,
     validate_level_table,
     write_kinematics_csv,
@@ -263,6 +264,19 @@ def test_baseline_tail_vehicle_keeps_platooning():
     assert all(res.levels[r][3] == MEDIUM for r in outage)
     # The deaf vehicle itself notices its predecessor is gone and backs off.
     assert res.levels[spec.outage_round][2] == LOW
+
+
+def test_scenario_facts_read_the_baseline_over_the_outage_rounds():
+    # With the tail vehicle cut, the baseline drops it to LOW on exactly the
+    # outage rounds u .. u+outage_rounds-1 and restores it right after.
+    spec = ScenarioSpec(cut_vehicle=3)
+    base = run_baseline(spec)
+    end = spec.outage_round + spec.outage_rounds
+    assert base.levels[spec.outage_round - 1][3] == MEDIUM
+    assert base.levels[end][3] == MEDIUM
+    facts = scenario_facts(spec, run_worst_case(spec), base)
+    assert facts["baseline_tail_vehicle_level"] == ["low"] * spec.outage_rounds
+    assert not facts["baseline_tail_stays_initial"]
 
 
 def test_scenario_trace_replays(tmp_path):

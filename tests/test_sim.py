@@ -16,7 +16,6 @@ from lockstep.sim import (
     ScheduleLoss,
     SimConfig,
     load_schedule,
-    local_clock,
     replay,
     run,
     sample_offsets,
@@ -36,14 +35,9 @@ def run_high(config):
 # Clocks and configuration
 # ---------------------------------------------------------------------------
 
-def test_local_clock_with_zero_offsets():
-    assert local_clock(1, 10, (0, 0)) == 10
-    assert local_clock(2, 10, (0, 0)) == 10
-
-
 def test_offsets_at_exact_sync_bound_accepted():
     config = make_sim_config(n=2, offsets=(0, 5 * MS))
-    assert local_clock(2, 0, config.offsets) - local_clock(1, 0, config.offsets) == 5 * MS
+    assert config.offsets[1] - config.offsets[0] == 5 * MS
 
 
 def test_offsets_beyond_sync_bound_rejected():
