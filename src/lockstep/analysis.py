@@ -19,12 +19,13 @@ round whose end is not visible in the trace is excluded and counted in
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from .oracle import rule_violations, split
 from .protocol import Datum, is_default
-from .sim import OutputEvent, Trace
+from .sim import DeliverEvent, DropEvent, OutputEvent, Trace
 
 
 class AnalysisError(ValueError):
@@ -159,6 +160,10 @@ def maximal_periods(classes: Sequence[RoundClass]) -> list[Period]:
     return periods
 
 
+def _first_violations(view: RoundView, classes: list[RoundClass]) -> dict:
+    return rule_violations([c.stable for c in classes], view.decisions)
+
+
 def check_bounded_uncertainty(trace_or_view: Union[Trace, RoundView]) -> PropertyReport:
     """Disagreement rounds are isolated and pinned to the start of unstable periods.
 
@@ -168,9 +173,12 @@ def check_bounded_uncertainty(trace_or_view: Union[Trace, RoundView]) -> Propert
     unstable period starting at r1. Reports whichever starts first, the
     consecutive pair on a tie.
     """
-    pid = "P3-bounded-uncertainty"
     view = _as_view(trace_or_view)
-    first = rule_violations([c.stable for c in classify_rounds(view)], view.decisions)
+    return _bounded_uncertainty(view, _first_violations(view, classify_rounds(view)))
+
+
+def _bounded_uncertainty(view: RoundView, first: dict) -> PropertyReport:
+    pid = "P3-bounded-uncertainty"
     u, a = first["one-round-uncertainty"], first["agreement"]
     if u is not None and (a is None or u <= a + 1):
         return PropertyReport(pid, False, CheckCounterexample(
@@ -188,10 +196,15 @@ def check_disagreement_correction(trace_or_view: Union[Trace, RoundView]) -> Pro
 
     The default-correction rule of ``oracle.rule_violations``.
     """
-    pid = "P2-correction"
     view = _as_view(trace_or_view)
     classes = classify_rounds(view)
-    t = rule_violations([c.stable for c in classes], view.decisions)["default-correction"]
+    return _disagreement_correction(view, classes, _first_violations(view, classes))
+
+
+def _disagreement_correction(view: RoundView, classes: list[RoundClass],
+                             first: dict) -> PropertyReport:
+    pid = "P2-correction"
+    t = first["default-correction"]
     if t is None:
         return PropertyReport(pid, True)
     p = next(p for p in maximal_periods(classes) if p.start <= t - 1 <= p.end)
@@ -211,10 +224,14 @@ def check_certainty(trace_or_view: Union[Trace, RoundView]) -> PropertyReport:
     [a+2, b+1] (round 1 is startup and exempt; the measured prefix length is
     reported). Assumes the application never reads a default state.
     """
-    pid = "P1-certainty"
     view = _as_view(trace_or_view)
     classes = classify_rounds(view)
-    t = rule_violations([c.stable for c in classes], view.decisions)["agreement"]
+    return _certainty(view, classes, _first_violations(view, classes))
+
+
+def _certainty(view: RoundView, classes: list[RoundClass], first: dict) -> PropertyReport:
+    pid = "P1-certainty"
+    t = first["agreement"]
     if t is not None:
         return PropertyReport(pid, False, CheckCounterexample(
             t, view.decisions[t - 1], "vehicles used different values inside a certainty span"))
@@ -239,11 +256,14 @@ def check_certainty(trace_or_view: Union[Trace, RoundView]) -> PropertyReport:
 
 
 def run_all_checks(trace_or_view: Union[Trace, RoundView]) -> list[PropertyReport]:
+    """P1, P2 and P3, classifying the rounds and reading the rules once for all three."""
     view = _as_view(trace_or_view)
+    classes = classify_rounds(view)
+    first = _first_violations(view, classes)
     return [
-        check_certainty(view),
-        check_disagreement_correction(view),
-        check_bounded_uncertainty(view),
+        _certainty(view, classes, first),
+        _disagreement_correction(view, classes, first),
+        _bounded_uncertainty(view, first),
     ]
 
 
@@ -284,8 +304,8 @@ def effective_delivery(trace_or_view: Union[Trace, RoundView]) -> list[tuple]:
 
 def packet_drop_rate(trace: Trace) -> float:
     """Observed drop fraction over all point-to-point transmissions."""
-    drops = len(trace.drops())
-    delivers = len(trace.delivers())
+    kinds = Counter(map(type, trace.events))
+    drops, delivers = kinds[DropEvent], kinds[DeliverEvent]
     if drops + delivers == 0:
         raise AnalysisError("trace contains no transmissions")
     return drops / (drops + delivers)

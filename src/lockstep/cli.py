@@ -215,10 +215,14 @@ def cmd_run(args) -> int:
     directory = out_dir(args)
     trace_path = Path(args.trace_file) if args.trace_file else directory / "trace.jsonl"
     trace.write(trace_path)
+    try:
+        drop_rate = analysis.packet_drop_rate(trace)
+    except analysis.AnalysisError:  # no transmissions: a fleet of one
+        drop_rate = None
     report = {
         "rounds": view.rounds,
         "reliability": analysis.reliability(view, level),
-        "drop_rate": analysis.packet_drop_rate(trace) if (trace.drops() or trace.delivers()) else None,
+        "drop_rate": drop_rate,
         "checks": [r.to_json() for r in reports],
     }
     report_path = directory / "report.json"

@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .protocol import (
     ConfigError,
@@ -386,29 +386,60 @@ def datum_to_json(d: Datum):
     return d
 
 
-def _dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# json.dumps(obj, sort_keys=True, separators=(",", ":")) without building an
+# encoder per call.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _dumps_data(data: tuple) -> str:
+    return _dumps([datum_to_json(d) for d in data])
+
+
+# The ack and data JSON of each sent message whose deliver and drop lines are
+# still to be written: id(msg) -> [msg, ack, data, copies left]. The entry
+# holds msg, so its id is not reused while cached, and a hit also checks
+# identity; a miss (a deliver with no send line, say) encodes afresh. A send
+# expects one copy per other member (len(msg.ack) - 1) and each deliver or
+# drop line takes one, so after a complete trace the cache is empty again.
+_in_flight: dict[int, list] = {}
 
 
 def event_to_json(ev: TraceEvent) -> str:
+    """One trace line. Keys are written in sorted order, as ``_dumps`` would."""
+    if isinstance(ev, (DeliverEvent, DropEvent)):
+        m = ev.msg
+        entry = _in_flight.get(id(m))
+        if entry is not None and entry[0] is m:
+            _, ack, data, left = entry
+            if left > 1:
+                entry[3] = left - 1
+            else:
+                _in_flight.pop(id(m), None)
+        else:
+            ack, data = _dumps(m.ack), _dumps_data(m.data)
+        if isinstance(ev, DeliverEvent):
+            return (f'{{"ack":{ack},"data":{data},"ev":"deliver","from":{ev.sender},'
+                    f'"round":{m.round},"t":{ev.t},"to":{ev.receiver}}}')
+        return (f'{{"ack":{ack},"cause":{_dumps(ev.cause)},"data":{data},"ev":"drop",'
+                f'"from":{ev.sender},"round":{m.round},"t":{ev.t},"to":{ev.receiver}}}')
     if isinstance(ev, SendEvent):
         m = ev.msg
-        return _dumps({"t": ev.t, "ev": "send", "v": ev.vehicle, "round": m.round,
-                       "data": [datum_to_json(d) for d in m.data], "ack": list(m.ack)})
-    if isinstance(ev, DeliverEvent):
-        m = ev.msg
-        return _dumps({"t": ev.t, "ev": "deliver", "from": ev.sender, "to": ev.receiver,
-                       "round": m.round, "data": [datum_to_json(d) for d in m.data],
-                       "ack": list(m.ack)})
-    if isinstance(ev, DropEvent):
-        m = ev.msg
-        return _dumps({"t": ev.t, "ev": "drop", "from": ev.sender, "to": ev.receiver,
-                       "round": m.round, "data": [datum_to_json(d) for d in m.data],
-                       "ack": list(m.ack), "cause": ev.cause})
+        ack, data = _dumps(m.ack), _dumps_data(m.data)
+        if len(m.ack) > 1:
+            _in_flight[id(m)] = [m, ack, data, len(m.ack) - 1]
+        return (f'{{"ack":{ack},"data":{data},"ev":"send","round":{m.round},'
+                f'"t":{ev.t},"v":{ev.vehicle}}}')
     out = ev.output
-    return _dumps({"t": ev.t, "ev": "output", "v": ev.vehicle, "round": out.round,
-                   "data": [datum_to_json(d) for d in out.s], "ack": list(out.r),
-                   "decision": datum_to_json(out.decision)})
+    return (f'{{"ack":{_dumps(out.r)},"data":{_dumps_data(out.s)},'
+            f'"decision":{_dumps(datum_to_json(out.decision))},"ev":"output",'
+            f'"round":{out.round},"t":{ev.t},"v":{ev.vehicle}}}')
+
+
+def _forget(events: list) -> None:
+    """Drop the cached fragments of the messages sent in ``events``."""
+    for ev in events:
+        if isinstance(ev, SendEvent):
+            _in_flight.pop(id(ev.msg), None)  # a cached id is that live message's
 
 
 @dataclass
@@ -425,8 +456,15 @@ class Trace:
 
     def lines(self) -> Iterable[str]:
         yield self.header_line()
-        for ev in self.events:
-            yield event_to_json(ev)
+        try:
+            for ev in self.events:
+                yield event_to_json(ev)
+        finally:
+            # Entries are left only if this pass stopped early or a send's
+            # copies are not all in the trace. A pass over the same trace
+            # still running elsewhere then re-encodes what it misses.
+            if _in_flight:
+                _forget(self.events)
 
     def write(self, path: Union[str, Path]) -> None:
         with open(path, "w") as fh:
@@ -619,24 +657,38 @@ def run(config: SimConfig, app: App) -> Trace:
     return Trace(config=config, app_spec=app.spec(), events=events)
 
 
+def _recorded_lines(source: Union[Trace, str, Path]) -> Iterator[str]:
+    if isinstance(source, Trace):
+        yield from source.lines()
+        return
+    # A byte that is not text is a divergence at its line, not a crash.
+    with open(source, errors="backslashreplace") as fh:
+        for line in fh:
+            yield line.rstrip("\n")
+
+
 def replay(source: Union[Trace, str, Path], app: Optional[App] = None) -> Trace:
     """Re-run a trace's config and verify the result is identical.
 
     Accepts an in-memory trace or a trace file path. The application is
-    rebuilt from the recorded app spec unless one is supplied. Raises
-    ReplayMismatch at the first divergent line.
+    rebuilt from the recorded app spec unless one is supplied. Both sides are
+    streamed and compared line by line; raises ReplayMismatch at the first
+    divergent line.
     """
     if isinstance(source, Trace):
         config, app_spec = source.config, source.app_spec
-        recorded = list(source.lines())
     else:
         config, app_spec = read_trace_header(source)
-        recorded = Path(source).read_text().splitlines()
     if app is None:
         app = build_app(app_spec)
     fresh = run(config, app)
-    replayed = list(fresh.lines())
-    for i, (want, got) in enumerate(itertools.zip_longest(recorded, replayed, fillvalue="<missing>")):
-        if want != got:
-            raise ReplayMismatch(i + 1, want, got)
+    recorded, replayed = _recorded_lines(source), fresh.lines()
+    try:
+        pairs = itertools.zip_longest(recorded, replayed, fillvalue="<missing>")
+        for i, (want, got) in enumerate(pairs, start=1):
+            if want != got:
+                raise ReplayMismatch(i, want, got)
+    finally:
+        recorded.close()
+        replayed.close()
     return fresh

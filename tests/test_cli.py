@@ -29,6 +29,12 @@ def test_run_is_deterministic_across_invocations(tmp_path):
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
+def test_run_reports_no_drop_rate_without_transmissions(tmp_path):
+    assert main(["run", "--n", "1", "--duration-s", "2", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["drop_rate"] is None
+
+
 def test_run_rejects_round_length_at_constraint_boundary(tmp_path, capsys):
     code = main(["run", "--round-ms", "110", "--delay-ms", "100", "--sync-ms", "5",
                  "--out", str(tmp_path)])

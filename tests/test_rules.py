@@ -18,6 +18,7 @@ from lockstep.analysis import (
     check_disagreement_correction,
     classify_rounds,
     maximal_periods,
+    run_all_checks,
 )
 from lockstep.oracle import RULES, check_decision_sequence, rule_violations
 from lockstep.platoon import ServiceLevel
@@ -183,6 +184,8 @@ def assert_same_verdicts(n, stable, decisions):
     assert [c.stable for c in classify_rounds(view)] == list(stable)
     for check, reference in CHECKS:
         assert check(view).to_json() == reference(view).to_json()
+    assert [r.to_json() for r in run_all_checks(view)] == \
+        [reference(view).to_json() for _, reference in CHECKS]
 
 
 VALUES = [DEFAULT, LOW, HIGH]

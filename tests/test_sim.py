@@ -1,20 +1,30 @@
 """Tests for the discrete-event harness: timing, loss, traces, replay."""
 
+import gc
+import itertools
 import json
+import sys
+import warnings
 
 import pytest
 
-from lockstep import analysis, oracle
-from lockstep.platoon import LevelApp, ServiceLevel
-from lockstep.protocol import ConfigError, is_default
+from lockstep import analysis, oracle, sim
+from lockstep.platoon import LevelApp, ScenarioSpec, ServiceLevel, run_worst_case
+from lockstep.protocol import DEFAULT, ConfigError, GossipMessage, RoundOutput, is_default
 from lockstep.sim import (
     BernoulliLoss,
     CompositeLoss,
+    DeliverEvent,
+    DropEvent,
     DropRule,
     FixedDelay,
+    OutputEvent,
     ReplayMismatch,
     ScheduleLoss,
+    SendEvent,
     SimConfig,
+    Trace,
+    datum_to_json,
     load_schedule,
     replay,
     run,
@@ -344,3 +354,239 @@ def test_replay_detects_tampered_event(tmp_path):
     with pytest.raises(ReplayMismatch) as info:
         replay(path)
     assert info.value.line_no == 4
+
+
+# ---------------------------------------------------------------------------
+# Trace encoding against the encoder it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_dumps(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def reference_event_to_json(ev) -> str:
+    """The one-dict-per-line encoder that re-encoded every message copy."""
+    if isinstance(ev, SendEvent):
+        m = ev.msg
+        return _reference_dumps({"t": ev.t, "ev": "send", "v": ev.vehicle, "round": m.round,
+                                 "data": [datum_to_json(d) for d in m.data], "ack": list(m.ack)})
+    if isinstance(ev, DeliverEvent):
+        m = ev.msg
+        return _reference_dumps({"t": ev.t, "ev": "deliver", "from": ev.sender, "to": ev.receiver,
+                                 "round": m.round, "data": [datum_to_json(d) for d in m.data],
+                                 "ack": list(m.ack)})
+    if isinstance(ev, DropEvent):
+        m = ev.msg
+        return _reference_dumps({"t": ev.t, "ev": "drop", "from": ev.sender, "to": ev.receiver,
+                                 "round": m.round, "data": [datum_to_json(d) for d in m.data],
+                                 "ack": list(m.ack), "cause": ev.cause})
+    out = ev.output
+    return _reference_dumps({"t": ev.t, "ev": "output", "v": ev.vehicle, "round": out.round,
+                             "data": [datum_to_json(d) for d in out.s], "ack": list(out.r),
+                             "decision": datum_to_json(out.decision)})
+
+
+def reference_lines(trace):
+    return [trace.header_line()] + [reference_event_to_json(ev) for ev in trace.events]
+
+
+def in_flight_after_each_event(trace):
+    """How many sent messages still have copies to come, after each event line."""
+    last_copy = {id(ev.msg): j for j, ev in enumerate(trace.events)
+                 if isinstance(ev, (DeliverEvent, DropEvent))}
+    delta = [0] * (len(trace.events) + 1)
+    for i, ev in enumerate(trace.events):
+        if isinstance(ev, SendEvent) and last_copy.get(id(ev.msg), i) > i:
+            delta[i] += 1
+            delta[last_copy[id(ev.msg)]] -= 1
+    return list(itertools.accumulate(delta[:-1]))
+
+
+def assert_encodes_like_reference(trace):
+    """Byte-identical lines, with a cache that holds only the messages in flight."""
+    lines = trace.lines()
+    assert next(lines) == trace.header_line()
+    encoded, cached = [], []
+    for _ in trace.events:
+        encoded.append(next(lines))
+        cached.append(len(sim._in_flight))
+    assert encoded == reference_lines(trace)[1:]
+    assert cached == in_flight_after_each_event(trace)
+    assert next(lines, None) is None
+    assert not sim._in_flight
+
+
+@pytest.mark.parametrize("n,seed,p", [
+    (2, 1, 0.0), (3, 2, 0.2), (4, 3, 0.5), (5, 4, 1.0), (8, 5, 0.17),
+])
+def test_encoder_matches_reference_on_bernoulli_traces(n, seed, p):
+    assert_encodes_like_reference(run_high(make_sim_config(n=n, rounds=12, seed=seed,
+                                                           loss=BernoulliLoss(p))))
+
+
+def test_encoder_matches_reference_on_schedule_and_composite_traces():
+    rules = [DropRule(round=3, receiver=2), DropRule(t0=5 * RL, t1=6 * RL, sender=1)]
+    for loss in (ScheduleLoss(rules), CompositeLoss(0.3, ScheduleLoss(rules))):
+        trace = run_high(make_sim_config(n=4, rounds=10, seed=6, loss=loss))
+        assert "schedule" in {ev.cause for ev in trace.drops()}
+        assert_encodes_like_reference(trace)
+
+
+def test_encoder_matches_reference_with_a_single_vehicle():
+    trace = run_high(make_sim_config(n=1, rounds=6, seed=7))
+    assert trace.sends() and not trace.delivers() and not trace.drops()
+    assert_encodes_like_reference(trace)
+
+
+def test_encoder_matches_reference_on_platoon_dict_payloads():
+    trace = run_worst_case(ScenarioSpec(horizon_rounds=30)).trace
+    assert any(isinstance(datum_to_json(d), dict) for ev in trace.sends() for d in ev.msg.data)
+    assert_encodes_like_reference(trace)
+
+
+def hand_built_trace():
+    """Copies out of step with their sends: the cache must miss, never mis-hit."""
+    config = make_sim_config(n=3, rounds=2, seed=8)
+    orphan = GossipMessage(2, 0, (DEFAULT, HIGH, DEFAULT), (False, True, False))
+    m = GossipMessage(1, 0, (HIGH, DEFAULT, DEFAULT), (True, False, False))
+    twin = GossipMessage(*m)  # equal to m, another object
+    unhashable = GossipMessage(3, 1, (DEFAULT, DEFAULT, ["raw", 1]), (False, False, True))
+    never_copied = GossipMessage(2, 1, (DEFAULT, HIGH, DEFAULT), (False, True, False))
+    out = RoundOutput(1, (HIGH, DEFAULT, DEFAULT), (True, False, False), DEFAULT)
+    events = [
+        DeliverEvent(5, 2, 1, orphan, 0, 0),  # no send line
+        SendEvent(10, 1, m),
+        SendEvent(10, 1, twin),
+        DeliverEvent(20, 1, 2, m, 10, 0),
+        DropEvent(10, 1, 3, twin, "schedule"),
+        DropEvent(10, 1, 3, m, "bernoulli"),
+        DeliverEvent(30, 1, 2, m, 10, 0),  # one copy more than n - 1
+        DeliverEvent(25, 1, 2, twin, 10, 0),
+        SendEvent(40, 3, unhashable),
+        DeliverEvent(50, 3, 1, unhashable, 40, 1),
+        DropEvent(40, 3, 2, unhashable, "bernoulli"),
+        SendEvent(60, 2, never_copied),  # its copies never appear
+        OutputEvent(160_000, 1, out),
+    ]
+    return Trace(config=config, app_spec={"kind": "level", "level": "high"}, events=events)
+
+
+def test_encoder_matches_reference_on_a_hand_built_trace():
+    trace = hand_built_trace()
+    assert list(trace.lines()) == reference_lines(trace)
+    assert not sim._in_flight  # the send whose copies never came is forgotten at the end
+
+
+@pytest.mark.parametrize("make", [
+    hand_built_trace,
+    lambda: run_high(make_sim_config(n=3, rounds=6, seed=9, loss=BernoulliLoss(0.3))),
+])
+def test_interleaved_encodings_of_one_trace(make):
+    trace = make()
+    a, b = trace.lines(), trace.lines()
+    # a starts half a trace ahead of b, then they take turns.
+    from_a, from_b = [next(a) for _ in range(len(trace.events) // 2)], []
+    for x, y in itertools.zip_longest(b, a):
+        from_b.append(x)
+        if y is not None:
+            from_a.append(y)
+    assert from_a == from_b == reference_lines(trace)
+    assert not sim._in_flight
+
+
+def test_abandoned_encoding_leaves_nothing_cached():
+    trace = run_high(make_sim_config(n=4, rounds=6, seed=10, loss=BernoulliLoss(0.2)))
+    first_send = next(i for i, ev in enumerate(trace.events) if isinstance(ev, SendEvent))
+    lines = trace.lines()
+    for _ in range(first_send + 2):  # the header, then up to that send line
+        next(lines)
+    assert sim._in_flight
+    lines.close()
+    assert not sim._in_flight
+
+
+def test_write_encodes_each_event_line_once_through_the_module_global(tmp_path, monkeypatch):
+    # The benchmark's layer tracer times encoding by replacing
+    # sim.event_to_json with a one-argument wrapper like this one.
+    trace = run_high(make_sim_config(n=4, rounds=10, seed=11, loss=BernoulliLoss(0.2)))
+    encode = sim.event_to_json
+    seen = []
+
+    def encode_call(ev):
+        seen.append(ev)
+        return encode(ev)
+
+    monkeypatch.setattr(sim, "event_to_json", encode_call)
+    path = tmp_path / "trace.jsonl"
+    trace.write(path)
+    assert len(seen) == len(trace.events)
+    assert all(a is b for a, b in zip(seen, trace.events))
+    assert path.read_text() == "".join(line + "\n" for line in reference_lines(trace))
+
+
+# ---------------------------------------------------------------------------
+# Streaming replay
+# ---------------------------------------------------------------------------
+
+def write_trace_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
+
+
+def test_replay_of_a_truncated_trace_reports_the_first_missing_line(tmp_path):
+    trace = run_high(make_sim_config(n=3, rounds=6, seed=12, loss=BernoulliLoss(0.2)))
+    lines = list(trace.lines())
+    path = tmp_path / "trace.jsonl"
+    write_trace_lines(path, lines[:-3])
+    with pytest.raises(ReplayMismatch) as info:
+        replay(path)
+    assert info.value.line_no == len(lines) - 2
+    assert info.value.expected == "<missing>"
+    assert info.value.actual == lines[-3]
+
+
+def test_replay_of_a_trace_with_an_extra_line_reports_it(tmp_path):
+    trace = run_high(make_sim_config(n=3, rounds=6, seed=13, loss=BernoulliLoss(0.2)))
+    lines = list(trace.lines())
+    path = tmp_path / "trace.jsonl"
+    write_trace_lines(path, lines + [lines[-1]])
+    with pytest.raises(ReplayMismatch) as info:
+        replay(path)
+    assert info.value.line_no == len(lines) + 1
+    assert info.value.expected == lines[-1]
+    assert info.value.actual == "<missing>"
+
+
+def test_replay_reports_a_line_that_is_not_text_as_a_mismatch(tmp_path):
+    trace = run_high(make_sim_config(n=3, rounds=60, seed=15, loss=BernoulliLoss(0.2)))
+    lines = list(trace.lines())
+    path = tmp_path / "trace.jsonl"
+    bad = len(lines) - 5  # past the first read buffer, which the header check decodes
+    data = "".join(line + "\n" for line in lines).encode()
+    cut = data.index(lines[bad - 1].encode())
+    path.write_bytes(data[:cut] + b"\xff" + data[cut + 1:])
+    assert cut > 64 * 1024
+    with pytest.raises(ReplayMismatch) as info:
+        replay(path)
+    assert info.value.line_no == bad
+    assert info.value.expected == "\\xff" + lines[bad - 1][1:]
+
+
+def test_replay_leaves_no_file_open(tmp_path, monkeypatch):
+    trace = run_high(make_sim_config(n=3, rounds=6, seed=14, loss=BernoulliLoss(0.2)))
+    lines = list(trace.lines())
+    good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    write_trace_lines(good, lines)
+    middle = len(lines) // 2
+    write_trace_lines(bad, lines[:middle] + [lines[middle] + " "] + lines[middle + 1:])
+    # A file finalised while open warns from its destructor, where the error
+    # the filter makes of it goes to the unraisable hook.
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        replay(good)
+        with pytest.raises(ReplayMismatch):
+            replay(bad)
+        gc.collect()
+    assert not unraisable
+    assert not sim._in_flight
