@@ -36,6 +36,7 @@ from .sim import (
     replay,
     run,
     sample_offsets,
+    simulate,
 )
 from .analysis import (
     AnalysisError,

@@ -66,37 +66,38 @@ def out_dir(args) -> Path:
 
 def parse_loss(text: str) -> LossModel:
     kind, _, rest = text.partition(":")
-    if kind == "bernoulli":
-        return BernoulliLoss(float(rest))
-    if kind == "schedule":
-        return load_schedule(rest)
-    if kind == "composite":
-        p, _, path = rest.partition(",")
-        return CompositeLoss(float(p), load_schedule(path))
+    try:
+        if kind == "bernoulli":
+            return BernoulliLoss(float(rest))
+        if kind == "schedule":
+            return load_schedule(rest)
+        if kind == "composite":
+            p, _, path = rest.partition(",")
+            return CompositeLoss(float(p), load_schedule(path))
+    except (KeyError, OSError, TypeError, ValueError) as exc:  # not a number, or not a schedule
+        raise ConfigError(f"bad loss spec {text!r}: {exc}") from None
     raise ConfigError(f"unknown loss spec {text!r} (bernoulli:P | schedule:FILE | composite:P,FILE)")
 
 
 def build_sim_config(n: int, round_ms: int, sync_ms: int, delay_ms: int,
                      gossip_ms: int, loss: LossModel, seed: int,
-                     duration_us: int) -> SimConfig:
-    protocol = ProtocolConfig(
+                     duration_s: int) -> SimConfig:
+    """A run of the whole rounds that fit in ``duration_s`` seconds."""
+    protocol = ProtocolConfig(  # checks round_ms before it divides
         n=n,
         round_length=round_ms * 1000,
         sync_bound=sync_ms * 1000,
         maximum_delay=delay_ms * 1000,
         gossip_interval=gossip_ms * 1000,
     )
+    rounds = (duration_s * 1000) // round_ms
     return SimConfig(
         protocol=protocol,
         offsets=sample_offsets(seed, n, protocol.sync_bound),
         loss=loss,
-        duration=duration_us,
+        duration=protocol.round_length * rounds,
         seed=seed,
     )
-
-
-def rounds_to_duration(round_ms: int, rounds: int) -> int:
-    return round_ms * 1000 * rounds
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +120,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not (self.ns and self.round_ms and self.seeds):
             raise ConfigError("sweep axes must be non-empty")
+        if min(self.ns) < 2:  # every row reports a drop rate, which needs transmissions
+            raise ConfigError(f"sweep fleet sizes must be >= 2, got {min(self.ns)}")
         for rl in self.round_ms:
             # Fails early with the same constraint a run would hit.
             ProtocolConfig(2, rl * 1000, self.sync_ms * 1000,
@@ -140,9 +143,8 @@ class SweepSpec:
 
 def _sweep_cell(cell: tuple) -> dict:
     n, round_ms, sync_ms, delay_ms, gossip_ms, p, seed, duration_s = cell
-    rounds = (duration_s * 1000) // round_ms
     config = build_sim_config(n, round_ms, sync_ms, delay_ms, gossip_ms,
-                              BernoulliLoss(p), seed, rounds_to_duration(round_ms, rounds))
+                              BernoulliLoss(p), seed, duration_s)
     trace = run(config, LevelApp(ServiceLevel.HIGH))
     view = analysis.round_view(trace)
     reports = analysis.run_all_checks(view)
@@ -204,9 +206,8 @@ def write_csv(path: Path, rows: list[dict], columns: Sequence[str]) -> None:
 
 def cmd_run(args) -> int:
     loss = parse_loss(args.loss)
-    duration = rounds_to_duration(args.round_ms, (args.duration_s * 1000) // args.round_ms)
     config = build_sim_config(args.n, args.round_ms, args.sync_ms, args.delay_ms,
-                              args.gossip_ms, loss, args.seed, duration)
+                              args.gossip_ms, loss, args.seed, args.duration_s)
     level = ServiceLevel.from_json(args.level)
     trace = run(config, LevelApp(level))
     view = analysis.round_view(trace)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Optional
 
-from .protocol import DEFAULT, Datum, ProtocolConfig, RoundOutput, is_default
+from .protocol import DEFAULT, ConfigError, Datum, ProtocolConfig, RoundOutput, is_default
 from .sim import (
     App,
     DropRule,
@@ -79,9 +79,9 @@ def default_level_table() -> LevelTable:
 def validate_level_table(table: LevelTable) -> None:
     hi, med, lo = table[ServiceLevel.HIGH], table[ServiceLevel.MEDIUM], table[ServiceLevel.LOW]
     if not hi.headway < med.headway < lo.headway:
-        raise ValueError("headways must grow as the level drops")
+        raise ConfigError("headways must grow as the level drops")
     if not hi.accel_bound < med.accel_bound < lo.accel_bound:
-        raise ValueError("acceleration bounds must nest upward as the level drops")
+        raise ConfigError("acceleration bounds must nest upward as the level drops")
 
 
 def level_table_to_json(table: LevelTable) -> dict:
@@ -262,13 +262,13 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         if self.n < 2:
-            raise ValueError("a platoon needs at least two vehicles")
+            raise ConfigError("a platoon needs at least two vehicles")
         if not 1 <= self.cut_vehicle <= self.n:
-            raise ValueError("cut vehicle outside the platoon")
+            raise ConfigError("cut vehicle outside the platoon")
         if self.brake_after_rounds < 2 or self.outage_rounds < 2:
-            raise ValueError("outage and brake offsets must each span at least two rounds")
+            raise ConfigError("outage and brake offsets must each span at least two rounds")
         if self.brake_after_rounds >= self.outage_rounds:
-            raise ValueError("the brake must land inside the outage")
+            raise ConfigError("the brake must land inside the outage")
         validate_level_table(self.level_table)
 
     @property
@@ -373,7 +373,6 @@ class PlatoonApp(App):
         self.world = scenario.build_world()
         self.rows: list[KinematicsRow] = []
         self.levels: dict[int, dict[int, ServiceLevel]] = {}
-        self.decisions: dict[int, dict[int, Datum]] = {}
 
     def read_state(self, vid: int) -> PlatoonDatum:
         body = self.world.body(vid)
@@ -394,7 +393,6 @@ class PlatoonApp(App):
         body.accel = control_accel(self.world, vid, output.s, output.decision)
         level = effective_level(output.decision)
         self.levels.setdefault(output.round, {})[vid] = level
-        self.decisions.setdefault(output.round, {})[vid] = output.decision
         self.rows.append(KinematicsRow(output.round, vid, body.x, body.v,
                                        self.world.gap_behind_predecessor(vid), level,
                                        body.accel))

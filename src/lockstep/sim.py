@@ -3,9 +3,11 @@
 A run drives n protocol instances over a virtual global clock. Each vehicle
 sees the global clock plus a fixed per-vehicle offset; gossip broadcasts fan
 out into independent point-to-point transmissions, each delivered after a
-sampled delay in (0, maximum_delay] or dropped by the loss model. Every send,
-delivery, drop, and round output is recorded in a trace that is a pure
-function of the configuration, so any trace can be replayed bit-for-bit.
+sampled delay in (0, maximum_delay] or dropped by the loss model.
+``simulate`` is the one event loop: it yields every send, delivery, drop,
+and round output as it happens, a sequence that is a pure function of the
+configuration. ``run`` keeps them all in a trace; ``replay`` compares them
+with a trace file as they come, so any trace can be replayed bit-for-bit.
 
 Event order is total: by time, then deliveries before application ticks
 before vehicle ticks, then vehicle id, then insertion order. Per transmission
@@ -435,11 +437,18 @@ def event_to_json(ev: TraceEvent) -> str:
             f'"round":{out.round},"t":{ev.t},"v":{ev.vehicle}}}')
 
 
-def _forget(events: list) -> None:
-    """Drop the cached fragments of the messages sent in ``events``."""
-    for ev in events:
-        if isinstance(ev, SendEvent):
-            _in_flight.pop(id(ev.msg), None)  # a cached id is that live message's
+def _lines(config: SimConfig, app_spec: dict, events: Iterable[TraceEvent]) -> Iterator[str]:
+    """A trace file's lines: the header, then one line per event."""
+    yield _dumps({"format": TRACE_FORMAT, "version": TRACE_VERSION,
+                  "config": config.to_json(), "app": app_spec})
+    try:
+        for ev in events:
+            yield event_to_json(ev)
+    finally:
+        # Entries are left only if this pass stopped early or a send's copies
+        # are not all in it. A pass still running elsewhere then re-encodes
+        # what it misses.
+        _in_flight.clear()
 
 
 @dataclass
@@ -450,21 +459,8 @@ class Trace:
     app_spec: dict
     events: list = field(default_factory=list)
 
-    def header_line(self) -> str:
-        return _dumps({"format": TRACE_FORMAT, "version": TRACE_VERSION,
-                       "config": self.config.to_json(), "app": self.app_spec})
-
-    def lines(self) -> Iterable[str]:
-        yield self.header_line()
-        try:
-            for ev in self.events:
-                yield event_to_json(ev)
-        finally:
-            # Entries are left only if this pass stopped early or a send's
-            # copies are not all in the trace. A pass over the same trace
-            # still running elsewhere then re-encodes what it misses.
-            if _in_flight:
-                _forget(self.events)
+    def lines(self) -> Iterator[str]:
+        return _lines(self.config, self.app_spec, self.events)
 
     def write(self, path: Union[str, Path]) -> None:
         with open(path, "w") as fh:
@@ -498,11 +494,14 @@ def read_trace_header(path: Union[str, Path]) -> tuple[SimConfig, dict]:
         raise ConfigError(f"{path} has trace version {header.get('version')!r}, "
                           f"this build reads version {TRACE_VERSION}")
     try:
-        return SimConfig.from_json(header["config"]), header["app"]
+        config, app_spec = SimConfig.from_json(header["config"]), header["app"]
     except KeyError as exc:
         raise ConfigError(f"{path} header is missing key {exc}") from None
     except TypeError as exc:
         raise ConfigError(f"{path} header has a field of the wrong type: {exc}") from None
+    if not isinstance(app_spec, dict):
+        raise ConfigError(f"{path} header has an app that is not an object: {app_spec!r}")
+    return config, app_spec
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +544,14 @@ def register_app(kind: str, builder: Callable[[dict], App]) -> None:
 
 
 def build_app(spec: dict) -> App:
+    from . import platoon  # noqa: F401  (the standard app kinds register on import)
     kind = spec.get("kind")
     if kind not in APP_BUILDERS:
-        # App kinds register on import; the standard ones live in platoon.
-        from . import platoon  # noqa: F401
-    if kind not in APP_BUILDERS:
         raise ConfigError(f"no registered app builder for kind {kind!r}")
-    return APP_BUILDERS[kind](spec)
+    try:
+        return APP_BUILDERS[kind](spec)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {kind!r} app spec: {type(exc).__name__}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +581,12 @@ def _tick_times(p: ProtocolConfig, horizon: int) -> Iterable[int]:
             t += p.gossip_interval
 
 
-def run(config: SimConfig, app: App) -> Trace:
-    """Execute one simulation; the returned trace is a pure function of the inputs."""
+def simulate(config: SimConfig, app: App) -> Iterator[TraceEvent]:
+    """Execute one simulation, yielding its events in trace order.
+
+    The events are a pure function of the inputs. The loop runs only as far
+    as the events are read.
+    """
     p = config.protocol
     n = p.n
     offsets = config.offsets
@@ -595,7 +599,6 @@ def run(config: SimConfig, app: App) -> Trace:
     readers = [(lambda v: (lambda: app.read_state(v)))(vid) for vid in range(1, n + 1)]
     decide = app.decide
 
-    events: list[TraceEvent] = []
     heap: list = []
     seq = itertools.count()
 
@@ -616,20 +619,19 @@ def run(config: SimConfig, app: App) -> Trace:
 
     push = heapq.heappush
     pop = heapq.heappop
-    append = events.append
 
     while heap:
         t, prio, vid, _, payload = pop(heap)
         if prio == _PRIO_DELIVER:
             sender, msg, send_time = payload
             inst = instances[vid - 1]
-            append(DeliverEvent(t, sender, vid, msg, send_time, inst.my_round))
+            yield DeliverEvent(t, sender, vid, msg, send_time, inst.my_round)
             inst.on_gossip_receive(msg)
         elif prio == _PRIO_TICK:
             inst = instances[vid - 1]
             sends, output = inst.on_tick(t + offsets[vid - 1], readers[vid - 1], decide)
             for msg in sends:
-                append(SendEvent(t, vid, msg))
+                yield SendEvent(t, vid, msg)
                 rnd = msg.round
                 for rcv in range(1, n + 1):
                     if rcv == vid:
@@ -639,9 +641,9 @@ def run(config: SimConfig, app: App) -> Trace:
                     if cause is None:
                         push(heap, (t + d, _PRIO_DELIVER, rcv, next(seq), (vid, msg, t)))
                     else:
-                        append(DropEvent(t, vid, rcv, msg, cause))
+                        yield DropEvent(t, vid, rcv, msg, cause)
             if output is not None:
-                append(OutputEvent(t, vid, output))
+                yield OutputEvent(t, vid, output)
                 app.on_output(vid, output, t)
             for local in tick_iters[vid - 1]:
                 g = local - offsets[vid - 1]
@@ -654,35 +656,32 @@ def run(config: SimConfig, app: App) -> Trace:
                 push(heap, (nxt, _PRIO_APP, 0, next(seq), None))
                 break
 
-    return Trace(config=config, app_spec=app.spec(), events=events)
+
+def run(config: SimConfig, app: App) -> Trace:
+    """Execute one simulation; the returned trace is a pure function of the inputs."""
+    events = list(simulate(config, app))
+    return Trace(config, app.spec(), events)
 
 
-def _recorded_lines(source: Union[Trace, str, Path]) -> Iterator[str]:
-    if isinstance(source, Trace):
-        yield from source.lines()
-        return
+def _recorded_lines(path: Union[str, Path]) -> Iterator[str]:
     # A byte that is not text is a divergence at its line, not a crash.
-    with open(source, errors="backslashreplace") as fh:
+    with open(path, errors="backslashreplace") as fh:
         for line in fh:
             yield line.rstrip("\n")
 
 
-def replay(source: Union[Trace, str, Path], app: Optional[App] = None) -> Trace:
-    """Re-run a trace's config and verify the result is identical.
+def replay(path: Union[str, Path]) -> None:
+    """Re-run a trace file's config and verify the result is identical.
 
-    Accepts an in-memory trace or a trace file path. The application is
-    rebuilt from the recorded app spec unless one is supplied. Both sides are
-    streamed and compared line by line; raises ReplayMismatch at the first
+    The application is rebuilt from the recorded app spec. The file is read
+    as the run is re-simulated and re-encoded, and the two are compared line
+    by line, so neither side is held; raises ReplayMismatch at the first
     divergent line.
     """
-    if isinstance(source, Trace):
-        config, app_spec = source.config, source.app_spec
-    else:
-        config, app_spec = read_trace_header(source)
-    if app is None:
-        app = build_app(app_spec)
-    fresh = run(config, app)
-    recorded, replayed = _recorded_lines(source), fresh.lines()
+    config, app_spec = read_trace_header(path)
+    app = build_app(app_spec)
+    recorded = _recorded_lines(path)
+    replayed = _lines(config, app.spec(), simulate(config, app))
     try:
         pairs = itertools.zip_longest(recorded, replayed, fillvalue="<missing>")
         for i, (want, got) in enumerate(pairs, start=1):
@@ -691,4 +690,3 @@ def replay(source: Union[Trace, str, Path], app: Optional[App] = None) -> Trace:
     finally:
         recorded.close()
         replayed.close()
-    return fresh

@@ -1,0 +1,53 @@
+"""The benchmark's layer tracer still fits the program it wraps.
+
+``perfbench/tracer.py`` wraps the public functions of each layer from
+outside, by name, and counts trace bytes in its ``event_to_json`` wrapper.
+A rename or a call that bypasses a module global would leave a layer's time
+unaccounted for or its counts wrong without failing anything else, so this
+runs a small traced ``run`` and ``replay`` the way the benchmark does: in a
+fresh interpreter, through ``lockstep.cli.main``.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+TRACED_PASS = """
+import json, sys, time
+from pathlib import Path
+
+root, out = Path(sys.argv[1]), Path(sys.argv[2])
+sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+from tracer import Tracer, install
+import lockstep.cli
+
+tracer = Tracer()
+install(tracer)
+main = tracer.span("cli.command", lockstep.cli.main)
+t0 = time.perf_counter()
+codes = [main(["run", "--n", "3", "--duration-s", "4", "--seed", "2", "--out", str(out)]),
+         main(["replay", str(out / "trace.jsonl")])]
+pass_s = time.perf_counter() - t0
+print(json.dumps({"codes": codes, "layers": tracer.layer_metrics(pass_s)}))
+"""
+
+
+def test_traced_run_and_replay_are_fully_accounted_for(tmp_path):
+    # -B: importing the tracer must not leave byte-code in perfbench/.
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", TRACED_PASS, str(ROOT), str(tmp_path)],
+        capture_output=True, text=True, timeout=60, check=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    layers = result["layers"]
+    assert result["codes"] == [0, 0]
+    assert layers["trace.coverage_ratio"] >= 0.9
+
+    header, *events = (tmp_path / "trace.jsonl").read_text().splitlines(keepends=True)
+    # Every event line is encoded once by run's write and once by replay.
+    assert layers["sim.trace_bytes"] == 2 * sum(len(line) for line in events)
+    # Events are counted from the trace run returns; replay returns none.
+    assert layers["sim.events"] == len(events)
+    assert layers["sim.run_s"] > 0 and layers["sim.replay_s"] > 0

@@ -176,6 +176,9 @@ def _rewrite_header(path, lines, edit):
     ("missing-config", "missing key 'config'"),
     ("wrong-version", "trace version 2"),
     ("wrong-type", "field of the wrong type"),
+    ("app-not-object", "app that is not an object"),
+    ("app-without-level", "malformed 'level' app spec: KeyError"),
+    ("app-unknown-level", "malformed 'level' app spec: KeyError: 'ULTRA'"),
 ])
 def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message):
     path, lines = _record_small_trace(tmp_path)
@@ -185,10 +188,42 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
         _rewrite_header(path, lines, lambda h: h.pop("config"))
     elif case == "wrong-version":
         _rewrite_header(path, lines, lambda h: h.update(version=2))
-    else:
+    elif case == "wrong-type":
         _rewrite_header(path, lines, lambda h: h.update(config=5))
+    elif case == "app-not-object":
+        _rewrite_header(path, lines, lambda h: h.update(app=5))
+    elif case == "app-without-level":
+        _rewrite_header(path, lines, lambda h: h.update(app={"kind": "level"}))
+    else:
+        _rewrite_header(path, lines, lambda h: h.update(app={"kind": "level", "level": "ultra"}))
     capsys.readouterr()
     assert main(["replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["run", "--round-ms", "0"], "round_length", id="run-round-ms-0"),
+    pytest.param(["run", "--loss", "bernoulli:abc"], "bad loss spec 'bernoulli:abc'",
+                 id="run-loss-p-not-a-number"),
+    pytest.param(["run", "--loss", "composite:abc,x.json"], "bad loss spec",
+                 id="run-composite-p-not-a-number"),
+    pytest.param(["run", "--loss", "schedule:{bad}"], "bad loss spec", id="run-schedule-not-json"),
+    pytest.param(["run", "--loss", "schedule:{five}"], "bad loss spec",
+                 id="run-schedule-not-a-list"),
+    pytest.param(["run", "--loss", "composite:0.1"], "bad loss spec",
+                 id="run-composite-without-file"),
+    pytest.param(["scenario", "--outage-rounds", "1"], "at least two rounds",
+                 id="scenario-outage-rounds-1"),
+    pytest.param(["sweep", "--n-list", "1", "--duration-s", "1"], "fleet sizes must be >= 2",
+                 id="sweep-n-list-1"),
+])
+def test_malformed_command_input_is_usage_error(tmp_path, capsys, argv, message):
+    (tmp_path / "bad.json").write_text("not json\n")
+    (tmp_path / "five.json").write_text("5\n")
+    argv = [a.format(bad=tmp_path / "bad.json", five=tmp_path / "five.json") for a in argv]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err

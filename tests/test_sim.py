@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -319,13 +320,11 @@ def test_different_seed_changes_the_trace():
     assert list(a.lines()) != list(b.lines())
 
 
-def test_replay_in_memory_and_from_file(tmp_path):
+def test_replay_from_file(tmp_path):
     trace = run_high(make_sim_config(n=3, rounds=12, seed=15, loss=BernoulliLoss(0.2)))
-    replay(trace)
     path = tmp_path / "trace.jsonl"
     trace.write(path)
-    again = replay(path)
-    assert list(again.lines()) == list(trace.lines())
+    assert replay(path) is None
 
 
 def test_replay_detects_tampered_seed(tmp_path):
@@ -387,7 +386,7 @@ def reference_event_to_json(ev) -> str:
 
 
 def reference_lines(trace):
-    return [trace.header_line()] + [reference_event_to_json(ev) for ev in trace.events]
+    return [next(trace.lines())] + [reference_event_to_json(ev) for ev in trace.events]
 
 
 def in_flight_after_each_event(trace):
@@ -405,7 +404,7 @@ def in_flight_after_each_event(trace):
 def assert_encodes_like_reference(trace):
     """Byte-identical lines, with a cache that holds only the messages in flight."""
     lines = trace.lines()
-    assert next(lines) == trace.header_line()
+    assert next(lines) == next(trace.lines())
     encoded, cached = [], []
     for _ in trace.events:
         encoded.append(next(lines))
@@ -522,6 +521,10 @@ def test_write_encodes_each_event_line_once_through_the_module_global(tmp_path, 
     assert len(seen) == len(trace.events)
     assert all(a is b for a, b in zip(seen, trace.events))
     assert path.read_text() == "".join(line + "\n" for line in reference_lines(trace))
+    # Replay encodes the events it re-simulates through the same global.
+    seen.clear()
+    replay(path)
+    assert [reference_event_to_json(ev) for ev in seen] == reference_lines(trace)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +572,23 @@ def test_replay_reports_a_line_that_is_not_text_as_a_mismatch(tmp_path):
         replay(path)
     assert info.value.line_no == bad
     assert info.value.expected == "\\xff" + lines[bad - 1][1:]
+
+
+def test_replay_holds_neither_the_run_nor_the_file(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    tracemalloc.start()
+    try:
+        trace = run_high(make_sim_config(n=8, rounds=200, seed=16, loss=BernoulliLoss(0.17)))
+        _, run_peak = tracemalloc.get_traced_memory()
+        trace.write(path)
+        del trace
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        replay(path)
+        _, replay_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert replay_peak - before < run_peak / 10
 
 
 def test_replay_leaves_no_file_open(tmp_path, monkeypatch):
