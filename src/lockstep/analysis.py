@@ -1,15 +1,18 @@
 """Ground-truth trace analysis: period classification and property checking.
 
-Works on complete traces with an omniscient view. A round is *stable* when
-every vehicle ended it holding every member's message (reconstructed from the
-ack snapshots that each vehicle emits on entering the next round); otherwise
-it is unstable. The three checkers read the bounded-disagreement rules from
-``oracle.rule_violations``, the implementation the abstract-model verifier
-uses too. They verify that disagreement is confined to single isolated
-rounds at the start of unstable periods (P3), that unstable periods settle
-on the default value (P2), and that decisions agree through recovery and are
-non-default after a two-round stable prefix (P1; the prefix check is the one
-rule kept here).
+``round_view`` reads a run's events in one pass, from a recorded trace or
+straight from ``sim.simulate``, and keeps an omniscient summary: each
+vehicle's decision and ack snapshot per round, plus counts of delivered and
+dropped transmissions. Every checker and metric reads that view. A round is
+*stable* when every vehicle ended it holding every member's message
+(reconstructed from the ack snapshots that each vehicle emits on entering
+the next round); otherwise it is unstable. The three checkers read the
+bounded-disagreement rules from ``oracle.rule_violations``, the
+implementation the abstract-model verifier uses too. They verify that
+disagreement is confined to single isolated rounds at the start of unstable
+periods (P3), that unstable periods settle on the default value (P2), and
+that decisions agree through recovery and are non-default after a two-round
+stable prefix (P1; the prefix check is the one rule kept here).
 
 Conventions: the decision "at round t" is the one emitted on entering round
 t (it is used during round t). Round 0 produces no decision. The trailing
@@ -19,13 +22,12 @@ round whose end is not visible in the trace is excluded and counted in
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .oracle import rule_violations, split
 from .protocol import Datum, is_default
-from .sim import DeliverEvent, DropEvent, OutputEvent, Trace
+from .sim import DeliverEvent, DropEvent, OutputEvent, TraceEvent
 
 
 class AnalysisError(ValueError):
@@ -87,11 +89,12 @@ class PropertyReport:
 
 @dataclass
 class RoundView:
-    """Per-round tables extracted from a trace.
+    """Per-round tables extracted from a run's events.
 
     ``decisions[t-1]`` is the n-vector entering round t, for t in 1..rounds.
     ``end_acks[r]`` holds each vehicle's ack snapshot at the end of round r,
     for r in 0..rounds-1 (so there are ``rounds`` completed rounds).
+    ``delivers`` and ``drops`` count the run's point-to-point transmissions.
     """
 
     n: int
@@ -99,46 +102,42 @@ class RoundView:
     decisions: list[tuple]
     end_acks: list[tuple]
     truncated_outputs: int = 0
+    delivers: int = 0
+    drops: int = 0
 
 
-def round_view(trace: Trace) -> RoundView:
-    n = trace.config.protocol.n
-    per_vehicle: list[dict[int, OutputEvent]] = [dict() for _ in range(n)]
-    for ev in trace.events:
-        if isinstance(ev, OutputEvent):
-            per_vehicle[ev.vehicle - 1][ev.output.round] = ev
-    tops = []
-    for vid, outs in enumerate(per_vehicle, start=1):
-        if not outs:
-            tops.append(0)
-            continue
-        top = max(outs)
-        if sorted(outs) != list(range(1, top + 1)):
-            raise AnalysisError(f"vehicle {vid} has non-consecutive output rounds")
-        tops.append(top)
-    rounds = min(tops)
-    truncated = sum(top - rounds for top in tops)
-    decisions = [
-        tuple(per_vehicle[i][t].output.decision for i in range(n))
-        for t in range(1, rounds + 1)
-    ]
-    end_acks = [
-        tuple(per_vehicle[i][r + 1].output.r for i in range(n))
-        for r in range(rounds)
-    ]
-    return RoundView(n=n, rounds=rounds, decisions=decisions,
-                     end_acks=end_acks, truncated_outputs=truncated)
+def round_view(n: int, events: Iterable[TraceEvent]) -> RoundView:
+    """Read a run's events once, keeping each output's decision and ack snapshot.
+
+    Each vehicle's outputs must come in round order 1, 2, 3, ...; a gap, a
+    repeat or a step back raises ``AnalysisError``.
+    """
+    decided: list[list[Datum]] = [[] for _ in range(n)]
+    acked: list[list[tuple]] = [[] for _ in range(n)]
+    delivers = drops = 0
+    for ev in events:
+        kind = type(ev)
+        if kind is DeliverEvent:
+            delivers += 1
+        elif kind is DropEvent:
+            drops += 1
+        elif kind is OutputEvent:
+            out, i = ev.output, ev.vehicle - 1
+            if out.round != len(decided[i]) + 1:
+                raise AnalysisError(f"vehicle {ev.vehicle} has non-consecutive output rounds")
+            decided[i].append(out.decision)
+            acked[i].append(out.r)
+    rounds = min(map(len, decided))
+    # zip stops at the vehicle with the fewest outputs; the others' extra
+    # outputs are of rounds whose end the run did not reach for every vehicle.
+    return RoundView(n=n, rounds=rounds, decisions=list(zip(*decided)),
+                     end_acks=list(zip(*acked)),
+                     truncated_outputs=sum(len(d) - rounds for d in decided),
+                     delivers=delivers, drops=drops)
 
 
-def _as_view(trace_or_view: Union[Trace, RoundView]) -> RoundView:
-    if isinstance(trace_or_view, RoundView):
-        return trace_or_view
-    return round_view(trace_or_view)
-
-
-def classify_rounds(trace_or_view: Union[Trace, RoundView]) -> list[RoundClass]:
+def classify_rounds(view: RoundView) -> list[RoundClass]:
     """Stable/unstable classification for every completed round."""
-    view = _as_view(trace_or_view)
     classes = []
     for r, acks in enumerate(view.end_acks):
         failed = frozenset(
@@ -164,7 +163,7 @@ def _first_violations(view: RoundView, classes: list[RoundClass]) -> dict:
     return rule_violations([c.stable for c in classes], view.decisions)
 
 
-def check_bounded_uncertainty(trace_or_view: Union[Trace, RoundView]) -> PropertyReport:
+def check_bounded_uncertainty(view: RoundView) -> PropertyReport:
     """Disagreement rounds are isolated and pinned to the start of unstable periods.
 
     The one-round-uncertainty and agreement rules of
@@ -173,7 +172,6 @@ def check_bounded_uncertainty(trace_or_view: Union[Trace, RoundView]) -> Propert
     unstable period starting at r1. Reports whichever starts first, the
     consecutive pair on a tie.
     """
-    view = _as_view(trace_or_view)
     return _bounded_uncertainty(view, _first_violations(view, classify_rounds(view)))
 
 
@@ -191,12 +189,11 @@ def _bounded_uncertainty(view: RoundView, first: dict) -> PropertyReport:
     return PropertyReport(pid, True, details={"disagreement_rounds": split_rounds})
 
 
-def check_disagreement_correction(trace_or_view: Union[Trace, RoundView]) -> PropertyReport:
+def check_disagreement_correction(view: RoundView) -> PropertyReport:
     """Every maximal unstable period [r1, r2] forces all-default decisions on [r1+2, r2+1].
 
     The default-correction rule of ``oracle.rule_violations``.
     """
-    view = _as_view(trace_or_view)
     classes = classify_rounds(view)
     return _disagreement_correction(view, classes, _first_violations(view, classes))
 
@@ -213,7 +210,7 @@ def _disagreement_correction(view: RoundView, classes: list[RoundClass],
         f"non-default decision inside correction span of [{p.start},{p.end}]"))
 
 
-def check_certainty(trace_or_view: Union[Trace, RoundView]) -> PropertyReport:
+def check_certainty(view: RoundView) -> PropertyReport:
     """Agreement through recovery, and non-default decisions after a stable prefix.
 
     The agreement rule of ``oracle.rule_violations``: for each maximal
@@ -224,7 +221,6 @@ def check_certainty(trace_or_view: Union[Trace, RoundView]) -> PropertyReport:
     [a+2, b+1] (round 1 is startup and exempt; the measured prefix length is
     reported). Assumes the application never reads a default state.
     """
-    view = _as_view(trace_or_view)
     classes = classify_rounds(view)
     return _certainty(view, classes, _first_violations(view, classes))
 
@@ -255,9 +251,8 @@ def _certainty(view: RoundView, classes: list[RoundClass], first: dict) -> Prope
     return PropertyReport(pid, True, details={"max_measured_prefix": max_prefix})
 
 
-def run_all_checks(trace_or_view: Union[Trace, RoundView]) -> list[PropertyReport]:
+def run_all_checks(view: RoundView) -> list[PropertyReport]:
     """P1, P2 and P3, classifying the rounds and reading the rules once for all three."""
-    view = _as_view(trace_or_view)
     classes = classify_rounds(view)
     first = _first_violations(view, classes)
     return [
@@ -267,13 +262,12 @@ def run_all_checks(trace_or_view: Union[Trace, RoundView]) -> list[PropertyRepor
     ]
 
 
-def reliability(trace_or_view: Union[Trace, RoundView], highest: Datum) -> float:
+def reliability(view: RoundView, highest: Datum) -> float:
     """Fraction of completed rounds in which every vehicle decided ``highest``.
 
     Round 0 completes without decisions, so a failure-free run scores
     (rounds - 1) / rounds.
     """
-    view = _as_view(trace_or_view)
     if view.rounds == 0:
         raise AnalysisError("no completed rounds in trace")
     good = sum(
@@ -284,7 +278,7 @@ def reliability(trace_or_view: Union[Trace, RoundView], highest: Datum) -> float
     return good / view.rounds
 
 
-def effective_delivery(trace_or_view: Union[Trace, RoundView]) -> list[tuple]:
+def effective_delivery(view: RoundView) -> list[tuple]:
     """Per-round effective delivery matrices observed in a trace.
 
     Entry [j][i] of matrix r is True iff vehicle i+1 ended round r holding
@@ -292,7 +286,6 @@ def effective_delivery(trace_or_view: Union[Trace, RoundView]) -> list[tuple]:
     reported on entering round r+1. Feeding these to the abstract model must
     reproduce the simulator's decisions round for round.
     """
-    view = _as_view(trace_or_view)
     matrices = []
     for acks in view.end_acks:
         n = view.n
@@ -302,10 +295,8 @@ def effective_delivery(trace_or_view: Union[Trace, RoundView]) -> list[tuple]:
     return matrices
 
 
-def packet_drop_rate(trace: Trace) -> float:
+def packet_drop_rate(view: RoundView) -> float:
     """Observed drop fraction over all point-to-point transmissions."""
-    kinds = Counter(map(type, trace.events))
-    drops, delivers = kinds[DropEvent], kinds[DeliverEvent]
-    if drops + delivers == 0:
+    if view.drops + view.delivers == 0:
         raise AnalysisError("trace contains no transmissions")
-    return drops / (drops + delivers)
+    return view.drops / (view.drops + view.delivers)

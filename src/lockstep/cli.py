@@ -41,6 +41,7 @@ from .sim import (
     replay,
     run,
     sample_offsets,
+    simulate,
 )
 
 # Per-fleet-size packet drop rates that calibrate the Bernoulli loss model
@@ -145,8 +146,8 @@ def _sweep_cell(cell: tuple) -> dict:
     n, round_ms, sync_ms, delay_ms, gossip_ms, p, seed, duration_s = cell
     config = build_sim_config(n, round_ms, sync_ms, delay_ms, gossip_ms,
                               BernoulliLoss(p), seed, duration_s)
-    trace = run(config, LevelApp(ServiceLevel.HIGH))
-    view = analysis.round_view(trace)
+    # The events are read as they are made: a cell holds no trace.
+    view = analysis.round_view(n, simulate(config, LevelApp(ServiceLevel.HIGH)))
     reports = analysis.run_all_checks(view)
     return {
         "n": n,
@@ -154,7 +155,7 @@ def _sweep_cell(cell: tuple) -> dict:
         "loss": f"bernoulli:{p}",
         "seed": seed,
         "reliability": analysis.reliability(view, ServiceLevel.HIGH),
-        "drop_rate": analysis.packet_drop_rate(trace),
+        "drop_rate": analysis.packet_drop_rate(view),
         "p1": reports[0].passed,
         "p2": reports[1].passed,
         "p3": reports[2].passed,
@@ -210,14 +211,14 @@ def cmd_run(args) -> int:
                               args.gossip_ms, loss, args.seed, args.duration_s)
     level = ServiceLevel.from_json(args.level)
     trace = run(config, LevelApp(level))
-    view = analysis.round_view(trace)
+    view = analysis.round_view(args.n, trace.events)
     reports = analysis.run_all_checks(view)
 
     directory = out_dir(args)
     trace_path = Path(args.trace_file) if args.trace_file else directory / "trace.jsonl"
     trace.write(trace_path)
     try:
-        drop_rate = analysis.packet_drop_rate(trace)
+        drop_rate = analysis.packet_drop_rate(view)
     except analysis.AnalysisError:  # no transmissions: a fleet of one
         drop_rate = None
     report = {
@@ -284,7 +285,11 @@ def cmd_verify(args) -> int:
 
 def cmd_scenario(args) -> int:
     if args.scenario_json:
-        scenario = ScenarioSpec.from_json(json.loads(Path(args.scenario_json).read_text()))
+        try:
+            spec = json.loads(Path(args.scenario_json).read_text())
+        except (OSError, ValueError) as exc:  # unreadable, not text, or not JSON
+            raise ConfigError(f"cannot read scenario {args.scenario_json}: {exc}") from None
+        scenario = ScenarioSpec.from_json(spec)
     else:
         scenario = ScenarioSpec(
             round_length=args.round_ms * 1000,

@@ -342,10 +342,14 @@ class ScenarioSpec:
 
     @staticmethod
     def from_json(d: dict) -> "ScenarioSpec":
-        d = dict(d)
-        d["initial_level"] = ServiceLevel.from_json(d["initial_level"])
-        d["levels"] = tuple(sorted(level_table_from_json(d["levels"]).items()))
-        return ScenarioSpec(**d)
+        if not isinstance(d, dict):
+            raise ConfigError(f"a scenario must be a JSON object, got {d!r}")
+        try:
+            return ScenarioSpec(**dict(
+                d, initial_level=ServiceLevel.from_json(d["initial_level"]),
+                levels=tuple(sorted(level_table_from_json(d["levels"]).items()))))
+        except (AttributeError, KeyError, TypeError) as exc:  # missing, unknown or mistyped
+            raise ConfigError(f"malformed scenario: {type(exc).__name__}: {exc}") from None
 
 
 @dataclass(frozen=True)

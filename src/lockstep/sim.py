@@ -468,19 +468,6 @@ class Trace:
                 fh.write(line)
                 fh.write("\n")
 
-    # Convenience views used throughout analysis and tests.
-    def outputs(self) -> list[OutputEvent]:
-        return [ev for ev in self.events if isinstance(ev, OutputEvent)]
-
-    def sends(self) -> list[SendEvent]:
-        return [ev for ev in self.events if isinstance(ev, SendEvent)]
-
-    def delivers(self) -> list[DeliverEvent]:
-        return [ev for ev in self.events if isinstance(ev, DeliverEvent)]
-
-    def drops(self) -> list[DropEvent]:
-        return [ev for ev in self.events if isinstance(ev, DropEvent)]
-
 
 def read_trace_header(path: Union[str, Path]) -> tuple[SimConfig, dict]:
     with open(path) as fh:

@@ -1,10 +1,23 @@
 import pytest
+from hypothesis import strategies as st
 
+from lockstep.analysis import round_view
 from lockstep.platoon import LevelApp, ServiceLevel
-from lockstep.protocol import ProtocolConfig
-from lockstep.sim import BernoulliLoss, SimConfig, sample_offsets
+from lockstep.protocol import ProtocolConfig, RoundOutput
+from lockstep.sim import (
+    BernoulliLoss,
+    CompositeLoss,
+    DropRule,
+    OutputEvent,
+    ScheduleLoss,
+    SimConfig,
+    Trace,
+    sample_offsets,
+    simulate,
+)
 
 MS = 1000  # microseconds per millisecond
+HIGH = ServiceLevel.HIGH
 
 
 def make_protocol_config(n=4, round_ms=160, sync_ms=5, delay_ms=100, gossip_ms=50):
@@ -28,6 +41,62 @@ def make_sim_config(n=4, rounds=25, seed=1, loss=None, round_ms=160, offsets=Non
         duration=protocol.round_length * rounds,
         seed=seed,
     )
+
+
+def events_of(trace, kind):
+    """The trace's events of one type (``SendEvent``, ``DropEvent``, ...), in order."""
+    return [ev for ev in trace.events if isinstance(ev, kind)]
+
+
+def trace_view(trace):
+    """The round view of a recorded trace."""
+    return round_view(trace.config.protocol.n, trace.events)
+
+
+def simulated_view(config, app):
+    """The round view of a run, read as its events are made; no trace is kept."""
+    return round_view(config.protocol.n, simulate(config, app))
+
+
+def synthetic_trace(decisions_by_round, stable_rounds=None, n=None):
+    """Build an outputs-only trace from decision rows.
+
+    ``decisions_by_round[t]`` is the decision vector entering round t+1; the
+    matching ack snapshots are all-true for stable rounds and miss one slot
+    on vehicle 1 otherwise.
+    """
+    n = n or len(decisions_by_round[0])
+    rounds = len(decisions_by_round)
+    stable = stable_rounds if stable_rounds is not None else [True] * rounds
+    config = make_sim_config(n=n, rounds=rounds)
+    round_length = config.protocol.round_length
+    events = []
+    for r in range(rounds):
+        for vid in range(1, n + 1):
+            acks = [True] * n
+            if not stable[r] and vid == 1:
+                acks[-1] = False
+            s = tuple(HIGH for _ in range(n))
+            out = RoundOutput(r + 1, s, tuple(acks), decisions_by_round[r][vid - 1])
+            events.append(OutputEvent((r + 1) * round_length, vid, out))
+    return Trace(config=config, app_spec={"kind": "level", "level": "high"}, events=events)
+
+
+@st.composite
+def adversaries(draw):
+    """A short run under Bernoulli noise, per-link round drops, or both."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    rounds = draw(st.integers(min_value=8, max_value=25))
+    seed = draw(st.integers(min_value=0, max_value=2**32))
+    p = draw(st.sampled_from([0.0, 0.05, 0.2, 0.4, 0.6]))
+    rules = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        rnd = draw(st.integers(min_value=0, max_value=rounds - 1))
+        sender = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=n)))
+        receiver = draw(st.integers(min_value=1, max_value=n))
+        rules.append(DropRule(round=rnd, sender=sender, receiver=receiver))
+    loss = CompositeLoss(p, ScheduleLoss(rules)) if rules else BernoulliLoss(p)
+    return make_sim_config(n=n, rounds=rounds, seed=seed, loss=loss)
 
 
 @pytest.fixture

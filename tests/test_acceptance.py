@@ -11,7 +11,7 @@ import time
 import pytest
 
 from lockstep import analysis, oracle
-from lockstep.analysis import classify_rounds, round_view, run_all_checks
+from lockstep.analysis import classify_rounds, run_all_checks
 from lockstep.cli import SweepSpec, aggregate_sweep, main, run_sweep
 from lockstep.platoon import (
     LevelApp,
@@ -25,7 +25,7 @@ from lockstep.platoon import (
 from lockstep.protocol import DEFAULT, ConfigError, ProtocolConfig
 from lockstep.sim import BernoulliLoss, DropRule, ScheduleLoss, replay, run
 
-from conftest import MS, make_sim_config
+from conftest import MS, make_sim_config, simulated_view
 
 HIGH = ServiceLevel.HIGH
 LOW = ServiceLevel.LOW
@@ -79,7 +79,7 @@ def _equivalence_case(seed):
     rounds = 20
     config = make_sim_config(n=n, rounds=rounds + 1, seed=seed,
                              loss=_random_schedule(rng, n, rounds))
-    view = round_view(run(config, LevelApp(HIGH)))
+    view = simulated_view(config, LevelApp(HIGH))
     matrices = analysis.effective_delivery(view)
     expected = oracle.run_abstract(n, matrices, min_level_decide, (HIGH,) * n)
     unstable = sum(1 for m in matrices if m != oracle.full_matrix(n))
@@ -108,7 +108,7 @@ def _theorem_cell(args):
     idx, seed = args
     n, p = THEOREM_GRID[idx % len(THEOREM_GRID)]
     config = make_sim_config(n=n, rounds=200, seed=seed, loss=BernoulliLoss(p))
-    view = round_view(run(config, LevelApp(HIGH)))
+    view = simulated_view(config, LevelApp(HIGH))
     reports = run_all_checks(view)
     classes = classify_rounds(view)
     isolated_checked = 0
@@ -171,7 +171,7 @@ def test_criterion_5_figure_trace_script():
         DropRule(round=20, receiver=2),
     ])
     config = make_sim_config(n=4, rounds=25, seed=42, loss=loss)
-    view = round_view(run(config, LevelApp(HIGH)))
+    view = simulated_view(config, LevelApp(HIGH))
     script = {t: (HIGH,) * 4 for t in range(1, 25)}
     script[21] = (DEFAULT, DEFAULT, HIGH, HIGH)
     script[22] = (DEFAULT, DEFAULT, DEFAULT, DEFAULT)

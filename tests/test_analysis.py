@@ -18,14 +18,13 @@ from lockstep.analysis import (
     maximal_periods,
     packet_drop_rate,
     reliability,
-    round_view,
     run_all_checks,
 )
 from lockstep.platoon import LevelApp, ServiceLevel
 from lockstep.protocol import DEFAULT, RoundOutput, is_default
-from lockstep.sim import BernoulliLoss, DropRule, OutputEvent, ScheduleLoss, Trace, run
+from lockstep.sim import BernoulliLoss, DropEvent, DropRule, OutputEvent, ScheduleLoss, run
 
-from conftest import MS, make_sim_config
+from conftest import MS, events_of, make_sim_config, simulated_view, synthetic_trace, trace_view
 
 HIGH = ServiceLevel.HIGH
 LOW = ServiceLevel.LOW
@@ -36,27 +35,12 @@ def run_high(config):
     return run(config, LevelApp(HIGH))
 
 
-def synthetic_trace(decisions_by_round, stable_rounds=None, n=None):
-    """Build an outputs-only trace from decision rows.
+def view_high(config):
+    return simulated_view(config, LevelApp(HIGH))
 
-    ``decisions_by_round[t]`` is the decision vector entering round t+1; the
-    matching ack snapshots are all-true for stable rounds and miss one slot
-    on vehicle 1 otherwise.
-    """
-    n = n or len(decisions_by_round[0])
-    rounds = len(decisions_by_round)
-    stable = stable_rounds if stable_rounds is not None else [True] * rounds
-    config = make_sim_config(n=n, rounds=rounds)
-    events = []
-    for r in range(rounds):
-        for vid in range(1, n + 1):
-            acks = [True] * n
-            if not stable[r] and vid == 1:
-                acks[-1] = False
-            s = tuple(HIGH for _ in range(n))
-            out = RoundOutput(r + 1, s, tuple(acks), decisions_by_round[r][vid - 1])
-            events.append(OutputEvent((r + 1) * RL, vid, out))
-    return Trace(config=config, app_spec={"kind": "level", "level": "high"}, events=events)
+
+def synthetic_view(decisions_by_round, stable_rounds=None):
+    return trace_view(synthetic_trace(decisions_by_round, stable_rounds))
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +48,7 @@ def synthetic_trace(decisions_by_round, stable_rounds=None, n=None):
 # ---------------------------------------------------------------------------
 
 def test_failure_free_trace_all_stable():
-    classes = classify_rounds(run_high(make_sim_config(n=3, rounds=12)))
+    classes = classify_rounds(view_high(make_sim_config(n=3, rounds=12)))
     assert len(classes) == 12
     assert all(c.stable and not c.failed for c in classes)
 
@@ -72,7 +56,7 @@ def test_failure_free_trace_all_stable():
 def test_cut_receiver_marks_exactly_that_vehicle_failed():
     loss = ScheduleLoss([DropRule(round=20, receiver=1)])
     config = make_sim_config(n=4, rounds=25, seed=2, loss=loss)
-    classes = classify_rounds(run_high(config))
+    classes = classify_rounds(view_high(config))
     assert not classes[20].stable
     assert classes[20].failed == frozenset({1})
     assert all(c.stable for c in classes if c.round != 20)
@@ -82,14 +66,14 @@ def test_retransmission_repair_keeps_round_stable():
     loss = ScheduleLoss([DropRule(t0=20 * RL, t1=20 * RL + 5 * MS, sender=3, receiver=1)])
     config = make_sim_config(n=4, rounds=25, seed=3, offsets=(0, 0, 0, 0), loss=loss)
     trace = run_high(config)
-    assert trace.drops()  # the first copy really was lost
-    assert all(c.stable for c in classify_rounds(trace))
+    assert events_of(trace, DropEvent)  # the first copy really was lost
+    assert all(c.stable for c in classify_rounds(trace_view(trace)))
 
 
 def test_truncated_vehicle_outputs_are_flagged():
     trace = synthetic_trace([[HIGH, HIGH]] * 5)
     trace.events.append(OutputEvent(6 * RL, 1, RoundOutput(6, (HIGH, HIGH), (True, True), HIGH)))
-    view = round_view(trace)
+    view = trace_view(trace)
     assert view.rounds == 5
     assert view.truncated_outputs == 1
 
@@ -98,7 +82,7 @@ def test_gapped_outputs_rejected():
     trace = synthetic_trace([[HIGH, HIGH]] * 3)
     trace.events.append(OutputEvent(9 * RL, 1, RoundOutput(9, (HIGH, HIGH), (True, True), HIGH)))
     with pytest.raises(AnalysisError):
-        round_view(trace)
+        trace_view(trace)
 
 
 def make_classes(pattern):
@@ -150,7 +134,7 @@ def split_round_20_config(seed=4):
 
 
 def test_round20_outage_passes_all_checkers():
-    view = round_view(run_high(split_round_20_config()))
+    view = view_high(split_round_20_config())
     assert is_default(view.decisions[21 - 1][0]) and view.decisions[21 - 1][3] == HIGH
     assert all(is_default(d) for d in view.decisions[22 - 1])
     for report in run_all_checks(view):
@@ -158,7 +142,7 @@ def test_round20_outage_passes_all_checkers():
 
 
 def test_failure_free_checks_pass_vacuously():
-    for report in run_all_checks(run_high(make_sim_config(n=3, rounds=15))):
+    for report in run_all_checks(view_high(make_sim_config(n=3, rounds=15))):
         assert report.passed
 
 
@@ -168,7 +152,7 @@ def test_bounded_uncertainty_rejects_consecutive_disagreement():
     rows.append([DEFAULT, HIGH])  # round 22: still split
     rows.append([HIGH, HIGH])
     stable = [r not in (19, 20, 21) for r in range(len(rows))]
-    report = check_bounded_uncertainty(synthetic_trace(rows, stable))
+    report = check_bounded_uncertainty(synthetic_view(rows, stable))
     assert not report.passed
     assert report.counterexample.round == 22
 
@@ -176,7 +160,7 @@ def test_bounded_uncertainty_rejects_consecutive_disagreement():
 def test_bounded_uncertainty_rejects_misplaced_disagreement():
     # Split at round 5 although every preceding round was stable.
     rows = [[HIGH, HIGH]] * 4 + [[DEFAULT, HIGH]] + [[HIGH, HIGH]] * 3
-    report = check_bounded_uncertainty(synthetic_trace(rows))
+    report = check_bounded_uncertainty(synthetic_view(rows))
     assert not report.passed
     assert report.counterexample.round == 5
 
@@ -186,7 +170,7 @@ def test_correction_window_enforced_on_persistent_failures():
     n = 3
     loss = ScheduleLoss([DropRule(round=r, receiver=1) for r in range(10, 16)])
     config = make_sim_config(n=n, rounds=20, seed=5, loss=loss)
-    view = round_view(run_high(config))
+    view = view_high(config)
     for t in range(12, 17):
         assert all(is_default(d) for d in view.decisions[t - 1])
     assert check_disagreement_correction(view).passed
@@ -201,14 +185,14 @@ def test_correction_rejects_value_inside_window():
     rows += [[DEFAULT, DEFAULT], [DEFAULT, HIGH]]  # rounds 11, 12: 12 violates
     rows += [[DEFAULT, DEFAULT], [HIGH, HIGH]]
     stable = [r not in (9, 10, 11) for r in range(len(rows))]
-    report = check_disagreement_correction(synthetic_trace(rows, stable))
+    report = check_disagreement_correction(synthetic_view(rows, stable))
     assert not report.passed
     assert report.counterexample.round == 12
 
 
 def test_certainty_recovery_interval():
     """Unstable [20,20] then stable: agreement from 22, values from 23 on."""
-    view = round_view(run_high(split_round_20_config(seed=6)))
+    view = view_high(split_round_20_config(seed=6))
     report = check_certainty(view)
     assert report.passed
     for t in range(22, view.rounds + 1):
@@ -220,7 +204,7 @@ def test_certainty_recovery_interval():
 
 
 def test_certainty_on_fully_stable_run():
-    view = round_view(run_high(make_sim_config(n=2, rounds=10, seed=7)))
+    view = view_high(make_sim_config(n=2, rounds=10, seed=7))
     assert check_certainty(view).passed
     for t in range(2, view.rounds + 1):
         assert all(not is_default(d) for d in view.decisions[t - 1])
@@ -228,13 +212,13 @@ def test_certainty_on_fully_stable_run():
 
 def test_certainty_rejects_split_inside_stable_suffix():
     rows = [[HIGH, HIGH]] * 6 + [[HIGH, LOW]] + [[HIGH, HIGH]]
-    report = check_certainty(synthetic_trace(rows))
+    report = check_certainty(synthetic_view(rows))
     assert not report.passed
 
 
 def test_certainty_rejects_lingering_default():
     rows = [[HIGH, HIGH]] * 5 + [[DEFAULT, DEFAULT]] * 3
-    report = check_certainty(synthetic_trace(rows))
+    report = check_certainty(synthetic_view(rows))
     assert not report.passed
     assert "default" in report.counterexample.note
 
@@ -244,12 +228,12 @@ def test_certainty_rejects_lingering_default():
 # ---------------------------------------------------------------------------
 
 def test_reliability_failure_free_counts_startup_round():
-    view = round_view(run_high(make_sim_config(n=2, rounds=100, seed=8)))
+    view = view_high(make_sim_config(n=2, rounds=100, seed=8))
     assert reliability(view, HIGH) == pytest.approx(99 / 100)
 
 
 def test_reliability_total_loss_is_zero():
-    view = round_view(run_high(make_sim_config(n=2, rounds=10, loss=BernoulliLoss(1.0))))
+    view = view_high(make_sim_config(n=2, rounds=10, loss=BernoulliLoss(1.0)))
     assert reliability(view, HIGH) == 0.0
 
 
@@ -258,27 +242,27 @@ def test_reliability_needs_completed_rounds():
     trace = run_high(config)
     trace.events = [ev for ev in trace.events if not isinstance(ev, OutputEvent)]
     with pytest.raises(AnalysisError):
-        reliability(trace, HIGH)
+        reliability(trace_view(trace), HIGH)
 
 
 def test_reliability_high_for_calibrated_mid_round_length():
     # Four vehicles, 260 ms rounds, calibrated loss: comfortably above 0.98.
     config = make_sim_config(n=4, round_ms=260, rounds=1384, seed=10,
                              loss=BernoulliLoss(0.159418))
-    assert reliability(round_view(run_high(config)), HIGH) >= 0.98
+    assert reliability(view_high(config), HIGH) >= 0.98
 
 
 def test_drop_rate_matches_bernoulli_parameter():
     p = 0.1605357  # the two-vehicle calibration point
     config = make_sim_config(n=2, rounds=2250, seed=9, loss=BernoulliLoss(p))
-    assert packet_drop_rate(run_high(config)) == pytest.approx(p, abs=0.01)
+    assert packet_drop_rate(view_high(config)) == pytest.approx(p, abs=0.01)
 
 
 def test_drop_rate_zero_without_loss():
-    assert packet_drop_rate(run_high(make_sim_config(n=2, rounds=5))) == 0.0
+    assert packet_drop_rate(view_high(make_sim_config(n=2, rounds=5))) == 0.0
 
 
 def test_drop_rate_requires_transmissions():
     trace = synthetic_trace([[HIGH, HIGH]] * 3)
     with pytest.raises(AnalysisError):
-        packet_drop_rate(trace)
+        packet_drop_rate(trace_view(trace))

@@ -1,10 +1,21 @@
 """End-to-end tests of the command-line driver and its exit codes."""
 
 import json
+import tracemalloc
 
 import pytest
 
-from lockstep.cli import TABLE1_DROP_RATES, SweepSpec, aggregate_sweep, main, run_sweep
+from lockstep.cli import (
+    TABLE1_DROP_RATES,
+    SweepSpec,
+    _sweep_cell,
+    aggregate_sweep,
+    build_sim_config,
+    main,
+    run_sweep,
+)
+from lockstep.platoon import LevelApp, ScenarioSpec, ServiceLevel
+from lockstep.sim import BernoulliLoss, run
 
 
 def test_run_writes_trace_and_report(tmp_path):
@@ -218,11 +229,31 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
                  id="scenario-outage-rounds-1"),
     pytest.param(["sweep", "--n-list", "1", "--duration-s", "1"], "fleet sizes must be >= 2",
                  id="sweep-n-list-1"),
+    pytest.param(["scenario", "--scenario-json", "{bad}"], "cannot read scenario",
+                 id="scenario-json-not-json"),
+    pytest.param(["scenario", "--scenario-json", "{list}"], "must be a JSON object",
+                 id="scenario-json-not-an-object"),
+    pytest.param(["scenario", "--scenario-json", "{missing}"], "KeyError: 'initial_level'",
+                 id="scenario-json-missing-key"),
+    pytest.param(["scenario", "--scenario-json", "{unknown}"], "'bogus'",
+                 id="scenario-json-unknown-key"),
+    pytest.param(["scenario", "--scenario-json", "{ultra}"], "KeyError: 'ULTRA'",
+                 id="scenario-json-unknown-level"),
 ])
 def test_malformed_command_input_is_usage_error(tmp_path, capsys, argv, message):
-    (tmp_path / "bad.json").write_text("not json\n")
-    (tmp_path / "five.json").write_text("5\n")
-    argv = [a.format(bad=tmp_path / "bad.json", five=tmp_path / "five.json") for a in argv]
+    scenario = ScenarioSpec().to_json()
+    files = {
+        "bad": "not json\n",
+        "five": "5\n",
+        "list": "[1]\n",
+        "missing": '{"n": 3, "bogus": 1}\n',
+        "unknown": json.dumps(dict(scenario, bogus=1)),
+        "ultra": json.dumps(dict(scenario, initial_level="ultra")),
+    }
+    paths = {name: tmp_path / f"{name}.json" for name in files}
+    for name, text in files.items():
+        paths[name].write_text(text)
+    argv = [a.format(**paths) for a in argv]
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -237,3 +268,24 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["run", "--round-ms", "not-a-number"])
     assert info.value.code == 2
+
+
+def test_sweep_cell_holds_no_trace():
+    # An acceptance-scale cell at 30 s: the view keeps a few numbers per
+    # round, where a trace keeps every send, delivery and drop.
+    cell = (8, 160, 5, 100, 50, TABLE1_DROP_RATES[8], 1, 30)
+    n, round_ms, sync_ms, delay_ms, gossip_ms, p, seed, duration_s = cell
+    config = build_sim_config(n, round_ms, sync_ms, delay_ms, gossip_ms,
+                              BernoulliLoss(p), seed, duration_s)
+    tracemalloc.start()
+    try:
+        trace = run(config, LevelApp(ServiceLevel.HIGH))
+        _, run_peak = tracemalloc.get_traced_memory()
+        del trace
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        _sweep_cell(cell)
+        _, cell_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cell_peak - before < run_peak / 5

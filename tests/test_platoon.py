@@ -26,6 +26,8 @@ from lockstep.platoon import (
 from lockstep.protocol import DEFAULT, is_default
 from lockstep.sim import replay
 
+from conftest import trace_view
+
 HIGH, MEDIUM, LOW = ServiceLevel.HIGH, ServiceLevel.MEDIUM, ServiceLevel.LOW
 
 
@@ -247,9 +249,7 @@ def test_agreed_rounds_use_uniform_parameters():
     """Whenever decisions agree, every vehicle applies the same level envelope."""
     spec = ScenarioSpec()
     res = run_worst_case(spec)
-    from lockstep import analysis
-
-    view = analysis.round_view(res.trace)
+    view = trace_view(res.trace)
     for t in range(1, view.rounds + 1):
         row = view.decisions[t - 1]
         if all(d == row[0] for d in row):

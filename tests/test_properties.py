@@ -7,38 +7,21 @@ effective delivery. These are the universally quantified claims behind the
 acceptance criteria, explored here with generated adversaries.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from lockstep import analysis, oracle
-from lockstep.analysis import round_view, run_all_checks
+from lockstep.analysis import run_all_checks
 from lockstep.platoon import LevelApp, ServiceLevel, min_level_decide
-from lockstep.sim import BernoulliLoss, CompositeLoss, DropRule, ScheduleLoss, run
 
-from conftest import make_sim_config
+from conftest import adversaries, simulated_view
 
 HIGH = ServiceLevel.HIGH
-
-
-@st.composite
-def adversaries(draw):
-    n = draw(st.integers(min_value=2, max_value=5))
-    rounds = draw(st.integers(min_value=8, max_value=25))
-    seed = draw(st.integers(min_value=0, max_value=2**32))
-    p = draw(st.sampled_from([0.0, 0.05, 0.2, 0.4, 0.6]))
-    rules = []
-    for _ in range(draw(st.integers(min_value=0, max_value=6))):
-        rnd = draw(st.integers(min_value=0, max_value=rounds - 1))
-        sender = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=n)))
-        receiver = draw(st.integers(min_value=1, max_value=n))
-        rules.append(DropRule(round=rnd, sender=sender, receiver=receiver))
-    loss = CompositeLoss(p, ScheduleLoss(rules)) if rules else BernoulliLoss(p)
-    return make_sim_config(n=n, rounds=rounds, seed=seed, loss=loss)
 
 
 @settings(max_examples=60, deadline=None)
 @given(adversaries())
 def test_every_trace_satisfies_the_three_properties(config):
-    view = round_view(run(config, LevelApp(HIGH)))
+    view = simulated_view(config, LevelApp(HIGH))
     for report in run_all_checks(view):
         assert report.passed, (report.property_id, report.counterexample)
 
@@ -47,7 +30,7 @@ def test_every_trace_satisfies_the_three_properties(config):
 @given(adversaries())
 def test_every_trace_matches_the_abstract_model(config):
     n = config.protocol.n
-    view = round_view(run(config, LevelApp(HIGH)))
+    view = simulated_view(config, LevelApp(HIGH))
     matrices = analysis.effective_delivery(view)
     expected = oracle.run_abstract(n, matrices, min_level_decide, (HIGH,) * n)
     assert view.decisions == expected

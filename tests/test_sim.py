@@ -32,7 +32,7 @@ from lockstep.sim import (
     sample_offsets,
 )
 
-from conftest import MS, make_protocol_config, make_sim_config
+from conftest import MS, events_of, make_protocol_config, make_sim_config, trace_view
 
 HIGH = ServiceLevel.HIGH
 RL = 160 * MS
@@ -76,40 +76,41 @@ def test_duration_must_be_positive():
 
 def test_bernoulli_zero_never_drops():
     trace = run_high(make_sim_config(n=3, rounds=10, loss=BernoulliLoss(0.0)))
-    assert not trace.drops()
-    assert len(trace.delivers()) == len(trace.sends()) * 2
+    assert not events_of(trace, DropEvent)
+    assert len(events_of(trace, DeliverEvent)) == len(events_of(trace, SendEvent)) * 2
 
 
 def test_bernoulli_one_always_drops():
     trace = run_high(make_sim_config(n=3, rounds=10, loss=BernoulliLoss(1.0)))
-    assert not trace.delivers()
-    assert len(trace.drops()) == len(trace.sends()) * 2
-    assert all(ev.cause == "bernoulli" for ev in trace.drops())
+    assert not events_of(trace, DeliverEvent)
+    assert len(events_of(trace, DropEvent)) == len(events_of(trace, SendEvent)) * 2
+    assert all(ev.cause == "bernoulli" for ev in events_of(trace, DropEvent))
 
 
 def test_delay_bound_holds_on_every_delivery():
     trace = run_high(make_sim_config(n=4, rounds=30, seed=3, loss=BernoulliLoss(0.2)))
-    for ev in trace.delivers():
+    for ev in events_of(trace, DeliverEvent):
         assert 0 < ev.t - ev.send_time <= 100 * MS
 
 
 def test_deliveries_land_in_the_senders_round():
     """roundLength > 2*sync + delay makes the round guard never fire in spec."""
     trace = run_high(make_sim_config(n=4, rounds=30, seed=4, loss=BernoulliLoss(0.3)))
-    assert trace.delivers()
-    for ev in trace.delivers():
+    assert events_of(trace, DeliverEvent)
+    for ev in events_of(trace, DeliverEvent):
         assert ev.receiver_round == ev.msg.round
 
 
 def test_transmission_conservation():
     trace = run_high(make_sim_config(n=5, rounds=20, seed=5, loss=BernoulliLoss(0.4)))
-    assert len(trace.sends()) * 4 == len(trace.delivers()) + len(trace.drops())
+    transmissions = len(events_of(trace, DeliverEvent)) + len(events_of(trace, DropEvent))
+    assert len(events_of(trace, SendEvent)) * 4 == transmissions
 
 
 def test_sends_stay_inside_the_window():
     config = make_sim_config(n=4, rounds=12, seed=6, loss=BernoulliLoss(0.1))
     p = config.protocol
-    for ev in run_high(config).sends():
+    for ev in events_of(run_high(config), SendEvent):
         local = ev.t + config.offsets[ev.vehicle - 1]
         lo = p.round_length * ev.msg.round + p.sync_bound
         hi = p.round_length * (ev.msg.round + 1) - p.sync_bound - p.maximum_delay
@@ -123,7 +124,7 @@ def test_sends_stay_inside_the_window():
 
 def test_failure_free_run_agrees_from_round_one():
     trace = run_high(make_sim_config(n=2, rounds=10))
-    view = analysis.round_view(trace)
+    view = trace_view(trace)
     assert view.rounds == 10
     for t in range(1, view.rounds + 1):
         row = view.decisions[t - 1]
@@ -133,7 +134,7 @@ def test_failure_free_run_agrees_from_round_one():
 def test_two_sends_per_vehicle_per_round_at_160ms():
     config = make_sim_config(n=4, rounds=10, seed=2)
     per_round: dict = {}
-    for ev in run_high(config).sends():
+    for ev in events_of(run_high(config), SendEvent):
         per_round[(ev.vehicle, ev.msg.round)] = per_round.get((ev.vehicle, ev.msg.round), 0) + 1
     for vid in range(1, 5):
         for rnd in range(10):
@@ -159,7 +160,7 @@ def single_effective_link_schedule():
 def test_single_link_outage_recovers_in_two_rounds():
     config = make_sim_config(n=4, rounds=25, seed=7, offsets=(0, 0, 0, 0),
                              loss=single_effective_link_schedule())
-    view = analysis.round_view(run_high(config))
+    view = trace_view(run_high(config))
     d = view.decisions
     assert d[20 - 1] == (HIGH,) * 4
     assert is_default(d[21 - 1][0])
@@ -172,7 +173,7 @@ def test_single_link_outage_matches_oracle():
     """The timed run and the abstract model agree decision-for-decision."""
     config = make_sim_config(n=4, rounds=25, seed=8, offsets=(0, 0, 0, 0),
                              loss=single_effective_link_schedule())
-    view = analysis.round_view(run_high(config))
+    view = trace_view(run_high(config))
     matrices = analysis.effective_delivery(view)
     assert matrices[20] == oracle.matrix_from_missing(4, [(3, 1)])
     assert all(m == oracle.full_matrix(4) for r, m in enumerate(matrices) if r != 20)
@@ -183,7 +184,7 @@ def test_single_link_outage_matches_oracle():
 def test_messages_are_well_formed():
     """Every gossiped view acks its sender and carries DEFAULT in unacked slots."""
     trace = run_high(make_sim_config(n=4, rounds=30, seed=20, loss=BernoulliLoss(0.3)))
-    for ev in trace.sends():
+    for ev in events_of(trace, SendEvent):
         msg = ev.msg
         assert msg.ack[msg.sender - 1]
         for d, a in zip(msg.data, msg.ack):
@@ -195,7 +196,7 @@ def test_output_law_on_lossy_run():
     trace = run_high(make_sim_config(n=4, rounds=40, seed=21, loss=BernoulliLoss(0.35)))
     from lockstep.platoon import min_level_decide
 
-    for ev in trace.outputs():
+    for ev in events_of(trace, OutputEvent):
         out = ev.output
         expect_default = (not all(out.r)) or is_default(min_level_decide(out.s))
         assert is_default(out.decision) == expect_default
@@ -204,9 +205,9 @@ def test_output_law_on_lossy_run():
 def test_stable_rounds_have_identical_snapshots():
     """If every vehicle ended round r complete, they all hold the same data vector."""
     trace = run_high(make_sim_config(n=4, rounds=40, seed=22, loss=BernoulliLoss(0.3)))
-    view = analysis.round_view(trace)
+    view = trace_view(trace)
     snapshots: dict = {}
-    for ev in trace.outputs():
+    for ev in events_of(trace, OutputEvent):
         snapshots.setdefault(ev.output.round - 1, []).append(ev.output)
     stable_rounds = [c.round for c in analysis.classify_rounds(view) if c.stable]
     assert stable_rounds
@@ -222,17 +223,17 @@ def test_repaired_first_send_keeps_round_stable():
     loss = ScheduleLoss([DropRule(t0=20 * RL, t1=20 * RL + 5 * MS, sender=3, receiver=1)])
     config = make_sim_config(n=4, rounds=25, seed=9, offsets=(0, 0, 0, 0), loss=loss)
     trace = run_high(config)
-    assert trace.drops()
-    classes = analysis.classify_rounds(trace)
+    assert events_of(trace, DropEvent)
+    classes = analysis.classify_rounds(trace_view(trace))
     assert all(c.stable for c in classes)
 
 
 def test_composite_loss_mixes_schedule_and_noise():
     loss = CompositeLoss(0.0, ScheduleLoss([DropRule(round=3, receiver=2)]))
     trace = run_high(make_sim_config(n=3, rounds=8, seed=10, loss=loss))
-    causes = {ev.cause for ev in trace.drops()}
+    causes = {ev.cause for ev in events_of(trace, DropEvent)}
     assert causes == {"schedule"}
-    assert all(ev.msg.round == 3 and ev.receiver == 2 for ev in trace.drops())
+    assert all(ev.msg.round == 3 and ev.receiver == 2 for ev in events_of(trace, DropEvent))
 
 
 def test_fixed_delay_validated_against_maximum():
@@ -427,19 +428,21 @@ def test_encoder_matches_reference_on_schedule_and_composite_traces():
     rules = [DropRule(round=3, receiver=2), DropRule(t0=5 * RL, t1=6 * RL, sender=1)]
     for loss in (ScheduleLoss(rules), CompositeLoss(0.3, ScheduleLoss(rules))):
         trace = run_high(make_sim_config(n=4, rounds=10, seed=6, loss=loss))
-        assert "schedule" in {ev.cause for ev in trace.drops()}
+        assert "schedule" in {ev.cause for ev in events_of(trace, DropEvent)}
         assert_encodes_like_reference(trace)
 
 
 def test_encoder_matches_reference_with_a_single_vehicle():
     trace = run_high(make_sim_config(n=1, rounds=6, seed=7))
-    assert trace.sends() and not trace.delivers() and not trace.drops()
+    assert events_of(trace, SendEvent)
+    assert not events_of(trace, DeliverEvent) and not events_of(trace, DropEvent)
     assert_encodes_like_reference(trace)
 
 
 def test_encoder_matches_reference_on_platoon_dict_payloads():
     trace = run_worst_case(ScenarioSpec(horizon_rounds=30)).trace
-    assert any(isinstance(datum_to_json(d), dict) for ev in trace.sends() for d in ev.msg.data)
+    assert any(isinstance(datum_to_json(d), dict)
+               for ev in events_of(trace, SendEvent) for d in ev.msg.data)
     assert_encodes_like_reference(trace)
 
 
