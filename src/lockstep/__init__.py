@@ -42,11 +42,6 @@ from .analysis import (
     AnalysisError,
     Period,
     PropertyReport,
-    RoundClass,
-    check_bounded_uncertainty,
-    check_certainty,
-    check_disagreement_correction,
-    classify_rounds,
     maximal_periods,
     packet_drop_rate,
     reliability,
@@ -54,6 +49,7 @@ from .analysis import (
 )
 from .oracle import (
     abstract_round,
+    completeness,
     enumerate_and_verify,
     matrix_from_missing,
     run_abstract,

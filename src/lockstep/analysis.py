@@ -2,11 +2,13 @@
 
 ``round_view`` reads a run's events in one pass, from a recorded trace or
 straight from ``sim.simulate``, and keeps an omniscient summary: each
-vehicle's decision and ack snapshot per round, plus counts of delivered and
-dropped transmissions. Every checker and metric reads that view. A round is
-*stable* when every vehicle ended it holding every member's message
-(reconstructed from the ack snapshots that each vehicle emits on entering
-the next round); otherwise it is unstable. The three checkers read the
+vehicle's decision per round and whether it ended the round complete, plus
+counts of delivered and dropped transmissions. Every checker and metric
+reads that view. A vehicle is complete in a round when it ended it holding
+every member's message: all of the ack snapshot it emits on entering the
+next round. This is the completeness vector the abstract model in
+``oracle`` reads. A round is *stable* when every vehicle is complete in it;
+otherwise it is unstable. The three checkers read the
 bounded-disagreement rules from ``oracle.rule_violations``, the
 implementation the abstract-model verifier uses too. They verify that
 disagreement is confined to single isolated rounds at the start of unstable
@@ -32,18 +34,6 @@ from .sim import DeliverEvent, DropEvent, OutputEvent, TraceEvent
 
 class AnalysisError(ValueError):
     """Raised for traces that cannot be classified (malformed or empty)."""
-
-
-@dataclass(frozen=True)
-class RoundClass:
-    """Classification of one completed round."""
-
-    round: int
-    stable: bool
-    failed: frozenset  # vehicles that ended the round missing at least one ack
-
-    def __post_init__(self) -> None:
-        assert self.stable == (not self.failed)
 
 
 @dataclass(frozen=True)
@@ -92,28 +82,29 @@ class RoundView:
     """Per-round tables extracted from a run's events.
 
     ``decisions[t-1]`` is the n-vector entering round t, for t in 1..rounds.
-    ``end_acks[r]`` holds each vehicle's ack snapshot at the end of round r,
-    for r in 0..rounds-1 (so there are ``rounds`` completed rounds).
+    ``complete[r][i]`` says whether vehicle i+1 ended round r holding every
+    member's message, for r in 0..rounds-1 (so there are ``rounds``
+    completed rounds).
     ``delivers`` and ``drops`` count the run's point-to-point transmissions.
     """
 
     n: int
     rounds: int
     decisions: list[tuple]
-    end_acks: list[tuple]
+    complete: list[tuple]
     truncated_outputs: int = 0
     delivers: int = 0
     drops: int = 0
 
 
 def round_view(n: int, events: Iterable[TraceEvent]) -> RoundView:
-    """Read a run's events once, keeping each output's decision and ack snapshot.
+    """Read a run's events once, keeping each output's decision and completeness.
 
     Each vehicle's outputs must come in round order 1, 2, 3, ...; a gap, a
     repeat or a step back raises ``AnalysisError``.
     """
     decided: list[list[Datum]] = [[] for _ in range(n)]
-    acked: list[list[tuple]] = [[] for _ in range(n)]
+    complete: list[list[bool]] = [[] for _ in range(n)]
     delivers = drops = 0
     for ev in events:
         kind = type(ev)
@@ -126,44 +117,29 @@ def round_view(n: int, events: Iterable[TraceEvent]) -> RoundView:
             if out.round != len(decided[i]) + 1:
                 raise AnalysisError(f"vehicle {ev.vehicle} has non-consecutive output rounds")
             decided[i].append(out.decision)
-            acked[i].append(out.r)
+            complete[i].append(all(out.r))
     rounds = min(map(len, decided))
     # zip stops at the vehicle with the fewest outputs; the others' extra
     # outputs are of rounds whose end the run did not reach for every vehicle.
     return RoundView(n=n, rounds=rounds, decisions=list(zip(*decided)),
-                     end_acks=list(zip(*acked)),
+                     complete=list(zip(*complete)),
                      truncated_outputs=sum(len(d) - rounds for d in decided),
                      delivers=delivers, drops=drops)
 
 
-def classify_rounds(view: RoundView) -> list[RoundClass]:
-    """Stable/unstable classification for every completed round."""
-    classes = []
-    for r, acks in enumerate(view.end_acks):
-        failed = frozenset(
-            vid for vid, snapshot in enumerate(acks, start=1) if not all(snapshot)
-        )
-        classes.append(RoundClass(round=r, stable=not failed, failed=failed))
-    return classes
-
-
-def maximal_periods(classes: Sequence[RoundClass]) -> list[Period]:
-    """Run-length encode the stable flags into maximal alternating periods."""
+def maximal_periods(stable: Sequence[bool]) -> list[Period]:
+    """Run-length encode per-round stable flags into maximal alternating periods."""
     periods: list[Period] = []
-    for cls in classes:
-        kind = "stable" if cls.stable else "unstable"
+    for r, ok in enumerate(stable):
+        kind = "stable" if ok else "unstable"
         if periods and periods[-1].kind == kind:
-            periods[-1] = Period(kind, periods[-1].start, cls.round)
+            periods[-1] = Period(kind, periods[-1].start, r)
         else:
-            periods.append(Period(kind, cls.round, cls.round))
+            periods.append(Period(kind, r, r))
     return periods
 
 
-def _first_violations(view: RoundView, classes: list[RoundClass]) -> dict:
-    return rule_violations([c.stable for c in classes], view.decisions)
-
-
-def check_bounded_uncertainty(view: RoundView) -> PropertyReport:
+def _bounded_uncertainty(view: RoundView, first: dict) -> PropertyReport:
     """Disagreement rounds are isolated and pinned to the start of unstable periods.
 
     The one-round-uncertainty and agreement rules of
@@ -172,10 +148,6 @@ def check_bounded_uncertainty(view: RoundView) -> PropertyReport:
     unstable period starting at r1. Reports whichever starts first, the
     consecutive pair on a tie.
     """
-    return _bounded_uncertainty(view, _first_violations(view, classify_rounds(view)))
-
-
-def _bounded_uncertainty(view: RoundView, first: dict) -> PropertyReport:
     pid = "P3-bounded-uncertainty"
     u, a = first["one-round-uncertainty"], first["agreement"]
     if u is not None and (a is None or u <= a + 1):
@@ -189,28 +161,23 @@ def _bounded_uncertainty(view: RoundView, first: dict) -> PropertyReport:
     return PropertyReport(pid, True, details={"disagreement_rounds": split_rounds})
 
 
-def check_disagreement_correction(view: RoundView) -> PropertyReport:
+def _disagreement_correction(view: RoundView, periods: list[Period],
+                             first: dict) -> PropertyReport:
     """Every maximal unstable period [r1, r2] forces all-default decisions on [r1+2, r2+1].
 
     The default-correction rule of ``oracle.rule_violations``.
     """
-    classes = classify_rounds(view)
-    return _disagreement_correction(view, classes, _first_violations(view, classes))
-
-
-def _disagreement_correction(view: RoundView, classes: list[RoundClass],
-                             first: dict) -> PropertyReport:
     pid = "P2-correction"
     t = first["default-correction"]
     if t is None:
         return PropertyReport(pid, True)
-    p = next(p for p in maximal_periods(classes) if p.start <= t - 1 <= p.end)
+    p = next(p for p in periods if p.start <= t - 1 <= p.end)
     return PropertyReport(pid, False, CheckCounterexample(
         t, view.decisions[t - 1],
         f"non-default decision inside correction span of [{p.start},{p.end}]"))
 
 
-def check_certainty(view: RoundView) -> PropertyReport:
+def _certainty(view: RoundView, periods: list[Period], first: dict) -> PropertyReport:
     """Agreement through recovery, and non-default decisions after a stable prefix.
 
     The agreement rule of ``oracle.rule_violations``: for each maximal
@@ -221,11 +188,6 @@ def check_certainty(view: RoundView) -> PropertyReport:
     [a+2, b+1] (round 1 is startup and exempt; the measured prefix length is
     reported). Assumes the application never reads a default state.
     """
-    classes = classify_rounds(view)
-    return _certainty(view, classes, _first_violations(view, classes))
-
-
-def _certainty(view: RoundView, classes: list[RoundClass], first: dict) -> PropertyReport:
     pid = "P1-certainty"
     t = first["agreement"]
     if t is not None:
@@ -233,7 +195,7 @@ def _certainty(view: RoundView, classes: list[RoundClass], first: dict) -> Prope
             t, view.decisions[t - 1], "vehicles used different values inside a certainty span"))
 
     max_prefix = 0
-    for p in maximal_periods(classes):
+    for p in periods:
         if p.kind != "stable":
             continue
         lo, hi = p.start + 1, min(p.end + 1, view.rounds)
@@ -253,11 +215,12 @@ def _certainty(view: RoundView, classes: list[RoundClass], first: dict) -> Prope
 
 def run_all_checks(view: RoundView) -> list[PropertyReport]:
     """P1, P2 and P3, classifying the rounds and reading the rules once for all three."""
-    classes = classify_rounds(view)
-    first = _first_violations(view, classes)
+    stable = [all(c) for c in view.complete]
+    periods = maximal_periods(stable)
+    first = rule_violations(stable, view.decisions)
     return [
-        _certainty(view, classes, first),
-        _disagreement_correction(view, classes, first),
+        _certainty(view, periods, first),
+        _disagreement_correction(view, periods, first),
         _bounded_uncertainty(view, first),
     ]
 
@@ -276,23 +239,6 @@ def reliability(view: RoundView, highest: Datum) -> float:
         if all(d == highest for d in view.decisions[t - 1])
     )
     return good / view.rounds
-
-
-def effective_delivery(view: RoundView) -> list[tuple]:
-    """Per-round effective delivery matrices observed in a trace.
-
-    Entry [j][i] of matrix r is True iff vehicle i+1 ended round r holding
-    vehicle j+1's message (directly or relayed) — exactly the ack snapshot it
-    reported on entering round r+1. Feeding these to the abstract model must
-    reproduce the simulator's decisions round for round.
-    """
-    matrices = []
-    for acks in view.end_acks:
-        n = view.n
-        matrices.append(tuple(
-            tuple(acks[i][j] for i in range(n)) for j in range(n)
-        ))
-    return matrices
 
 
 def packet_drop_rate(view: RoundView) -> float:

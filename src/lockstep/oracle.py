@@ -1,19 +1,22 @@
 """Round-granularity abstract model of the protocol with brute-force verification.
 
 The timed machinery (windows, delays, retransmissions, relays) is collapsed
-into one effective-delivery matrix per round: entry [j][i] says whether
-vehicle i ended the round holding j's message, directly or relayed. What a
-vehicle gossips next round is fully determined by that: its application value
-after a complete round, DEFAULT after an incomplete one. This small model is
-the ground truth the timed simulator is checked against.
+into one completeness vector per round: ``complete[i]`` says whether vehicle
+i+1 ended the round holding every member's message, directly or relayed.
+What a vehicle gossips next round is fully determined by that: its
+application value after a complete round, DEFAULT after an incomplete one.
+A round is stable when every vehicle is complete. This small model is the
+ground truth the timed simulator is checked against.
 
-A round reads its matrix only through the completeness vector (vehicle i is
-complete when column i is all true), and stability is "every vehicle
-complete", so every matrix with the same vector gives the same decisions and
-verdict. The exhaustive check therefore enumerates the 2^n completeness
-vectors per round instead of the 2^(n(n-1)) matrices, and counts covered
-delivery patterns with their multiplicity. Its size bound is n x rounds <= 18,
-so 3 vehicles x 6 rounds, 4 x 4 and 5 x 3 are all exhaustive.
+Delivery matrices stay only where they are the data: what the verifier
+enumerates and samples, and what a counterexample reports. Entry [j][i] says
+whether vehicle i ended the round holding j's message; ``completeness``
+reduces a matrix to its vector (column i all true), so every matrix with the
+same vector gives the same decisions and verdict. The exhaustive check
+therefore enumerates the 2^n completeness vectors per round instead of the
+2^(n(n-1)) matrices, and counts covered delivery patterns with their
+multiplicity. Its size bound is n x rounds <= 18, so 3 vehicles x 6 rounds,
+4 x 4 and 5 x 3 are all exhaustive.
 
 The bounded-disagreement rules are implemented once, in ``rule_violations``;
 the trace checkers in ``analysis`` read the same function.
@@ -24,7 +27,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .protocol import DEFAULT, ConfigError, Datum, DecideFn, checked_decide, is_default
 
@@ -33,6 +36,10 @@ from .protocol import DEFAULT, ConfigError, Datum, DecideFn, checked_decide, is_
 DeliveryMatrix = tuple[tuple[bool, ...], ...]
 
 MAX_EXHAUSTIVE_BITS = 18
+
+# The round mix of ``sample_and_verify``.
+STABLE_ROUND_PROBABILITY = 0.5
+LINK_UP_PROBABILITY = 0.8
 
 
 def full_matrix(n: int) -> DeliveryMatrix:
@@ -49,28 +56,32 @@ def matrix_from_missing(n: int, missing: Sequence[tuple[int, int]]) -> DeliveryM
     return tuple(tuple(row) for row in rows)
 
 
+def completeness(matrix: DeliveryMatrix) -> tuple[bool, ...]:
+    """Which vehicles ended the round holding every message: column i all true."""
+    return tuple(map(all, zip(*matrix)))
+
+
 def abstract_round(
     sent: tuple,
-    matrix: DeliveryMatrix,
+    complete: Sequence[bool],
     decide: DecideFn,
     read_state: tuple,
     drop_default_write: bool = False,
 ) -> tuple[tuple, tuple]:
-    """One protocol round at effective-delivery granularity.
+    """One protocol round at completeness granularity.
 
-    ``sent`` is what each vehicle gossiped this round; ``read_state`` is what
-    each would gossip next round after a complete one. Returns
+    ``sent`` is what each vehicle gossiped this round; ``complete[i]`` whether
+    vehicle i+1 ended it holding every message; ``read_state`` is what each
+    would gossip next round after a complete one. Returns
     (decisions, next_sent). ``drop_default_write`` is a deliberate mutant that
     skips writing DEFAULT into the own slot after a failure; it exists to show
     the verifier catches the resulting consecutive disagreements.
     """
-    n = len(sent)
-    complete = tuple(all(matrix[j][i] for j in range(n)) for i in range(n))
     full_decision: Datum = None
     decisions = []
     next_sent = []
-    for i in range(n):
-        if complete[i]:
+    for i, ok in enumerate(complete):
+        if ok:
             if full_decision is None:
                 # Every complete vehicle holds the same vector: all of `sent`.
                 full_decision = checked_decide(decide, sent)
@@ -84,14 +95,14 @@ def abstract_round(
 
 def run_abstract(
     n: int,
-    matrices: Sequence[DeliveryMatrix],
+    completes: Iterable[Sequence[bool]],
     decide: DecideFn,
     read_state: Optional[tuple] = None,
     drop_default_write: bool = False,
 ) -> list[tuple]:
-    """Run the abstract model over a matrix sequence.
+    """Run the abstract model over a sequence of completeness vectors.
 
-    Matrices describe rounds 0..T-1; the returned list holds the decision
+    The vectors describe rounds 0..T-1; the returned list holds the decision
     vectors entering rounds 1..T. Initially every vehicle gossips its
     read_state value, mirroring a freshly initialized instance.
     """
@@ -99,8 +110,8 @@ def run_abstract(
         read_state = tuple("value" for _ in range(n))
     sent = read_state
     decisions = []
-    for matrix in matrices:
-        row, sent = abstract_round(sent, matrix, decide, read_state, drop_default_write)
+    for complete in completes:
+        row, sent = abstract_round(sent, complete, decide, read_state, drop_default_write)
         decisions.append(row)
     return decisions
 
@@ -202,10 +213,6 @@ def check_decision_sequence(
     return None
 
 
-def _stability(matrices: Sequence[DeliveryMatrix]) -> list[bool]:
-    return [all(all(row) for row in m) for m in matrices]
-
-
 def verify_sequence(
     n: int,
     matrices: Sequence[DeliveryMatrix],
@@ -213,8 +220,9 @@ def verify_sequence(
     read_state: Optional[tuple] = None,
     drop_default_write: bool = False,
 ) -> Optional[Counterexample]:
-    decisions = run_abstract(n, matrices, decide, read_state, drop_default_write)
-    hit = check_decision_sequence(_stability(matrices), decisions)
+    completes = [completeness(m) for m in matrices]
+    decisions = run_abstract(n, completes, decide, read_state, drop_default_write)
+    hit = check_decision_sequence([all(c) for c in completes], decisions)
     if hit is None:
         return None
     rule, rnd = hit
@@ -291,11 +299,11 @@ def enumerate_and_verify(
     return VerificationReport(n, rounds, 1 << (cell_bits * rounds), None, {"mode": "exhaustive"})
 
 
-def sample_matrix(rng: random.Random, n: int, link_up_probability: float) -> DeliveryMatrix:
+def sample_matrix(rng: random.Random, n: int) -> DeliveryMatrix:
     rows = []
     for j in range(n):
         row = tuple(
-            True if i == j else rng.random() < link_up_probability for i in range(n)
+            True if i == j else rng.random() < LINK_UP_PROBABILITY for i in range(n)
         )
         rows.append(row)
     return tuple(rows)
@@ -309,25 +317,24 @@ def sample_and_verify(
     decide: DecideFn,
     read_state: Optional[tuple] = None,
     drop_default_write: bool = False,
-    stable_round_probability: float = 0.5,
-    link_up_probability: float = 0.8,
 ) -> VerificationReport:
     """Randomized variant for fleets too large to enumerate; reproducible by seed.
 
-    Per round, with probability ``stable_round_probability`` the matrix is
-    all-true; otherwise each off-diagonal link is up independently. The mix
-    produces runs that alternate between stable and unstable periods.
+    Per round, with probability ``STABLE_ROUND_PROBABILITY`` the matrix is
+    all-true; otherwise each off-diagonal link is up independently with
+    ``LINK_UP_PROBABILITY``. The mix produces runs that alternate between
+    stable and unstable periods.
     """
     _check_size(n, rounds)
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)
-    complete = full_matrix(n)
+    full = full_matrix(n)
     for trial in range(trials):
         seq = [
-            complete
-            if rng.random() < stable_round_probability
-            else sample_matrix(rng, n, link_up_probability)
+            full
+            if rng.random() < STABLE_ROUND_PROBABILITY
+            else sample_matrix(rng, n)
             for _ in range(rounds)
         ]
         ce = verify_sequence(n, seq, decide, read_state, drop_default_write)

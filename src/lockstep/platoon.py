@@ -16,7 +16,7 @@ happily platooning through the outage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from typing import Optional
 
@@ -27,7 +27,6 @@ from .sim import (
     ScheduleLoss,
     SimConfig,
     Trace,
-    register_app,
     run,
 )
 
@@ -230,6 +229,10 @@ def step_world(world: World, dt_us: int) -> None:
 # Worst-case outage scenario
 # ---------------------------------------------------------------------------
 
+# The numeric field annotations of ``ScenarioSpec`` and the types each accepts.
+_NUMBER_KINDS = {"int": (int,), "float": (int, float)}
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Three-vehicle platoon outage: the middle vehicle goes deaf, the leader brakes.
@@ -261,6 +264,11 @@ class ScenarioSpec:
     levels: tuple = tuple(sorted(default_level_table().items()))
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            kinds = _NUMBER_KINDS.get(f.type)
+            value = getattr(self, f.name)
+            if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
+                raise ConfigError(f"scenario field {f.name!r} must be {f.type}, got {value!r}")
         if self.n < 2:
             raise ConfigError("a platoon needs at least two vehicles")
         if not 1 <= self.cut_vehicle <= self.n:
@@ -360,7 +368,6 @@ class KinematicsRow:
     v: float
     gap: Optional[float]
     level: ServiceLevel
-    accel: float = 0.0  # commanded this round; not part of the CSV format
 
 
 class PlatoonApp(App):
@@ -398,14 +405,10 @@ class PlatoonApp(App):
         level = effective_level(output.decision)
         self.levels.setdefault(output.round, {})[vid] = level
         self.rows.append(KinematicsRow(output.round, vid, body.x, body.v,
-                                       self.world.gap_behind_predecessor(vid), level,
-                                       body.accel))
+                                       self.world.gap_behind_predecessor(vid), level))
 
     def spec(self) -> dict:
         return {"kind": "platoon-worst-case", "scenario": self.scenario.to_json()}
-
-
-register_app("platoon-worst-case", lambda spec: PlatoonApp(ScenarioSpec.from_json(spec["scenario"])))
 
 
 class LevelApp(App):
@@ -428,7 +431,17 @@ class LevelApp(App):
         return {"kind": "level", "level": self.level.to_json()}
 
 
-register_app("level", lambda spec: LevelApp(ServiceLevel.from_json(spec["level"])))
+def build_app(spec: dict) -> App:
+    """Rebuild a recorded application from its ``App.spec``, for replay."""
+    kind = spec.get("kind")
+    try:
+        if kind == "level":
+            return LevelApp(ServiceLevel.from_json(spec["level"]))
+        if kind == "platoon-worst-case":
+            return PlatoonApp(ScenarioSpec.from_json(spec["scenario"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {kind!r} app spec: {type(exc).__name__}: {exc}") from None
+    raise ConfigError(f"no app builder for kind {kind!r}")
 
 
 @dataclass
@@ -532,8 +545,7 @@ def run_baseline(scenario: ScenarioSpec) -> ScenarioResult:
             body.accel = control_accel(world, vid, s, decision)
             levels.setdefault(rnd, {})[vid] = level
             rows.append(KinematicsRow(rnd, vid, body.x, body.v,
-                                      world.gap_behind_predecessor(vid), level,
-                                      body.accel))
+                                      world.gap_behind_predecessor(vid), level))
         step_world(world, scenario.round_length)
 
     return ScenarioResult(None, rows, levels, world.min_gap)

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .protocol import (
     ConfigError,
@@ -501,7 +501,7 @@ class App:
     ``app_tick_times`` may yield global times at which ``on_app_tick`` runs
     before any vehicle tick at the same instant (the platoon world advances
     its kinematics there). ``spec`` identifies the app for trace replay;
-    registered kinds can be rebuilt from it.
+    ``platoon.build_app`` rebuilds the kinds it names.
     """
 
     def read_state(self, vid: int) -> Datum:
@@ -521,24 +521,6 @@ class App:
 
     def spec(self) -> dict:
         return {"kind": "custom"}
-
-
-APP_BUILDERS: dict[str, Callable[[dict], App]] = {}
-
-
-def register_app(kind: str, builder: Callable[[dict], App]) -> None:
-    APP_BUILDERS[kind] = builder
-
-
-def build_app(spec: dict) -> App:
-    from . import platoon  # noqa: F401  (the standard app kinds register on import)
-    kind = spec.get("kind")
-    if kind not in APP_BUILDERS:
-        raise ConfigError(f"no registered app builder for kind {kind!r}")
-    try:
-        return APP_BUILDERS[kind](spec)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed {kind!r} app spec: {type(exc).__name__}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -665,6 +647,8 @@ def replay(path: Union[str, Path]) -> None:
     by line, so neither side is held; raises ReplayMismatch at the first
     divergent line.
     """
+    from .platoon import build_app  # platoon imports this module
+
     config, app_spec = read_trace_header(path)
     app = build_app(app_spec)
     recorded = _recorded_lines(path)

@@ -10,8 +10,8 @@ import time
 
 import pytest
 
-from lockstep import analysis, oracle
-from lockstep.analysis import classify_rounds, run_all_checks
+from lockstep import oracle
+from lockstep.analysis import run_all_checks
 from lockstep.cli import SweepSpec, aggregate_sweep, main, run_sweep
 from lockstep.platoon import (
     LevelApp,
@@ -80,9 +80,8 @@ def _equivalence_case(seed):
     config = make_sim_config(n=n, rounds=rounds + 1, seed=seed,
                              loss=_random_schedule(rng, n, rounds))
     view = simulated_view(config, LevelApp(HIGH))
-    matrices = analysis.effective_delivery(view)
-    expected = oracle.run_abstract(n, matrices, min_level_decide, (HIGH,) * n)
-    unstable = sum(1 for m in matrices if m != oracle.full_matrix(n))
+    expected = oracle.run_abstract(n, view.complete, min_level_decide, (HIGH,) * n)
+    unstable = sum(1 for c in view.complete if not all(c))
     return view.decisions == expected, unstable
 
 
@@ -110,12 +109,12 @@ def _theorem_cell(args):
     config = make_sim_config(n=n, rounds=200, seed=seed, loss=BernoulliLoss(p))
     view = simulated_view(config, LevelApp(HIGH))
     reports = run_all_checks(view)
-    classes = classify_rounds(view)
+    stable = [all(c) for c in view.complete]
     isolated_checked = 0
     isolated_clean = True
     for u in range(1, view.rounds - 1):
-        if (not classes[u].stable and classes[u - 1].stable
-                and u + 2 < view.rounds and classes[u + 1].stable and classes[u + 2].stable
+        if (not stable[u] and stable[u - 1]
+                and u + 2 < view.rounds and stable[u + 1] and stable[u + 2]
                 and u + 3 <= view.rounds):
             isolated_checked += 1
             if any(d != HIGH for d in view.decisions[u + 3 - 1]):

@@ -1,4 +1,4 @@
-"""Tests for round classification, the property checkers, and metrics.
+"""Tests for round completeness, the property checkers, and metrics.
 
 Positive cases run the real simulator; negative controls are hand-built
 traces that violate exactly one property, confirming each checker can fail.
@@ -6,15 +6,10 @@ traces that violate exactly one property, confirming each checker can fail.
 
 import pytest
 
-from lockstep import analysis, oracle
+from lockstep import oracle
 from lockstep.analysis import (
     AnalysisError,
     Period,
-    RoundClass,
-    check_bounded_uncertainty,
-    check_certainty,
-    check_disagreement_correction,
-    classify_rounds,
     maximal_periods,
     packet_drop_rate,
     reliability,
@@ -29,6 +24,7 @@ from conftest import MS, events_of, make_sim_config, simulated_view, synthetic_t
 HIGH = ServiceLevel.HIGH
 LOW = ServiceLevel.LOW
 RL = 160 * MS
+P1, P2, P3 = range(3)  # positions of the reports in run_all_checks
 
 
 def run_high(config):
@@ -48,18 +44,18 @@ def synthetic_view(decisions_by_round, stable_rounds=None):
 # ---------------------------------------------------------------------------
 
 def test_failure_free_trace_all_stable():
-    classes = classify_rounds(view_high(make_sim_config(n=3, rounds=12)))
-    assert len(classes) == 12
-    assert all(c.stable and not c.failed for c in classes)
+    complete = view_high(make_sim_config(n=3, rounds=12)).complete
+    assert len(complete) == 12
+    assert all(c == (True,) * 3 for c in complete)
 
 
 def test_cut_receiver_marks_exactly_that_vehicle_failed():
     loss = ScheduleLoss([DropRule(round=20, receiver=1)])
     config = make_sim_config(n=4, rounds=25, seed=2, loss=loss)
-    classes = classify_rounds(view_high(config))
-    assert not classes[20].stable
-    assert classes[20].failed == frozenset({1})
-    assert all(c.stable for c in classes if c.round != 20)
+    complete = view_high(config).complete
+    assert not all(complete[20])
+    assert complete[20] == (False, True, True, True)
+    assert all(all(c) for r, c in enumerate(complete) if r != 20)
 
 
 def test_retransmission_repair_keeps_round_stable():
@@ -67,7 +63,7 @@ def test_retransmission_repair_keeps_round_stable():
     config = make_sim_config(n=4, rounds=25, seed=3, offsets=(0, 0, 0, 0), loss=loss)
     trace = run_high(config)
     assert events_of(trace, DropEvent)  # the first copy really was lost
-    assert all(c.stable for c in classify_rounds(trace_view(trace)))
+    assert all(all(c) for c in trace_view(trace).complete)
 
 
 def test_truncated_vehicle_outputs_are_flagged():
@@ -85,15 +81,8 @@ def test_gapped_outputs_rejected():
         trace_view(trace)
 
 
-def make_classes(pattern):
-    return [
-        RoundClass(r, flag, frozenset() if flag else frozenset({1}))
-        for r, flag in enumerate(pattern)
-    ]
-
-
 def test_maximal_periods_rle():
-    periods = maximal_periods(make_classes([True, True, False, True, True]))
+    periods = maximal_periods([True, True, False, True, True])
     assert periods == [
         Period("stable", 0, 1),
         Period("unstable", 2, 2),
@@ -102,17 +91,17 @@ def test_maximal_periods_rle():
 
 
 def test_maximal_periods_all_unstable():
-    assert maximal_periods(make_classes([False] * 4)) == [Period("unstable", 0, 3)]
+    assert maximal_periods([False] * 4) == [Period("unstable", 0, 3)]
 
 
 def test_maximal_periods_alternating():
-    periods = maximal_periods(make_classes([False, True, False]))
+    periods = maximal_periods([False, True, False])
     assert [p.kind for p in periods] == ["unstable", "stable", "unstable"]
 
 
 def test_periods_tile_without_overlap():
     pattern = [True, False, False, True, False, True, True]
-    periods = maximal_periods(make_classes(pattern))
+    periods = maximal_periods(pattern)
     covered = []
     for p in periods:
         covered.extend(range(p.start, p.end + 1))
@@ -152,7 +141,7 @@ def test_bounded_uncertainty_rejects_consecutive_disagreement():
     rows.append([DEFAULT, HIGH])  # round 22: still split
     rows.append([HIGH, HIGH])
     stable = [r not in (19, 20, 21) for r in range(len(rows))]
-    report = check_bounded_uncertainty(synthetic_view(rows, stable))
+    report = run_all_checks(synthetic_view(rows, stable))[P3]
     assert not report.passed
     assert report.counterexample.round == 22
 
@@ -160,7 +149,7 @@ def test_bounded_uncertainty_rejects_consecutive_disagreement():
 def test_bounded_uncertainty_rejects_misplaced_disagreement():
     # Split at round 5 although every preceding round was stable.
     rows = [[HIGH, HIGH]] * 4 + [[DEFAULT, HIGH]] + [[HIGH, HIGH]] * 3
-    report = check_bounded_uncertainty(synthetic_view(rows))
+    report = run_all_checks(synthetic_view(rows))[P3]
     assert not report.passed
     assert report.counterexample.round == 5
 
@@ -173,9 +162,8 @@ def test_correction_window_enforced_on_persistent_failures():
     view = view_high(config)
     for t in range(12, 17):
         assert all(is_default(d) for d in view.decisions[t - 1])
-    assert check_disagreement_correction(view).passed
-    matrices = analysis.effective_delivery(view)
-    expected = oracle.run_abstract(n, matrices, LevelApp(HIGH).decide, (HIGH,) * n)
+    assert run_all_checks(view)[P2].passed
+    expected = oracle.run_abstract(n, view.complete, LevelApp(HIGH).decide, (HIGH,) * n)
     assert view.decisions == expected
 
 
@@ -185,7 +173,7 @@ def test_correction_rejects_value_inside_window():
     rows += [[DEFAULT, DEFAULT], [DEFAULT, HIGH]]  # rounds 11, 12: 12 violates
     rows += [[DEFAULT, DEFAULT], [HIGH, HIGH]]
     stable = [r not in (9, 10, 11) for r in range(len(rows))]
-    report = check_disagreement_correction(synthetic_view(rows, stable))
+    report = run_all_checks(synthetic_view(rows, stable))[P2]
     assert not report.passed
     assert report.counterexample.round == 12
 
@@ -193,7 +181,7 @@ def test_correction_rejects_value_inside_window():
 def test_certainty_recovery_interval():
     """Unstable [20,20] then stable: agreement from 22, values from 23 on."""
     view = view_high(split_round_20_config(seed=6))
-    report = check_certainty(view)
+    report = run_all_checks(view)[P1]
     assert report.passed
     for t in range(22, view.rounds + 1):
         row = view.decisions[t - 1]
@@ -205,20 +193,20 @@ def test_certainty_recovery_interval():
 
 def test_certainty_on_fully_stable_run():
     view = view_high(make_sim_config(n=2, rounds=10, seed=7))
-    assert check_certainty(view).passed
+    assert run_all_checks(view)[P1].passed
     for t in range(2, view.rounds + 1):
         assert all(not is_default(d) for d in view.decisions[t - 1])
 
 
 def test_certainty_rejects_split_inside_stable_suffix():
     rows = [[HIGH, HIGH]] * 6 + [[HIGH, LOW]] + [[HIGH, HIGH]]
-    report = check_certainty(synthetic_view(rows))
+    report = run_all_checks(synthetic_view(rows))[P1]
     assert not report.passed
 
 
 def test_certainty_rejects_lingering_default():
     rows = [[HIGH, HIGH]] * 5 + [[DEFAULT, DEFAULT]] * 3
-    report = check_certainty(synthetic_view(rows))
+    report = run_all_checks(synthetic_view(rows))[P1]
     assert not report.passed
     assert "default" in report.counterexample.note
 

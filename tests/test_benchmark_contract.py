@@ -4,8 +4,9 @@
 outside, by name, and counts trace bytes in its ``event_to_json`` wrapper.
 A rename or a call that bypasses a module global would leave a layer's time
 unaccounted for or its counts wrong without failing anything else, so this
-runs a small traced ``run`` and ``replay`` the way the benchmark does: in a
-fresh interpreter, through ``lockstep.cli.main``.
+runs a small traced ``run`` and ``replay``, and a traced exhaustive and
+mutant ``verify``, the way the benchmark does: in a fresh interpreter,
+through ``lockstep.cli.main``.
 """
 
 import json
@@ -15,11 +16,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# Runs each command line of argv[3] (a JSON list) under one tracer.
 TRACED_PASS = """
 import json, sys, time
 from pathlib import Path
 
-root, out = Path(sys.argv[1]), Path(sys.argv[2])
+root, out = Path(sys.argv[1]), sys.argv[2]
 sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 from tracer import Tracer, install
 import lockstep.cli
@@ -28,19 +30,24 @@ tracer = Tracer()
 install(tracer)
 main = tracer.span("cli.command", lockstep.cli.main)
 t0 = time.perf_counter()
-codes = [main(["run", "--n", "3", "--duration-s", "4", "--seed", "2", "--out", str(out)]),
-         main(["replay", str(out / "trace.jsonl")])]
+codes = [main([a.format(out=out) for a in argv]) for argv in json.loads(sys.argv[3])]
 pass_s = time.perf_counter() - t0
 print(json.dumps({"codes": codes, "layers": tracer.layer_metrics(pass_s)}))
 """
 
 
-def test_traced_run_and_replay_are_fully_accounted_for(tmp_path):
+def traced_pass(out, *commands):
     # -B: importing the tracer must not leave byte-code in perfbench/.
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", TRACED_PASS, str(ROOT), str(tmp_path)],
+        [sys.executable, "-B", "-c", TRACED_PASS, str(ROOT), str(out), json.dumps(commands)],
         capture_output=True, text=True, timeout=60, check=True)
-    result = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_traced_run_and_replay_are_fully_accounted_for(tmp_path):
+    result = traced_pass(tmp_path,
+                         ["run", "--n", "3", "--duration-s", "4", "--seed", "2", "--out", "{out}"],
+                         ["replay", "{out}/trace.jsonl"])
     layers = result["layers"]
     assert result["codes"] == [0, 0]
     assert layers["trace.coverage_ratio"] >= 0.9
@@ -51,3 +58,15 @@ def test_traced_run_and_replay_are_fully_accounted_for(tmp_path):
     # Events are counted from the trace run returns; replay returns none.
     assert layers["sim.events"] == len(events)
     assert layers["sim.run_s"] > 0 and layers["sim.replay_s"] > 0
+
+
+def test_traced_verify_counts_every_sequence(tmp_path):
+    result = traced_pass(tmp_path, ["verify", "--n", "3", "--rounds", "3"],
+                         ["verify", "--n", "2", "--rounds", "3", "--mutate", "drop-default-write"])
+    layers = result["layers"]
+    assert result["codes"] == [0, 1]
+    # 3x3 checks all 8^3 completeness-vector sequences and covers 2^18
+    # matrix sequences; the mutant is caught at its sixth sequence, rank 6.
+    assert layers["oracle.sequences"] == 512 + 6
+    assert layers["oracle.patterns_checked"] == 262_144 + 6
+    assert layers["trace.coverage_ratio"] >= 0.9

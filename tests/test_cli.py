@@ -189,6 +189,7 @@ def _rewrite_header(path, lines, edit):
     ("wrong-type", "field of the wrong type"),
     ("app-not-object", "app that is not an object"),
     ("app-without-level", "malformed 'level' app spec: KeyError"),
+    ("app-unknown-kind", "app builder for kind 'bogus'"),
     ("app-unknown-level", "malformed 'level' app spec: KeyError: 'ULTRA'"),
 ])
 def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message):
@@ -205,6 +206,8 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
         _rewrite_header(path, lines, lambda h: h.update(app=5))
     elif case == "app-without-level":
         _rewrite_header(path, lines, lambda h: h.update(app={"kind": "level"}))
+    elif case == "app-unknown-kind":
+        _rewrite_header(path, lines, lambda h: h.update(app={"kind": "bogus"}))
     else:
         _rewrite_header(path, lines, lambda h: h.update(app={"kind": "level", "level": "ultra"}))
     capsys.readouterr()
@@ -239,6 +242,10 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
                  id="scenario-json-unknown-key"),
     pytest.param(["scenario", "--scenario-json", "{ultra}"], "KeyError: 'ULTRA'",
                  id="scenario-json-unknown-level"),
+    pytest.param(["scenario", "--scenario-json", "{fast}"], "'cruise_speed' must be float",
+                 id="scenario-json-float-field-a-string"),
+    pytest.param(["scenario", "--scenario-json", "{half}"], "'horizon_rounds' must be int",
+                 id="scenario-json-int-field-a-float"),
 ])
 def test_malformed_command_input_is_usage_error(tmp_path, capsys, argv, message):
     scenario = ScenarioSpec().to_json()
@@ -249,6 +256,8 @@ def test_malformed_command_input_is_usage_error(tmp_path, capsys, argv, message)
         "missing": '{"n": 3, "bogus": 1}\n',
         "unknown": json.dumps(dict(scenario, bogus=1)),
         "ultra": json.dumps(dict(scenario, initial_level="ultra")),
+        "fast": json.dumps(dict(scenario, cruise_speed="fast")),
+        "half": json.dumps(dict(scenario, horizon_rounds=2.5)),
     }
     paths = {name: tmp_path / f"{name}.json" for name in files}
     for name, text in files.items():

@@ -10,6 +10,7 @@ from lockstep.oracle import (
     Counterexample,
     VerificationReport,
     abstract_round,
+    completeness,
     enumerate_and_verify,
     full_matrix,
     matrix_from_missing,
@@ -18,7 +19,7 @@ from lockstep.oracle import (
     verify_sequence,
 )
 from lockstep.platoon import ServiceLevel, min_level_decide
-from lockstep.protocol import ConfigError, is_default
+from lockstep.protocol import DEFAULT, ConfigError, Datum, checked_decide, is_default
 
 HIGH = ServiceLevel.HIGH
 
@@ -28,22 +29,25 @@ def high_state(n):
 
 
 def test_abstract_round_all_delivered():
-    decisions, sent = abstract_round(high_state(3), full_matrix(3), min_level_decide, high_state(3))
+    decisions, sent = abstract_round(high_state(3), completeness(full_matrix(3)),
+                                     min_level_decide, high_state(3))
     assert decisions == (HIGH, HIGH, HIGH)
     assert sent == (HIGH, HIGH, HIGH)
 
 
 def test_abstract_round_single_missing_link_splits_once():
     e = matrix_from_missing(2, [(2, 1)])  # vehicle 1 misses vehicle 2
-    decisions, sent = abstract_round(high_state(2), e, min_level_decide, high_state(2))
+    decisions, sent = abstract_round(high_state(2), completeness(e), min_level_decide,
+                                     high_state(2))
     assert is_default(decisions[0]) and decisions[1] == HIGH
     assert is_default(sent[0]) and sent[1] == HIGH
 
 
 def test_abstract_round_flushes_default_next_round():
     e = matrix_from_missing(2, [(2, 1)])
-    _, sent = abstract_round(high_state(2), e, min_level_decide, high_state(2))
-    decisions, sent2 = abstract_round(sent, full_matrix(2), min_level_decide, high_state(2))
+    _, sent = abstract_round(high_state(2), completeness(e), min_level_decide, high_state(2))
+    decisions, sent2 = abstract_round(sent, completeness(full_matrix(2)), min_level_decide,
+                                      high_state(2))
     assert all(is_default(d) for d in decisions)  # everyone sees the gossiped default
     assert sent2 == (HIGH, HIGH)
 
@@ -51,7 +55,7 @@ def test_abstract_round_flushes_default_next_round():
 def test_run_abstract_recovery_timeline():
     n = 2
     matrices = [full_matrix(n), matrix_from_missing(n, [(2, 1)]), full_matrix(n), full_matrix(n)]
-    decisions = run_abstract(n, matrices, min_level_decide, high_state(n))
+    decisions = run_abstract(n, map(completeness, matrices), min_level_decide, high_state(n))
     assert decisions[0] == (HIGH, HIGH)
     assert is_default(decisions[1][0]) and decisions[1][1] == HIGH
     assert all(is_default(d) for d in decisions[2])
@@ -123,7 +127,7 @@ def test_all_false_matrices_stay_uniformly_default():
     n = 4
     dead = tuple(tuple(i == j for i in range(n)) for j in range(n))
     assert verify_sequence(n, [dead] * 5, min_level_decide, high_state(n)) is None
-    decisions = run_abstract(n, [dead] * 5, min_level_decide, high_state(n))
+    decisions = run_abstract(n, [completeness(dead)] * 5, min_level_decide, high_state(n))
     for row in decisions:
         assert all(is_default(d) for d in row)
 
@@ -175,9 +179,100 @@ def matrix_pairs(draw):
 def test_relay_monotonicity(case):
     """More delivery never flips a decided value, only resolves defaults."""
     n, base, sup = case
-    d_base = run_abstract(n, base, min_level_decide, high_state(n))
-    d_sup = run_abstract(n, sup, min_level_decide, high_state(n))
+    d_base = run_abstract(n, map(completeness, base), min_level_decide, high_state(n))
+    d_sup = run_abstract(n, map(completeness, sup), min_level_decide, high_state(n))
     for row_b, row_s in zip(d_base, d_sup):
         for b, s in zip(row_b, row_s):
             if not is_default(b):
                 assert b == s
+
+
+# ---------------------------------------------------------------------------
+# Reference: the model over delivery matrices
+# ---------------------------------------------------------------------------
+
+# The matrix-form round and run that the completeness-vector model replaced,
+# kept verbatim but for the default read state.
+
+def reference_abstract_round(
+    sent: tuple,
+    matrix,
+    decide,
+    read_state: tuple,
+    drop_default_write: bool = False,
+) -> tuple[tuple, tuple]:
+    """One protocol round at effective-delivery granularity.
+
+    ``sent`` is what each vehicle gossiped this round; ``read_state`` is what
+    each would gossip next round after a complete one. Returns
+    (decisions, next_sent). ``drop_default_write`` is a deliberate mutant that
+    skips writing DEFAULT into the own slot after a failure; it exists to show
+    the verifier catches the resulting consecutive disagreements.
+    """
+    n = len(sent)
+    complete = tuple(all(matrix[j][i] for j in range(n)) for i in range(n))
+    full_decision: Datum = None
+    decisions = []
+    next_sent = []
+    for i in range(n):
+        if complete[i]:
+            if full_decision is None:
+                # Every complete vehicle holds the same vector: all of `sent`.
+                full_decision = checked_decide(decide, sent)
+            decisions.append(full_decision)
+            next_sent.append(read_state[i])
+        else:
+            decisions.append(DEFAULT)
+            next_sent.append(read_state[i] if drop_default_write else DEFAULT)
+    return tuple(decisions), tuple(next_sent)
+
+
+def reference_run_abstract(n, matrices, decide, read_state, drop_default_write=False):
+    sent = read_state
+    decisions = []
+    for matrix in matrices:
+        row, sent = reference_abstract_round(sent, matrix, decide, read_state,
+                                             drop_default_write)
+        decisions.append(row)
+    return decisions
+
+
+LEVELS = st.sampled_from([DEFAULT, ServiceLevel.LOW, ServiceLevel.MEDIUM, HIGH])
+
+
+@st.composite
+def model_runs(draw):
+    """Matrix sequences (three links in four up) and gossip vectors that may hold DEFAULT."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    rounds = draw(st.integers(min_value=0, max_value=5))
+    matrices = [
+        tuple(tuple(i == j or draw(st.integers(min_value=0, max_value=3)) > 0
+                    for i in range(n)) for j in range(n))
+        for _ in range(rounds)
+    ]
+    sent = tuple(draw(st.lists(LEVELS, min_size=n, max_size=n)))
+    read_state = tuple(draw(st.lists(LEVELS, min_size=n, max_size=n)))
+    return n, matrices, sent, read_state, draw(st.booleans())
+
+
+@settings(max_examples=500)
+@given(model_runs())
+def test_completeness_model_matches_the_matrix_model(case):
+    n, matrices, sent, read_state, mutant = case
+    for matrix in matrices:
+        got = abstract_round(sent, completeness(matrix), min_level_decide, read_state, mutant)
+        want = reference_abstract_round(sent, matrix, min_level_decide, read_state, mutant)
+        assert got == want
+        sent = want[1]
+    assert run_abstract(n, map(completeness, matrices), min_level_decide, read_state,
+                        mutant) == \
+        reference_run_abstract(n, matrices, min_level_decide, read_state, mutant)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_completeness_reads_columns(n):
+    """Cutting only the link j -> i marks exactly vehicle i incomplete."""
+    assert completeness(full_matrix(n)) == (True,) * n
+    for j, i in itertools.permutations(range(1, n + 1), 2):
+        want = tuple(v != i for v in range(1, n + 1))
+        assert completeness(matrix_from_missing(n, [(j, i)])) == want

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from lockstep import platoon
 from lockstep.platoon import (
     PlatoonApp,
     PlatoonDatum,
@@ -237,12 +238,21 @@ def test_worst_case_recovers_after_outage():
     assert all(lv == MEDIUM for lv in res.levels[end + 2].values())
 
 
-def test_accel_commands_respect_effective_level_bounds():
-    spec = ScenarioSpec()
-    res = run_worst_case(spec)
+def test_accel_commands_respect_effective_level_bounds(monkeypatch):
+    # Record each output's command where the app makes it, one per row.
+    commands = []
+
+    def recorded_accel(world, vid, s, decision):
+        a = control_accel(world, vid, s, decision)
+        commands.append((effective_level(decision), a))
+        return a
+
+    monkeypatch.setattr(platoon, "control_accel", recorded_accel)
+    res = run_worst_case(ScenarioSpec())
     table = default_level_table()
-    for row in res.rows:
-        assert abs(row.accel) <= table[row.level].accel_bound + 1e-9
+    assert [level for level, _ in commands] == [row.level for row in res.rows]
+    for level, a in commands:
+        assert abs(a) <= table[level].accel_bound + 1e-9
 
 
 def test_agreed_rounds_use_uniform_parameters():

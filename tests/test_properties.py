@@ -3,13 +3,13 @@
 Whatever the loss model, seed, fleet size, and clock offsets, every trace the
 harness produces must satisfy the three stability properties, and its
 per-round decisions must match the abstract model run on the observed
-effective delivery. These are the universally quantified claims behind the
+completeness vectors. These are the universally quantified claims behind the
 acceptance criteria, explored here with generated adversaries.
 """
 
 from hypothesis import given, settings
 
-from lockstep import analysis, oracle
+from lockstep import oracle
 from lockstep.analysis import run_all_checks
 from lockstep.platoon import LevelApp, ServiceLevel, min_level_decide
 
@@ -31,6 +31,5 @@ def test_every_trace_satisfies_the_three_properties(config):
 def test_every_trace_matches_the_abstract_model(config):
     n = config.protocol.n
     view = simulated_view(config, LevelApp(HIGH))
-    matrices = analysis.effective_delivery(view)
-    expected = oracle.run_abstract(n, matrices, min_level_decide, (HIGH,) * n)
+    expected = oracle.run_abstract(n, view.complete, min_level_decide, (HIGH,) * n)
     assert view.decisions == expected

@@ -1,19 +1,21 @@
 """The one-pass round view against the trace readers it replaced.
 
 ``analysis.round_view`` reads any iterable of events once, straight from
-``sim.simulate`` in a sweep, and keeps only each output's decision and ack
-snapshot plus the delivered and dropped counts. The references below are the
-earlier whole-trace ``round_view`` and ``Counter`` drop rate, kept verbatim
-as in ``test_rules.py``: every table and rate must stay identical, and a
-trace the old reader rejected must still be rejected.
+``sim.simulate`` in a sweep, and keeps only each output's decision and
+completeness (all of its ack snapshot) plus the delivered and dropped
+counts. The references below are the earlier whole-trace ``round_view`` and
+``Counter`` drop rate, kept as in ``test_rules.py``; the reference's ack
+snapshots are reduced by ``all`` when compared. Every table and rate must
+stay identical, and a trace the old reader rejected must still be rejected.
 """
 
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 
-from lockstep.analysis import AnalysisError, RoundView, packet_drop_rate, round_view
+from lockstep.analysis import AnalysisError, packet_drop_rate, round_view
 from lockstep.platoon import LevelApp, ServiceLevel
 from lockstep.protocol import RoundOutput
 from lockstep.sim import (
@@ -39,7 +41,15 @@ RL = 160 * MS
 # Reference: the whole-trace reader and the Counter drop rate
 # ---------------------------------------------------------------------------
 
-def reference_round_view(trace: Trace) -> RoundView:
+class ReferenceView(NamedTuple):
+    n: int
+    rounds: int
+    decisions: list
+    end_acks: list
+    truncated_outputs: int
+
+
+def reference_round_view(trace: Trace) -> ReferenceView:
     n = trace.config.protocol.n
     per_vehicle: list[dict[int, OutputEvent]] = [dict() for _ in range(n)]
     for ev in trace.events:
@@ -64,8 +74,8 @@ def reference_round_view(trace: Trace) -> RoundView:
         tuple(per_vehicle[i][r + 1].output.r for i in range(n))
         for r in range(rounds)
     ]
-    return RoundView(n=n, rounds=rounds, decisions=decisions,
-                     end_acks=end_acks, truncated_outputs=truncated)
+    return ReferenceView(n=n, rounds=rounds, decisions=decisions,
+                         end_acks=end_acks, truncated_outputs=truncated)
 
 
 def reference_packet_drop_rate(trace: Trace) -> float:
@@ -82,7 +92,12 @@ def reference_packet_drop_rate(trace: Trace) -> float:
 # ---------------------------------------------------------------------------
 
 def tables(view):
-    return view.n, view.rounds, view.decisions, view.end_acks, view.truncated_outputs
+    return view.n, view.rounds, view.decisions, view.complete, view.truncated_outputs
+
+
+def reference_tables(ref):
+    complete = [tuple(map(all, acks)) for acks in ref.end_acks]
+    return ref.n, ref.rounds, ref.decisions, complete, ref.truncated_outputs
 
 
 def drop_rate_or_error(rate, source):
@@ -95,7 +110,7 @@ def drop_rate_or_error(rate, source):
 def assert_same_view(trace, events):
     """``round_view`` over ``events``, read once, equals the references over ``trace``."""
     view = round_view(trace.config.protocol.n, iter(events))
-    assert tables(view) == tables(reference_round_view(trace))
+    assert tables(view) == reference_tables(reference_round_view(trace))
     assert drop_rate_or_error(packet_drop_rate, view) == \
         drop_rate_or_error(reference_packet_drop_rate, trace)
 

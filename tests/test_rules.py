@@ -2,8 +2,9 @@
 
 ``oracle.rule_violations`` serves both the trace checkers in ``analysis`` and
 the abstract-model verifier. The references below are the earlier
-period-and-span checkers, kept verbatim as in the literal enumerator of
-``test_oracle.py``: every report must stay identical, failures included.
+period-and-span checkers, kept as in the literal enumerator of
+``test_oracle.py``; the trace references read the view's per-round stable
+flags. Every report must stay identical, failures included.
 """
 
 import pytest
@@ -13,10 +14,6 @@ from lockstep.analysis import (
     CheckCounterexample,
     PropertyReport,
     RoundView,
-    check_bounded_uncertainty,
-    check_certainty,
-    check_disagreement_correction,
-    classify_rounds,
     maximal_periods,
     run_all_checks,
 )
@@ -89,16 +86,20 @@ def _split(row):
     return any(d != first for d in row[1:])
 
 
+def stable_flags(view):
+    return [all(c) for c in view.complete]
+
+
 def reference_check_bounded_uncertainty(view):
     pid = "P3-bounded-uncertainty"
-    classes = classify_rounds(view)
+    stable = stable_flags(view)
     split_rounds = [t for t in range(1, view.rounds + 1) if _split(view.decisions[t - 1])]
     split_set = set(split_rounds)
     for t in split_rounds:
         if t + 1 in split_set:
             return PropertyReport(pid, False, CheckCounterexample(
                 t + 1, view.decisions[t], "consecutive disagreement rounds"))
-        starts_unstable = not classes[t - 1].stable and (t - 1 == 0 or classes[t - 2].stable)
+        starts_unstable = not stable[t - 1] and (t - 1 == 0 or stable[t - 2])
         if not starts_unstable:
             return PropertyReport(pid, False, CheckCounterexample(
                 t, view.decisions[t - 1],
@@ -108,7 +109,7 @@ def reference_check_bounded_uncertainty(view):
 
 def reference_check_disagreement_correction(view):
     pid = "P2-correction"
-    periods = maximal_periods(classify_rounds(view))
+    periods = maximal_periods(stable_flags(view))
     for p in periods:
         if p.kind != "unstable":
             continue
@@ -122,7 +123,7 @@ def reference_check_disagreement_correction(view):
 
 def reference_check_certainty(view):
     pid = "P1-certainty"
-    periods = maximal_periods(classify_rounds(view))
+    periods = maximal_periods(stable_flags(view))
 
     spans = []
     if periods and periods[0].kind == "stable":
@@ -162,30 +163,26 @@ def reference_check_certainty(view):
 # Comparison
 # ---------------------------------------------------------------------------
 
-CHECKS = [
-    (check_certainty, reference_check_certainty),
-    (check_disagreement_correction, reference_check_disagreement_correction),
-    (check_bounded_uncertainty, reference_check_bounded_uncertainty),
+REFERENCES = [
+    reference_check_certainty,
+    reference_check_disagreement_correction,
+    reference_check_bounded_uncertainty,
 ]
 
 
 def view_of(n, stable, decisions):
-    """A round view whose classes are ``stable``: vehicle 1 misses a slot in unstable rounds."""
-    complete = (True,) * n
-    missing = (True,) * (n - 1) + (False,)
-    end_acks = [(complete if ok else missing,) + (complete,) * (n - 1) for ok in stable]
-    return RoundView(n=n, rounds=len(decisions), decisions=list(decisions), end_acks=end_acks)
+    """A round view whose stable flags are ``stable``: vehicle 1 is incomplete in unstable rounds."""
+    complete = [(ok,) + (True,) * (n - 1) for ok in stable]
+    return RoundView(n=n, rounds=len(decisions), decisions=list(decisions), complete=complete)
 
 
 def assert_same_verdicts(n, stable, decisions):
     assert check_decision_sequence(stable, decisions) == \
         reference_check_decision_sequence(stable, decisions)
     view = view_of(n, stable, decisions)
-    assert [c.stable for c in classify_rounds(view)] == list(stable)
-    for check, reference in CHECKS:
-        assert check(view).to_json() == reference(view).to_json()
+    assert stable_flags(view) == list(stable)
     assert [r.to_json() for r in run_all_checks(view)] == \
-        [reference(view).to_json() for _, reference in CHECKS]
+        [reference(view).to_json() for reference in REFERENCES]
 
 
 VALUES = [DEFAULT, LOW, HIGH]

@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from lockstep import analysis, oracle, sim
+from lockstep import oracle, sim
 from lockstep.platoon import LevelApp, ScenarioSpec, ServiceLevel, run_worst_case
 from lockstep.protocol import DEFAULT, ConfigError, GossipMessage, RoundOutput, is_default
 from lockstep.sim import (
@@ -173,11 +173,17 @@ def test_single_link_outage_matches_oracle():
     """The timed run and the abstract model agree decision-for-decision."""
     config = make_sim_config(n=4, rounds=25, seed=8, offsets=(0, 0, 0, 0),
                              loss=single_effective_link_schedule())
-    view = trace_view(run_high(config))
-    matrices = analysis.effective_delivery(view)
-    assert matrices[20] == oracle.matrix_from_missing(4, [(3, 1)])
-    assert all(m == oracle.full_matrix(4) for r, m in enumerate(matrices) if r != 20)
-    expected = oracle.run_abstract(4, matrices, LevelApp(HIGH).decide, (HIGH,) * 4)
+    trace = run_high(config)
+    view = trace_view(trace)
+    # Link level: only vehicle 1's snapshot entering round 21 lacks slot 3.
+    for ev in events_of(trace, OutputEvent):
+        out = ev.output
+        if (ev.vehicle, out.round) == (1, 21):
+            assert out.r == (True, True, False, True)
+        else:
+            assert all(out.r)
+    assert view.complete[20] == (False, True, True, True)
+    expected = oracle.run_abstract(4, view.complete, LevelApp(HIGH).decide, (HIGH,) * 4)
     assert view.decisions == expected
 
 
@@ -209,7 +215,7 @@ def test_stable_rounds_have_identical_snapshots():
     snapshots: dict = {}
     for ev in events_of(trace, OutputEvent):
         snapshots.setdefault(ev.output.round - 1, []).append(ev.output)
-    stable_rounds = [c.round for c in analysis.classify_rounds(view) if c.stable]
+    stable_rounds = [r for r, c in enumerate(view.complete) if all(c)]
     assert stable_rounds
     for r in stable_rounds:
         outs = snapshots[r]
@@ -224,8 +230,7 @@ def test_repaired_first_send_keeps_round_stable():
     config = make_sim_config(n=4, rounds=25, seed=9, offsets=(0, 0, 0, 0), loss=loss)
     trace = run_high(config)
     assert events_of(trace, DropEvent)
-    classes = analysis.classify_rounds(trace_view(trace))
-    assert all(c.stable for c in classes)
+    assert all(all(c) for c in trace_view(trace).complete)
 
 
 def test_composite_loss_mixes_schedule_and_noise():
