@@ -186,7 +186,6 @@ def aggregate_sweep(rows: list[dict]) -> list[dict]:
             "mean_reliability": sum(r["reliability"] for r in group) / len(group),
             "mean_drop_rate": sum(r["drop_rate"] for r in group) / len(group),
             "seeds": len(group),
-            "all_checks_passed": all(r["p1"] and r["p2"] and r["p3"] for r in group),
         })
     return out
 
@@ -405,10 +404,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, OSError) as exc:  # bad input, or a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,8 +7,8 @@ members heard from) or falls back to the default value for one round (some
 member missing). The fallback value is itself gossiped, which is what pulls
 the whole group onto the default within one further round.
 
-Pure and clock-free: callers feed in receive events and tick timestamps and
-get back send actions and round outputs. All times are integer microseconds.
+Pure and clock-free: callers feed in receive events and clock ticks and get
+back at most one message and one round output per tick. Times are integer µs.
 """
 
 from __future__ import annotations
@@ -195,23 +195,21 @@ class VehicleProtocol:
         local_clock: int,
         read_state: ReadStateFn,
         decide: DecideFn,
-    ) -> tuple[list[GossipMessage], Optional[RoundOutput]]:
-        """Advance on a clock sample; returns (messages to gossip, round output if any).
+    ) -> tuple[Optional[GossipMessage], Optional[RoundOutput]]:
+        """Advance on a clock sample; returns (message to gossip, round output), each or None.
 
-        At most one message is emitted per tick, rate-limited to one send per
-        gossip_interval within the window (the first tick of a round's window
-        always sends). The round transition fires when the clock has crossed
-        into a later round; local_clock must be non-decreasing across calls.
+        The message is this vehicle's view, sent inside the window at most
+        once per gossip_interval (the first tick of a round's window always
+        sends). The output is emitted when the clock has crossed into a later
+        round; local_clock must be non-decreasing across calls.
         """
         config = self.config
-        sends: list[GossipMessage] = []
+        msg: Optional[GossipMessage] = None
         if in_send_window(config, self.my_round, local_clock) and (
             self.last_send_time is None
             or local_clock - self.last_send_time >= config.gossip_interval
         ):
-            sends.append(
-                GossipMessage(self.vid, self.my_round, tuple(self.data), tuple(self.ack))
-            )
+            msg = GossipMessage(self.vid, self.my_round, tuple(self.data), tuple(self.ack))
             self.last_send_time = local_clock
 
         output: Optional[RoundOutput] = None
@@ -233,4 +231,4 @@ class VehicleProtocol:
             else:
                 self.data[self.vid - 1] = read_state()
                 output = RoundOutput(clock_round, s, r, checked_decide(decide, s))
-        return sends, output
+        return msg, output

@@ -8,6 +8,9 @@ sampled delay in (0, maximum_delay] or dropped by the loss model.
 and round output as it happens, a sequence that is a pure function of the
 configuration. ``run`` keeps them all in a trace; ``replay`` compares them
 with a trace file as they come, so any trace can be replayed bit-for-bit.
+Events hold each fact once: ``SendEvent(t, msg)``, ``DeliverEvent(t, receiver,
+msg)``, ``DropEvent(t, receiver, msg, cause)`` and ``OutputEvent(t, vehicle,
+output)``. The sender is ``msg.sender``, and a drop's ``t`` is its send time.
 
 Event order is total: by time, then deliveries before application ticks
 before vehicle ticks, then vehicle id, then insertion order. Per transmission
@@ -347,22 +350,17 @@ def sample_offsets(seed: int, n: int, sync_bound: int) -> tuple[int, ...]:
 
 class SendEvent(NamedTuple):
     t: int
-    vehicle: int
     msg: GossipMessage
 
 
 class DeliverEvent(NamedTuple):
     t: int
-    sender: int
     receiver: int
     msg: GossipMessage
-    send_time: int
-    receiver_round: int  # receiver's round when the message landed (not serialized)
 
 
 class DropEvent(NamedTuple):
     t: int
-    sender: int
     receiver: int
     msg: GossipMessage
     cause: str
@@ -420,17 +418,17 @@ def event_to_json(ev: TraceEvent) -> str:
         else:
             ack, data = _dumps(m.ack), _dumps_data(m.data)
         if isinstance(ev, DeliverEvent):
-            return (f'{{"ack":{ack},"data":{data},"ev":"deliver","from":{ev.sender},'
+            return (f'{{"ack":{ack},"data":{data},"ev":"deliver","from":{m.sender},'
                     f'"round":{m.round},"t":{ev.t},"to":{ev.receiver}}}')
         return (f'{{"ack":{ack},"cause":{_dumps(ev.cause)},"data":{data},"ev":"drop",'
-                f'"from":{ev.sender},"round":{m.round},"t":{ev.t},"to":{ev.receiver}}}')
+                f'"from":{m.sender},"round":{m.round},"t":{ev.t},"to":{ev.receiver}}}')
     if isinstance(ev, SendEvent):
         m = ev.msg
         ack, data = _dumps(m.ack), _dumps_data(m.data)
         if len(m.ack) > 1:
             _in_flight[id(m)] = [m, ack, data, len(m.ack) - 1]
         return (f'{{"ack":{ack},"data":{data},"ev":"send","round":{m.round},'
-                f'"t":{ev.t},"v":{ev.vehicle}}}')
+                f'"t":{ev.t},"v":{m.sender}}}')
     out = ev.output
     return (f'{{"ack":{_dumps(out.r)},"data":{_dumps_data(out.s)},'
             f'"decision":{_dumps(datum_to_json(out.decision))},"ev":"output",'
@@ -532,22 +530,19 @@ _PRIO_APP = 1
 _PRIO_TICK = 2
 
 
-def _tick_times(p: ProtocolConfig, horizon: int) -> Iterable[int]:
-    """Local-clock tick instants: each round boundary, then the send cadence."""
-    window_end_slack = p.sync_bound + p.maximum_delay
+def _tick_times(p: ProtocolConfig, horizon: int) -> Iterator[int]:
+    """Local-clock tick instants up to ``horizon``: each round boundary, then its sends."""
+    sends = [p.sync_bound + j * p.gossip_interval for j in range(p.sends_per_round())]
     for k in itertools.count():
         base = k * p.round_length
         if base > horizon:
             return
         if k > 0:
             yield base
-        t = base + p.sync_bound
-        end = base + p.round_length - window_end_slack
-        while t <= end:
-            if t > horizon:
+        for s in sends:
+            if base + s > horizon:
                 return
-            yield t
-            t += p.gossip_interval
+            yield base + s
 
 
 def simulate(config: SimConfig, app: App) -> Iterator[TraceEvent]:
@@ -571,10 +566,8 @@ def simulate(config: SimConfig, app: App) -> Iterator[TraceEvent]:
     heap: list = []
     seq = itertools.count()
 
-    tick_iters = []
-    for vid in range(1, n + 1):
-        it = iter(_tick_times(p, config.duration))
-        tick_iters.append(it)
+    tick_iters = [_tick_times(p, config.duration) for _ in range(n)]
+    for vid, it in enumerate(tick_iters, start=1):
         for local in it:
             g = local - offsets[vid - 1]
             if g >= 0:
@@ -592,15 +585,13 @@ def simulate(config: SimConfig, app: App) -> Iterator[TraceEvent]:
     while heap:
         t, prio, vid, _, payload = pop(heap)
         if prio == _PRIO_DELIVER:
-            sender, msg, send_time = payload
-            inst = instances[vid - 1]
-            yield DeliverEvent(t, sender, vid, msg, send_time, inst.my_round)
-            inst.on_gossip_receive(msg)
+            yield DeliverEvent(t, vid, payload)
+            instances[vid - 1].on_gossip_receive(payload)
         elif prio == _PRIO_TICK:
             inst = instances[vid - 1]
-            sends, output = inst.on_tick(t + offsets[vid - 1], readers[vid - 1], decide)
-            for msg in sends:
-                yield SendEvent(t, vid, msg)
+            msg, output = inst.on_tick(t + offsets[vid - 1], readers[vid - 1], decide)
+            if msg is not None:
+                yield SendEvent(t, msg)
                 rnd = msg.round
                 for rcv in range(1, n + 1):
                     if rcv == vid:
@@ -608,9 +599,9 @@ def simulate(config: SimConfig, app: App) -> Iterator[TraceEvent]:
                     d = delay_model.sample(rng, max_delay)
                     cause = loss.decide(rng, rnd, vid, rcv, t)
                     if cause is None:
-                        push(heap, (t + d, _PRIO_DELIVER, rcv, next(seq), (vid, msg, t)))
+                        push(heap, (t + d, _PRIO_DELIVER, rcv, next(seq), msg))
                     else:
-                        yield DropEvent(t, vid, rcv, msg, cause)
+                        yield DropEvent(t, rcv, msg, cause)
             if output is not None:
                 yield OutputEvent(t, vid, output)
                 app.on_output(vid, output, t)

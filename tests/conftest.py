@@ -3,7 +3,7 @@ from hypothesis import strategies as st
 
 from lockstep.analysis import round_view
 from lockstep.platoon import LevelApp, ServiceLevel
-from lockstep.protocol import ProtocolConfig, RoundOutput
+from lockstep.protocol import ProtocolConfig, RoundOutput, VehicleProtocol
 from lockstep.sim import (
     BernoulliLoss,
     CompositeLoss,
@@ -56,6 +56,27 @@ def trace_view(trace):
 def simulated_view(config, app):
     """The round view of a run, read as its events are made; no trace is kept."""
     return round_view(config.protocol.n, simulate(config, app))
+
+
+def receive_in_own_round_only(config, app):
+    """Run to the end, asserting that every message lands in its receiver's round.
+
+    Returns how many messages were received.
+    """
+    receive = VehicleProtocol.on_gossip_receive
+    received = 0
+
+    def checked_receive(inst, msg):
+        nonlocal received
+        assert msg.round == inst.my_round, (inst.vid, inst.my_round, msg)
+        received += 1
+        receive(inst, msg)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(VehicleProtocol, "on_gossip_receive", checked_receive)
+        for _ in simulate(config, app):
+            pass
+    return received
 
 
 def synthetic_trace(decisions_by_round, stable_rounds=None, n=None):

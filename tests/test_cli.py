@@ -273,6 +273,27 @@ def test_replay_missing_file_is_usage_error():
     assert main(["replay", "/nonexistent/trace.jsonl"]) == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["replay", "{dir}"], "Is a directory", id="replay-a-directory"),
+    pytest.param(["verify", "--n", "2", "--rounds", "1", "--report-file", "{dir}"],
+                 "Is a directory", id="verify-report-file-a-directory"),
+    pytest.param(["run", "--duration-s", "1", "--out", "{dir}", "--trace-file", "{dir}"],
+                 "Is a directory", id="run-trace-file-a-directory"),
+    pytest.param(["run", "--duration-s", "1", "--out", "{file}/x"], "Not a directory",
+                 id="run-out-under-a-file"),
+    pytest.param(["scenario", "--out", "{file}"], "File exists",
+                 id="scenario-out-a-file"),
+])
+def test_unusable_path_is_usage_error(tmp_path, capsys, argv, message):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    argv = [a.format(dir=tmp_path, file=plain) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["run", "--round-ms", "not-a-number"])

@@ -1,10 +1,11 @@
 """Randomized end-to-end properties tying the simulator, checkers, and oracle together.
 
 Whatever the loss model, seed, fleet size, and clock offsets, every trace the
-harness produces must satisfy the three stability properties, and its
+harness produces must satisfy the three stability properties, its
 per-round decisions must match the abstract model run on the observed
-completeness vectors. These are the universally quantified claims behind the
-acceptance criteria, explored here with generated adversaries.
+completeness vectors, and every message must land in its receiver's round.
+These are the universally quantified claims behind the acceptance criteria,
+explored here with generated adversaries.
 """
 
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from lockstep import oracle
 from lockstep.analysis import run_all_checks
 from lockstep.platoon import LevelApp, ServiceLevel, min_level_decide
 
-from conftest import adversaries, simulated_view
+from conftest import adversaries, receive_in_own_round_only, simulated_view
 
 HIGH = ServiceLevel.HIGH
 
@@ -33,3 +34,9 @@ def test_every_trace_matches_the_abstract_model(config):
     view = simulated_view(config, LevelApp(HIGH))
     expected = oracle.run_abstract(n, view.complete, min_level_decide, (HIGH,) * n)
     assert view.decisions == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(adversaries())
+def test_every_message_lands_in_its_receivers_round(config):
+    receive_in_own_round_only(config, LevelApp(HIGH))

@@ -6,12 +6,22 @@ import json
 import sys
 import tracemalloc
 import warnings
+from collections import Counter
+from typing import Iterable
 
 import pytest
 
 from lockstep import oracle, sim
+from lockstep.cli import TABLE1_DROP_RATES, build_sim_config
 from lockstep.platoon import LevelApp, ScenarioSpec, ServiceLevel, run_worst_case
-from lockstep.protocol import DEFAULT, ConfigError, GossipMessage, RoundOutput, is_default
+from lockstep.protocol import (
+    DEFAULT,
+    ConfigError,
+    GossipMessage,
+    ProtocolConfig,
+    RoundOutput,
+    is_default,
+)
 from lockstep.sim import (
     BernoulliLoss,
     CompositeLoss,
@@ -32,7 +42,14 @@ from lockstep.sim import (
     sample_offsets,
 )
 
-from conftest import MS, events_of, make_protocol_config, make_sim_config, trace_view
+from conftest import (
+    MS,
+    events_of,
+    make_protocol_config,
+    make_sim_config,
+    receive_in_own_round_only,
+    trace_view,
+)
 
 HIGH = ServiceLevel.HIGH
 RL = 160 * MS
@@ -71,6 +88,58 @@ def test_duration_must_be_positive():
 
 
 # ---------------------------------------------------------------------------
+# Tick instants against the schedule they replaced
+# ---------------------------------------------------------------------------
+
+def reference_tick_times(p: ProtocolConfig, horizon: int) -> Iterable[int]:
+    """Local-clock tick instants: each round boundary, then the send cadence."""
+    window_end_slack = p.sync_bound + p.maximum_delay
+    for k in itertools.count():
+        base = k * p.round_length
+        if base > horizon:
+            return
+        if k > 0:
+            yield base
+        t = base + p.sync_bound
+        end = base + p.round_length - window_end_slack
+        while t <= end:
+            if t > horizon:
+                return
+            yield t
+            t += p.gossip_interval
+
+
+TICK_CONFIGS = {
+    # The default 50 ms window, sent at both ends.
+    "default": ProtocolConfig(4, RL, 5 * MS, 100 * MS, 50 * MS),
+    # The first send falls on the round boundary: two ticks at one instant.
+    "sync-0": ProtocolConfig(4, RL, 0, 100 * MS, 50 * MS),
+    # An interval of the whole window (90 ms) also sends at its two ends.
+    "interval-is-window": ProtocolConfig(4, 200 * MS, 5 * MS, 100 * MS, 90 * MS),
+    "interval-divides-window": ProtocolConfig(4, RL, 5 * MS, 100 * MS, 10 * MS),
+    "interval-not-dividing-window": ProtocolConfig(4, RL, 5 * MS, 100 * MS, 30 * MS),
+    "window-of-3us": ProtocolConfig(2, 2 * 5 * MS + 100 * MS + 3, 5 * MS, 100 * MS, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TICK_CONFIGS))
+def test_tick_times_match_the_reference(name):
+    p = TICK_CONFIGS[name]
+    whole = 3 * p.round_length
+    horizons = [
+        0,
+        max(p.sync_bound - 1, 0),  # below the first send
+        p.sync_bound,
+        whole,
+        whole - 1,  # not a multiple of the round
+        whole + p.sync_bound + p.gossip_interval // 2,  # inside a send window
+        whole + p.round_length // 2,
+    ]
+    for horizon in horizons:
+        assert list(sim._tick_times(p, horizon)) == list(reference_tick_times(p, horizon))
+
+
+# ---------------------------------------------------------------------------
 # Transmission: loss and delay
 # ---------------------------------------------------------------------------
 
@@ -89,16 +158,17 @@ def test_bernoulli_one_always_drops():
 
 def test_delay_bound_holds_on_every_delivery():
     trace = run_high(make_sim_config(n=4, rounds=30, seed=3, loss=BernoulliLoss(0.2)))
+    # The trace holds every message, so an id names one send.
+    sent_at = {id(ev.msg): ev.t for ev in events_of(trace, SendEvent)}
+    assert events_of(trace, DeliverEvent)
     for ev in events_of(trace, DeliverEvent):
-        assert 0 < ev.t - ev.send_time <= 100 * MS
+        assert 0 < ev.t - sent_at[id(ev.msg)] <= 100 * MS
 
 
 def test_deliveries_land_in_the_senders_round():
     """roundLength > 2*sync + delay makes the round guard never fire in spec."""
-    trace = run_high(make_sim_config(n=4, rounds=30, seed=4, loss=BernoulliLoss(0.3)))
-    assert events_of(trace, DeliverEvent)
-    for ev in events_of(trace, DeliverEvent):
-        assert ev.receiver_round == ev.msg.round
+    cell = build_sim_config(8, 160, 5, 100, 50, BernoulliLoss(TABLE1_DROP_RATES[8]), 1, 60)
+    assert receive_in_own_round_only(cell, LevelApp(HIGH)) > 0
 
 
 def test_transmission_conservation():
@@ -111,7 +181,7 @@ def test_sends_stay_inside_the_window():
     config = make_sim_config(n=4, rounds=12, seed=6, loss=BernoulliLoss(0.1))
     p = config.protocol
     for ev in events_of(run_high(config), SendEvent):
-        local = ev.t + config.offsets[ev.vehicle - 1]
+        local = ev.t + config.offsets[ev.msg.sender - 1]
         lo = p.round_length * ev.msg.round + p.sync_bound
         hi = p.round_length * (ev.msg.round + 1) - p.sync_bound - p.maximum_delay
         assert lo <= local <= hi
@@ -133,9 +203,8 @@ def test_failure_free_run_agrees_from_round_one():
 
 def test_two_sends_per_vehicle_per_round_at_160ms():
     config = make_sim_config(n=4, rounds=10, seed=2)
-    per_round: dict = {}
-    for ev in events_of(run_high(config), SendEvent):
-        per_round[(ev.vehicle, ev.msg.round)] = per_round.get((ev.vehicle, ev.msg.round), 0) + 1
+    sends = events_of(run_high(config), SendEvent)
+    per_round = Counter((ev.msg.sender, ev.msg.round) for ev in sends)
     for vid in range(1, 5):
         for rnd in range(10):
             assert per_round[(vid, rnd)] == 2
@@ -373,16 +442,16 @@ def reference_event_to_json(ev) -> str:
     """The one-dict-per-line encoder that re-encoded every message copy."""
     if isinstance(ev, SendEvent):
         m = ev.msg
-        return _reference_dumps({"t": ev.t, "ev": "send", "v": ev.vehicle, "round": m.round,
+        return _reference_dumps({"t": ev.t, "ev": "send", "v": m.sender, "round": m.round,
                                  "data": [datum_to_json(d) for d in m.data], "ack": list(m.ack)})
     if isinstance(ev, DeliverEvent):
         m = ev.msg
-        return _reference_dumps({"t": ev.t, "ev": "deliver", "from": ev.sender, "to": ev.receiver,
+        return _reference_dumps({"t": ev.t, "ev": "deliver", "from": m.sender, "to": ev.receiver,
                                  "round": m.round, "data": [datum_to_json(d) for d in m.data],
                                  "ack": list(m.ack)})
     if isinstance(ev, DropEvent):
         m = ev.msg
-        return _reference_dumps({"t": ev.t, "ev": "drop", "from": ev.sender, "to": ev.receiver,
+        return _reference_dumps({"t": ev.t, "ev": "drop", "from": m.sender, "to": ev.receiver,
                                  "round": m.round, "data": [datum_to_json(d) for d in m.data],
                                  "ack": list(m.ack), "cause": ev.cause})
     out = ev.output
@@ -461,18 +530,18 @@ def hand_built_trace():
     never_copied = GossipMessage(2, 1, (DEFAULT, HIGH, DEFAULT), (False, True, False))
     out = RoundOutput(1, (HIGH, DEFAULT, DEFAULT), (True, False, False), DEFAULT)
     events = [
-        DeliverEvent(5, 2, 1, orphan, 0, 0),  # no send line
-        SendEvent(10, 1, m),
-        SendEvent(10, 1, twin),
-        DeliverEvent(20, 1, 2, m, 10, 0),
-        DropEvent(10, 1, 3, twin, "schedule"),
-        DropEvent(10, 1, 3, m, "bernoulli"),
-        DeliverEvent(30, 1, 2, m, 10, 0),  # one copy more than n - 1
-        DeliverEvent(25, 1, 2, twin, 10, 0),
-        SendEvent(40, 3, unhashable),
-        DeliverEvent(50, 3, 1, unhashable, 40, 1),
-        DropEvent(40, 3, 2, unhashable, "bernoulli"),
-        SendEvent(60, 2, never_copied),  # its copies never appear
+        DeliverEvent(5, 1, orphan),  # no send line
+        SendEvent(10, m),
+        SendEvent(10, twin),
+        DeliverEvent(20, 2, m),
+        DropEvent(10, 3, twin, "schedule"),
+        DropEvent(10, 3, m, "bernoulli"),
+        DeliverEvent(30, 2, m),  # one copy more than n - 1
+        DeliverEvent(25, 2, twin),
+        SendEvent(40, unhashable),
+        DeliverEvent(50, 1, unhashable),
+        DropEvent(40, 2, unhashable, "bernoulli"),
+        SendEvent(60, never_copied),  # its copies never appear
         OutputEvent(160_000, 1, out),
     ]
     return Trace(config=config, app_spec={"kind": "level", "level": "high"}, events=events)
