@@ -60,6 +60,7 @@ OUT_DIR_ENV = "LOCKSTEP_OUT"
 
 
 def out_dir(args) -> Path:
+    """Create the output directory; commands call it before any simulation."""
     d = Path(args.out or os.environ.get(OUT_DIR_ENV, "."))
     d.mkdir(parents=True, exist_ok=True)
     return d
@@ -209,11 +210,11 @@ def cmd_run(args) -> int:
     config = build_sim_config(args.n, args.round_ms, args.sync_ms, args.delay_ms,
                               args.gossip_ms, loss, args.seed, args.duration_s)
     level = ServiceLevel.from_json(args.level)
+    directory = out_dir(args)
     trace = run(config, LevelApp(level))
     view = analysis.round_view(args.n, trace.events)
     reports = analysis.run_all_checks(view)
 
-    directory = out_dir(args)
     trace_path = Path(args.trace_file) if args.trace_file else directory / "trace.jsonl"
     trace.write(trace_path)
     try:
@@ -248,8 +249,8 @@ def cmd_sweep(args) -> int:
         gossip_ms=args.gossip_ms,
         drop_rates={n: args.drop_rate for n in args.n_list} if args.drop_rate is not None else None,
     )
-    rows = run_sweep(spec, processes=args.processes)
     directory = out_dir(args)
+    rows = run_sweep(spec, processes=args.processes)
     results = directory / "sweep.csv"
     write_csv(results, rows,
               ["n", "round_ms", "loss", "seed", "reliability", "drop_rate", "p1", "p2", "p3"])
@@ -276,9 +277,9 @@ def cmd_verify(args) -> int:
                                              read_state=(ServiceLevel.HIGH,) * args.n,
                                              drop_default_write=mutate)
     text = json.dumps(report.to_json(), indent=2, sort_keys=True)
-    print(text)
-    if args.report_file:
+    if args.report_file:  # written first: a report that fails to write is not printed
         Path(args.report_file).write_text(text + "\n")
+    print(text)
     return 0 if report.passed else 1
 
 
@@ -297,10 +298,10 @@ def cmd_scenario(args) -> int:
             brake_after_rounds=args.brake_after_rounds,
             seed=args.seed,
         )
+    directory = out_dir(args)
     protocol_res = run_worst_case(scenario)
     baseline_res = run_baseline(scenario)
 
-    directory = out_dir(args)
     protocol_res.trace.write(directory / "scenario_trace.jsonl")
     write_kinematics_csv(directory / "scenario_protocol.csv", protocol_res.rows)
     write_kinematics_csv(directory / "scenario_baseline.csv", baseline_res.rows)

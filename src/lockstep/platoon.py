@@ -121,14 +121,14 @@ class PlatoonDatum:
 
 def min_level_decide(s: tuple) -> Datum:
     """Shared decision over bare ServiceLevel payloads: the minimum, absorbing DEFAULT."""
-    if any(is_default(d) for d in s):
+    if any(map(is_default, s)):
         return DEFAULT
     return min(s)
 
 
 def platoon_decide(s: tuple) -> Datum:
     """Shared decision over PlatoonDatum payloads: the minimum supportable level."""
-    if any(is_default(d) for d in s):
+    if any(map(is_default, s)):
         return DEFAULT
     return min(d.los for d in s)
 

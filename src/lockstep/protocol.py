@@ -9,6 +9,12 @@ the whole group onto the default within one further round.
 
 Pure and clock-free: callers feed in receive events and clock ticks and get
 back at most one message and one round output per tick. Times are integer µs.
+
+Within a round every copy of slot k holds the same datum: vehicle k writes
+its own slot only at a round boundary, and a receive takes slots only from a
+message of its own round. So the first copy of a slot that arrives is the
+one every later copy repeats, and a receive takes only the slots it has not
+yet acked; it returns at once when it holds them all.
 """
 
 from __future__ import annotations
@@ -139,7 +145,7 @@ def in_send_window(config: ProtocolConfig, round_index: int, local_clock: int) -
 def checked_decide(decide: DecideFn, s: tuple) -> Datum:
     """Apply ``decide`` and enforce default-absorption: DEFAULT in s forces DEFAULT out."""
     value = decide(s)
-    if any(is_default(d) for d in s) and not is_default(value):
+    if not is_default(value) and any(map(is_default, s)):
         raise DecideContractError(
             f"decide() returned {value!r} for an input containing DEFAULT"
         )
@@ -174,21 +180,27 @@ class VehicleProtocol:
         """Fold a received view into this round's slots.
 
         Messages from other rounds are ignored. Slot k is taken when the
-        sender vouches for it (its ack, excluding our own slot) or when it is
-        the sender's own slot; the own slot is therefore never overwritten.
+        sender vouches for it (its ack) or when it is the sender's own slot,
+        and only while this vehicle has not acked it; the own slot is acked
+        from the round's start and is therefore never overwritten.
+
+        First copy wins. In round r every copy of slot k carries vehicle k's
+        round-r datum, since vehicle k writes its own slot only at a round
+        boundary and copies from other rounds are ignored. So a later copy of
+        an acked slot would write the datum it already holds, and skipping it
+        gives the same state as taking every copy.
         """
-        if msg.round != self.my_round:
+        ack = self.ack
+        if msg.round != self.my_round or False not in ack:
             return
         data = self.data
-        ack = self.ack
         mdata = msg.data
         mack = msg.ack
-        vid = self.vid
-        sender = msg.sender
-        for k in range(1, self.config.n + 1):
-            if (mack[k - 1] and k != vid) or k == sender:
-                data[k - 1] = mdata[k - 1]
-                ack[k - 1] = True
+        sender = msg.sender - 1
+        for k, acked in enumerate(ack):
+            if not acked and (mack[k] or k == sender):
+                data[k] = mdata[k]
+                ack[k] = True
 
     def on_tick(
         self,

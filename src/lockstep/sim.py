@@ -555,13 +555,18 @@ def simulate(config: SimConfig, app: App) -> Iterator[TraceEvent]:
     n = p.n
     offsets = config.offsets
     rng = random.Random(config.seed)
-    loss = config.loss
-    delay_model = config.delay
     max_delay = p.maximum_delay
 
     instances = [VehicleProtocol(p, vid, app.read_state(vid)) for vid in range(1, n + 1)]
     readers = [(lambda v: (lambda: app.read_state(v)))(vid) for vid in range(1, n + 1)]
     decide = app.decide
+    # Bound once per run, on first read: a wrapper installed on a class
+    # before the run starts is what gets bound.
+    receives = [inst.on_gossip_receive for inst in instances]
+    ticks = [inst.on_tick for inst in instances]
+    peers = [tuple(k for k in range(1, n + 1) if k != vid) for vid in range(1, n + 1)]
+    sample = config.delay.sample
+    decide_loss = config.loss.decide
 
     heap: list = []
     seq = itertools.count()
@@ -586,18 +591,15 @@ def simulate(config: SimConfig, app: App) -> Iterator[TraceEvent]:
         t, prio, vid, _, payload = pop(heap)
         if prio == _PRIO_DELIVER:
             yield DeliverEvent(t, vid, payload)
-            instances[vid - 1].on_gossip_receive(payload)
+            receives[vid - 1](payload)
         elif prio == _PRIO_TICK:
-            inst = instances[vid - 1]
-            msg, output = inst.on_tick(t + offsets[vid - 1], readers[vid - 1], decide)
+            msg, output = ticks[vid - 1](t + offsets[vid - 1], readers[vid - 1], decide)
             if msg is not None:
                 yield SendEvent(t, msg)
                 rnd = msg.round
-                for rcv in range(1, n + 1):
-                    if rcv == vid:
-                        continue
-                    d = delay_model.sample(rng, max_delay)
-                    cause = loss.decide(rng, rnd, vid, rcv, t)
+                for rcv in peers[vid - 1]:
+                    d = sample(rng, max_delay)
+                    cause = decide_loss(rng, rnd, vid, rcv, t)
                     if cause is None:
                         push(heap, (t + d, _PRIO_DELIVER, rcv, next(seq), msg))
                     else:

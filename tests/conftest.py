@@ -1,3 +1,5 @@
+import contextlib
+
 import pytest
 from hypothesis import strategies as st
 
@@ -58,25 +60,47 @@ def simulated_view(config, app):
     return round_view(config.protocol.n, simulate(config, app))
 
 
-def receive_in_own_round_only(config, app):
-    """Run to the end, asserting that every message lands in its receiver's round.
+@contextlib.contextmanager
+def checked_receives(check):
+    """Within the block, call ``check(inst, msg)`` before every gossip receive.
 
-    Returns how many messages were received.
+    Yields a one-item list that counts the receives checked.
     """
     receive = VehicleProtocol.on_gossip_receive
-    received = 0
+    received = [0]
 
     def checked_receive(inst, msg):
-        nonlocal received
-        assert msg.round == inst.my_round, (inst.vid, inst.my_round, msg)
-        received += 1
+        check(inst, msg)
+        received[0] += 1
         receive(inst, msg)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(VehicleProtocol, "on_gossip_receive", checked_receive)
+        yield received
+
+
+def in_own_round(inst, msg):
+    assert msg.round == inst.my_round, (inst.vid, inst.my_round, msg)
+
+
+def acked_copies_agree(inst, msg):
+    """A slot acked by both the receiver and a message of its round holds one datum.
+
+    This is what lets a receive skip the slots it has already acked.
+    """
+    if msg.round != inst.my_round:
+        return
+    for k, (mine, theirs) in enumerate(zip(inst.ack, msg.ack)):
+        if mine and theirs:
+            assert inst.data[k] == msg.data[k], (inst.vid, k + 1, inst.data[k], msg)
+
+
+def drain_checked(config, app, check):
+    """Run to the end, checking every receive; returns how many messages were received."""
+    with checked_receives(check) as received:
         for _ in simulate(config, app):
             pass
-    return received
+    return received[0]
 
 
 def synthetic_trace(decisions_by_round, stable_rounds=None, n=None):

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+from lockstep import cli
 from lockstep.cli import (
     TABLE1_DROP_RATES,
     SweepSpec,
@@ -289,7 +290,30 @@ def test_unusable_path_is_usage_error(tmp_path, capsys, argv, message):
     plain.write_text("")
     argv = [a.format(dir=tmp_path, file=plain) for a in argv]
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""  # no result is printed by a command that failed
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["run", "--duration-s", "1", "--out", "{file}/x"], "Not a directory",
+                 id="run-out-under-a-file"),
+    pytest.param(["sweep", "--n-list", "2", "--round-ms-list", "160", "--seeds", "1",
+                  "--processes", "1", "--out", "{file}"], "File exists", id="sweep-out-a-file"),
+    pytest.param(["scenario", "--out", "{file}"], "File exists", id="scenario-out-a-file"),
+])
+def test_unusable_out_fails_before_any_simulation(tmp_path, capsys, monkeypatch, argv, message):
+    def no_simulation(*args, **kwargs):
+        pytest.fail("simulated before checking --out")
+
+    for name in ("run", "run_sweep", "run_worst_case", "run_baseline"):
+        monkeypatch.setattr(cli, name, no_simulation)
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    assert main([a.format(file=plain) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
 

@@ -27,7 +27,7 @@ from lockstep.platoon import (
 from lockstep.protocol import DEFAULT, is_default
 from lockstep.sim import replay
 
-from conftest import trace_view
+from conftest import acked_copies_agree, checked_receives, trace_view
 
 HIGH, MEDIUM, LOW = ServiceLevel.HIGH, ServiceLevel.MEDIUM, ServiceLevel.LOW
 
@@ -236,6 +236,14 @@ def test_worst_case_recovers_after_outage():
     res = run_worst_case(spec)
     end = spec.outage_round + spec.outage_rounds
     assert all(lv == MEDIUM for lv in res.levels[end + 2].values())
+
+
+def test_acked_copies_agree_in_the_outage_scenario():
+    # Kinematic payloads change every round, so a copy from the wrong
+    # moment would differ from the one the receiver holds.
+    with checked_receives(acked_copies_agree) as received:
+        run_worst_case(ScenarioSpec())
+    assert received[0] > 0
 
 
 def test_accel_commands_respect_effective_level_bounds(monkeypatch):

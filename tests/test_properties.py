@@ -3,7 +3,8 @@
 Whatever the loss model, seed, fleet size, and clock offsets, every trace the
 harness produces must satisfy the three stability properties, its
 per-round decisions must match the abstract model run on the observed
-completeness vectors, and every message must land in its receiver's round.
+completeness vectors, every message must land in its receiver's round, and
+every copy of a slot a receiver has acked must hold the datum it holds.
 These are the universally quantified claims behind the acceptance criteria,
 explored here with generated adversaries.
 """
@@ -14,7 +15,13 @@ from lockstep import oracle
 from lockstep.analysis import run_all_checks
 from lockstep.platoon import LevelApp, ServiceLevel, min_level_decide
 
-from conftest import adversaries, receive_in_own_round_only, simulated_view
+from conftest import (
+    acked_copies_agree,
+    adversaries,
+    drain_checked,
+    in_own_round,
+    simulated_view,
+)
 
 HIGH = ServiceLevel.HIGH
 
@@ -39,4 +46,10 @@ def test_every_trace_matches_the_abstract_model(config):
 @settings(max_examples=60, deadline=None)
 @given(adversaries())
 def test_every_message_lands_in_its_receivers_round(config):
-    receive_in_own_round_only(config, LevelApp(HIGH))
+    drain_checked(config, LevelApp(HIGH), in_own_round)
+
+
+@settings(max_examples=60, deadline=None)
+@given(adversaries())
+def test_acked_copies_of_a_slot_agree(config):
+    drain_checked(config, LevelApp(HIGH), acked_copies_agree)

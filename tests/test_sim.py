@@ -44,10 +44,12 @@ from lockstep.sim import (
 
 from conftest import (
     MS,
+    acked_copies_agree,
+    drain_checked,
     events_of,
+    in_own_round,
     make_protocol_config,
     make_sim_config,
-    receive_in_own_round_only,
     trace_view,
 )
 
@@ -168,7 +170,13 @@ def test_delay_bound_holds_on_every_delivery():
 def test_deliveries_land_in_the_senders_round():
     """roundLength > 2*sync + delay makes the round guard never fire in spec."""
     cell = build_sim_config(8, 160, 5, 100, 50, BernoulliLoss(TABLE1_DROP_RATES[8]), 1, 60)
-    assert receive_in_own_round_only(cell, LevelApp(HIGH)) > 0
+    assert drain_checked(cell, LevelApp(HIGH), in_own_round) > 0
+
+
+def test_acked_copies_of_a_slot_agree():
+    """A vehicle writes its own slot only at a round boundary, so a receive may keep its first copy."""
+    cell = build_sim_config(8, 160, 5, 100, 50, BernoulliLoss(TABLE1_DROP_RATES[8]), 1, 60)
+    assert drain_checked(cell, LevelApp(HIGH), acked_copies_agree) > 0
 
 
 def test_transmission_conservation():
