@@ -8,13 +8,13 @@ reads that view. A vehicle is complete in a round when it ended it holding
 every member's message: all of the ack snapshot it emits on entering the
 next round. This is the completeness vector the abstract model in
 ``oracle`` reads. A round is *stable* when every vehicle is complete in it;
-otherwise it is unstable. The three checkers read the
-bounded-disagreement rules from ``oracle.rule_violations``, the
-implementation the abstract-model verifier uses too. They verify that
-disagreement is confined to single isolated rounds at the start of unstable
-periods (P3), that unstable periods settle on the default value (P2), and
-that decisions agree through recovery and are non-default after a two-round
-stable prefix (P1; the prefix check is the one rule kept here).
+otherwise it is unstable. The three checkers decide no violation themselves:
+they read the four rules of ``oracle.rule_violations``, as the abstract-model
+verifier does. Disagreement is confined to single isolated rounds at the start
+of unstable periods (P3: one-round-uncertainty and agreement), unstable periods
+settle on the default value (P2: default-correction), and decisions agree
+through recovery and are non-default after a two-round stable prefix (P1:
+agreement and recovery, with no check of its own).
 
 Conventions: the decision "at round t" is the one emitted on entering round
 t (it is used during round t). Round 0 produces no decision. The trailing
@@ -180,37 +180,28 @@ def _disagreement_correction(view: RoundView, periods: list[Period],
 def _certainty(view: RoundView, periods: list[Period], first: dict) -> PropertyReport:
     """Agreement through recovery, and non-default decisions after a stable prefix.
 
-    The agreement rule of ``oracle.rule_violations``: for each maximal
-    unstable period [r1, r2] followed by a maximal stable period [r2+1, r3],
-    decisions must agree across vehicles on every round in [r1+2, r3+1]; a
-    run that starts stable must agree from round 1. Then, within every
-    maximal stable period [a, b], decisions must be non-default on
-    [a+2, b+1] (round 1 is startup and exempt; the measured prefix length is
-    reported). Assumes the application never reads a default state.
+    The agreement and recovery rules of ``oracle.rule_violations``: for each
+    maximal unstable period [r1, r2] followed by a maximal stable period
+    [r2+1, r3], decisions must agree on every round in [r1+2, r3+1], from
+    round 1 in a run that starts stable; within every maximal stable period
+    [a, b] they must be non-default on [a+2, b+1] (round 1 is exempt). On a
+    pass only row a+1 may hold a DEFAULT, so ``max_measured_prefix`` is 0 or
+    1. Assumes the application never reads a default state.
     """
     pid = "P1-certainty"
     t = first["agreement"]
     if t is not None:
         return PropertyReport(pid, False, CheckCounterexample(
             t, view.decisions[t - 1], "vehicles used different values inside a certainty span"))
-
-    max_prefix = 0
-    for p in periods:
-        if p.kind != "stable":
-            continue
-        lo, hi = p.start + 1, min(p.end + 1, view.rounds)
-        prefix = 0
-        for t in range(lo, hi + 1):
-            if all(not is_default(d) for d in view.decisions[t - 1]):
-                break
-            prefix += 1
-        max_prefix = max(max_prefix, prefix)
-        for t in range(max(p.start + 2, 2), hi + 1):
-            row = view.decisions[t - 1]
-            if any(is_default(d) for d in row):
-                return PropertyReport(pid, False, CheckCounterexample(
-                    t, row, f"default decision past the prefix of stable period [{p.start},{p.end}]"))
-    return PropertyReport(pid, True, details={"max_measured_prefix": max_prefix})
+    t = first["recovery"]
+    if t is not None:
+        p = next(p for p in periods if p.start <= t - 1 <= p.end)
+        return PropertyReport(pid, False, CheckCounterexample(
+            t, view.decisions[t - 1],
+            f"default decision past the prefix of stable period [{p.start},{p.end}]"))
+    max_prefix = any(any(map(is_default, view.decisions[p.start])) for p in periods
+                     if p.kind == "stable" and p.start < view.rounds)
+    return PropertyReport(pid, True, details={"max_measured_prefix": int(max_prefix)})
 
 
 def run_all_checks(view: RoundView) -> list[PropertyReport]:

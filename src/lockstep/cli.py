@@ -211,11 +211,11 @@ def cmd_run(args) -> int:
                               args.gossip_ms, loss, args.seed, args.duration_s)
     level = ServiceLevel.from_json(args.level)
     directory = out_dir(args)
+    trace_path = Path(args.trace_file) if args.trace_file else directory / "trace.jsonl"
+    open(trace_path, "a").close()  # a trace path that cannot be written fails before the run
     trace = run(config, LevelApp(level))
     view = analysis.round_view(args.n, trace.events)
     reports = analysis.run_all_checks(view)
-
-    trace_path = Path(args.trace_file) if args.trace_file else directory / "trace.jsonl"
     trace.write(trace_path)
     try:
         drop_rate = analysis.packet_drop_rate(view)

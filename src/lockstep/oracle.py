@@ -18,8 +18,9 @@ therefore enumerates the 2^n completeness vectors per round instead of the
 multiplicity. Its size bound is n x rounds <= 18, so 3 vehicles x 6 rounds,
 4 x 4 and 5 x 3 are all exhaustive.
 
-The bounded-disagreement rules are implemented once, in ``rule_violations``;
-the trace checkers in ``analysis`` read the same function.
+The four rules of the guarantee, ``RULES``, are implemented once, in
+``rule_violations``; the trace checkers in ``analysis`` read the same
+function, and the verifiers report the first broken rule in ``RULES`` order.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ class VerificationReport:
         return out
 
 
-RULES = ("one-round-uncertainty", "default-correction", "agreement")
+RULES = ("one-round-uncertainty", "default-correction", "agreement", "recovery")
 
 
 def split(row: tuple) -> bool:
@@ -166,7 +167,7 @@ def split(row: tuple) -> bool:
 def rule_violations(
     stable: Sequence[bool], decisions: Sequence[tuple]
 ) -> dict[str, Optional[int]]:
-    """The first round breaking each bounded-disagreement rule, or None per rule.
+    """The first round breaking each rule of the guarantee, or None per rule.
 
     ``stable[r]`` classifies round r (r = 0..T-1); ``decisions[t-1]`` is the
     vector entering round t (t = 1..T). Every rule is a check on row t that
@@ -178,12 +179,15 @@ def rule_violations(
                              [r1, r2] these are rows r1+2 .. r2+1);
       agreement:             row t is not split, unless round t-1 is unstable
                              and round t-2 is stable or before round 0 (row
-                             r1+1, where a period starting at r1 may split).
+                             r1+1, where a period starting at r1 may split);
+      recovery:              if t >= 2 and rounds t-2 and t-1 are both
+                             stable, row t holds no DEFAULT (rows a+2 .. b+1
+                             of a maximal stable period [a, b]).
 
-    The keys are ``RULES``, in order.
+    Rounds before round 0 count as stable for the first three rules; row 1 is
+    startup and exempt from recovery. The keys are ``RULES``, in order.
     """
-    uncertainty = correction = agreement = None
-    # Rounds before round 0 count as stable.
+    uncertainty = correction = agreement = recovery = None
     two_back = one_back = True
     split_before = False
     for t, row in enumerate(decisions, start=1):
@@ -196,8 +200,10 @@ def rule_violations(
             correction = t
         if is_split and (one_back or not two_back) and agreement is None:
             agreement = t
+        if t > 1 and one_back and two_back and recovery is None and any(map(is_default, row)):
+            recovery = t
         split_before = is_split
-    return dict(zip(RULES, (uncertainty, correction, agreement)))
+    return dict(zip(RULES, (uncertainty, correction, agreement, recovery)))
 
 
 def check_decision_sequence(
@@ -207,10 +213,8 @@ def check_decision_sequence(
 
     Returns (rule, round) with the round from ``rule_violations``, or None.
     """
-    for rule, rnd in rule_violations(stable, decisions).items():
-        if rnd is not None:
-            return rule, rnd
-    return None
+    violations = rule_violations(stable, decisions).items()
+    return next(((rule, rnd) for rule, rnd in violations if rnd is not None), None)
 
 
 def verify_sequence(

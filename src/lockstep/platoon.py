@@ -240,8 +240,8 @@ class ScenarioSpec:
     From round ``outage_round`` every transmission toward the cut vehicle is
     dropped for ``outage_rounds`` rounds (its own messages still flow, so the
     others keep relaying its data). The leader starts braking
-    ``brake_after_rounds`` rounds into the outage; both spans must be at
-    least two rounds for the fallback to develop.
+    ``brake_after_rounds`` rounds into the outage, by round ``horizon_rounds``;
+    both spans must be at least two rounds for the fallback to develop.
     """
 
     n: int = 3
@@ -277,6 +277,10 @@ class ScenarioSpec:
             raise ConfigError("outage and brake offsets must each span at least two rounds")
         if self.brake_after_rounds >= self.outage_rounds:
             raise ConfigError("the brake must land inside the outage")
+        if not 0 <= self.outage_round <= self.horizon_rounds - self.brake_after_rounds:
+            raise ConfigError(f"outage_round must be in 0..{self.horizon_rounds - self.brake_after_rounds}"
+                              f" so the brake lands by the horizon, got {self.outage_round}")
+        self.sim_config()  # the timing a run would reject
         validate_level_table(self.level_table)
 
     @property

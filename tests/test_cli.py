@@ -231,6 +231,15 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
                  id="run-composite-without-file"),
     pytest.param(["scenario", "--outage-rounds", "1"], "at least two rounds",
                  id="scenario-outage-rounds-1"),
+    pytest.param(["scenario", "--outage-round", "39"], "outage_round must be in 0..34",
+                 id="scenario-outage-past-the-horizon"),
+    pytest.param(["scenario", "--outage-round", "-3"], "outage_round must be in 0..34",
+                 id="scenario-outage-round-negative"),
+    pytest.param(["scenario", "--outage-round", "35"], "the brake lands by the horizon",
+                 id="scenario-brake-past-the-horizon"),
+    pytest.param(["scenario", "--outage-rounds", "30", "--brake-after-rounds", "21"],
+                 "outage_round must be in 0..19", id="scenario-long-brake-past-the-horizon"),
+    pytest.param(["scenario", "--round-ms", "50"], "round_length", id="scenario-round-ms-50"),
     pytest.param(["sweep", "--n-list", "1", "--duration-s", "1"], "fleet sizes must be >= 2",
                  id="sweep-n-list-1"),
     pytest.param(["scenario", "--scenario-json", "{bad}"], "cannot read scenario",
@@ -264,10 +273,12 @@ def test_malformed_command_input_is_usage_error(tmp_path, capsys, argv, message)
     for name, text in files.items():
         paths[name].write_text(text)
     argv = [a.format(**paths) for a in argv]
-    assert main(argv + ["--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+    assert not out.exists()  # rejected before any output directory is made
 
 
 def test_replay_missing_file_is_usage_error():
@@ -302,16 +313,18 @@ def test_unusable_path_is_usage_error(tmp_path, capsys, argv, message):
     pytest.param(["sweep", "--n-list", "2", "--round-ms-list", "160", "--seeds", "1",
                   "--processes", "1", "--out", "{file}"], "File exists", id="sweep-out-a-file"),
     pytest.param(["scenario", "--out", "{file}"], "File exists", id="scenario-out-a-file"),
+    pytest.param(["run", "--duration-s", "120", "--n", "8", "--out", "{dir}",
+                  "--trace-file", "{dir}"], "Is a directory", id="run-trace-file-a-directory"),
 ])
 def test_unusable_out_fails_before_any_simulation(tmp_path, capsys, monkeypatch, argv, message):
     def no_simulation(*args, **kwargs):
-        pytest.fail("simulated before checking --out")
+        pytest.fail("simulated before checking the output paths")
 
     for name in ("run", "run_sweep", "run_worst_case", "run_baseline"):
         monkeypatch.setattr(cli, name, no_simulation)
     plain = tmp_path / "plain"
     plain.write_text("")
-    assert main([a.format(file=plain) for a in argv]) == 2
+    assert main([a.format(file=plain, dir=tmp_path) for a in argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

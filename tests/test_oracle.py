@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lockstep import oracle
 from lockstep.oracle import (
     MAX_EXHAUSTIVE_BITS,
     Counterexample,
@@ -145,6 +146,25 @@ def test_sampled_verification_catches_mutant():
     report = sample_and_verify(4, 20, 500, seed=5, decide=min_level_decide,
                                read_state=high_state(4), drop_default_write=True)
     assert not report.passed
+
+
+def test_a_model_that_never_recovers_is_caught(monkeypatch):
+    """A vehicle that has gossiped DEFAULT keeps gossiping it: no rule but recovery breaks."""
+    def sticky_round(sent, complete, decide, read_state, drop_default_write=False):
+        decisions, next_sent = abstract_round(sent, complete, decide, read_state,
+                                              drop_default_write)
+        return decisions, tuple(DEFAULT if is_default(old) else new
+                                for old, new in zip(sent, next_sent))
+
+    monkeypatch.setattr(oracle, "abstract_round", sticky_round)
+    report = enumerate_and_verify(2, 3, min_level_decide, high_state(2))
+    assert not report.passed
+    assert (report.counterexample.rule, report.counterexample.round) == ("recovery", 3)
+    assert report.patterns_checked == 17
+    report = sample_and_verify(8, 50, 500, seed=1, decide=min_level_decide,
+                               read_state=high_state(8))
+    assert not report.passed
+    assert report.counterexample.rule == "recovery"
 
 
 @st.composite

@@ -190,6 +190,12 @@ def test_scenario_spec_validation():
         ScenarioSpec(outage_rounds=1, brake_after_rounds=2)
     with pytest.raises(ValueError):
         ScenarioSpec(brake_after_rounds=12, outage_rounds=10)
+    # The brake must land by the horizon (34 + 6 = 40 is the last legal start).
+    assert ScenarioSpec(outage_round=34).brake_time == 40 * ScenarioSpec().round_length
+    for bad in (dict(outage_round=35), dict(outage_round=-1), dict(horizon_rounds=25),
+                dict(round_length=50_000)):
+        with pytest.raises(ValueError):
+            ScenarioSpec(**bad)
 
 
 def test_scenario_json_round_trip():
@@ -305,7 +311,7 @@ def test_scenario_trace_replays(tmp_path):
 
 
 def test_kinematics_csv_format(tmp_path):
-    res = run_worst_case(ScenarioSpec(horizon_rounds=25))
+    res = run_worst_case(ScenarioSpec(horizon_rounds=26))
     path = tmp_path / "kin.csv"
     write_kinematics_csv(path, res.rows)
     lines = path.read_text().splitlines()

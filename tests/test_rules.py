@@ -4,7 +4,9 @@
 the abstract-model verifier. The references below are the earlier
 period-and-span checkers, kept as in the literal enumerator of
 ``test_oracle.py``; the trace references read the view's per-round stable
-flags. Every report must stay identical, failures included.
+flags. Every P1-P3 report must stay identical, failures included. The
+oracle's verdict must too, except that the fourth rule, recovery, is the
+stable-prefix check that only the reference P1 made.
 """
 
 import pytest
@@ -177,9 +179,16 @@ def view_of(n, stable, decisions):
 
 
 def assert_same_verdicts(n, stable, decisions):
-    assert check_decision_sequence(stable, decisions) == \
-        reference_check_decision_sequence(stable, decisions)
     view = view_of(n, stable, decisions)
+    got = check_decision_sequence(stable, decisions)
+    want = reference_check_decision_sequence(stable, decisions)
+    if want is None:
+        # The replaced oracle check had no recovery rule. With the three
+        # other rules holding, the reference P1 can fail only on its
+        # stable-prefix check, and recovery must fail at the same round.
+        p1 = reference_check_certainty(view)
+        want = None if p1.passed else ("recovery", p1.counterexample.round)
+    assert got == want
     assert stable_flags(view) == list(stable)
     assert [r.to_json() for r in run_all_checks(view)] == \
         [reference(view).to_json() for reference in REFERENCES]
@@ -227,8 +236,19 @@ def test_shared_rules_edge_cases(n, stable, decisions):
 def test_rule_violations_reports_every_rule():
     # Unstable from round 0: row 1 may split, row 2 repeats the split
     # (uncertainty and agreement) and is not all DEFAULT (correction).
-    stable = [False, False, False]
-    decisions = [(DEFAULT, HIGH), (DEFAULT, HIGH), (DEFAULT, DEFAULT)]
-    assert rule_violations(stable, decisions) == dict(zip(RULES, (2, 2, 2)))
+    # Rounds 3 and 4 are stable, so row 5 may not hold a DEFAULT (recovery).
+    stable = [False, False, False, True, True]
+    decisions = [(DEFAULT, HIGH), (DEFAULT, HIGH), (DEFAULT, DEFAULT), (DEFAULT, DEFAULT),
+                 (DEFAULT, DEFAULT)]
+    assert rule_violations(stable, decisions) == dict(zip(RULES, (2, 2, 2, 5)))
     assert check_decision_sequence(stable, decisions) == ("one-round-uncertainty", 2)
     assert rule_violations([True, True], [(HIGH, HIGH), (HIGH, HIGH)]) == dict.fromkeys(RULES)
+    # A run that never recovers breaks recovery alone. Row 1 is startup and
+    # may hold DEFAULT; row 2 follows two stable rounds.
+    stable = [True, True, True]
+    decisions = [(DEFAULT, DEFAULT), (DEFAULT, DEFAULT), (HIGH, HIGH)]
+    want = dict.fromkeys(RULES)
+    want["recovery"] = 2
+    assert rule_violations(stable, decisions) == want
+    assert check_decision_sequence(stable, decisions) == ("recovery", 2)
+    assert rule_violations([True], [(DEFAULT, DEFAULT)]) == dict.fromkeys(RULES)
