@@ -93,6 +93,8 @@ def build_sim_config(n: int, round_ms: int, sync_ms: int, delay_ms: int,
         gossip_interval=gossip_ms * 1000,
     )
     rounds = (duration_s * 1000) // round_ms
+    if rounds < 1:
+        raise ConfigError(f"a {duration_s} s run holds no {round_ms} ms round")
     return SimConfig(
         protocol=protocol,
         offsets=sample_offsets(seed, n, protocol.sync_bound),
@@ -108,7 +110,7 @@ def build_sim_config(n: int, round_ms: int, sync_ms: int, delay_ms: int,
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid of reliability experiments; drop rates default to the calibrated table."""
+    """Grid of reliability experiments; the drop rate defaults to the calibrated table."""
 
     ns: tuple[int, ...]
     round_ms: tuple[int, ...]
@@ -117,44 +119,37 @@ class SweepSpec:
     sync_ms: int = 5
     delay_ms: int = 100
     gossip_ms: int = 50
-    drop_rates: Optional[dict[int, float]] = None
+    drop_rate: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not (self.ns and self.round_ms and self.seeds):
             raise ConfigError("sweep axes must be non-empty")
         if min(self.ns) < 2:  # every row reports a drop rate, which needs transmissions
             raise ConfigError(f"sweep fleet sizes must be >= 2, got {min(self.ns)}")
-        for rl in self.round_ms:
-            # Fails early with the same constraint a run would hit.
-            ProtocolConfig(2, rl * 1000, self.sync_ms * 1000,
-                           self.delay_ms * 1000, self.gossip_ms * 1000)
+        self.cells()  # every cell is checked before the first one runs
 
-    def drop_rate(self, n: int) -> float:
-        table = self.drop_rates or TABLE1_DROP_RATES
-        return table.get(n, TABLE1_DROP_RATES.get(n, 0.15))
-
-    def cells(self) -> list[tuple]:
+    def cells(self) -> list[SimConfig]:
         return [
-            (n, rl, self.sync_ms, self.delay_ms, self.gossip_ms,
-             self.drop_rate(n), seed, self.duration_s)
+            build_sim_config(n, rl, self.sync_ms, self.delay_ms, self.gossip_ms,
+                             BernoulliLoss(self.drop_rate if self.drop_rate is not None
+                                           else TABLE1_DROP_RATES.get(n, 0.15)),
+                             seed, self.duration_s)
             for n in self.ns
             for rl in self.round_ms
             for seed in self.seeds
         ]
 
 
-def _sweep_cell(cell: tuple) -> dict:
-    n, round_ms, sync_ms, delay_ms, gossip_ms, p, seed, duration_s = cell
-    config = build_sim_config(n, round_ms, sync_ms, delay_ms, gossip_ms,
-                              BernoulliLoss(p), seed, duration_s)
+def _sweep_cell(config: SimConfig) -> dict:
+    n = config.protocol.n
     # The events are read as they are made: a cell holds no trace.
     view = analysis.round_view(n, simulate(config, LevelApp(ServiceLevel.HIGH)))
     reports = analysis.run_all_checks(view)
     return {
         "n": n,
-        "round_ms": round_ms,
-        "loss": f"bernoulli:{p}",
-        "seed": seed,
+        "round_ms": config.protocol.round_length // 1000,
+        "loss": f"bernoulli:{config.loss.p}",
+        "seed": config.seed,
         "reliability": analysis.reliability(view, ServiceLevel.HIGH),
         "drop_rate": analysis.packet_drop_rate(view),
         "p1": reports[0].passed,
@@ -247,7 +242,7 @@ def cmd_sweep(args) -> int:
         sync_ms=args.sync_ms,
         delay_ms=args.delay_ms,
         gossip_ms=args.gossip_ms,
-        drop_rates={n: args.drop_rate for n in args.n_list} if args.drop_rate is not None else None,
+        drop_rate=args.drop_rate,
     )
     directory = out_dir(args)
     rows = run_sweep(spec, processes=args.processes)
@@ -343,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common_timing(p):
-        p.add_argument("--round-ms", type=int, default=160, help="round length (ms)")
         p.add_argument("--sync-ms", type=int, default=5, help="clock sync bound (ms)")
         p.add_argument("--delay-ms", type=int, default=100, help="maximum message delay (ms)")
         p.add_argument("--gossip-ms", type=int, default=50, help="gossip retransmit interval (ms)")
@@ -352,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one simulation and check its trace")
     common_timing(p_run)
+    p_run.add_argument("--round-ms", type=int, default=160, help="round length (ms)")
     p_run.add_argument("--n", type=int, default=4, help="number of vehicles")
     p_run.add_argument("--loss", default="bernoulli:0.15",
                        help="bernoulli:P | schedule:FILE | composite:P,FILE")

@@ -195,12 +195,14 @@ def rule_violations(
         is_split = split(row)
         if is_split and split_before and uncertainty is None:
             uncertainty = t
+        # A split row holds a datum that is not DEFAULT; any other row is row[0].
         if (not (one_back or two_back) and correction is None
-                and any(not is_default(d) for d in row)):
+                and (is_split or not is_default(row[0]))):
             correction = t
         if is_split and (one_back or not two_back) and agreement is None:
             agreement = t
-        if t > 1 and one_back and two_back and recovery is None and any(map(is_default, row)):
+        if (t > 1 and one_back and two_back and recovery is None
+                and (DEFAULT in row if is_split else is_default(row[0]))):
             recovery = t
         split_before = is_split
     return dict(zip(RULES, (uncertainty, correction, agreement, recovery)))

@@ -39,19 +39,9 @@ class _Default:
     def __repr__(self) -> str:
         return "DEFAULT"
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Default)
-
-    def __hash__(self) -> int:
-        return hash(_Default)
-
     def __reduce__(self):
-        # Unpickles to the module singleton (keeps identity across processes).
-        return (_restore_default, ())
-
-
-def _restore_default() -> "_Default":
-    return DEFAULT
+        # Pickles by name, so copies and unpickles are the module singleton.
+        return "DEFAULT"
 
 
 DEFAULT = _Default()
@@ -64,7 +54,7 @@ ReadStateFn = Callable[[], Datum]
 
 
 def is_default(d: Datum) -> bool:
-    return isinstance(d, _Default)
+    return d is DEFAULT
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .protocol import (
     ConfigError,
@@ -142,18 +142,14 @@ class BernoulliLoss(LossModel):
         return {"kind": "bernoulli", "p": self.p}
 
 
+@dataclass(frozen=True)
 class ScheduleLoss(LossModel):
     """Drops exactly the transmissions matched by a rule list. No RNG draws."""
 
-    def __init__(self, rules: Sequence[DropRule]) -> None:
-        self.rules = tuple(rules)
-        self._by_round: dict[int, list[DropRule]] = {}
-        self._timed: list[DropRule] = []
-        for rule in self.rules:
-            if rule.round is not None:
-                self._by_round.setdefault(rule.round, []).append(rule)
-            else:
-                self._timed.append(rule)
+    rules: tuple[DropRule, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rules", tuple(self.rules))  # a list is accepted too
 
     def validate(self, n: int) -> None:
         for rule in self.rules:
@@ -162,22 +158,10 @@ class ScheduleLoss(LossModel):
                     raise ConfigError(f"drop rule references vehicle {ref}, valid ids are 1..{n}")
 
     def decide(self, rng, msg_round, sender, receiver, send_time):
-        for rule in self._by_round.get(msg_round, ()):
-            if rule.matches(msg_round, sender, receiver, send_time):
-                return "schedule"
-        for rule in self._timed:
+        for rule in self.rules:
             if rule.matches(msg_round, sender, receiver, send_time):
                 return "schedule"
         return None
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ScheduleLoss) and self.rules == other.rules
-
-    def __hash__(self) -> int:
-        return hash(self.rules)
-
-    def __repr__(self) -> str:
-        return f"ScheduleLoss({len(self.rules)} rules)"
 
     def to_json(self) -> dict:
         return {"kind": "schedule", "rules": [r.to_json() for r in self.rules]}

@@ -117,8 +117,7 @@ def test_sweep_single_cell(tmp_path):
 
 def test_sweep_spec_uses_calibrated_drop_rates():
     spec = SweepSpec(ns=(2, 8), round_ms=(160,), seeds=(1,))
-    assert spec.drop_rate(2) == TABLE1_DROP_RATES[2]
-    assert spec.drop_rate(8) == TABLE1_DROP_RATES[8]
+    assert [c.loss.p for c in spec.cells()] == [TABLE1_DROP_RATES[2], TABLE1_DROP_RATES[8]]
 
 
 def test_sweep_rejects_bad_round_length():
@@ -242,6 +241,13 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
     pytest.param(["scenario", "--round-ms", "50"], "round_length", id="scenario-round-ms-50"),
     pytest.param(["sweep", "--n-list", "1", "--duration-s", "1"], "fleet sizes must be >= 2",
                  id="sweep-n-list-1"),
+    pytest.param(["sweep", "--n-list", "2,8", "--round-ms-list", "160,2000", "--seeds", "1",
+                  "--duration-s", "1", "--processes", "1"], "a 1 s run holds no 2000 ms round",
+                 id="sweep-duration-shorter-than-a-round"),
+    pytest.param(["sweep", "--drop-rate", "1.5", "--n-list", "2", "--duration-s", "1"],
+                 "drop probability must be in [0,1], got 1.5", id="sweep-drop-rate-1.5"),
+    pytest.param(["sweep", "--round-ms", "2000", "--n-list", "2", "--duration-s", "1"],
+                 "a 1 s run holds no 2000 ms round", id="sweep-round-ms-is-the-list-prefix"),
     pytest.param(["scenario", "--scenario-json", "{bad}"], "cannot read scenario",
                  id="scenario-json-not-json"),
     pytest.param(["scenario", "--scenario-json", "{list}"], "must be a JSON object",
@@ -340,10 +346,7 @@ def test_usage_error_exit_code():
 def test_sweep_cell_holds_no_trace():
     # An acceptance-scale cell at 30 s: the view keeps a few numbers per
     # round, where a trace keeps every send, delivery and drop.
-    cell = (8, 160, 5, 100, 50, TABLE1_DROP_RATES[8], 1, 30)
-    n, round_ms, sync_ms, delay_ms, gossip_ms, p, seed, duration_s = cell
-    config = build_sim_config(n, round_ms, sync_ms, delay_ms, gossip_ms,
-                              BernoulliLoss(p), seed, duration_s)
+    config = build_sim_config(8, 160, 5, 100, 50, BernoulliLoss(TABLE1_DROP_RATES[8]), 1, 30)
     tracemalloc.start()
     try:
         trace = run(config, LevelApp(ServiceLevel.HIGH))
@@ -351,7 +354,7 @@ def test_sweep_cell_holds_no_trace():
         del trace
         tracemalloc.reset_peak()
         before, _ = tracemalloc.get_traced_memory()
-        _sweep_cell(cell)
+        _sweep_cell(config)
         _, cell_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -5,6 +5,7 @@ transliteration of its defining condition, over randomized inputs.
 """
 
 import copy
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -81,6 +82,12 @@ def test_default_equality_axioms():
     assert not DEFAULT == HIGH
     assert DEFAULT != HIGH
     assert is_default(DEFAULT) and not is_default(HIGH)
+
+
+def test_default_copies_and_unpickles_to_itself():
+    assert pickle.loads(pickle.dumps(DEFAULT)) is DEFAULT
+    assert copy.copy(DEFAULT) is DEFAULT
+    assert copy.deepcopy(DEFAULT) is DEFAULT
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from lockstep.sim import (
     SendEvent,
     SimConfig,
     Trace,
+    UniformDelay,
     datum_to_json,
     load_schedule,
     replay,
@@ -328,6 +329,25 @@ def test_fixed_delay_validated_against_maximum():
             seed=1,
             delay=FixedDelay(101 * MS),
         )
+
+
+def test_config_json_round_trip():
+    rules = [DropRule(round=3, receiver=2), DropRule(t0=100, t1=200, sender=1)]
+    for loss, delay in [
+        (BernoulliLoss(0.25), UniformDelay()),
+        (ScheduleLoss(rules), UniformDelay()),  # built from a list
+        (CompositeLoss(0.1, ScheduleLoss(rules)), UniformDelay()),
+        (BernoulliLoss(0.0), FixedDelay(40 * MS)),
+    ]:
+        config = SimConfig(protocol=make_protocol_config(n=3), offsets=(0, 1, 2), loss=loss,
+                           duration=4 * RL, seed=5, delay=delay)
+        assert SimConfig.from_json(config.to_json()) == config
+
+
+def test_schedule_from_a_list_equals_one_from_a_tuple():
+    rule = DropRule(round=3, receiver=2)
+    assert ScheduleLoss([rule]) == ScheduleLoss((rule,))
+    assert hash(ScheduleLoss([rule])) == hash(ScheduleLoss((rule,)))
 
 
 # ---------------------------------------------------------------------------
