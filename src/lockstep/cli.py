@@ -234,6 +234,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.processes is not None and args.processes < 1:
+        raise ConfigError(f"--processes must be >= 1, got {args.processes}")
     spec = SweepSpec(
         ns=tuple(args.n_list),
         round_ms=tuple(args.round_ms_list),

@@ -8,15 +8,17 @@ application value after a complete round, DEFAULT after an incomplete one.
 A round is stable when every vehicle is complete. This small model is the
 ground truth the timed simulator is checked against.
 
-Delivery matrices stay only where they are the data: what the verifier
-enumerates and samples, and what a counterexample reports. Entry [j][i] says
-whether vehicle i ended the round holding j's message; ``completeness``
-reduces a matrix to its vector (column i all true), so every matrix with the
-same vector gives the same decisions and verdict. The exhaustive check
-therefore enumerates the 2^n completeness vectors per round instead of the
-2^(n(n-1)) matrices, and counts covered delivery patterns with their
+A delivery matrix's entry [j][i] says whether vehicle i ended the round
+holding j's message; ``completeness`` reduces a matrix to its vector (column
+i all true), so every matrix with the same vector gives the same decisions
+and verdict. Both verifiers therefore check completeness vectors, and build
+delivery matrices only for the sequence a counterexample reports. The
+exhaustive check enumerates the 2^n completeness vectors per round instead of
+the 2^(n(n-1)) matrices, and counts covered delivery patterns with their
 multiplicity. Its size bound is n x rounds <= 18, so 3 vehicles x 6 rounds,
-4 x 4 and 5 x 3 are all exhaustive.
+4 x 4 and 5 x 3 are all exhaustive. The sampled check draws each unstable
+round's links into a flat row-major list and reads the vector off its
+columns.
 
 The four rules of the guarantee, ``RULES``, are implemented once, in
 ``rule_violations``; the trace checkers in ``analysis`` read the same
@@ -219,6 +221,19 @@ def check_decision_sequence(
     return next(((rule, rnd) for rule, rnd in violations if rnd is not None), None)
 
 
+def _first_break(
+    n: int,
+    completes: Sequence[Sequence[bool]],
+    decide: DecideFn,
+    read_state: Optional[tuple],
+    drop_default_write: bool,
+) -> Optional[tuple[str, int, list[tuple]]]:
+    """Run the model over one vector sequence: (rule, round, decisions) if it breaks a rule."""
+    decisions = run_abstract(n, completes, decide, read_state, drop_default_write)
+    hit = check_decision_sequence([all(c) for c in completes], decisions)
+    return None if hit is None else (*hit, decisions)
+
+
 def verify_sequence(
     n: int,
     matrices: Sequence[DeliveryMatrix],
@@ -226,12 +241,11 @@ def verify_sequence(
     read_state: Optional[tuple] = None,
     drop_default_write: bool = False,
 ) -> Optional[Counterexample]:
-    completes = [completeness(m) for m in matrices]
-    decisions = run_abstract(n, completes, decide, read_state, drop_default_write)
-    hit = check_decision_sequence([all(c) for c in completes], decisions)
+    hit = _first_break(n, [completeness(m) for m in matrices], decide, read_state,
+                       drop_default_write)
     if hit is None:
         return None
-    rule, rnd = hit
+    rule, rnd, decisions = hit
     return Counterexample(rule, rnd, list(matrices), decisions)
 
 
@@ -240,8 +254,8 @@ def _check_size(n: int, rounds: int) -> None:
         raise ConfigError(f"verification needs n >= 1 and rounds >= 1, got n={n}, rounds={rounds}")
 
 
-def _class_representatives(n: int) -> list[tuple[int, DeliveryMatrix]]:
-    """One delivery matrix per realizable completeness vector, with its literal index.
+def _class_representatives(n: int) -> list[tuple[int, tuple[bool, ...], DeliveryMatrix]]:
+    """One (literal index, completeness vector, matrix) per realizable vector.
 
     The literal order is ``itertools.product((True, False))`` over the
     off-diagonal cells, row-major; a matrix's index is its rank in it. The
@@ -263,7 +277,8 @@ def _class_representatives(n: int) -> list[tuple[int, DeliveryMatrix]]:
                 j, i = offdiag[k]
                 rows[j][i] = False
                 index |= 1 << (len(offdiag) - 1 - k)
-        reps.append((index, tuple(tuple(row) for row in rows)))
+        complete = tuple(k is None for k in cuts)
+        reps.append((index, complete, tuple(tuple(row) for row in rows)))
     reps.sort()
     return reps
 
@@ -296,23 +311,28 @@ def enumerate_and_verify(
     cell_bits = n * (n - 1)
     per_round = _class_representatives(n)
     for seq in itertools.product(per_round, repeat=rounds):
-        ce = verify_sequence(n, [m for _, m in seq], decide, read_state, drop_default_write)
-        if ce is not None:
+        hit = _first_break(n, [c for _, c, _ in seq], decide, read_state, drop_default_write)
+        if hit is not None:
+            rule, rnd, decisions = hit
             rank = 0
-            for index, _ in seq:
+            for index, _, _ in seq:
                 rank = (rank << cell_bits) | index
+            ce = Counterexample(rule, rnd, [m for _, _, m in seq], decisions)
             return VerificationReport(n, rounds, rank + 1, ce, {"mode": "exhaustive"})
     return VerificationReport(n, rounds, 1 << (cell_bits * rounds), None, {"mode": "exhaustive"})
 
 
-def sample_matrix(rng: random.Random, n: int) -> DeliveryMatrix:
-    rows = []
-    for j in range(n):
-        row = tuple(
-            True if i == j else rng.random() < LINK_UP_PROBABILITY for i in range(n)
-        )
-        rows.append(row)
-    return tuple(rows)
+def sample_links(rng: random.Random, n: int) -> list[bool]:
+    """One unstable round's delivery matrix, flattened row-major, diagonal true.
+
+    One ``rng.random() < LINK_UP_PROBABILITY`` per off-diagonal link, in
+    row-major order. Row j is ``links[j*n:(j+1)*n]`` and column i is
+    ``links[i::n]``.
+    """
+    links = [rng.random() < LINK_UP_PROBABILITY for _ in range(n * (n - 1))]
+    for k in range(n):
+        links.insert(k * (n + 1), True)
+    return links
 
 
 def sample_and_verify(
@@ -329,23 +349,35 @@ def sample_and_verify(
     Per round, with probability ``STABLE_ROUND_PROBABILITY`` the matrix is
     all-true; otherwise each off-diagonal link is up independently with
     ``LINK_UP_PROBABILITY``. The mix produces runs that alternate between
-    stable and unstable periods.
+    stable and unstable periods. Only the current trial's links are kept, and
+    they become matrices only if the trial fails.
     """
     _check_size(n, rounds)
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)
-    full = full_matrix(n)
+    stable = (True,) * n
     for trial in range(trials):
+        # None stands for a round drawn stable.
         seq = [
-            full
-            if rng.random() < STABLE_ROUND_PROBABILITY
-            else sample_matrix(rng, n)
+            None if rng.random() < STABLE_ROUND_PROBABILITY else sample_links(rng, n)
             for _ in range(rounds)
         ]
-        ce = verify_sequence(n, seq, decide, read_state, drop_default_write)
-        if ce is not None:
+        completes = [
+            stable if links is None else tuple([all(links[i::n]) for i in range(n)])
+            for links in seq
+        ]
+        hit = _first_break(n, completes, decide, read_state, drop_default_write)
+        if hit is not None:
+            rule, rnd, decisions = hit
+            full = full_matrix(n)
+            matrices = [
+                full if links is None
+                else tuple(tuple(links[j * n:(j + 1) * n]) for j in range(n))
+                for links in seq
+            ]
             return VerificationReport(
-                n, rounds, trial + 1, ce, {"mode": "sampled", "seed": seed, "trial": trial}
+                n, rounds, trial + 1, Counterexample(rule, rnd, matrices, decisions),
+                {"mode": "sampled", "seed": seed, "trial": trial},
             )
     return VerificationReport(n, rounds, trials, None, {"mode": "sampled", "seed": seed})

@@ -19,7 +19,7 @@ yet acked; it returns at once when it holds them all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, NamedTuple, Optional
 
 
@@ -57,6 +57,12 @@ def is_default(d: Datum) -> bool:
     return d is DEFAULT
 
 
+def require_int(name: str, value: Any) -> None:
+    """Reject anything but an int: a float, a string, a list, or a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Timing and membership parameters shared by all vehicles in a run.
@@ -74,6 +80,8 @@ class ProtocolConfig:
     gossip_interval: int
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            require_int(f.name, getattr(self, f.name))
         if self.n < 1:
             raise ConfigError(f"need at least one vehicle, got n={self.n}")
         if self.sync_bound < 0 or self.maximum_delay <= 0:

@@ -37,6 +37,7 @@ from .protocol import (
     RoundOutput,
     VehicleProtocol,
     is_default,
+    require_int,
 )
 
 TRACE_FORMAT = "lockstep-trace"
@@ -273,6 +274,10 @@ class SimConfig:
     delay: DelayModel = UniformDelay()
 
     def __post_init__(self) -> None:
+        require_int("duration", self.duration)
+        require_int("seed", self.seed)
+        for offset in self.offsets:
+            require_int("clock offset", offset)
         if len(self.offsets) != self.protocol.n:
             raise ConfigError(f"expected {self.protocol.n} offsets, got {len(self.offsets)}")
         if any(o < 0 for o in self.offsets):
@@ -468,6 +473,8 @@ def read_trace_header(path: Union[str, Path]) -> tuple[SimConfig, dict]:
         raise ConfigError(f"{path} header is missing key {exc}") from None
     except TypeError as exc:
         raise ConfigError(f"{path} header has a field of the wrong type: {exc}") from None
+    except ValueError as exc:  # a value out of range, or a string that is not a number
+        raise ConfigError(f"{path} header has a bad value: {exc}") from None
     if not isinstance(app_spec, dict):
         raise ConfigError(f"{path} header has an app that is not an object: {app_spec!r}")
     return config, app_spec

@@ -191,10 +191,24 @@ def _rewrite_header(path, lines, edit):
     ("app-without-level", "malformed 'level' app spec: KeyError"),
     ("app-unknown-kind", "app builder for kind 'bogus'"),
     ("app-unknown-level", "malformed 'level' app spec: KeyError: 'ULTRA'"),
+    ("seed-a-list", "bad value: seed must be an int, got [1]"),
+    ("n-a-float", "bad value: n must be an int, got 3.0"),
+    ("round-length-a-float", "bad value: round_length must be an int, got 160000.5"),
+    ("loss-p-not-a-number", "bad value: could not convert string to float: 'abc'"),
+    ("fixed-delay-not-a-number", "bad value: invalid literal for int() with base 10: 'x'"),
 ])
 def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message):
     path, lines = _record_small_trace(tmp_path)
-    if case == "not-json":
+    config_edits = {
+        "seed-a-list": {"seed": [1]},
+        "n-a-float": {"n": 3.0},
+        "round-length-a-float": {"round_length": 160000.5},
+        "loss-p-not-a-number": {"loss": {"kind": "bernoulli", "p": "abc"}},
+        "fixed-delay-not-a-number": {"delay": {"kind": "fixed", "delay": "x"}},
+    }
+    if case in config_edits:
+        _rewrite_header(path, lines, lambda h: h["config"].update(config_edits[case]))
+    elif case == "not-json":
         path.write_text("this is not json\n" + "\n".join(lines[1:]) + "\n")
     elif case == "missing-config":
         _rewrite_header(path, lines, lambda h: h.pop("config"))
@@ -248,6 +262,10 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
                  "drop probability must be in [0,1], got 1.5", id="sweep-drop-rate-1.5"),
     pytest.param(["sweep", "--round-ms", "2000", "--n-list", "2", "--duration-s", "1"],
                  "a 1 s run holds no 2000 ms round", id="sweep-round-ms-is-the-list-prefix"),
+    pytest.param(["sweep", "--processes", "0", "--n-list", "2", "--duration-s", "1"],
+                 "--processes must be >= 1, got 0", id="sweep-processes-0"),
+    pytest.param(["sweep", "--processes", "-3", "--n-list", "2", "--duration-s", "1"],
+                 "--processes must be >= 1, got -3", id="sweep-processes-negative"),
     pytest.param(["scenario", "--scenario-json", "{bad}"], "cannot read scenario",
                  id="scenario-json-not-json"),
     pytest.param(["scenario", "--scenario-json", "{list}"], "must be a JSON object",

@@ -1,6 +1,7 @@
 """Tests for the round-granularity abstract model and its brute-force verifier."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from lockstep.oracle import (
     Counterexample,
     VerificationReport,
     abstract_round,
+    check_decision_sequence,
     completeness,
     enumerate_and_verify,
     full_matrix,
@@ -148,14 +150,16 @@ def test_sampled_verification_catches_mutant():
     assert not report.passed
 
 
+def sticky_round(sent, complete, decide, read_state, drop_default_write=False):
+    """A model in which a vehicle that has gossiped DEFAULT keeps gossiping it."""
+    decisions, next_sent = abstract_round(sent, complete, decide, read_state,
+                                          drop_default_write)
+    return decisions, tuple(DEFAULT if is_default(old) else new
+                            for old, new in zip(sent, next_sent))
+
+
 def test_a_model_that_never_recovers_is_caught(monkeypatch):
     """A vehicle that has gossiped DEFAULT keeps gossiping it: no rule but recovery breaks."""
-    def sticky_round(sent, complete, decide, read_state, drop_default_write=False):
-        decisions, next_sent = abstract_round(sent, complete, decide, read_state,
-                                              drop_default_write)
-        return decisions, tuple(DEFAULT if is_default(old) else new
-                                for old, new in zip(sent, next_sent))
-
     monkeypatch.setattr(oracle, "abstract_round", sticky_round)
     report = enumerate_and_verify(2, 3, min_level_decide, high_state(2))
     assert not report.passed
@@ -296,3 +300,72 @@ def test_completeness_reads_columns(n):
     for j, i in itertools.permutations(range(1, n + 1), 2):
         want = tuple(v != i for v in range(1, n + 1))
         assert completeness(matrix_from_missing(n, [(j, i)])) == want
+
+
+# ---------------------------------------------------------------------------
+# Reference: the sampler over delivery matrices
+# ---------------------------------------------------------------------------
+
+# The sampler that drew a tuple matrix per unstable round and checked each
+# trial through its matrices, kept verbatim. A passing sampled report holds
+# no matrices, so only a comparison with it pins the random stream.
+
+def reference_sample_matrix(rng, n):
+    rows = []
+    for j in range(n):
+        row = tuple(
+            True if i == j else rng.random() < oracle.LINK_UP_PROBABILITY for i in range(n)
+        )
+        rows.append(row)
+    return tuple(rows)
+
+
+def reference_verify_sequence(n, matrices, decide, read_state=None, drop_default_write=False):
+    completes = [completeness(m) for m in matrices]
+    decisions = run_abstract(n, completes, decide, read_state, drop_default_write)
+    hit = check_decision_sequence([all(c) for c in completes], decisions)
+    if hit is None:
+        return None
+    rule, rnd = hit
+    return Counterexample(rule, rnd, list(matrices), decisions)
+
+
+def reference_sample_and_verify(n, rounds, trials, seed, decide, read_state=None,
+                                drop_default_write=False):
+    rng = random.Random(seed)
+    full = full_matrix(n)
+    for trial in range(trials):
+        seq = [
+            full
+            if rng.random() < oracle.STABLE_ROUND_PROBABILITY
+            else reference_sample_matrix(rng, n)
+            for _ in range(rounds)
+        ]
+        ce = reference_verify_sequence(n, seq, decide, read_state, drop_default_write)
+        if ce is not None:
+            return VerificationReport(
+                n, rounds, trial + 1, ce, {"mode": "sampled", "seed": seed, "trial": trial}
+            )
+    return VerificationReport(n, rounds, trials, None, {"mode": "sampled", "seed": seed})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=30),
+       st.integers(min_value=1, max_value=50), st.integers(), st.booleans())
+def test_sampler_matches_the_matrix_sampler(n, rounds, trials, seed, mutant):
+    args = (n, rounds, trials, seed, min_level_decide, high_state(n), mutant)
+    assert sample_and_verify(*args).to_json() == reference_sample_and_verify(*args).to_json()
+
+
+@pytest.mark.parametrize("n,rounds,seed,model", [(8, 50, 1, "never-recovers"),
+                                                 (4, 20, 5, "mutant")])
+def test_sampled_counterexample_matches_the_matrix_sampler(monkeypatch, n, rounds, seed, model):
+    if model == "never-recovers":
+        monkeypatch.setattr(oracle, "abstract_round", sticky_round)
+    args = (n, rounds, 500, seed, min_level_decide, high_state(n), model == "mutant")
+    got, want = sample_and_verify(*args), reference_sample_and_verify(*args)
+    assert not want.passed
+    assert got.details["trial"] == want.details["trial"]
+    ce, ref = got.counterexample, want.counterexample
+    assert (ce.rule, ce.round, ce.matrices) == (ref.rule, ref.round, ref.matrices)
+    assert got.to_json() == want.to_json()
