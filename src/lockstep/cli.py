@@ -162,8 +162,9 @@ def run_sweep(spec: SweepSpec, processes: Optional[int] = None) -> list[dict]:
     """Run every sweep cell; cells are independent seeded simulations."""
     cells = spec.cells()
     if processes is None:
-        processes = min(os.cpu_count() or 1, len(cells))
-    if processes <= 1 or len(cells) == 1:
+        processes = os.cpu_count() or 1
+    processes = min(processes, len(cells))  # a worker per cell at most
+    if processes <= 1:
         return [_sweep_cell(c) for c in cells]
     with multiprocessing.get_context("fork").Pool(processes) as pool:
         return pool.map(_sweep_cell, cells, chunksize=1)

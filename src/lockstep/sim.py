@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import operator
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -75,6 +76,10 @@ class DropRule:
     receiver: Optional[int] = None
 
     def __post_init__(self) -> None:
+        for name in ("round", "t0", "t1", "sender", "receiver"):
+            value = getattr(self, name)
+            if value is not None:
+                require_int(f"drop rule {name}", value)
         has_round = self.round is not None
         has_span = self.t0 is not None and self.t1 is not None
         if has_round == has_span:
@@ -103,12 +108,12 @@ class DropRule:
     @staticmethod
     def from_json(d: dict) -> "DropRule":
         def ref(v):
-            return None if v in (None, "*") else int(v)
+            return None if v in (None, "*") else v
 
         if "round" in d:
-            return DropRule(round=int(d["round"]), sender=ref(d.get("from")), receiver=ref(d.get("to")))
+            return DropRule(round=d["round"], sender=ref(d.get("from")), receiver=ref(d.get("to")))
         t0, t1 = d["t"]
-        return DropRule(t0=int(t0), t1=int(t1), sender=ref(d.get("from")), receiver=ref(d.get("to")))
+        return DropRule(t0=t0, t1=t1, sender=ref(d.get("from")), receiver=ref(d.get("to")))
 
 
 class LossModel:
@@ -133,6 +138,8 @@ class BernoulliLoss(LossModel):
     p: float
 
     def validate(self, n: int) -> None:
+        if isinstance(self.p, bool) or not isinstance(self.p, (int, float)):
+            raise ConfigError(f"drop probability must be a number, got {self.p!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError(f"drop probability must be in [0,1], got {self.p}")
 
@@ -192,11 +199,11 @@ class CompositeLoss(LossModel):
 def loss_from_json(d: dict) -> LossModel:
     kind = d["kind"]
     if kind == "bernoulli":
-        return BernoulliLoss(float(d["p"]))
+        return BernoulliLoss(d["p"])
     if kind == "schedule":
         return ScheduleLoss([DropRule.from_json(r) for r in d["rules"]])
     if kind == "composite":
-        return CompositeLoss(float(d["p"]), ScheduleLoss([DropRule.from_json(r) for r in d["rules"]]))
+        return CompositeLoss(d["p"], ScheduleLoss([DropRule.from_json(r) for r in d["rules"]]))
     raise ConfigError(f"unknown loss model kind {kind!r}")
 
 
@@ -235,6 +242,7 @@ class FixedDelay(DelayModel):
     delay: int
 
     def validate(self, maximum_delay: int) -> None:
+        require_int("fixed delay", self.delay)
         if not 0 < self.delay <= maximum_delay:
             raise ConfigError(f"fixed delay must be in (0, {maximum_delay}], got {self.delay}")
 
@@ -249,7 +257,7 @@ def delay_from_json(d: dict) -> DelayModel:
     if d["kind"] == "uniform":
         return UniformDelay()
     if d["kind"] == "fixed":
-        return FixedDelay(int(d["delay"]))
+        return FixedDelay(d["delay"])
     raise ConfigError(f"unknown delay model kind {d['kind']!r}")
 
 
@@ -384,8 +392,49 @@ def _dumps_data(data: tuple) -> str:
     return _dumps([datum_to_json(d) for d in data])
 
 
-# The ack and data JSON of each sent message whose deliver and drop lines are
-# still to be written: id(msg) -> [msg, ack, data, copies left]. The entry
+def _dumps_decision(decision: tuple) -> str:
+    return _dumps(datum_to_json(decision[0]))
+
+
+# The JSON of each distinct vector met in the passes under way, one memo per
+# kind: vector -> (vector, JSON). A hit counts only if the cached vector holds
+# the very same element objects, since equal vectors of other element types,
+# (1, 0) and (True, False) or ServiceLevel.LOW and 1, encode differently. A
+# kind of its own keeps n=1's data vector (HIGH,) apart from the decision
+# (HIGH,). A memo that reaches _MEMO_SIZE entries starts afresh, so vectors
+# that keep changing (the platoon's data) cannot grow it; 512 holds all 256
+# ack or data vectors an 8-vehicle level run can send. _lines clears all.
+_MEMO_SIZE = 512
+_ack_json: dict[tuple, tuple] = {}
+_data_json: dict[tuple, tuple] = {}
+_decision_json: dict[tuple, tuple] = {}
+
+
+def _memo_dumps(memo: dict, vec: tuple, dumps) -> str:
+    try:
+        hit = memo.get(vec)
+    except TypeError:  # an unhashable datum
+        return dumps(vec)
+    if hit is not None and all(map(operator.is_, hit[0], vec)):
+        return hit[1]
+    text = dumps(vec)
+    if len(memo) >= _MEMO_SIZE:
+        memo.clear()
+    memo[vec] = (vec, text)
+    return text
+
+
+def _ack_and_data(m: GossipMessage) -> tuple[str, str]:
+    return _memo_dumps(_ack_json, m.ack, _dumps), _memo_dumps(_data_json, m.data, _dumps_data)
+
+
+def _deliver_head(m: GossipMessage, ack: str, data: str) -> str:
+    """A deliver line up to its ``"t":``, which is all that depends on the message."""
+    return f'{{"ack":{ack},"data":{data},"ev":"deliver","from":{m.sender},"round":{m.round},'
+
+
+# Each sent message whose deliver and drop lines are still to be written:
+# id(msg) -> [msg, ack JSON, data JSON, deliver head, copies left]. The entry
 # holds msg, so its id is not reused while cached, and a hit also checks
 # identity; a miss (a deliver with no send line, say) encodes afresh. A send
 # expects one copy per other member (len(msg.ack) - 1) and each deliver or
@@ -399,29 +448,30 @@ def event_to_json(ev: TraceEvent) -> str:
         m = ev.msg
         entry = _in_flight.get(id(m))
         if entry is not None and entry[0] is m:
-            _, ack, data, left = entry
+            _, ack, data, head, left = entry
             if left > 1:
-                entry[3] = left - 1
+                entry[4] = left - 1
             else:
                 _in_flight.pop(id(m), None)
         else:
-            ack, data = _dumps(m.ack), _dumps_data(m.data)
+            ack, data = _ack_and_data(m)
+            head = _deliver_head(m, ack, data)
         if isinstance(ev, DeliverEvent):
-            return (f'{{"ack":{ack},"data":{data},"ev":"deliver","from":{m.sender},'
-                    f'"round":{m.round},"t":{ev.t},"to":{ev.receiver}}}')
+            return f'{head}"t":{ev.t},"to":{ev.receiver}}}'
         return (f'{{"ack":{ack},"cause":{_dumps(ev.cause)},"data":{data},"ev":"drop",'
                 f'"from":{m.sender},"round":{m.round},"t":{ev.t},"to":{ev.receiver}}}')
     if isinstance(ev, SendEvent):
         m = ev.msg
-        ack, data = _dumps(m.ack), _dumps_data(m.data)
+        ack, data = _ack_and_data(m)
         if len(m.ack) > 1:
-            _in_flight[id(m)] = [m, ack, data, len(m.ack) - 1]
+            _in_flight[id(m)] = [m, ack, data, _deliver_head(m, ack, data), len(m.ack) - 1]
         return (f'{{"ack":{ack},"data":{data},"ev":"send","round":{m.round},'
                 f'"t":{ev.t},"v":{m.sender}}}')
     out = ev.output
-    return (f'{{"ack":{_dumps(out.r)},"data":{_dumps_data(out.s)},'
-            f'"decision":{_dumps(datum_to_json(out.decision))},"ev":"output",'
-            f'"round":{out.round},"t":{ev.t},"v":{ev.vehicle}}}')
+    return (f'{{"ack":{_memo_dumps(_ack_json, out.r, _dumps)},'
+            f'"data":{_memo_dumps(_data_json, out.s, _dumps_data)},'
+            f'"decision":{_memo_dumps(_decision_json, (out.decision,), _dumps_decision)},'
+            f'"ev":"output","round":{out.round},"t":{ev.t},"v":{ev.vehicle}}}')
 
 
 def _lines(config: SimConfig, app_spec: dict, events: Iterable[TraceEvent]) -> Iterator[str]:
@@ -432,10 +482,13 @@ def _lines(config: SimConfig, app_spec: dict, events: Iterable[TraceEvent]) -> I
         for ev in events:
             yield event_to_json(ev)
     finally:
-        # Entries are left only if this pass stopped early or a send's copies
-        # are not all in it. A pass still running elsewhere then re-encodes
-        # what it misses.
+        # The memos hold the vectors this pass met; _in_flight holds entries
+        # only if the pass stopped early or a send's copies are not all in
+        # it. A pass still running elsewhere then re-encodes what it misses.
         _in_flight.clear()
+        _ack_json.clear()
+        _data_json.clear()
+        _decision_json.clear()
 
 
 @dataclass

@@ -125,6 +125,33 @@ def test_sweep_rejects_bad_round_length():
         SweepSpec(ns=(2,), round_ms=(110,), seeds=(1,))
 
 
+def test_sweep_starts_no_more_workers_than_cells(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(cli.multiprocessing.get_context("fork"), "Pool", SerialPool)
+    spec = SweepSpec(ns=(2,), round_ms=(160, 260), seeds=(1,), duration_s=1)
+    rows = run_sweep(spec, processes=6)
+    assert sizes == [2]
+    assert rows == run_sweep(spec, processes=1)
+    assert sizes == [2]  # one worker runs in process, with no pool
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 6)
+    run_sweep(spec)
+    assert sizes == [2, 2]
+
+
 def test_aggregate_groups_by_cell():
     rows = run_sweep(SweepSpec(ns=(2,), round_ms=(160,), seeds=(1, 2), duration_s=5),
                      processes=1)
@@ -194,8 +221,16 @@ def _rewrite_header(path, lines, edit):
     ("seed-a-list", "bad value: seed must be an int, got [1]"),
     ("n-a-float", "bad value: n must be an int, got 3.0"),
     ("round-length-a-float", "bad value: round_length must be an int, got 160000.5"),
-    ("loss-p-not-a-number", "bad value: could not convert string to float: 'abc'"),
-    ("fixed-delay-not-a-number", "bad value: invalid literal for int() with base 10: 'x'"),
+    ("loss-p-not-a-number", "bad value: drop probability must be a number, got 'abc'"),
+    ("fixed-delay-not-a-number", "bad value: fixed delay must be an int, got 'x'"),
+    # A number of the wrong kind is malformed too, not a different config.
+    ("loss-p-a-numeric-string", "bad value: drop probability must be a number, got '0.15'"),
+    ("loss-p-a-bool", "bad value: drop probability must be a number, got True"),
+    ("composite-p-a-string", "bad value: drop probability must be a number, got '0.1'"),
+    ("fixed-delay-a-float", "bad value: fixed delay must be an int, got 3.5"),
+    ("rule-round-a-string", "bad value: drop rule round must be an int, got '3'"),
+    ("rule-span-a-float", "bad value: drop rule t1 must be an int, got 200.5"),
+    ("rule-receiver-a-string", "bad value: drop rule receiver must be an int, got '2'"),
 ])
 def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message):
     path, lines = _record_small_trace(tmp_path)
@@ -205,6 +240,16 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
         "round-length-a-float": {"round_length": 160000.5},
         "loss-p-not-a-number": {"loss": {"kind": "bernoulli", "p": "abc"}},
         "fixed-delay-not-a-number": {"delay": {"kind": "fixed", "delay": "x"}},
+        "loss-p-a-numeric-string": {"loss": {"kind": "bernoulli", "p": "0.15"}},
+        "loss-p-a-bool": {"loss": {"kind": "bernoulli", "p": True}},
+        "composite-p-a-string": {"loss": {"kind": "composite", "p": "0.1", "rules": []}},
+        "fixed-delay-a-float": {"delay": {"kind": "fixed", "delay": 3.5}},
+        "rule-round-a-string": {"loss": {"kind": "schedule",
+                                         "rules": [{"round": "3", "from": "*", "to": 1}]}},
+        "rule-span-a-float": {"loss": {"kind": "schedule",
+                                       "rules": [{"t": [100, 200.5], "from": 1, "to": "*"}]}},
+        "rule-receiver-a-string": {"loss": {"kind": "schedule",
+                                            "rules": [{"round": 3, "from": "*", "to": "2"}]}},
     }
     if case in config_edits:
         _rewrite_header(path, lines, lambda h: h["config"].update(config_edits[case]))
@@ -242,6 +287,10 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
                  id="run-schedule-not-a-list"),
     pytest.param(["run", "--loss", "composite:0.1"], "bad loss spec",
                  id="run-composite-without-file"),
+    pytest.param(["run", "--loss", "schedule:{round3}"], "drop rule round must be an int, got '3'",
+                 id="run-schedule-round-a-string"),
+    pytest.param(["run", "--loss", "composite:0.1,{round3}"],
+                 "drop rule round must be an int, got '3'", id="run-composite-round-a-string"),
     pytest.param(["scenario", "--outage-rounds", "1"], "at least two rounds",
                  id="scenario-outage-rounds-1"),
     pytest.param(["scenario", "--outage-round", "39"], "outage_round must be in 0..34",
@@ -292,6 +341,7 @@ def test_malformed_command_input_is_usage_error(tmp_path, capsys, argv, message)
         "ultra": json.dumps(dict(scenario, initial_level="ultra")),
         "fast": json.dumps(dict(scenario, cruise_speed="fast")),
         "half": json.dumps(dict(scenario, horizon_rounds=2.5)),
+        "round3": '[{"round": "3", "from": "*", "to": 1}]\n',
     }
     paths = {name: tmp_path / f"{name}.json" for name in files}
     for name, text in files.items():

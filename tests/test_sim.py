@@ -338,10 +338,24 @@ def test_config_json_round_trip():
         (ScheduleLoss(rules), UniformDelay()),  # built from a list
         (CompositeLoss(0.1, ScheduleLoss(rules)), UniformDelay()),
         (BernoulliLoss(0.0), FixedDelay(40 * MS)),
+        (BernoulliLoss(0), UniformDelay()),  # an int p
+        (CompositeLoss(1, ScheduleLoss(rules)), FixedDelay(40 * MS)),
     ]:
         config = SimConfig(protocol=make_protocol_config(n=3), offsets=(0, 1, 2), loss=loss,
                            duration=4 * RL, seed=5, delay=delay)
-        assert SimConfig.from_json(config.to_json()) == config
+        back = SimConfig.from_json(config.to_json())
+        assert back == config
+        # 0 == 0.0, so compare the JSON too: a header must read back as written.
+        assert json.dumps(back.to_json()) == json.dumps(config.to_json())
+
+
+def test_replay_of_a_trace_with_an_int_drop_probability(tmp_path):
+    for p in (0, 1):
+        trace = run_high(make_sim_config(n=3, rounds=4, seed=19, loss=BernoulliLoss(p)))
+        path = tmp_path / f"p{p}.jsonl"
+        trace.write(path)
+        assert f'"p":{p}}}' in path.read_text().splitlines()[0]
+        assert replay(path) is None
 
 
 def test_schedule_from_a_list_equals_one_from_a_tuple():
@@ -515,7 +529,12 @@ def assert_encodes_like_reference(trace):
     assert encoded == reference_lines(trace)[1:]
     assert cached == in_flight_after_each_event(trace)
     assert next(lines, None) is None
+    assert_nothing_cached()
+
+
+def assert_nothing_cached():
     assert not sim._in_flight
+    assert not sim._ack_json and not sim._data_json and not sim._decision_json
 
 
 @pytest.mark.parametrize("n,seed,p", [
@@ -578,11 +597,64 @@ def hand_built_trace():
 def test_encoder_matches_reference_on_a_hand_built_trace():
     trace = hand_built_trace()
     assert list(trace.lines()) == reference_lines(trace)
-    assert not sim._in_flight  # the send whose copies never came is forgotten at the end
+    assert_nothing_cached()  # the send whose copies never came is forgotten at the end
+
+
+def mixed_type_trace():
+    """Equal vectors whose elements differ in type: no two may share an encoding."""
+    config = make_sim_config(n=2, rounds=2, seed=8)
+    low = ServiceLevel.LOW
+    sends = [
+        GossipMessage(1, 0, (1, DEFAULT), (True, False)),
+        GossipMessage(2, 0, (True, DEFAULT), (1, 0)),
+        GossipMessage(1, 0, (1.0, DEFAULT), (True, False)),
+        GossipMessage(2, 0, (low, DEFAULT), (1, 0)),
+        GossipMessage(1, 0, (1, DEFAULT), (True, False)),  # the first types again
+        GossipMessage(2, 1, (DEFAULT, ["raw", 1]), (False, True)),  # unhashable
+        GossipMessage(1, 1, (DEFAULT, ["raw", 1]), (False, True)),
+    ]
+    events = []
+    for i, m in enumerate(sends):
+        events.append(SendEvent(10 * i, m))
+        # An equal copy of another object misses the in-flight cache and meets the memos.
+        copy = m if i % 2 else GossipMessage(*m)
+        events.append(DeliverEvent(10 * i + 5, 3 - m.sender, copy))
+    for vid, s, r, decision in [
+        (1, (1, DEFAULT), (True, False), 1),
+        (2, (True, DEFAULT), (1, 0), True),
+        (1, (low, 1.0), (True, True), low),
+        (2, (1.0, low), (True, True), 1.0),
+        (1, (1, 1), (True, True), 1),
+    ]:
+        events.append(OutputEvent(RL, vid, RoundOutput(1, s, r, decision)))
+    return Trace(config=config, app_spec={"kind": "level", "level": "high"}, events=events)
+
+
+def test_encoder_keeps_equal_vectors_of_other_types_apart():
+    trace = mixed_type_trace()
+    assert list(trace.lines()) == reference_lines(trace)
+    assert_nothing_cached()
+
+
+def test_vector_memos_stay_within_their_bound_on_the_platoon_scenario(monkeypatch):
+    trace = run_worst_case(ScenarioSpec()).trace
+    memos = (sim._ack_json, sim._data_json, sim._decision_json)
+    # The platoon's data vectors change every round; a small bound shows them reach it.
+    assert len({ev.msg.data for ev in events_of(trace, SendEvent)}) > 64
+    for bound in (sim._MEMO_SIZE, 64):
+        monkeypatch.setattr(sim, "_MEMO_SIZE", bound)
+        lines, sizes = [], []
+        for line in trace.lines():
+            lines.append(line)
+            sizes.append(max(map(len, memos)))
+        assert lines == reference_lines(trace)
+        assert max(sizes) <= bound
+        assert_nothing_cached()
 
 
 @pytest.mark.parametrize("make", [
     hand_built_trace,
+    mixed_type_trace,
     lambda: run_high(make_sim_config(n=3, rounds=6, seed=9, loss=BernoulliLoss(0.3))),
 ])
 def test_interleaved_encodings_of_one_trace(make):
@@ -595,7 +667,7 @@ def test_interleaved_encodings_of_one_trace(make):
         if y is not None:
             from_a.append(y)
     assert from_a == from_b == reference_lines(trace)
-    assert not sim._in_flight
+    assert_nothing_cached()
 
 
 def test_abandoned_encoding_leaves_nothing_cached():
@@ -604,9 +676,9 @@ def test_abandoned_encoding_leaves_nothing_cached():
     lines = trace.lines()
     for _ in range(first_send + 2):  # the header, then up to that send line
         next(lines)
-    assert sim._in_flight
+    assert sim._in_flight and sim._ack_json and sim._data_json
     lines.close()
-    assert not sim._in_flight
+    assert_nothing_cached()
 
 
 def test_write_encodes_each_event_line_once_through_the_module_global(tmp_path, monkeypatch):
@@ -714,4 +786,4 @@ def test_replay_leaves_no_file_open(tmp_path, monkeypatch):
             replay(bad)
         gc.collect()
     assert not unraisable
-    assert not sim._in_flight
+    assert_nothing_cached()
