@@ -1,6 +1,7 @@
 """Tests for the discrete-event harness: timing, loss, traces, replay."""
 
 import gc
+import hashlib
 import itertools
 import json
 import sys
@@ -435,6 +436,50 @@ def test_different_seed_changes_the_trace():
     a = run_high(make_sim_config(n=4, rounds=15, seed=13, loss=BernoulliLoss(0.25)))
     b = run_high(make_sim_config(n=4, rounds=15, seed=14, loss=BernoulliLoss(0.25)))
     assert list(a.lines()) != list(b.lines())
+
+
+PIN_RULES = [DropRule(round=3, receiver=2), DropRule(t0=5 * RL, t1=6 * RL, sender=1)]
+
+# Runs the benchmark never makes, each with the sha256 of its trace lines.
+PINNED_TRACES = {
+    # The platoon app's world step shares instants with every round boundary.
+    "platoon-app-clock": (
+        lambda: run_worst_case(ScenarioSpec()).trace,
+        "4ef2ba903547b1085e74505175bf596bd314bf14a217566966ce60bfaa9d940b"),
+    # Every clock is past sync_bound, so each vehicle skips its first send.
+    "offsets-past-sync-bound": (
+        lambda: run_high(make_sim_config(n=3, rounds=12, seed=21, offsets=(7 * MS, 9 * MS, 8 * MS),
+                                         loss=BernoulliLoss(0.2))),
+        "07ca0d14ab7182faa11bc9c7c4ab8a7035ae1345d24a25cec480cb2348cb93dc"),
+    # The first send falls on the round boundary: two ticks at one instant.
+    "sync-0": (
+        lambda: run_high(make_sim_config(n=4, rounds=12, seed=22, sync_ms=0,
+                                         loss=BernoulliLoss(0.2))),
+        "1ad47daf05e3afd336be599379ad2559f67b64939aa891346252ede5b35c89b0"),
+    "schedule": (
+        lambda: run_high(make_sim_config(n=4, rounds=10, seed=23, loss=ScheduleLoss(PIN_RULES))),
+        "0988c1f27cee2894f2c0ecbf4733d279aaa9bd7498b9d843a3ea7208a5fd371f"),
+    "composite": (
+        lambda: run_high(make_sim_config(n=4, rounds=10, seed=24,
+                                         loss=CompositeLoss(0.3, ScheduleLoss(PIN_RULES)))),
+        "7d71ef4b4cace61bfbfde322d8d300b7e472f25b0618dce67b7f76fcaf597ceb"),
+    "single-vehicle": (
+        lambda: run_high(make_sim_config(n=1, rounds=6, seed=25)),
+        "74592f850263bc4d041132158dbc82aabc145d7dbf7d893b95f0309530fd74cf"),
+}
+
+
+def trace_sha256(trace) -> str:
+    digest = hashlib.sha256()
+    for line in trace.lines():
+        digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TRACES))
+def test_trace_bytes_are_pinned(name):
+    make, want = PINNED_TRACES[name]
+    assert trace_sha256(make()) == want
 
 
 def test_replay_from_file(tmp_path):
