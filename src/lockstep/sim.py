@@ -1,7 +1,9 @@
 """Deterministic discrete-event simulator for the round protocol.
 
-A run drives n protocol instances over a virtual global clock. Each vehicle
-sees the global clock plus a fixed per-vehicle offset; gossip broadcasts fan
+A run drives n protocol instances over a virtual global clock. Every tick
+comes from a clock, an iterator of ``(global, local)`` instants: clock 0 is
+the app's (``App.app_tick_times``), and clock i is vehicle i's, which reads
+the global clock plus a fixed offset (``_tick_times``). Gossip broadcasts fan
 out into independent point-to-point transmissions, each delivered after a
 sampled delay in (0, maximum_delay] or dropped by the loss model.
 ``simulate`` is the one event loop: it yields every send, delivery, drop,
@@ -12,10 +14,10 @@ Events hold each fact once: ``SendEvent(t, msg)``, ``DeliverEvent(t, receiver,
 msg)``, ``DropEvent(t, receiver, msg, cause)`` and ``OutputEvent(t, vehicle,
 output)``. The sender is ``msg.sender``, and a drop's ``t`` is its send time.
 
-Event order is total: by time, then deliveries before application ticks
-before vehicle ticks, then vehicle id, then insertion order. Per transmission
-the RNG is consumed in a fixed order (delay first, then the loss decision),
-one transmission per receiver in ascending id.
+Event order is total: by time, then deliveries before ticks, then receiver
+or clock (so the app's tick comes before vehicle 1's), then insertion order.
+Per transmission the RNG is consumed in a fixed order (delay first, then the
+loss decision), one transmission per receiver in ascending id.
 """
 
 from __future__ import annotations
@@ -570,23 +572,25 @@ class App:
 # ---------------------------------------------------------------------------
 
 _PRIO_DELIVER = 0
-_PRIO_APP = 1
-_PRIO_TICK = 2
+_PRIO_TICK = 1
 
 
-def _tick_times(p: ProtocolConfig, horizon: int) -> Iterator[int]:
-    """Local-clock tick instants up to ``horizon``: each round boundary, then its sends."""
+def _tick_times(p: ProtocolConfig, horizon: int, offset: int) -> Iterator[tuple[int, int]]:
+    """A vehicle's clock: ``(global, local)`` at each round boundary, then its sends,
+    up to local ``horizon``. A local reading below ``offset`` is before global 0."""
     sends = [p.sync_bound + j * p.gossip_interval for j in range(p.sends_per_round())]
     for k in itertools.count():
         base = k * p.round_length
         if base > horizon:
             return
-        if k > 0:
-            yield base
+        if k > 0 and base >= offset:
+            yield base - offset, base
         for s in sends:
-            if base + s > horizon:
+            local = base + s
+            if local > horizon:
                 return
-            yield base + s
+            if local >= offset:
+                yield local - offset, local
 
 
 def simulate(config: SimConfig, app: App) -> Iterator[TraceEvent]:
@@ -597,7 +601,6 @@ def simulate(config: SimConfig, app: App) -> Iterator[TraceEvent]:
     """
     p = config.protocol
     n = p.n
-    offsets = config.offsets
     rng = random.Random(config.seed)
     max_delay = p.maximum_delay
 
@@ -612,32 +615,29 @@ def simulate(config: SimConfig, app: App) -> Iterator[TraceEvent]:
     sample = config.delay.sample
     decide_loss = config.loss.decide
 
+    # Clock 0 is the app's, clock i vehicle i's. A heap entry is (t, prio, clock
+    # or receiver, seq, payload); a tick's payload is its local reading.
+    clocks = [((t, None) for t in app.app_tick_times())]
+    clocks += [_tick_times(p, config.duration, offset) for offset in config.offsets]
     heap: list = []
     seq = itertools.count()
-
-    tick_iters = [_tick_times(p, config.duration) for _ in range(n)]
-    for vid, it in enumerate(tick_iters, start=1):
-        for local in it:
-            g = local - offsets[vid - 1]
-            if g >= 0:
-                heapq.heappush(heap, (g, _PRIO_TICK, vid, next(seq), None))
-                break
-
-    app_ticks = iter(app.app_tick_times())
-    for t in app_ticks:
-        heapq.heappush(heap, (t, _PRIO_APP, 0, next(seq), None))
-        break
-
     push = heapq.heappush
     pop = heapq.heappop
+    for clock, instants in enumerate(clocks):
+        for at, local in instants:
+            push(heap, (at, _PRIO_TICK, clock, next(seq), local))
+            break
 
     while heap:
         t, prio, vid, _, payload = pop(heap)
         if prio == _PRIO_DELIVER:
             yield DeliverEvent(t, vid, payload)
             receives[vid - 1](payload)
-        elif prio == _PRIO_TICK:
-            msg, output = ticks[vid - 1](t + offsets[vid - 1], readers[vid - 1], decide)
+            continue
+        if vid == 0:
+            app.on_app_tick(t)
+        else:
+            msg, output = ticks[vid - 1](payload, readers[vid - 1], decide)
             if msg is not None:
                 yield SendEvent(t, msg)
                 rnd = msg.round
@@ -651,16 +651,9 @@ def simulate(config: SimConfig, app: App) -> Iterator[TraceEvent]:
             if output is not None:
                 yield OutputEvent(t, vid, output)
                 app.on_output(vid, output, t)
-            for local in tick_iters[vid - 1]:
-                g = local - offsets[vid - 1]
-                if g >= 0:
-                    push(heap, (g, _PRIO_TICK, vid, next(seq), None))
-                    break
-        else:
-            app.on_app_tick(t)
-            for nxt in app_ticks:
-                push(heap, (nxt, _PRIO_APP, 0, next(seq), None))
-                break
+        for at, local in clocks[vid]:
+            push(heap, (at, _PRIO_TICK, vid, next(seq), local))
+            break
 
 
 def run(config: SimConfig, app: App) -> Trace:

@@ -139,8 +139,17 @@ def test_tick_times_match_the_reference(name):
         whole + p.sync_bound + p.gossip_interval // 2,  # inside a send window
         whole + p.round_length // 2,
     ]
-    for horizon in horizons:
-        assert list(sim._tick_times(p, horizon)) == list(reference_tick_times(p, horizon))
+    offsets = [
+        0,
+        p.sync_bound // 2,  # inside the sync window
+        p.sync_bound,  # on the first send
+        p.sync_bound + p.gossip_interval // 2 + 1,  # past the first send
+        p.round_length + p.sync_bound,  # past a whole round
+    ]
+    for horizon, offset in itertools.product(horizons, offsets):
+        want = [(local - offset, local) for local in reference_tick_times(p, horizon)
+                if local >= offset]
+        assert list(sim._tick_times(p, horizon, offset)) == want
 
 
 # ---------------------------------------------------------------------------
