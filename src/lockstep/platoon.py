@@ -16,7 +16,7 @@ happily platooning through the outage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from enum import IntEnum
 from typing import Optional
 
@@ -84,15 +84,7 @@ def validate_level_table(table: LevelTable) -> None:
 
 
 def level_table_to_json(table: LevelTable) -> dict:
-    return {
-        level.to_json(): {
-            "headway": params.headway,
-            "accel_bound": params.accel_bound,
-            "position_error": params.position_error,
-            "velocity_error": params.velocity_error,
-        }
-        for level, params in sorted(table.items())
-    }
+    return {level.to_json(): asdict(params) for level, params in sorted(table.items())}
 
 
 def level_table_from_json(d: dict) -> LevelTable:
@@ -332,25 +324,9 @@ class ScenarioSpec:
                      brake_start=self.brake_time, brake_decel=self.brake_decel)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "round_length": self.round_length,
-            "sync_bound": self.sync_bound,
-            "maximum_delay": self.maximum_delay,
-            "gossip_interval": self.gossip_interval,
-            "outage_round": self.outage_round,
-            "outage_rounds": self.outage_rounds,
-            "brake_after_rounds": self.brake_after_rounds,
-            "cut_vehicle": self.cut_vehicle,
-            "horizon_rounds": self.horizon_rounds,
-            "initial_level": self.initial_level.to_json(),
-            "cruise_speed": self.cruise_speed,
-            "brake_decel": self.brake_decel,
-            "gap_gain": self.gap_gain,
-            "speed_gain": self.speed_gain,
-            "seed": self.seed,
-            "levels": level_table_to_json(self.level_table),
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "initial_level": self.initial_level.to_json(),
+                "levels": level_table_to_json(self.level_table)}
 
     @staticmethod
     def from_json(d: dict) -> "ScenarioSpec":

@@ -27,7 +27,7 @@ import itertools
 import json
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
@@ -86,6 +86,10 @@ class DropRule:
         has_span = self.t0 is not None and self.t1 is not None
         if has_round == has_span:
             raise ConfigError("drop rule needs exactly one of: round, [t0, t1]")
+        if has_round and self.round < 0:
+            raise ConfigError(f"drop rule round must be >= 0, got {self.round}")
+        if has_span and (self.t0 > self.t1 or self.t1 < 0):
+            raise ConfigError(f"drop rule span [{self.t0}, {self.t1}] matches no send time")
 
     def matches(self, msg_round: int, sender: int, receiver: int, send_time: int) -> bool:
         if self.sender is not None and self.sender != sender:
@@ -303,30 +307,14 @@ class SimConfig:
         self.delay.validate(self.protocol.maximum_delay)
 
     def to_json(self) -> dict:
-        p = self.protocol
-        return {
-            "n": p.n,
-            "round_length": p.round_length,
-            "sync_bound": p.sync_bound,
-            "maximum_delay": p.maximum_delay,
-            "gossip_interval": p.gossip_interval,
-            "offsets": list(self.offsets),
-            "duration": self.duration,
-            "seed": self.seed,
-            "loss": self.loss.to_json(),
-            "delay": self.delay.to_json(),
-        }
+        return {**asdict(self.protocol), "offsets": list(self.offsets),
+                "duration": self.duration, "seed": self.seed,
+                "loss": self.loss.to_json(), "delay": self.delay.to_json()}
 
     @staticmethod
     def from_json(d: dict) -> "SimConfig":
         return SimConfig(
-            protocol=ProtocolConfig(
-                n=d["n"],
-                round_length=d["round_length"],
-                sync_bound=d["sync_bound"],
-                maximum_delay=d["maximum_delay"],
-                gossip_interval=d["gossip_interval"],
-            ),
+            protocol=ProtocolConfig(**{f.name: d[f.name] for f in fields(ProtocolConfig)}),
             offsets=tuple(d["offsets"]),
             loss=loss_from_json(d["loss"]),
             duration=d["duration"],
@@ -437,8 +425,8 @@ def _deliver_head(m: GossipMessage, ack: str, data: str) -> str:
 
 # Each sent message whose deliver and drop lines are still to be written:
 # id(msg) -> [msg, ack JSON, data JSON, deliver head, copies left]. The entry
-# holds msg, so its id is not reused while cached, and a hit also checks
-# identity; a miss (a deliver with no send line, say) encodes afresh. A send
+# holds msg, so no other object can have its id while cached; a miss (a
+# deliver with no send line, say) encodes afresh. A send
 # expects one copy per other member (len(msg.ack) - 1) and each deliver or
 # drop line takes one, so after a complete trace the cache is empty again.
 _in_flight: dict[int, list] = {}
@@ -449,7 +437,7 @@ def event_to_json(ev: TraceEvent) -> str:
     if isinstance(ev, (DeliverEvent, DropEvent)):
         m = ev.msg
         entry = _in_flight.get(id(m))
-        if entry is not None and entry[0] is m:
+        if entry is not None:
             _, ack, data, head, left = entry
             if left > 1:
                 entry[4] = left - 1

@@ -212,6 +212,7 @@ def _rewrite_header(path, lines, edit):
 @pytest.mark.parametrize("case,message", [
     ("not-json", "is not a lockstep-trace file"),
     ("missing-config", "missing key 'config'"),
+    ("missing-protocol-field", "header is missing key 'gossip_interval'"),
     ("wrong-version", "trace version 2"),
     ("wrong-type", "field of the wrong type"),
     ("app-not-object", "app that is not an object"),
@@ -231,6 +232,9 @@ def _rewrite_header(path, lines, edit):
     ("rule-round-a-string", "bad value: drop rule round must be an int, got '3'"),
     ("rule-span-a-float", "bad value: drop rule t1 must be an int, got 200.5"),
     ("rule-receiver-a-string", "bad value: drop rule receiver must be an int, got '2'"),
+    # A rule that can match nothing is a typo, not a schedule.
+    ("rule-round-negative", "bad value: drop rule round must be >= 0, got -4"),
+    ("rule-span-backwards", "bad value: drop rule span [200, 100] matches no send time"),
 ])
 def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message):
     path, lines = _record_small_trace(tmp_path)
@@ -250,6 +254,10 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
                                        "rules": [{"t": [100, 200.5], "from": 1, "to": "*"}]}},
         "rule-receiver-a-string": {"loss": {"kind": "schedule",
                                             "rules": [{"round": 3, "from": "*", "to": "2"}]}},
+        "rule-round-negative": {"loss": {"kind": "schedule",
+                                         "rules": [{"round": -4, "from": 2, "to": "*"}]}},
+        "rule-span-backwards": {"loss": {"kind": "composite", "p": 0.1,
+                                         "rules": [{"t": [200, 100], "from": "*", "to": 1}]}},
     }
     if case in config_edits:
         _rewrite_header(path, lines, lambda h: h["config"].update(config_edits[case]))
@@ -257,6 +265,8 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
         path.write_text("this is not json\n" + "\n".join(lines[1:]) + "\n")
     elif case == "missing-config":
         _rewrite_header(path, lines, lambda h: h.pop("config"))
+    elif case == "missing-protocol-field":
+        _rewrite_header(path, lines, lambda h: h["config"].pop("gossip_interval"))
     elif case == "wrong-version":
         _rewrite_header(path, lines, lambda h: h.update(version=2))
     elif case == "wrong-type":
@@ -291,6 +301,22 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
                  id="run-schedule-round-a-string"),
     pytest.param(["run", "--loss", "composite:0.1,{round3}"],
                  "drop rule round must be an int, got '3'", id="run-composite-round-a-string"),
+    pytest.param(["run", "--loss", "schedule:{negative}"], "drop rule round must be >= 0, got -4",
+                 id="run-schedule-round-negative"),
+    pytest.param(["run", "--loss", "composite:0.1,{negative}"],
+                 "drop rule round must be >= 0, got -4", id="run-composite-round-negative"),
+    pytest.param(["run", "--loss", "schedule:{backwards}"],
+                 "drop rule span [2000000, 1000000] matches no send time",
+                 id="run-schedule-span-backwards"),
+    pytest.param(["run", "--loss", "composite:0.1,{backwards}"],
+                 "drop rule span [2000000, 1000000] matches no send time",
+                 id="run-composite-span-backwards"),
+    pytest.param(["run", "--loss", "schedule:{before0}"],
+                 "drop rule span [-300, -1] matches no send time",
+                 id="run-schedule-span-before-0"),
+    pytest.param(["run", "--loss", "composite:0.1,{before0}"],
+                 "drop rule span [-300, -1] matches no send time",
+                 id="run-composite-span-before-0"),
     pytest.param(["scenario", "--outage-rounds", "1"], "at least two rounds",
                  id="scenario-outage-rounds-1"),
     pytest.param(["scenario", "--outage-round", "39"], "outage_round must be in 0..34",
@@ -342,6 +368,9 @@ def test_malformed_command_input_is_usage_error(tmp_path, capsys, argv, message)
         "fast": json.dumps(dict(scenario, cruise_speed="fast")),
         "half": json.dumps(dict(scenario, horizon_rounds=2.5)),
         "round3": '[{"round": "3", "from": "*", "to": 1}]\n',
+        "negative": '[{"round": -4, "from": 2, "to": "*"}]\n',
+        "backwards": '[{"t": [2000000, 1000000], "from": "*", "to": 1}]\n',
+        "before0": '[{"t": [-300, -1], "from": "*", "to": 1}]\n',
     }
     paths = {name: tmp_path / f"{name}.json" for name in files}
     for name, text in files.items():
