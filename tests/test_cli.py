@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line driver and its exit codes."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -177,6 +178,45 @@ def test_scenario_from_json_file(tmp_path):
     assert main(["scenario", "--scenario-json", str(spec_path), "--out", str(out2)]) == 0
     assert ((out2 / "scenario_report.json").read_bytes()
             == (tmp_path / "scenario_report.json").read_bytes())
+
+
+# Scenario specs with the command's exit code and the sha256 of each file it writes.
+PINNED_SCENARIOS = {
+    "default": (ScenarioSpec(), 0, {
+        "scenario_report.json": "467d8243c93834e323d56ac417711c6d357a269f95427915006a2a144233586f",
+        "scenario_protocol.csv": "0bbf4d96c4a8ea78201a2f74bf083454af85f33d79adc7cc28109c87fc7d97d1",
+        "scenario_baseline.csv": "bed448f1143a6a030c866fbd413735360727351f23504af09aad2ad3b73b657e",
+        "scenario_trace.jsonl": "4ef2ba903547b1085e74505175bf596bd314bf14a217566966ce60bfaa9d940b",
+        "scenario.json": "2e0aabe197393e1be8b93e4fc65510e2725cc416b0c986f33e0583ef2702b45a",
+    }),
+    # The tail vehicle is deaf, so the baseline drops it to LOW and the run fails.
+    "cut-tail": (ScenarioSpec(cut_vehicle=3, outage_round=12), 1, {
+        "scenario_report.json": "5fbc70a67fa20bdeae1a20591868897dc81c4384761fab16d955311b7ea69755",
+        "scenario_protocol.csv": "6601bf97c27ac9e3953635a7fc10fb7766ddb7866abd6e752783f7772ea15d91",
+        "scenario_baseline.csv": "080409498293026b4819129d295f4ce0379bb1d621904bedde039a6ade2bcda0",
+        "scenario_trace.jsonl": "e89f650cefbdc80e653d373c76d69deebf74e1c79431386aa8a628a152c1b07c",
+        "scenario.json": "02732161d0feb75a7dc0f924f6f23f7468f4b25dc645af056bdc94966fb5f359",
+    }),
+    # The deaf vehicle is the leader, which has no predecessor to miss.
+    "deaf-leader": (ScenarioSpec(n=4, cut_vehicle=1), 0, {
+        "scenario_report.json": "5ec084de144f0dc186efacdc57ab3adb9104f788446c3bc3d1eaff0b18acc918",
+        "scenario_protocol.csv": "b2a6a62c9437f95567da782f6bd895d2ab1beadc49f4d66ba4933b3a16c4de2e",
+        "scenario_baseline.csv": "bd49c8d35244f1202c98e56f83c0796588ceab8ac117e3d30b37ba899e8c2ce6",
+        "scenario_trace.jsonl": "37c3e0b1d7efe528f17ee2417e387813cdad718d119413d8befbf869132be3c7",
+        "scenario.json": "660a2d07092e4bdf26cc711012cfc5904db1bdb4f3d7dc8779b5937af93b1da6",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCENARIOS))
+def test_scenario_artifacts_are_pinned(tmp_path, name):
+    spec, code, want = PINNED_SCENARIOS[name]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec.to_json()))
+    out = tmp_path / "out"
+    assert main(["scenario", "--scenario-json", str(spec_path), "--out", str(out)]) == code
+    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in want}
+    assert got == want
 
 
 def test_replay_command_round_trip(tmp_path):
