@@ -382,11 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_scen = sub.add_parser("scenario", help="three-vehicle worst-case outage, protocol vs baseline")
-    p_scen.add_argument("--round-ms", type=int, default=260)
-    p_scen.add_argument("--outage-round", type=int, default=20)
-    p_scen.add_argument("--outage-rounds", type=int, default=10)
-    p_scen.add_argument("--brake-after-rounds", type=int, default=6)
-    p_scen.add_argument("--seed", type=int, default=1)
+    p_scen.add_argument("--round-ms", type=int, default=ScenarioSpec.round_length // 1000)
+    p_scen.add_argument("--outage-round", type=int, default=ScenarioSpec.outage_round)
+    p_scen.add_argument("--outage-rounds", type=int, default=ScenarioSpec.outage_rounds)
+    p_scen.add_argument("--brake-after-rounds", type=int, default=ScenarioSpec.brake_after_rounds)
+    p_scen.add_argument("--seed", type=int, default=ScenarioSpec.seed)
     p_scen.add_argument("--scenario-json", help="load the full scenario from a JSON file")
     p_scen.add_argument("--out")
     p_scen.set_defaults(func=cmd_scenario)

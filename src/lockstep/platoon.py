@@ -5,18 +5,20 @@ sensing currently supports. The shared decision is the minimum of those
 levels, so the whole platoon always operates at a level every member can
 meet. A default (failed-round) decision maps to the lowest level: autonomous
 ACC on on-board sensing with the widest headway and the loosest acceleration
-bound. Dynamics are a deliberately small 1-D kinematic chain, stepped once
-per round.
+bound. Dynamics are a deliberately small 1-D kinematic chain, the ``World``
+built from a ``ScenarioSpec`` and stepped once per round.
 
 Includes the three-vehicle worst-case outage scenario (the middle vehicle
 stops receiving while the leader later brakes) in two flavors: running the
 protocol, and a keep-last-known baseline that shows the tail vehicle
-happily platooning through the outage.
+happily platooning through the outage. Both turn each vehicle's decision
+into an acceleration through ``World.command``, which records one
+``KinematicsRow``; a run's levels are read off those rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from enum import IntEnum
 from typing import Optional
 
@@ -57,8 +59,8 @@ class LevelParams:
 
     headway: float
     accel_bound: float
-    position_error: Optional[float]
-    velocity_error: Optional[float]
+    position_error: Optional[float] = None
+    velocity_error: Optional[float] = None
 
 
 LevelTable = dict[ServiceLevel, LevelParams]
@@ -68,10 +70,8 @@ def default_level_table() -> LevelTable:
     return {
         ServiceLevel.HIGH: LevelParams(headway=5.0, accel_bound=2.0,
                                        position_error=0.5, velocity_error=0.5),
-        ServiceLevel.MEDIUM: LevelParams(headway=10.0, accel_bound=3.0,
-                                         position_error=None, velocity_error=0.5),
-        ServiceLevel.LOW: LevelParams(headway=20.0, accel_bound=5.0,
-                                      position_error=None, velocity_error=None),
+        ServiceLevel.MEDIUM: LevelParams(headway=10.0, accel_bound=3.0, velocity_error=0.5),
+        ServiceLevel.LOW: LevelParams(headway=20.0, accel_bound=5.0),
     }
 
 
@@ -88,15 +88,7 @@ def level_table_to_json(table: LevelTable) -> dict:
 
 
 def level_table_from_json(d: dict) -> LevelTable:
-    return {
-        ServiceLevel.from_json(name): LevelParams(
-            headway=p["headway"],
-            accel_bound=p["accel_bound"],
-            position_error=p.get("position_error"),
-            velocity_error=p.get("velocity_error"),
-        )
-        for name, p in d.items()
-    }
+    return {ServiceLevel.from_json(name): LevelParams(**p) for name, p in d.items()}
 
 
 @dataclass(frozen=True)
@@ -131,40 +123,56 @@ def platoon_decide(s: tuple) -> Datum:
 
 @dataclass
 class VehicleBody:
-    vid: int
     x: float
     v: float
-    predecessor: Optional[int]  # None for the leader
     accel: float = 0.0
 
 
-@dataclass
-class World:
-    """1-D kinematic platoon: leader in front (largest x), followers behind."""
+@dataclass(frozen=True)
+class KinematicsRow:
+    round: int
+    vehicle: int
+    x: float
+    v: float
+    gap: Optional[float]
+    level: ServiceLevel
 
-    bodies: list[VehicleBody]
-    table: LevelTable
-    cruise_speed: float
-    gap_gain: float = 0.3       # accel per meter of gap error
-    speed_gain: float = 2.0     # accel per m/s of relative speed
-    brake_start: Optional[int] = None  # global µs; leader decelerates from here on
-    brake_decel: float = 0.0
-    time: int = 0               # global µs, advanced by step()
-    min_gap: float = field(default=float("inf"))
+
+class World:
+    """1-D kinematic platoon of a scenario: vehicle 1 leads (largest x), i follows i-1.
+
+    Every vehicle starts at the cruise speed, spaced by the initial level's
+    headway. The controller's gains, the cruise speed and the leader's brake
+    are read from ``scenario``. ``command`` sets one vehicle's acceleration
+    for a decided level and records its ``KinematicsRow``; ``step_world``
+    moves every vehicle and keeps the smallest gap seen.
+    """
+
+    def __init__(self, scenario: ScenarioSpec) -> None:
+        self.scenario = scenario
+        self.table = scenario.level_table
+        headway = self.table[scenario.initial_level].headway
+        self.bodies = [VehicleBody(-headway * i, scenario.cruise_speed) for i in range(scenario.n)]
+        self.time = 0  # global µs, advanced by step_world
+        self.min_gap = float("inf")
+        self.rows: list[KinematicsRow] = []
 
     def body(self, vid: int) -> VehicleBody:
         return self.bodies[vid - 1]
 
     def gap_behind_predecessor(self, vid: int) -> Optional[float]:
-        body = self.body(vid)
-        if body.predecessor is None:
-            return None
-        return self.body(body.predecessor).x - body.x
+        return None if vid == 1 else self.body(vid - 1).x - self.body(vid).x
 
-    def record_gaps(self) -> None:
-        for body in self.bodies:
-            if body.predecessor is not None:
-                self.min_gap = min(self.min_gap, self.gap_behind_predecessor(body.vid))
+    def datum(self, vid: int) -> PlatoonDatum:
+        body = self.body(vid)
+        return PlatoonDatum(self.scenario.initial_level, body.x, body.v)
+
+    def command(self, rnd: int, vid: int, s: tuple, decision: Datum) -> None:
+        """Set vehicle vid's acceleration for round rnd's decision and record its row."""
+        body = self.body(vid)
+        body.accel = control_accel(self, vid, s, decision)
+        gap = self.gap_behind_predecessor(vid)
+        self.rows.append(KinematicsRow(rnd, vid, body.x, body.v, gap, effective_level(decision)))
 
 
 def effective_level(decision: Datum) -> ServiceLevel:
@@ -181,40 +189,36 @@ def control_accel(world: World, vid: int, s: tuple, decision: Datum) -> float:
     from on-board relative sensing (world truth) at LOW. Always clipped to
     the level's acceleration bound.
     """
+    spec = world.scenario
     level = effective_level(decision)
     params = world.table[level]
     body = world.body(vid)
-    bound = params.accel_bound
-    if body.predecessor is None:
-        if world.brake_start is not None and world.time >= world.brake_start:
-            a = -world.brake_decel
+    if vid == 1:
+        if world.time >= spec.brake_time:
+            a = -spec.brake_decel
         else:
-            a = world.speed_gain * (world.cruise_speed - body.v)
-        return max(-bound, min(bound, a))
-
-    pred = body.predecessor
-    shared = None
-    if level > ServiceLevel.LOW and s:
-        pd, sd = s[pred - 1], s[vid - 1]
-        if not is_default(pd) and not is_default(sd):
-            shared = (pd.x - sd.x, pd.v - sd.v)
-    if shared is not None:
-        gap, dv = shared
+            a = spec.speed_gain * (spec.cruise_speed - body.v)
     else:
-        gap = world.body(pred).x - body.x
-        dv = world.body(pred).v - body.v
-    a = world.gap_gain * (gap - params.headway) + world.speed_gain * dv
-    return max(-bound, min(bound, a))
+        ahead = world.body(vid - 1)
+        if level > ServiceLevel.LOW and s and not any(map(is_default, s[vid - 2:vid])):
+            ahead, body = s[vid - 2], s[vid - 1]  # cooperating: the gossiped snapshot
+        gap, dv = ahead.x - body.x, ahead.v - body.v
+        a = spec.gap_gain * (gap - params.headway) + spec.speed_gain * dv
+    return max(-params.accel_bound, min(params.accel_bound, a))
 
 
 def step_world(world: World, dt_us: int) -> None:
-    """Advance every vehicle by dt: v += a*dt (floored at 0), then x += v*dt."""
+    """Advance every vehicle by dt: v += a*dt (floored at 0), then x += v*dt.
+
+    Then fold every follower's gap into ``world.min_gap``.
+    """
     dt = dt_us / 1e6
     for body in world.bodies:
         body.v = max(0.0, body.v + body.accel * dt)
         body.x += body.v * dt
     world.time += dt_us
-    world.record_gaps()
+    for vid in range(2, len(world.bodies) + 1):
+        world.min_gap = min(world.min_gap, world.gap_behind_predecessor(vid))
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +300,7 @@ class ScenarioSpec:
                               self.maximum_delay, self.gossip_interval)
 
     def sim_config(self) -> SimConfig:
+        protocol = self.protocol_config()  # a bad timing is named before the outage rule reads it
         # Cutting every reception of the target vehicle is what the outage
         # means at message level: with gossip relaying, dropping single links
         # would be healed by the other members within the round.
@@ -304,24 +309,12 @@ class ScenarioSpec:
                      receiver=self.cut_vehicle),
         ])
         return SimConfig(
-            protocol=self.protocol_config(),
+            protocol=protocol,
             offsets=(0,) * self.n,
             loss=schedule,
             duration=self.horizon_rounds * self.round_length,
             seed=self.seed,
         )
-
-    def build_world(self) -> World:
-        table = self.level_table
-        headway = table[self.initial_level].headway
-        bodies = [
-            VehicleBody(vid=vid, x=-headway * (vid - 1), v=self.cruise_speed,
-                        predecessor=None if vid == 1 else vid - 1)
-            for vid in range(1, self.n + 1)
-        ]
-        return World(bodies=bodies, table=table, cruise_speed=self.cruise_speed,
-                     gap_gain=self.gap_gain, speed_gain=self.speed_gain,
-                     brake_start=self.brake_time, brake_decel=self.brake_decel)
 
     def to_json(self) -> dict:
         return {**{f.name: getattr(self, f.name) for f in fields(self)},
@@ -340,34 +333,21 @@ class ScenarioSpec:
             raise ConfigError(f"malformed scenario: {type(exc).__name__}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class KinematicsRow:
-    round: int
-    vehicle: int
-    x: float
-    v: float
-    gap: Optional[float]
-    level: ServiceLevel
-
-
 class PlatoonApp(App):
     """Protocol application driving the kinematic world.
 
     On every round boundary the world steps forward with the accelerations
     decided at the previous boundary (the app tick runs before the vehicle
     ticks at the same instant, so vehicles read fresh positions). Each round
-    output turns into an acceleration command via ``control_accel``.
+    output turns into an acceleration command via ``World.command``.
     """
 
     def __init__(self, scenario: ScenarioSpec) -> None:
         self.scenario = scenario
-        self.world = scenario.build_world()
-        self.rows: list[KinematicsRow] = []
-        self.levels: dict[int, dict[int, ServiceLevel]] = {}
+        self.world = World(scenario)
 
     def read_state(self, vid: int) -> PlatoonDatum:
-        body = self.world.body(vid)
-        return PlatoonDatum(self.scenario.initial_level, body.x, body.v)
+        return self.world.datum(vid)
 
     def decide(self, s: tuple) -> Datum:
         return platoon_decide(s)
@@ -380,12 +360,7 @@ class PlatoonApp(App):
         step_world(self.world, self.scenario.round_length)
 
     def on_output(self, vid: int, output: RoundOutput, t: int) -> None:
-        body = self.world.body(vid)
-        body.accel = control_accel(self.world, vid, output.s, output.decision)
-        level = effective_level(output.decision)
-        self.levels.setdefault(output.round, {})[vid] = level
-        self.rows.append(KinematicsRow(output.round, vid, body.x, body.v,
-                                       self.world.gap_behind_predecessor(vid), level))
+        self.world.command(output.round, vid, output.s, output.decision)
 
     def spec(self) -> dict:
         return {"kind": "platoon-worst-case", "scenario": self.scenario.to_json()}
@@ -428,8 +403,15 @@ def build_app(spec: dict) -> App:
 class ScenarioResult:
     trace: Optional[Trace]
     rows: list[KinematicsRow]
-    levels: dict[int, dict[int, ServiceLevel]]
     min_gap: float
+
+    @property
+    def levels(self) -> dict[int, dict[int, ServiceLevel]]:
+        """round -> vehicle -> the level that vehicle drove at, read off the rows."""
+        levels: dict[int, dict[int, ServiceLevel]] = {}
+        for row in self.rows:
+            levels.setdefault(row.round, {})[row.vehicle] = row.level
+        return levels
 
     def gap_at(self, rnd: int, vid: int) -> Optional[float]:
         for row in self.rows:
@@ -456,14 +438,15 @@ def scenario_facts(scenario: ScenarioSpec, protocol_res: ScenarioResult,
     low = ServiceLevel.LOW
     brake_round = u + scenario.brake_after_rounds
     initial_gap = scenario.level_table[scenario.initial_level].headway
-    tail = [baseline_res.levels[r][scenario.n]
-            for r in range(u, u + scenario.outage_rounds) if r in baseline_res.levels]
+    levels, baseline_levels = protocol_res.levels, baseline_res.levels
+    tail = [baseline_levels[r][scenario.n]
+            for r in range(u, u + scenario.outage_rounds) if r in baseline_levels]
     return {
         "first_affected_round": u,
         "cut_vehicle_low_at": u + 1,
-        "cut_vehicle_low_ok": protocol_res.levels[u + 1][scenario.cut_vehicle] == low,
+        "cut_vehicle_low_ok": levels[u + 1][scenario.cut_vehicle] == low,
         "all_low_at": u + 2,
-        "all_low_ok": all(lv == low for lv in protocol_res.levels[u + 2].values()),
+        "all_low_ok": all(lv == low for lv in levels[u + 2].values()),
         "gaps_open_before_brake": all(
             (protocol_res.gap_at(brake_round, vid) or 0.0) > initial_gap
             for vid in range(2, scenario.n + 1)
@@ -480,55 +463,33 @@ def run_worst_case(scenario: ScenarioSpec) -> ScenarioResult:
     """Run the outage scenario with the protocol in the loop."""
     app = PlatoonApp(scenario)
     trace = run(scenario.sim_config(), app)
-    return ScenarioResult(trace, app.rows, app.levels, app.world.min_gap)
+    return ScenarioResult(trace, app.world.rows, app.world.min_gap)
 
 
 def run_baseline(scenario: ScenarioSpec) -> ScenarioResult:
     """Keep-last-known baseline without the protocol, same outage and brake.
 
-    Round granularity: each round a vehicle refreshes the entries it heard
-    and keeps stale ones. It platoons at the minimum of the last-known
-    levels, dropping to LOW (on-board ACC) only while its own predecessor's
-    message is missing. The deaf vehicle's neighbors never notice anything.
+    Round granularity: each round a vehicle hears every current datum, except
+    the cut vehicle during the outage, which refreshes only its own slot and
+    keeps the stale rest. A vehicle platoons at the minimum of its last-known
+    levels, and drops to LOW (on-board ACC) only while it is deaf and has a
+    predecessor to miss. The deaf vehicle's neighbors never notice anything.
     """
-    scenario_rounds = scenario.horizon_rounds
-    world = scenario.build_world()
-    n = scenario.n
-    last_known = {
-        vid: {j: PlatoonDatum(scenario.initial_level, world.body(j).x, world.body(j).v)
-              for j in range(1, n + 1)}
-        for vid in range(1, n + 1)
-    }
-    rows: list[KinematicsRow] = []
-    levels: dict[int, dict[int, ServiceLevel]] = {}
-
-    for rnd in range(scenario_rounds):
+    world = World(scenario)
+    vids = range(1, scenario.n + 1)
+    last_known = [[world.datum(j) for j in vids] for _ in vids]
+    for rnd in range(scenario.horizon_rounds):
         outage = scenario.outage_round <= rnd < scenario.outage_round + scenario.outage_rounds
-        snapshot = {j: PlatoonDatum(scenario.initial_level, world.body(j).x, world.body(j).v)
-                    for j in range(1, n + 1)}
-        for vid in range(1, n + 1):
-            missed_pred = False
-            for j in range(1, n + 1):
-                cut = outage and vid == scenario.cut_vehicle and j != vid
-                if cut:
-                    if j == world.body(vid).predecessor:
-                        missed_pred = True
-                else:
-                    last_known[vid][j] = snapshot[j]
-            if missed_pred:
-                level = ServiceLevel.LOW
+        for vid, known in zip(vids, last_known):
+            deaf = outage and vid == scenario.cut_vehicle
+            if deaf:
+                known[vid - 1] = world.datum(vid)
             else:
-                level = min(d.los for d in last_known[vid].values())
-            s = tuple(last_known[vid][j] for j in range(1, n + 1))
-            decision = DEFAULT if level == ServiceLevel.LOW else level
-            body = world.body(vid)
-            body.accel = control_accel(world, vid, s, decision)
-            levels.setdefault(rnd, {})[vid] = level
-            rows.append(KinematicsRow(rnd, vid, body.x, body.v,
-                                      world.gap_behind_predecessor(vid), level))
+                known[:] = [world.datum(j) for j in vids]
+            level = ServiceLevel.LOW if deaf and vid > 1 else min(d.los for d in known)
+            world.command(rnd, vid, tuple(known), level)
         step_world(world, scenario.round_length)
-
-    return ScenarioResult(None, rows, levels, world.min_gap)
+    return ScenarioResult(None, world.rows, world.min_gap)
 
 
 def write_kinematics_csv(path, rows: list[KinematicsRow]) -> None:

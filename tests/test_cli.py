@@ -368,6 +368,8 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
     pytest.param(["scenario", "--outage-rounds", "30", "--brake-after-rounds", "21"],
                  "outage_round must be in 0..19", id="scenario-long-brake-past-the-horizon"),
     pytest.param(["scenario", "--round-ms", "50"], "round_length", id="scenario-round-ms-50"),
+    pytest.param(["scenario", "--round-ms", "0"], "round_length", id="scenario-round-ms-0"),
+    pytest.param(["scenario", "--round-ms", "-5"], "round_length", id="scenario-round-ms-negative"),
     pytest.param(["sweep", "--n-list", "1", "--duration-s", "1"], "fleet sizes must be >= 2",
                  id="sweep-n-list-1"),
     pytest.param(["sweep", "--n-list", "2,8", "--round-ms-list", "160,2000", "--seeds", "1",
@@ -395,6 +397,10 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
                  id="scenario-json-float-field-a-string"),
     pytest.param(["scenario", "--scenario-json", "{half}"], "'horizon_rounds' must be int",
                  id="scenario-json-int-field-a-float"),
+    pytest.param(["scenario", "--scenario-json", "{round0}"], "round_length",
+                 id="scenario-json-round-length-0"),
+    pytest.param(["scenario", "--scenario-json", "{levelkey}"],
+                 "unexpected keyword argument 'bogus'", id="scenario-json-unknown-level-key"),
 ])
 def test_malformed_command_input_is_usage_error(tmp_path, capsys, argv, message):
     scenario = ScenarioSpec().to_json()
@@ -407,6 +413,9 @@ def test_malformed_command_input_is_usage_error(tmp_path, capsys, argv, message)
         "ultra": json.dumps(dict(scenario, initial_level="ultra")),
         "fast": json.dumps(dict(scenario, cruise_speed="fast")),
         "half": json.dumps(dict(scenario, horizon_rounds=2.5)),
+        "round0": json.dumps(dict(scenario, round_length=0)),
+        "levelkey": json.dumps(dict(scenario, levels=dict(
+            scenario["levels"], low=dict(scenario["levels"]["low"], bogus=1)))),
         "round3": '[{"round": "3", "from": "*", "to": 1}]\n',
         "negative": '[{"round": -4, "from": 2, "to": "*"}]\n',
         "backwards": '[{"t": [2000000, 1000000], "from": "*", "to": 1}]\n',

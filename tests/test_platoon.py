@@ -10,7 +10,6 @@ from lockstep.platoon import (
     PlatoonDatum,
     ScenarioSpec,
     ServiceLevel,
-    VehicleBody,
     World,
     control_accel,
     default_level_table,
@@ -101,12 +100,10 @@ def test_read_state_reflects_scenario_level_and_stopped_vehicle():
 # ---------------------------------------------------------------------------
 
 def make_world(gap, level=MEDIUM, v_pred=20.0, v_self=20.0):
-    table = default_level_table()
-    bodies = [
-        VehicleBody(1, 0.0, v_pred, None),
-        VehicleBody(2, -gap, v_self, 1),
-    ]
-    return World(bodies=bodies, table=table, cruise_speed=20.0)
+    world = World(ScenarioSpec(n=2))
+    world.body(1).x, world.body(1).v = 0.0, v_pred
+    world.body(2).x, world.body(2).v = -gap, v_self
+    return world
 
 
 def test_follower_at_target_gap_is_at_equilibrium():
@@ -201,6 +198,12 @@ def test_scenario_spec_validation():
 def test_scenario_json_round_trip():
     spec = ScenarioSpec(round_length=360_000, outage_round=15)
     assert ScenarioSpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
+
+
+def test_level_entry_may_omit_its_error_bounds():
+    spec = ScenarioSpec().to_json()
+    spec["levels"]["low"] = {"headway": 20.0, "accel_bound": 5.0}
+    assert ScenarioSpec.from_json(spec) == ScenarioSpec()
 
 
 def test_scenario_with_custom_level_table_replays(tmp_path):
