@@ -234,21 +234,6 @@ def _first_break(
     return None if hit is None else (*hit, decisions)
 
 
-def verify_sequence(
-    n: int,
-    matrices: Sequence[DeliveryMatrix],
-    decide: DecideFn,
-    read_state: Optional[tuple] = None,
-    drop_default_write: bool = False,
-) -> Optional[Counterexample]:
-    hit = _first_break(n, [completeness(m) for m in matrices], decide, read_state,
-                       drop_default_write)
-    if hit is None:
-        return None
-    rule, rnd, decisions = hit
-    return Counterexample(rule, rnd, list(matrices), decisions)
-
-
 def _check_size(n: int, rounds: int) -> None:
     if n < 1 or rounds < 1:
         raise ConfigError(f"verification needs n >= 1 and rounds >= 1, got n={n}, rounds={rounds}")

@@ -19,7 +19,6 @@ from lockstep.oracle import (
     matrix_from_missing,
     run_abstract,
     sample_and_verify,
-    verify_sequence,
 )
 from lockstep.platoon import ServiceLevel, min_level_decide
 from lockstep.protocol import DEFAULT, ConfigError, Datum, checked_decide, is_default
@@ -100,7 +99,7 @@ def literal_enumerate_and_verify(n, rounds, decide, read_state, drop_default_wri
     checked = 0
     for seq in itertools.product(all_matrices(n), repeat=rounds):
         checked += 1
-        ce = verify_sequence(n, seq, decide, read_state, drop_default_write)
+        ce = reference_verify_sequence(n, seq, decide, read_state, drop_default_write)
         if ce is not None:
             return VerificationReport(n, rounds, checked, ce, {"mode": "exhaustive"})
     return VerificationReport(n, rounds, checked, None, {"mode": "exhaustive"})
@@ -129,7 +128,7 @@ def test_mutant_without_default_write_is_caught():
 def test_all_false_matrices_stay_uniformly_default():
     n = 4
     dead = tuple(tuple(i == j for i in range(n)) for j in range(n))
-    assert verify_sequence(n, [dead] * 5, min_level_decide, high_state(n)) is None
+    assert reference_verify_sequence(n, [dead] * 5, min_level_decide, high_state(n)) is None
     decisions = run_abstract(n, [completeness(dead)] * 5, min_level_decide, high_state(n))
     for row in decisions:
         assert all(is_default(d) for d in row)
