@@ -231,9 +231,9 @@ _NUMBER_KINDS = {"int": (int,), "float": (int, float)}
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Three-vehicle platoon outage: the middle vehicle goes deaf, the leader brakes.
+    """Platoon outage: the cut vehicle goes deaf, the leader brakes.
 
-    From round ``outage_round`` every transmission toward the cut vehicle is
+    By default three vehicles, and the middle one is cut. From round ``outage_round`` every transmission toward the cut vehicle is
     dropped for ``outage_rounds`` rounds (its own messages still flow, so the
     others keep relaying its data). The leader starts braking
     ``brake_after_rounds`` rounds into the outage, by round ``horizon_rounds``;
