@@ -49,9 +49,7 @@ from .analysis import (
 )
 from .oracle import (
     abstract_round,
-    completeness,
     enumerate_and_verify,
-    matrix_from_missing,
     run_abstract,
     sample_and_verify,
 )

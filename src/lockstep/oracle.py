@@ -9,16 +9,23 @@ A round is stable when every vehicle is complete. This small model is the
 ground truth the timed simulator is checked against.
 
 A delivery matrix's entry [j][i] says whether vehicle i ended the round
-holding j's message; ``completeness`` reduces a matrix to its vector (column
-i all true), so every matrix with the same vector gives the same decisions
-and verdict. Both verifiers therefore check completeness vectors, and build
-delivery matrices only for the sequence a counterexample reports. The
-exhaustive check enumerates the 2^n completeness vectors per round instead of
-the 2^(n(n-1)) matrices, and counts covered delivery patterns with their
-multiplicity. Its size bound is n x rounds <= 18, so 3 vehicles x 6 rounds,
-4 x 4 and 5 x 3 are all exhaustive. The sampled check draws each unstable
-round's links into a flat row-major list and reads the vector off its
-columns.
+holding j's message, so its vector is "column i all true", and every matrix
+with the same vector gives the same decisions and verdict. Both verifiers
+therefore check completeness vectors, and build delivery matrices only for
+the sequence a counterexample reports, each round as the smallest matrix of
+its vector (``_smallest_matrix``). The exhaustive check enumerates the 2^n
+completeness vectors per round instead of the 2^(n(n-1)) matrices, and
+counts covered delivery patterns with their multiplicity. Its size bound is
+n x rounds <= 18, so 3 vehicles x 6 rounds, 4 x 4 and 5 x 3 are all
+exhaustive.
+
+The sampled check draws vectors, not links. Column i's n-1 links are
+disjoint from every other column's, so when each link is up independently
+with probability p, vehicle i is complete independently with probability
+p^(n-1); one draw per vehicle has the law of the link draws. Builds that
+drew every link give the same passing reports, but a failing one names
+another trial and other matrices. At large n an unstable round rarely
+splits the fleet, so sampling there finds little (see ``sample_and_verify``).
 
 The four rules of the guarantee, ``RULES``, are implemented once, in
 ``rule_violations``; the trace checkers in ``analysis`` read the same
@@ -43,25 +50,6 @@ MAX_EXHAUSTIVE_BITS = 18
 # The round mix of ``sample_and_verify``.
 STABLE_ROUND_PROBABILITY = 0.5
 LINK_UP_PROBABILITY = 0.8
-
-
-def full_matrix(n: int) -> DeliveryMatrix:
-    return tuple((True,) * n for _ in range(n))
-
-
-def matrix_from_missing(n: int, missing: Sequence[tuple[int, int]]) -> DeliveryMatrix:
-    """Build a delivery matrix with the given (sender, receiver) id pairs cut."""
-    rows = [[True] * n for _ in range(n)]
-    for j, i in missing:
-        if j == i:
-            raise ValueError("diagonal entries are forced true")
-        rows[j - 1][i - 1] = False
-    return tuple(tuple(row) for row in rows)
-
-
-def completeness(matrix: DeliveryMatrix) -> tuple[bool, ...]:
-    """Which vehicles ended the round holding every message: column i all true."""
-    return tuple(map(all, zip(*matrix)))
 
 
 def abstract_round(
@@ -239,31 +227,41 @@ def _check_size(n: int, rounds: int) -> None:
         raise ConfigError(f"verification needs n >= 1 and rounds >= 1, got n={n}, rounds={rounds}")
 
 
+def _smallest_matrix(complete: Sequence[bool]) -> DeliveryMatrix:
+    """The first delivery matrix with this completeness vector in literal order.
+
+    The literal order is ``itertools.product((True, False))`` over the
+    off-diagonal cells, row-major. The smallest matrix cuts, for each
+    incomplete vehicle i, only the link of column i that comes last in that
+    order: the one from the last vehicle, or from the one before it when i is
+    the last.
+    """
+    n = len(complete)
+    rows = [[True] * n for _ in range(n)]
+    for i, ok in enumerate(complete):
+        if not ok:
+            rows[n - 1 if i < n - 1 else n - 2][i] = False
+    return tuple(map(tuple, rows))
+
+
 def _class_representatives(n: int) -> list[tuple[int, tuple[bool, ...], DeliveryMatrix]]:
     """One (literal index, completeness vector, matrix) per realizable vector.
 
-    The literal order is ``itertools.product((True, False))`` over the
-    off-diagonal cells, row-major; a matrix's index is its rank in it. The
-    smallest matrix of a class cuts, for each incomplete vehicle i, only the
-    link of column i that comes last in that order. Sorted by index.
+    The matrix is the vector's ``_smallest_matrix``, and its index is its rank
+    in literal order: the off-diagonal cells, row-major, read as the bits of
+    a number with a cut link as 1. Sorted by index.
     """
-    offdiag = [(j, i) for j in range(n) for i in range(n) if j != i]
-    last_cell: dict[int, int] = {}
-    for k, (_, i) in enumerate(offdiag):
-        last_cell[i] = k
     # A vehicle without links (n == 1) is always complete.
-    choices = [(None, last_cell[i]) if i in last_cell else (None,) for i in range(n)]
+    vectors = itertools.product((True, False), repeat=n) if n > 1 else [(True,)]
     reps = []
-    for cuts in itertools.product(*choices):
-        rows = [[True] * n for _ in range(n)]
+    for complete in vectors:
+        matrix = _smallest_matrix(complete)
         index = 0
-        for k in cuts:
-            if k is not None:
-                j, i = offdiag[k]
-                rows[j][i] = False
-                index |= 1 << (len(offdiag) - 1 - k)
-        complete = tuple(k is None for k in cuts)
-        reps.append((index, complete, tuple(tuple(row) for row in rows)))
+        for j, row in enumerate(matrix):
+            for i, up in enumerate(row):
+                if i != j:
+                    index = index << 1 | (not up)
+        reps.append((index, complete, matrix))
     reps.sort()
     return reps
 
@@ -307,19 +305,6 @@ def enumerate_and_verify(
     return VerificationReport(n, rounds, 1 << (cell_bits * rounds), None, {"mode": "exhaustive"})
 
 
-def sample_links(rng: random.Random, n: int) -> list[bool]:
-    """One unstable round's delivery matrix, flattened row-major, diagonal true.
-
-    One ``rng.random() < LINK_UP_PROBABILITY`` per off-diagonal link, in
-    row-major order. Row j is ``links[j*n:(j+1)*n]`` and column i is
-    ``links[i::n]``.
-    """
-    links = [rng.random() < LINK_UP_PROBABILITY for _ in range(n * (n - 1))]
-    for k in range(n):
-        links.insert(k * (n + 1), True)
-    return links
-
-
 def sample_and_verify(
     n: int,
     rounds: int,
@@ -331,36 +316,36 @@ def sample_and_verify(
 ) -> VerificationReport:
     """Randomized variant for fleets too large to enumerate; reproducible by seed.
 
-    Per round, with probability ``STABLE_ROUND_PROBABILITY`` the matrix is
-    all-true; otherwise each off-diagonal link is up independently with
-    ``LINK_UP_PROBABILITY``. The mix produces runs that alternate between
-    stable and unstable periods. Only the current trial's links are kept, and
-    they become matrices only if the trial fails.
+    Per round, one ``rng.random() < STABLE_ROUND_PROBABILITY`` draws a
+    stable round; otherwise each vehicle is complete on its own
+    ``rng.random() < LINK_UP_PROBABILITY ** (n - 1)``, the law of every
+    off-diagonal link up independently with ``LINK_UP_PROBABILITY``. The
+    mix produces runs that alternate between stable and unstable periods.
+    A failing trial reports each round as its vector's ``_smallest_matrix``.
+
+    A passing report holds nothing drawn, so it reads as it did when the
+    sampler drew every link; a failing report's trial and matrices differ
+    from those builds. An unstable round has some complete vehicle with
+    probability 1 - (1 - 0.8^(n-1))^n: 0.85 at n=8, 0.25 at n=20 and 0.03
+    at n=32. So at large n sampling rarely makes a split round, and a pass
+    there says little.
     """
     _check_size(n, rounds)
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)
+    complete_probability = LINK_UP_PROBABILITY ** (n - 1)
     stable = (True,) * n
     for trial in range(trials):
-        # None stands for a round drawn stable.
-        seq = [
-            None if rng.random() < STABLE_ROUND_PROBABILITY else sample_links(rng, n)
-            for _ in range(rounds)
-        ]
         completes = [
-            stable if links is None else tuple([all(links[i::n]) for i in range(n)])
-            for links in seq
+            stable if rng.random() < STABLE_ROUND_PROBABILITY
+            else tuple([rng.random() < complete_probability for _ in range(n)])
+            for _ in range(rounds)
         ]
         hit = _first_break(n, completes, decide, read_state, drop_default_write)
         if hit is not None:
             rule, rnd, decisions = hit
-            full = full_matrix(n)
-            matrices = [
-                full if links is None
-                else tuple(tuple(links[j * n:(j + 1) * n]) for j in range(n))
-                for links in seq
-            ]
+            matrices = [_smallest_matrix(complete) for complete in completes]
             return VerificationReport(
                 n, rounds, trial + 1, Counterexample(rule, rnd, matrices, decisions),
                 {"mode": "sampled", "seed": seed, "trial": trial},

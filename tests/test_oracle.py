@@ -1,7 +1,10 @@
 """Tests for the round-granularity abstract model and its brute-force verifier."""
 
 import itertools
+import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +16,7 @@ from lockstep.oracle import (
     VerificationReport,
     abstract_round,
     check_decision_sequence,
-    completeness,
     enumerate_and_verify,
-    full_matrix,
-    matrix_from_missing,
     run_abstract,
     sample_and_verify,
 )
@@ -28,6 +28,25 @@ HIGH = ServiceLevel.HIGH
 
 def high_state(n):
     return (HIGH,) * n
+
+
+def full_matrix(n):
+    return tuple((True,) * n for _ in range(n))
+
+
+def matrix_from_missing(n, missing):
+    """Build a delivery matrix with the given (sender, receiver) id pairs cut."""
+    rows = [[True] * n for _ in range(n)]
+    for j, i in missing:
+        if j == i:
+            raise ValueError("diagonal entries are forced true")
+        rows[j - 1][i - 1] = False
+    return tuple(tuple(row) for row in rows)
+
+
+def completeness(matrix):
+    """Which vehicles ended the round holding every message: column i all true."""
+    return tuple(map(all, zip(*matrix)))
 
 
 def test_abstract_round_all_delivered():
@@ -302,21 +321,32 @@ def test_completeness_reads_columns(n):
 
 
 # ---------------------------------------------------------------------------
-# Reference: the sampler over delivery matrices
+# Reference: the sampler over completeness vectors
 # ---------------------------------------------------------------------------
 
-# The sampler that drew a tuple matrix per unstable round and checked each
-# trial through its matrices, kept verbatim. A passing sampled report holds
-# no matrices, so only a comparison with it pins the random stream.
+# The sampler written out literally: per round a stable draw, then, for an
+# unstable round, one completeness draw per vehicle; a trial is checked
+# through delivery matrices, each round's the first in literal order with
+# its vector. A passing sampled report holds no matrices, so only a
+# comparison with it pins the random stream.
 
-def reference_sample_matrix(rng, n):
-    rows = []
-    for j in range(n):
-        row = tuple(
-            True if i == j else rng.random() < oracle.LINK_UP_PROBABILITY for i in range(n)
-        )
-        rows.append(row)
-    return tuple(rows)
+def reference_sample_vectors(rng, n, rounds):
+    vectors = []
+    for _ in range(rounds):
+        if rng.random() < oracle.STABLE_ROUND_PROBABILITY:
+            vectors.append((True,) * n)
+        else:
+            vectors.append(tuple(rng.random() < oracle.LINK_UP_PROBABILITY ** (n - 1)
+                                 for _ in range(n)))
+    return vectors
+
+
+def reference_smallest_matrix(complete):
+    """Cut, for each incomplete vehicle, its link from the highest other id."""
+    n = len(complete)
+    ids = range(1, n + 1)
+    return matrix_from_missing(
+        n, [(max(j for j in ids if j != i), i) for i, ok in zip(ids, complete) if not ok])
 
 
 def reference_verify_sequence(n, matrices, decide, read_state=None, drop_default_write=False):
@@ -332,14 +362,8 @@ def reference_verify_sequence(n, matrices, decide, read_state=None, drop_default
 def reference_sample_and_verify(n, rounds, trials, seed, decide, read_state=None,
                                 drop_default_write=False):
     rng = random.Random(seed)
-    full = full_matrix(n)
     for trial in range(trials):
-        seq = [
-            full
-            if rng.random() < oracle.STABLE_ROUND_PROBABILITY
-            else reference_sample_matrix(rng, n)
-            for _ in range(rounds)
-        ]
+        seq = [reference_smallest_matrix(c) for c in reference_sample_vectors(rng, n, rounds)]
         ce = reference_verify_sequence(n, seq, decide, read_state, drop_default_write)
         if ce is not None:
             return VerificationReport(
@@ -368,3 +392,57 @@ def test_sampled_counterexample_matches_the_matrix_sampler(monkeypatch, n, round
     ce, ref = got.counterexample, want.counterexample
     assert (ce.rule, ce.round, ce.matrices) == (ref.rule, ref.round, ref.matrices)
     assert got.to_json() == want.to_json()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_vector_law_equals_the_link_law(n):
+    """Drawing each vehicle complete with p^(n-1) is the matrix model's column law.
+
+    Every off-diagonal link is up independently with p; the exact
+    distribution of completeness vectors over all link patterns is the
+    product of independent per-vehicle bits.
+    """
+    p = Fraction(4, 5)
+    assert oracle.LINK_UP_PROBABILITY == float(p)
+    offdiag = [(j, i) for j in range(1, n + 1) for i in range(1, n + 1) if j != i]
+    law = {}
+    for ups in itertools.product((True, False), repeat=len(offdiag)):
+        matrix = matrix_from_missing(n, [cell for cell, up in zip(offdiag, ups) if not up])
+        weight = math.prod(p if up else 1 - p for up in ups)
+        vector = completeness(matrix)
+        law[vector] = law.get(vector, 0) + weight
+    complete = p ** (n - 1)
+    assert law == {
+        vector: math.prod(complete if ok else 1 - complete for ok in vector)
+        for vector in itertools.product((True, False), repeat=n)
+        if n > 1 or all(vector)
+    }
+
+
+def test_large_fleet_counterexample_is_cheap_and_well_formed(monkeypatch):
+    """A failure at n=24 builds one matrix per round and never the 2^24 classes."""
+    n, rounds, trials, seed = 24, 50, 500, 1
+
+    def no_enumeration(n):
+        raise AssertionError("the sampler enumerated the completeness classes")
+
+    monkeypatch.setattr(oracle, "abstract_round", sticky_round)
+    monkeypatch.setattr(oracle, "_class_representatives", no_enumeration)
+    t0 = time.perf_counter()
+    report = sample_and_verify(n, rounds, trials, seed, min_level_decide, high_state(n))
+    assert time.perf_counter() - t0 < 0.5
+    assert not report.passed
+    assert report.counterexample.rule == "recovery"
+    rng = random.Random(seed)
+    for _ in range(report.details["trial"] + 1):
+        vectors = reference_sample_vectors(rng, n, rounds)
+    assert [completeness(m) for m in report.counterexample.matrices] == vectors
+    assert not all(map(all, vectors))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_smallest_matrix_is_the_class_representative(n):
+    for _, complete, matrix in oracle._class_representatives(n):
+        assert oracle._smallest_matrix(complete) == matrix
+        assert completeness(matrix) == complete
+        assert matrix == next(m for m in all_matrices(n) if completeness(m) == complete)
