@@ -402,7 +402,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:  # the reader left early: not bad input, and nothing more to say
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the flush at exit cannot raise
+        return 1
     except (ConfigError, OSError) as exc:  # bad input, or a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 2

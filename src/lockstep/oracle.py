@@ -192,7 +192,7 @@ def rule_violations(
         if is_split and (one_back or not two_back) and agreement is None:
             agreement = t
         if (t > 1 and one_back and two_back and recovery is None
-                and (DEFAULT in row if is_split else is_default(row[0]))):
+                and (any(map(is_default, row)) if is_split else is_default(row[0]))):
             recovery = t
         split_before = is_split
     return dict(zip(RULES, (uncertainty, correction, agreement, recovery)))

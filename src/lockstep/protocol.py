@@ -19,6 +19,8 @@ yet acked; it returns at once when it holds them all.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, fields
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -53,8 +55,8 @@ DecideFn = Callable[[tuple], Datum]
 ReadStateFn = Callable[[], Datum]
 
 
-def is_default(d: Datum) -> bool:
-    return d is DEFAULT
+# ``d is DEFAULT``, by identity and in C: any(map(is_default, s)) makes no Python call.
+is_default: Callable[[Datum], bool] = functools.partial(operator.is_, DEFAULT)
 
 
 def require_int(name: str, value: Any) -> None:
@@ -219,7 +221,8 @@ class VehicleProtocol:
             self.last_send_time is None
             or local_clock - self.last_send_time >= config.gossip_interval
         ):
-            msg = GossipMessage(self.vid, self.my_round, tuple(self.data), tuple(self.ack))
+            # tuple.__new__ builds the same NamedTuple as its constructor, in C.
+            msg = tuple.__new__(GossipMessage, (self.vid, self.my_round, tuple(self.data), tuple(self.ack)))
             self.last_send_time = local_clock
 
         output: Optional[RoundOutput] = None
@@ -237,8 +240,8 @@ class VehicleProtocol:
                 # Missed someone last round: impose the default for one round
                 # and gossip it so everyone else falls back with us.
                 self.data[self.vid - 1] = DEFAULT
-                output = RoundOutput(clock_round, s, r, DEFAULT)
+                output = tuple.__new__(RoundOutput, (clock_round, s, r, DEFAULT))
             else:
                 self.data[self.vid - 1] = read_state()
-                output = RoundOutput(clock_round, s, r, checked_decide(decide, s))
+                output = tuple.__new__(RoundOutput, (clock_round, s, r, checked_decide(decide, s)))
         return msg, output

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import lockstep
 from lockstep import cli
 from lockstep.cli import (
     TABLE1_DROP_RATES,
@@ -505,3 +510,31 @@ def test_sweep_cell_holds_no_trace():
     finally:
         tracemalloc.stop()
     assert cell_peak - before < run_peak / 5
+
+
+def run_into_closed_pipe(argv):
+    """Run ``python -m lockstep`` with stdout a pipe whose reader is already gone.
+
+    The read end is closed before the child starts, so its first write to
+    stdout fails with EPIPE whatever the timing.
+    """
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(lockstep.__file__).resolve().parent.parent))
+    try:
+        return subprocess.run([sys.executable, "-m", "lockstep", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+
+
+def test_closed_stdout_is_not_a_usage_error():
+    # Like `lockstep verify ... | head`: a reader that leaves early is not
+    # malformed input, so no exit 2 and nothing on stderr.
+    caught = run_into_closed_pipe(
+        ["verify", "--n", "2", "--rounds", "3", "--mutate", "drop-default-write"])
+    assert caught.returncode == 1
+    assert caught.stderr == b""
+    passing = run_into_closed_pipe(["verify", "--n", "2", "--rounds", "3"])
+    assert passing.returncode != 2
+    assert passing.stderr == b""

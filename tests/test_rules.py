@@ -252,3 +252,21 @@ def test_rule_violations_reports_every_rule():
     assert rule_violations(stable, decisions) == want
     assert check_decision_sequence(stable, decisions) == ("recovery", 2)
     assert rule_violations([True], [(DEFAULT, DEFAULT)]) == dict.fromkeys(RULES)
+
+
+def test_recovery_tests_for_default_by_identity():
+    # Every rule, like the protocol, tells DEFAULT by identity. A datum that
+    # only compares equal to DEFAULT is not DEFAULT, so this split row after
+    # two stable rounds breaks agreement but not recovery.
+    class EqualsDefault:
+        def __eq__(self, other):
+            return other is DEFAULT
+
+        __hash__ = object.__hash__
+
+    stable = [True, True, True]
+    decisions = [(HIGH, HIGH), (HIGH, HIGH), (HIGH, EqualsDefault())]
+    assert EqualsDefault() == DEFAULT and DEFAULT in decisions[2]
+    want = dict.fromkeys(RULES)
+    want["agreement"] = 3
+    assert rule_violations(stable, decisions) == want

@@ -1,9 +1,11 @@
 """Tests for the discrete-event harness: timing, loss, traces, replay."""
 
+import copy
 import gc
 import hashlib
 import itertools
 import json
+import pickle
 import sys
 import tracemalloc
 import warnings
@@ -42,6 +44,7 @@ from lockstep.sim import (
     replay,
     run,
     sample_offsets,
+    simulate,
 )
 
 from conftest import (
@@ -841,3 +844,54 @@ def test_replay_leaves_no_file_open(tmp_path, monkeypatch):
         gc.collect()
     assert not unraisable
     assert_nothing_cached()
+
+
+HOT_PATH_TUPLES = (SendEvent, DeliverEvent, DropEvent, OutputEvent, GossipMessage, RoundOutput)
+
+
+def test_hot_path_builds_events_without_python_calls():
+    # A NamedTuple's constructor is a generated Python __new__; the simulator
+    # and the protocol build the same tuples with tuple.__new__ instead, and
+    # is_default is a C partial. Earlier builds made 384 constructor and 252
+    # is_default calls on this run.
+    p = make_protocol_config(n=3)
+    config = SimConfig(protocol=p, offsets=sample_offsets(1, 3, p.sync_bound),
+                       loss=BernoulliLoss(0.15), duration=2_000_000, seed=1)
+    constructors = {kind.__new__.__code__ for kind in HOT_PATH_TUPLES}
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            calls["constructor"] += code in constructors
+            calls["is_default"] += code.co_name == "is_default"
+
+    sys.setprofile(profile)
+    try:
+        events = list(simulate(config, LevelApp(HIGH)))
+    finally:
+        sys.setprofile(None)
+    assert calls["constructor"] == 0 and calls["is_default"] == 0
+    kinds = Counter(type(ev) for ev in events)
+    assert set(kinds) == {SendEvent, DeliverEvent, DropEvent, OutputEvent}
+    for ev in events:
+        # The same type and fields as the constructor, so `type(ev) is ...` dispatch holds.
+        assert type(ev)(*ev) == ev
+        inner = ev.output if type(ev) is OutputEvent else ev.msg
+        assert type(inner)(*inner) == inner
+        assert type(inner) is (RoundOutput if type(ev) is OutputEvent else GossipMessage)
+
+
+def test_is_default_compares_by_identity():
+    class EqualsAnything:
+        def __eq__(self, other):
+            return True
+
+        __hash__ = object.__hash__
+
+    assert is_default(DEFAULT)
+    assert is_default(pickle.loads(pickle.dumps(DEFAULT)))
+    assert is_default(copy.deepcopy(DEFAULT))
+    assert EqualsAnything() == DEFAULT
+    assert not is_default(EqualsAnything())
+    assert not is_default(None)
