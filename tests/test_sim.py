@@ -872,14 +872,12 @@ def test_hot_path_builds_events_without_python_calls():
     finally:
         sys.setprofile(None)
     assert calls["constructor"] == 0 and calls["is_default"] == 0
-    kinds = Counter(type(ev) for ev in events)
-    assert set(kinds) == {SendEvent, DeliverEvent, DropEvent, OutputEvent}
+    assert {type(ev) for ev in events} == {SendEvent, DeliverEvent, DropEvent, OutputEvent}
     for ev in events:
         # The same type and fields as the constructor, so `type(ev) is ...` dispatch holds.
         assert type(ev)(*ev) == ev
-        inner = ev.output if type(ev) is OutputEvent else ev.msg
-        assert type(inner)(*inner) == inner
-        assert type(inner) is (RoundOutput if type(ev) is OutputEvent else GossipMessage)
+        inner, kind = (ev.output, RoundOutput) if type(ev) is OutputEvent else (ev.msg, GossipMessage)
+        assert type(inner) is kind and kind(*inner) == inner
 
 
 def test_is_default_compares_by_identity():
