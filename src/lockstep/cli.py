@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
 from dataclasses import dataclass
@@ -166,6 +165,7 @@ def run_sweep(spec: SweepSpec, processes: Optional[int] = None) -> list[dict]:
     processes = min(processes, len(cells))  # a worker per cell at most
     if processes <= 1:
         return [_sweep_cell(c) for c in cells]
+    import multiprocessing  # only a pool needs it
     with multiprocessing.get_context("fork").Pool(processes) as pool:
         return pool.map(_sweep_cell, cells, chunksize=1)
 

@@ -27,6 +27,9 @@ drew every link give the same passing reports, but a failing one names
 another trial and other matrices. At large n an unstable round rarely
 splits the fleet, so sampling there finds little (see ``sample_and_verify``).
 
+Each verifier computes a round's transition once per (sent, complete) pair
+and reuses it across all its sequences (``run_abstract``'s ``steps``).
+
 The four rules of the guarantee, ``RULES``, are implemented once, in
 ``rule_violations``; the trace checkers in ``analysis`` read the same
 function, and the verifiers report the first broken rule in ``RULES`` order.
@@ -50,6 +53,8 @@ MAX_EXHAUSTIVE_BITS = 18
 # The round mix of ``sample_and_verify``.
 STABLE_ROUND_PROBABILITY = 0.5
 LINK_UP_PROBABILITY = 0.8
+
+_STEPS_SIZE = 1024  # a transition table this full starts afresh: about 0.5 MB at n=8
 
 
 def abstract_round(
@@ -90,19 +95,35 @@ def run_abstract(
     decide: DecideFn,
     read_state: Optional[tuple] = None,
     drop_default_write: bool = False,
+    steps: Optional[dict] = None,
 ) -> list[tuple]:
     """Run the abstract model over a sequence of completeness vectors.
 
     The vectors describe rounds 0..T-1; the returned list holds the decision
     vectors entering rounds 1..T. Initially every vehicle gossips its
     read_state value, mirroring a freshly initialized instance.
+
+    ``steps`` maps (sent, complete) to ``abstract_round``'s result. One table
+    serves one model: the same ``decide``, ``read_state``, ``drop_default_write``
+    and ``abstract_round``, with ``decide`` a pure function of its vector. List
+    vectors and unhashable data bypass it.
     """
     if read_state is None:
         read_state = tuple("value" for _ in range(n))
+    steps = {} if steps is None else steps
     sent = read_state
     decisions = []
     for complete in completes:
-        row, sent = abstract_round(sent, complete, decide, read_state, drop_default_write)
+        key = (sent, complete)
+        try:
+            row, sent = steps[key]
+        except KeyError:
+            if len(steps) >= _STEPS_SIZE:
+                steps.clear()
+            row, sent = steps[key] = abstract_round(sent, complete, decide, read_state,
+                                                    drop_default_write)
+        except TypeError:  # a list vector or an unhashable datum
+            row, sent = abstract_round(sent, complete, decide, read_state, drop_default_write)
         decisions.append(row)
     return decisions
 
@@ -215,9 +236,10 @@ def _first_break(
     decide: DecideFn,
     read_state: Optional[tuple],
     drop_default_write: bool,
+    steps: dict,
 ) -> Optional[tuple[str, int, list[tuple]]]:
     """Run the model over one vector sequence: (rule, round, decisions) if it breaks a rule."""
-    decisions = run_abstract(n, completes, decide, read_state, drop_default_write)
+    decisions = run_abstract(n, completes, decide, read_state, drop_default_write, steps)
     hit = check_decision_sequence([all(c) for c in completes], decisions)
     return None if hit is None else (*hit, decisions)
 
@@ -293,8 +315,9 @@ def enumerate_and_verify(
         )
     cell_bits = n * (n - 1)
     per_round = _class_representatives(n)
+    steps: dict = {}
     for seq in itertools.product(per_round, repeat=rounds):
-        hit = _first_break(n, [c for _, c, _ in seq], decide, read_state, drop_default_write)
+        hit = _first_break(n, [c for _, c, _ in seq], decide, read_state, drop_default_write, steps)
         if hit is not None:
             rule, rnd, decisions = hit
             rank = 0
@@ -336,13 +359,14 @@ def sample_and_verify(
     rng = random.Random(seed)
     complete_probability = LINK_UP_PROBABILITY ** (n - 1)
     stable = (True,) * n
+    steps: dict = {}
     for trial in range(trials):
         completes = [
             stable if rng.random() < STABLE_ROUND_PROBABILITY
             else tuple([rng.random() < complete_probability for _ in range(n)])
             for _ in range(rounds)
         ]
-        hit = _first_break(n, completes, decide, read_state, drop_default_write)
+        hit = _first_break(n, completes, decide, read_state, drop_default_write, steps)
         if hit is not None:
             rule, rnd, decisions = hit
             matrices = [_smallest_matrix(complete) for complete in completes]

@@ -235,8 +235,8 @@ class ScenarioSpec:
 
     By default three vehicles, and the middle one is cut. From round ``outage_round`` every transmission toward the cut vehicle is
     dropped for ``outage_rounds`` rounds (its own messages still flow, so the
-    others keep relaying its data). The leader starts braking
-    ``brake_after_rounds`` rounds into the outage, by round ``horizon_rounds``;
+    others keep relaying its data), and it must end by round ``horizon_rounds``.
+    The leader starts braking ``brake_after_rounds`` rounds into the outage;
     both spans must be at least two rounds for the fallback to develop.
     """
 
@@ -273,9 +273,9 @@ class ScenarioSpec:
             raise ConfigError("outage and brake offsets must each span at least two rounds")
         if self.brake_after_rounds >= self.outage_rounds:
             raise ConfigError("the brake must land inside the outage")
-        if not 0 <= self.outage_round <= self.horizon_rounds - self.brake_after_rounds:
-            raise ConfigError(f"outage_round must be in 0..{self.horizon_rounds - self.brake_after_rounds}"
-                              f" so the brake lands by the horizon, got {self.outage_round}")
+        if not 0 <= self.outage_round <= self.horizon_rounds - self.outage_rounds:
+            raise ConfigError(f"outage_round must be in 0..{self.horizon_rounds - self.outage_rounds}"
+                              f" so the outage ends by the horizon, got {self.outage_round}")
         self.sim_config()  # the timing a run would reject
         validate_level_table(self.level_table)
 

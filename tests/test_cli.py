@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -147,7 +148,7 @@ def test_sweep_starts_no_more_workers_than_cells(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return [fn(x) for x in items]
 
-    monkeypatch.setattr(cli.multiprocessing.get_context("fork"), "Pool", SerialPool)
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", SerialPool)
     spec = SweepSpec(ns=(2,), round_ms=(160, 260), seeds=(1,), duration_s=1)
     rows = run_sweep(spec, processes=6)
     assert sizes == [2]
@@ -156,6 +157,15 @@ def test_sweep_starts_no_more_workers_than_cells(monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 6)
     run_sweep(spec)
     assert sizes == [2, 2]
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    """Only a sweep that makes a pool pays for multiprocessing's imports."""
+    env = dict(os.environ, PYTHONPATH=str(Path(lockstep.__file__).resolve().parent.parent))
+    code = "import sys, lockstep.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60, check=True).stdout
+    assert out == "False\n"
 
 
 def test_aggregate_groups_by_cell():
@@ -364,14 +374,17 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
                  id="run-composite-span-before-0"),
     pytest.param(["scenario", "--outage-rounds", "1"], "at least two rounds",
                  id="scenario-outage-rounds-1"),
-    pytest.param(["scenario", "--outage-round", "39"], "outage_round must be in 0..34",
+    pytest.param(["scenario", "--outage-round", "39"], "outage_round must be in 0..30",
                  id="scenario-outage-past-the-horizon"),
-    pytest.param(["scenario", "--outage-round", "-3"], "outage_round must be in 0..34",
+    pytest.param(["scenario", "--outage-round", "-3"], "outage_round must be in 0..30",
                  id="scenario-outage-round-negative"),
-    pytest.param(["scenario", "--outage-round", "35"], "the brake lands by the horizon",
+    pytest.param(["scenario", "--outage-round", "35"], "the outage ends by the horizon",
                  id="scenario-brake-past-the-horizon"),
     pytest.param(["scenario", "--outage-rounds", "30", "--brake-after-rounds", "21"],
-                 "outage_round must be in 0..19", id="scenario-long-brake-past-the-horizon"),
+                 "outage_round must be in 0..10", id="scenario-long-brake-past-the-horizon"),
+    pytest.param(["scenario", "--outage-round", "38", "--outage-rounds", "3",
+                  "--brake-after-rounds", "2"], "outage_round must be in 0..37",
+                 id="scenario-outage-runs-past-the-horizon"),
     pytest.param(["scenario", "--round-ms", "50"], "round_length", id="scenario-round-ms-50"),
     pytest.param(["scenario", "--round-ms", "0"], "round_length", id="scenario-round-ms-0"),
     pytest.param(["scenario", "--round-ms", "-5"], "round_length", id="scenario-round-ms-negative"),

@@ -21,7 +21,14 @@ from lockstep.oracle import (
     sample_and_verify,
 )
 from lockstep.platoon import ServiceLevel, min_level_decide
-from lockstep.protocol import DEFAULT, ConfigError, Datum, checked_decide, is_default
+from lockstep.protocol import (
+    DEFAULT,
+    ConfigError,
+    Datum,
+    DecideContractError,
+    checked_decide,
+    is_default,
+)
 
 HIGH = ServiceLevel.HIGH
 
@@ -282,16 +289,18 @@ def reference_run_abstract(n, matrices, decide, read_state, drop_default_write=F
 LEVELS = st.sampled_from([DEFAULT, ServiceLevel.LOW, ServiceLevel.MEDIUM, HIGH])
 
 
+def random_matrix(draw, n):
+    """A delivery matrix with each off-diagonal link up three times in four."""
+    return tuple(tuple(i == j or draw(st.integers(min_value=0, max_value=3)) > 0
+                       for i in range(n)) for j in range(n))
+
+
 @st.composite
 def model_runs(draw):
     """Matrix sequences (three links in four up) and gossip vectors that may hold DEFAULT."""
     n = draw(st.integers(min_value=1, max_value=5))
     rounds = draw(st.integers(min_value=0, max_value=5))
-    matrices = [
-        tuple(tuple(i == j or draw(st.integers(min_value=0, max_value=3)) > 0
-                    for i in range(n)) for j in range(n))
-        for _ in range(rounds)
-    ]
+    matrices = [random_matrix(draw, n) for _ in range(rounds)]
     sent = tuple(draw(st.lists(LEVELS, min_size=n, max_size=n)))
     read_state = tuple(draw(st.lists(LEVELS, min_size=n, max_size=n)))
     return n, matrices, sent, read_state, draw(st.booleans())
@@ -446,3 +455,82 @@ def test_smallest_matrix_is_the_class_representative(n):
         assert oracle._smallest_matrix(complete) == matrix
         assert completeness(matrix) == complete
         assert matrix == next(m for m in all_matrices(n) if completeness(m) == complete)
+
+
+# ---------------------------------------------------------------------------
+# The transition table
+# ---------------------------------------------------------------------------
+
+@st.composite
+def shared_table_runs(draw):
+    """Several matrix sequences of one model: one size, read state and mutant."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    runs = [[random_matrix(draw, n) for _ in range(draw(st.integers(min_value=0, max_value=5)))]
+            for _ in range(draw(st.integers(min_value=1, max_value=8)))]
+    read_state = tuple(draw(st.lists(LEVELS, min_size=n, max_size=n)))
+    return n, runs, read_state, draw(st.booleans())
+
+
+@settings(max_examples=300)
+@given(shared_table_runs())
+def test_a_shared_table_matches_the_matrix_model(case):
+    n, runs, read_state, mutant = case
+    steps = {}
+    for matrices in runs:
+        got = run_abstract(n, map(completeness, matrices), min_level_decide, read_state,
+                           mutant, steps)
+        assert got == reference_run_abstract(n, matrices, min_level_decide, read_state, mutant)
+
+
+def test_a_full_table_starts_afresh_and_still_matches():
+    n = 6
+    read_state = (HIGH, ServiceLevel.LOW, HIGH, ServiceLevel.MEDIUM, HIGH, HIGH)
+    rng = random.Random(3)
+    steps, met, sizes = {}, set(), []
+    for _ in range(400):
+        vectors = [tuple(rng.random() < 0.5 for _ in range(n)) for _ in range(8)]
+        matrices = [oracle._smallest_matrix(v) for v in vectors]
+        want = reference_run_abstract(n, matrices, min_level_decide, read_state)
+        assert run_abstract(n, vectors, min_level_decide, read_state, False, steps) == want
+        sent = read_state
+        for vector in vectors:
+            met.add((sent, vector))
+            sent = tuple(r if ok else DEFAULT for r, ok in zip(read_state, vector))
+        sizes.append(len(steps))
+    assert len(met) > oracle._STEPS_SIZE
+    assert max(sizes) <= oracle._STEPS_SIZE
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the table started afresh
+
+
+def test_list_vectors_and_unhashable_data_bypass_the_table():
+    vectors = [[True, False, True], [True, True, True], [False, True, True], [True, True, True]]
+    matrices = [oracle._smallest_matrix(v) for v in vectors]
+    steps = {}
+    got = run_abstract(3, vectors, min_level_decide, high_state(3), False, steps)
+    assert got == reference_run_abstract(3, matrices, min_level_decide, high_state(3))
+    assert steps == {}
+    lists = ([3], [1], [2])  # min works on lists, which do not hash
+    got = run_abstract(3, map(tuple, vectors), min_level_decide, lists, True, steps)
+    assert got == reference_run_abstract(3, matrices, min_level_decide, lists, True)
+    assert steps == {}
+
+
+def test_a_decide_that_keeps_its_value_is_still_rejected():
+    """The table holds only computed steps, so a broken absorption is never cached away."""
+    with pytest.raises(DecideContractError):
+        sample_and_verify(3, 10, 50, 1, lambda s: HIGH, high_state(3))
+
+
+def test_each_verification_computes_few_transitions(monkeypatch):
+    calls = []
+
+    def counted_round(*args):
+        calls.append(1)
+        return abstract_round(*args)
+
+    monkeypatch.setattr(oracle, "abstract_round", counted_round)
+    assert sample_and_verify(8, 50, 500, 1, min_level_decide, high_state(8)).passed
+    assert len(calls) <= 7_000  # 25,000 rounds
+    calls.clear()
+    assert enumerate_and_verify(3, 3, min_level_decide, high_state(3)).passed
+    assert len(calls) <= 100  # 512 sequences of 3 rounds

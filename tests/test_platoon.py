@@ -187,9 +187,9 @@ def test_scenario_spec_validation():
         ScenarioSpec(outage_rounds=1, brake_after_rounds=2)
     with pytest.raises(ValueError):
         ScenarioSpec(brake_after_rounds=12, outage_rounds=10)
-    # The brake must land by the horizon (34 + 6 = 40 is the last legal start).
-    assert ScenarioSpec(outage_round=34).brake_time == 40 * ScenarioSpec().round_length
-    for bad in (dict(outage_round=35), dict(outage_round=-1), dict(horizon_rounds=25),
+    # The outage must end by the horizon (30 + 10 = 40 is the last legal start).
+    assert ScenarioSpec(outage_round=30).outage_end == 40 * ScenarioSpec().round_length
+    for bad in (dict(outage_round=31), dict(outage_round=-1), dict(horizon_rounds=25),
                 dict(round_length=50_000)):
         with pytest.raises(ValueError):
             ScenarioSpec(**bad)
@@ -210,7 +210,7 @@ def test_scenario_with_custom_level_table_replays(tmp_path):
     table = default_level_table()
     table[LOW] = table[LOW].__class__(headway=30.0, accel_bound=6.0,
                                       position_error=None, velocity_error=None)
-    spec = ScenarioSpec(horizon_rounds=28, levels=tuple(sorted(table.items())))
+    spec = ScenarioSpec(horizon_rounds=30, levels=tuple(sorted(table.items())))
     assert spec.level_table[LOW].headway == 30.0
     res = run_worst_case(spec)
     path = tmp_path / "custom.jsonl"
@@ -314,7 +314,7 @@ def test_scenario_trace_replays(tmp_path):
 
 
 def test_kinematics_csv_format(tmp_path):
-    res = run_worst_case(ScenarioSpec(horizon_rounds=26))
+    res = run_worst_case(ScenarioSpec(horizon_rounds=30))
     path = tmp_path / "kin.csv"
     write_kinematics_csv(path, res.rows)
     lines = path.read_text().splitlines()
