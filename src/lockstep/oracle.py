@@ -11,13 +11,15 @@ ground truth the timed simulator is checked against.
 A delivery matrix's entry [j][i] says whether vehicle i ended the round
 holding j's message, so its vector is "column i all true", and every matrix
 with the same vector gives the same decisions and verdict. Both verifiers
-therefore check completeness vectors, and build delivery matrices only for
-the sequence a counterexample reports, each round as the smallest matrix of
-its vector (``_smallest_matrix``). The exhaustive check enumerates the 2^n
-completeness vectors per round instead of the 2^(n(n-1)) matrices, and
-counts covered delivery patterns with their multiplicity. Its size bound is
-n x rounds <= 18, so 3 vehicles x 6 rounds, 4 x 4 and 5 x 3 are all
-exhaustive.
+therefore search and store completeness vectors only. Matrices appear only
+where a report is written (``VerificationReport.to_json``): each round of a
+counterexample as the first matrix with its vector in literal order
+(``_smallest_matrix``). The exhaustive check enumerates the 2^n completeness
+vectors per round instead of the 2^(n(n-1)) matrices, in the order in which
+the k-th vector's first matrix is literal matrix k, so a failure's literal
+rank needs no matrix. It counts covered delivery patterns with their
+multiplicity. Its size bound is n x rounds <= 18, so 3 vehicles x 6 rounds,
+4 x 4 and 5 x 3 are all exhaustive.
 
 The sampled check draws vectors, not links. Column i's n-1 links are
 disjoint from every other column's, so when each link is up independently
@@ -132,7 +134,7 @@ def run_abstract(
 class Counterexample:
     rule: str
     round: int
-    matrices: list[DeliveryMatrix]
+    completes: list[tuple[bool, ...]]
     decisions: list[tuple]
 
 
@@ -161,7 +163,7 @@ class VerificationReport:
             out["counterexample"] = {
                 "rule": ce.rule,
                 "round": ce.round,
-                "matrices": [[list(row) for row in m] for m in ce.matrices],
+                "matrices": [[list(row) for row in _smallest_matrix(c)] for c in ce.completes],
                 "decisions": [[repr(d) for d in row] for row in ce.decisions],
             }
         return out
@@ -266,28 +268,6 @@ def _smallest_matrix(complete: Sequence[bool]) -> DeliveryMatrix:
     return tuple(map(tuple, rows))
 
 
-def _class_representatives(n: int) -> list[tuple[int, tuple[bool, ...], DeliveryMatrix]]:
-    """One (literal index, completeness vector, matrix) per realizable vector.
-
-    The matrix is the vector's ``_smallest_matrix``, and its index is its rank
-    in literal order: the off-diagonal cells, row-major, read as the bits of
-    a number with a cut link as 1. Sorted by index.
-    """
-    # A vehicle without links (n == 1) is always complete.
-    vectors = itertools.product((True, False), repeat=n) if n > 1 else [(True,)]
-    reps = []
-    for complete in vectors:
-        matrix = _smallest_matrix(complete)
-        index = 0
-        for j, row in enumerate(matrix):
-            for i, up in enumerate(row):
-                if i != j:
-                    index = index << 1 | (not up)
-        reps.append((index, complete, matrix))
-    reps.sort()
-    return reps
-
-
 def enumerate_and_verify(
     n: int,
     rounds: int,
@@ -301,12 +281,17 @@ def enumerate_and_verify(
     matrix sequence. On a pass ``patterns_checked`` counts every matrix
     sequence covered, 2^(n(n-1) x rounds). On a failure it is the rank of the
     first failing matrix sequence in literal order, plus one: failure depends
-    only on the class sequence, so that sequence is the per-round smallest
-    representatives of the first failing class sequence.
+    only on the vector sequence, so that sequence is the per-round smallest
+    matrices of the first failing vector sequence.
+
+    The vectors of a round are enumerated with vehicle n's bit leading, so
+    the k-th one's ``_smallest_matrix`` has literal index exactly k: it cuts
+    vehicle n's link in row n-1 and every other vehicle's in row n, the last
+    n off-diagonal cells. A sequence's rank reads its k's as digits.
     """
     _check_size(n, rounds)
     # One completeness bit per vehicle and round; a lone vehicle has no links,
-    # so its only class is the complete one.
+    # so its only vector is the complete one.
     bits = (n if n > 1 else 0) * rounds
     if bits > MAX_EXHAUSTIVE_BITS:
         raise ConfigError(
@@ -314,16 +299,18 @@ def enumerate_and_verify(
             f"the bound {MAX_EXHAUSTIVE_BITS}; use sampling (--trials)"
         )
     cell_bits = n * (n - 1)
-    per_round = _class_representatives(n)
+    vectors = ([(*rest, last) for last, *rest in itertools.product((True, False), repeat=n)]
+               if n > 1 else [(True,)])
     steps: dict = {}
-    for seq in itertools.product(per_round, repeat=rounds):
-        hit = _first_break(n, [c for _, c, _ in seq], decide, read_state, drop_default_write, steps)
+    for seq in itertools.product(enumerate(vectors), repeat=rounds):
+        completes = [c for _, c in seq]
+        hit = _first_break(n, completes, decide, read_state, drop_default_write, steps)
         if hit is not None:
             rule, rnd, decisions = hit
             rank = 0
-            for index, _, _ in seq:
-                rank = (rank << cell_bits) | index
-            ce = Counterexample(rule, rnd, [m for _, _, m in seq], decisions)
+            for k, _ in seq:
+                rank = (rank << cell_bits) | k
+            ce = Counterexample(rule, rnd, completes, decisions)
             return VerificationReport(n, rounds, rank + 1, ce, {"mode": "exhaustive"})
     return VerificationReport(n, rounds, 1 << (cell_bits * rounds), None, {"mode": "exhaustive"})
 
@@ -344,7 +331,7 @@ def sample_and_verify(
     ``rng.random() < LINK_UP_PROBABILITY ** (n - 1)``, the law of every
     off-diagonal link up independently with ``LINK_UP_PROBABILITY``. The
     mix produces runs that alternate between stable and unstable periods.
-    A failing trial reports each round as its vector's ``_smallest_matrix``.
+    A failing report renders each round as its vector's ``_smallest_matrix``.
 
     A passing report holds nothing drawn, so it reads as it did when the
     sampler drew every link; a failing report's trial and matrices differ
@@ -369,9 +356,8 @@ def sample_and_verify(
         hit = _first_break(n, completes, decide, read_state, drop_default_write, steps)
         if hit is not None:
             rule, rnd, decisions = hit
-            matrices = [_smallest_matrix(complete) for complete in completes]
             return VerificationReport(
-                n, rounds, trial + 1, Counterexample(rule, rnd, matrices, decisions),
+                n, rounds, trial + 1, Counterexample(rule, rnd, completes, decisions),
                 {"mode": "sampled", "seed": seed, "trial": trial},
             )
     return VerificationReport(n, rounds, trials, None, {"mode": "sampled", "seed": seed})

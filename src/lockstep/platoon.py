@@ -394,7 +394,7 @@ def build_app(spec: dict) -> App:
             return LevelApp(ServiceLevel.from_json(spec["level"]))
         if kind == "platoon-worst-case":
             return PlatoonApp(ScenarioSpec.from_json(spec["scenario"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # missing, unknown or mistyped
         raise ConfigError(f"malformed {kind!r} app spec: {type(exc).__name__}: {exc}") from None
     raise ConfigError(f"no app builder for kind {kind!r}")
 
@@ -431,15 +431,17 @@ def scenario_facts(scenario: ScenarioSpec, protocol_res: ScenarioResult,
 
     The protocol must put the cut vehicle on LOW one round after the outage
     begins and every vehicle one round later, and open every gap before the
-    brake. The baseline's tail vehicle is read over the outage rounds
-    u .. u+outage_rounds-1, the rounds ``run_baseline`` cuts.
+    brake. The baseline's tail is read over the outage rounds
+    u .. u+outage_rounds-1, the rounds ``run_baseline`` cuts: the last vehicle
+    that is not cut, since a deaf vehicle drives LOW there by design.
     """
     u = scenario.outage_round
     low = ServiceLevel.LOW
     brake_round = u + scenario.brake_after_rounds
     initial_gap = scenario.level_table[scenario.initial_level].headway
     levels, baseline_levels = protocol_res.levels, baseline_res.levels
-    tail = [baseline_levels[r][scenario.n]
+    tail_vehicle = scenario.n if scenario.cut_vehicle != scenario.n else scenario.n - 1
+    tail = [baseline_levels[r][tail_vehicle]
             for r in range(u, u + scenario.outage_rounds) if r in baseline_levels]
     return {
         "first_affected_round": u,

@@ -106,6 +106,26 @@ def test_verify_usage_errors_exit_2(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# Failing exhaustive reports past the sizes the literal matrix enumerator in
+# tests/test_oracle.py can reach: the sha256 of the --report-file, and its
+# patterns_checked, the literal rank of the first failing matrix sequence plus one.
+PINNED_MUTANT_REPORTS = {
+    (4, 4): ("77a7816d517b3cda3259eca574aca2325e979abed26ee76cfd6e5563b439ac58", 4_098),
+    (5, 3): ("8cc7c7c728f583a9bc826c6e1ac0ad00c55f71754c63cc64b7ff67e8715edc41", 1_048_578),
+    (3, 6): ("cb49824df328067a63eadff1919d967d1141c7e026a200438be0e72db23b08b9", 66),
+}
+
+
+@pytest.mark.parametrize("n,rounds", sorted(PINNED_MUTANT_REPORTS))
+def test_failing_exhaustive_reports_are_pinned(tmp_path, n, rounds):
+    digest, patterns = PINNED_MUTANT_REPORTS[n, rounds]
+    path = tmp_path / "report.json"
+    assert main(["verify", "--n", str(n), "--rounds", str(rounds),
+                 "--mutate", "drop-default-write", "--report-file", str(path)]) == 1
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert json.loads(path.read_text())["patterns_checked"] == patterns
+
+
 def test_verify_4x3_is_exhaustive(capsys):
     assert main(["verify", "--n", "4", "--rounds", "3"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -204,9 +224,9 @@ PINNED_SCENARIOS = {
         "scenario_trace.jsonl": "4ef2ba903547b1085e74505175bf596bd314bf14a217566966ce60bfaa9d940b",
         "scenario.json": "2e0aabe197393e1be8b93e4fc65510e2725cc416b0c986f33e0583ef2702b45a",
     }),
-    # The tail vehicle is deaf, so the baseline drops it to LOW and the run fails.
-    "cut-tail": (ScenarioSpec(cut_vehicle=3, outage_round=12), 1, {
-        "scenario_report.json": "5fbc70a67fa20bdeae1a20591868897dc81c4384761fab16d955311b7ea69755",
+    # The tail vehicle is deaf, so the baseline facts read the vehicle ahead of it.
+    "cut-tail": (ScenarioSpec(cut_vehicle=3, outage_round=12), 0, {
+        "scenario_report.json": "59906c9c0fa87bb1e15d51bed80303154d7ada6a3fba656dbe4931603e8b68a3",
         "scenario_protocol.csv": "6601bf97c27ac9e3953635a7fc10fb7766ddb7866abd6e752783f7772ea15d91",
         "scenario_baseline.csv": "080409498293026b4819129d295f4ce0379bb1d621904bedde039a6ade2bcda0",
         "scenario_trace.jsonl": "e89f650cefbdc80e653d373c76d69deebf74e1c79431386aa8a628a152c1b07c",
@@ -274,6 +294,10 @@ def _rewrite_header(path, lines, edit):
     ("app-without-level", "malformed 'level' app spec: KeyError"),
     ("app-unknown-kind", "app builder for kind 'bogus'"),
     ("app-unknown-level", "malformed 'level' app spec: KeyError: 'ULTRA'"),
+    ("app-level-a-number",
+     "malformed 'level' app spec: AttributeError: 'int' object has no attribute 'upper'"),
+    ("app-level-a-list",
+     "malformed 'level' app spec: AttributeError: 'list' object has no attribute 'upper'"),
     ("seed-a-list", "bad value: seed must be an int, got [1]"),
     ("n-a-float", "bad value: n must be an int, got 3.0"),
     ("round-length-a-float", "bad value: round_length must be an int, got 160000.5"),
@@ -314,8 +338,18 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
         "rule-span-backwards": {"loss": {"kind": "composite", "p": 0.1,
                                          "rules": [{"t": [200, 100], "from": "*", "to": 1}]}},
     }
+    app_edits = {
+        "app-not-object": 5,
+        "app-without-level": {"kind": "level"},
+        "app-unknown-kind": {"kind": "bogus"},
+        "app-unknown-level": {"kind": "level", "level": "ultra"},
+        "app-level-a-number": {"kind": "level", "level": 3},
+        "app-level-a-list": {"kind": "level", "level": ["high"]},
+    }
     if case in config_edits:
         _rewrite_header(path, lines, lambda h: h["config"].update(config_edits[case]))
+    elif case in app_edits:
+        _rewrite_header(path, lines, lambda h: h.update(app=app_edits[case]))
     elif case == "not-json":
         path.write_text("this is not json\n" + "\n".join(lines[1:]) + "\n")
     elif case == "missing-config":
@@ -324,16 +358,9 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
         _rewrite_header(path, lines, lambda h: h["config"].pop("gossip_interval"))
     elif case == "wrong-version":
         _rewrite_header(path, lines, lambda h: h.update(version=2))
-    elif case == "wrong-type":
-        _rewrite_header(path, lines, lambda h: h.update(config=5))
-    elif case == "app-not-object":
-        _rewrite_header(path, lines, lambda h: h.update(app=5))
-    elif case == "app-without-level":
-        _rewrite_header(path, lines, lambda h: h.update(app={"kind": "level"}))
-    elif case == "app-unknown-kind":
-        _rewrite_header(path, lines, lambda h: h.update(app={"kind": "bogus"}))
     else:
-        _rewrite_header(path, lines, lambda h: h.update(app={"kind": "level", "level": "ultra"}))
+        assert case == "wrong-type"
+        _rewrite_header(path, lines, lambda h: h.update(config=5))
     capsys.readouterr()
     assert main(["replay", str(path)]) == 2
     err = capsys.readouterr().err

@@ -121,14 +121,19 @@ def all_matrices(n):
 
 
 def literal_enumerate_and_verify(n, rounds, decide, read_state, drop_default_write=False):
-    """Reference: check every matrix sequence one by one, in literal order."""
+    """Reference: check every matrix sequence one by one, in literal order.
+
+    Returns the report's JSON, its counterexample rendered from the failing
+    matrix sequence itself.
+    """
     checked = 0
     for seq in itertools.product(all_matrices(n), repeat=rounds):
         checked += 1
         ce = reference_verify_sequence(n, seq, decide, read_state, drop_default_write)
         if ce is not None:
-            return VerificationReport(n, rounds, checked, ce, {"mode": "exhaustive"})
-    return VerificationReport(n, rounds, checked, None, {"mode": "exhaustive"})
+            return literal_json(VerificationReport(n, rounds, checked, ce, {"mode": "exhaustive"}),
+                                seq)
+    return VerificationReport(n, rounds, checked, None, {"mode": "exhaustive"}).to_json()
 
 
 @pytest.mark.parametrize("mutant", [False, True])
@@ -140,7 +145,7 @@ def test_enumerate_matches_literal_enumeration(n, rounds, mutant):
                                drop_default_write=mutant)
     want = literal_enumerate_and_verify(n, rounds, min_level_decide, high_state(n),
                                         drop_default_write=mutant)
-    assert got.to_json() == want.to_json()
+    assert got.to_json() == want
 
 
 def test_mutant_without_default_write_is_caught():
@@ -336,8 +341,9 @@ def test_completeness_reads_columns(n):
 # The sampler written out literally: per round a stable draw, then, for an
 # unstable round, one completeness draw per vehicle; a trial is checked
 # through delivery matrices, each round's the first in literal order with
-# its vector. A passing sampled report holds no matrices, so only a
-# comparison with it pins the random stream.
+# its vector, and a failing report shows those matrices. A passing sampled
+# report holds no matrices, so only a comparison with it pins the random
+# stream.
 
 def reference_sample_vectors(rng, n, rounds):
     vectors = []
@@ -365,11 +371,19 @@ def reference_verify_sequence(n, matrices, decide, read_state=None, drop_default
     if hit is None:
         return None
     rule, rnd = hit
-    return Counterexample(rule, rnd, list(matrices), decisions)
+    return Counterexample(rule, rnd, completes, decisions)
+
+
+def literal_json(report, matrices):
+    """``report.to_json()`` with its counterexample's rounds rendered as ``matrices``."""
+    out = report.to_json()
+    out["counterexample"]["matrices"] = [[list(row) for row in m] for m in matrices]
+    return out
 
 
 def reference_sample_and_verify(n, rounds, trials, seed, decide, read_state=None,
                                 drop_default_write=False):
+    """The report and, for a failure, the failing trial's matrix sequence (else None)."""
     rng = random.Random(seed)
     for trial in range(trials):
         seq = [reference_smallest_matrix(c) for c in reference_sample_vectors(rng, n, rounds)]
@@ -377,8 +391,8 @@ def reference_sample_and_verify(n, rounds, trials, seed, decide, read_state=None
         if ce is not None:
             return VerificationReport(
                 n, rounds, trial + 1, ce, {"mode": "sampled", "seed": seed, "trial": trial}
-            )
-    return VerificationReport(n, rounds, trials, None, {"mode": "sampled", "seed": seed})
+            ), seq
+    return VerificationReport(n, rounds, trials, None, {"mode": "sampled", "seed": seed}), None
 
 
 @settings(max_examples=100, deadline=None)
@@ -386,7 +400,9 @@ def reference_sample_and_verify(n, rounds, trials, seed, decide, read_state=None
        st.integers(min_value=1, max_value=50), st.integers(), st.booleans())
 def test_sampler_matches_the_matrix_sampler(n, rounds, trials, seed, mutant):
     args = (n, rounds, trials, seed, min_level_decide, high_state(n), mutant)
-    assert sample_and_verify(*args).to_json() == reference_sample_and_verify(*args).to_json()
+    want, matrices = reference_sample_and_verify(*args)
+    want = want.to_json() if want.passed else literal_json(want, matrices)
+    assert sample_and_verify(*args).to_json() == want
 
 
 @pytest.mark.parametrize("n,rounds,seed,model", [(8, 50, 1, "never-recovers"),
@@ -395,12 +411,13 @@ def test_sampled_counterexample_matches_the_matrix_sampler(monkeypatch, n, round
     if model == "never-recovers":
         monkeypatch.setattr(oracle, "abstract_round", sticky_round)
     args = (n, rounds, 500, seed, min_level_decide, high_state(n), model == "mutant")
-    got, want = sample_and_verify(*args), reference_sample_and_verify(*args)
+    got = sample_and_verify(*args)
+    want, matrices = reference_sample_and_verify(*args)
     assert not want.passed
     assert got.details["trial"] == want.details["trial"]
     ce, ref = got.counterexample, want.counterexample
-    assert (ce.rule, ce.round, ce.matrices) == (ref.rule, ref.round, ref.matrices)
-    assert got.to_json() == want.to_json()
+    assert (ce.rule, ce.round, ce.completes) == (ref.rule, ref.round, ref.completes)
+    assert got.to_json() == literal_json(want, matrices)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -429,32 +446,57 @@ def test_vector_law_equals_the_link_law(n):
 
 
 def test_large_fleet_counterexample_is_cheap_and_well_formed(monkeypatch):
-    """A failure at n=24 builds one matrix per round and never the 2^24 classes."""
+    """A failure at n=24 stores its vectors, builds no matrix and never enumerates 2^24 vectors.
+
+    Only rendering the report builds matrices, one per round.
+    """
     n, rounds, trials, seed = 24, 50, 500, 1
 
-    def no_enumeration(n):
-        raise AssertionError("the sampler enumerated the completeness classes")
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the sampler enumerated the completeness vectors")
 
+    built = []
+
+    def counted_matrix(complete):
+        built.append(complete)
+        return smallest_matrix(complete)
+
+    smallest_matrix = oracle._smallest_matrix
     monkeypatch.setattr(oracle, "abstract_round", sticky_round)
-    monkeypatch.setattr(oracle, "_class_representatives", no_enumeration)
+    monkeypatch.setattr(itertools, "product", no_enumeration)
+    monkeypatch.setattr(oracle, "_smallest_matrix", counted_matrix)
     t0 = time.perf_counter()
     report = sample_and_verify(n, rounds, trials, seed, min_level_decide, high_state(n))
     assert time.perf_counter() - t0 < 0.5
+    assert built == []
     assert not report.passed
     assert report.counterexample.rule == "recovery"
     rng = random.Random(seed)
     for _ in range(report.details["trial"] + 1):
         vectors = reference_sample_vectors(rng, n, rounds)
-    assert [completeness(m) for m in report.counterexample.matrices] == vectors
+    assert report.counterexample.completes == vectors
     assert not all(map(all, vectors))
+    matrices = report.to_json()["counterexample"]["matrices"]
+    assert built == vectors
+    assert [completeness(m) for m in matrices] == vectors
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_smallest_matrix_is_the_class_representative(n):
-    for _, complete, matrix in oracle._class_representatives(n):
-        assert oracle._smallest_matrix(complete) == matrix
-        assert completeness(matrix) == complete
-        assert matrix == next(m for m in all_matrices(n) if completeness(m) == complete)
+def test_smallest_matrix_is_the_class_representative(monkeypatch, n):
+    """The exhaustive check's k-th vector of a round renders as literal matrix k.
+
+    That matrix is the first with its vector, so a failing sequence's literal
+    rank reads straight off the vectors' k's.
+    """
+    seen = []
+    monkeypatch.setattr(oracle, "_first_break",
+                        lambda n, completes, *rest: seen.append(completes[0]))
+    assert enumerate_and_verify(n, 1, min_level_decide, high_state(n)).passed
+    matrices = all_matrices(n)
+    assert sorted(seen) == sorted(set(map(completeness, matrices)))  # each vector once
+    for k, complete in enumerate(seen):
+        assert oracle._smallest_matrix(complete) == matrices[k]
+        assert matrices[k] == next(m for m in matrices if completeness(m) == complete)
 
 
 # ---------------------------------------------------------------------------

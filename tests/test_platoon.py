@@ -1,6 +1,7 @@
 """Tests for service levels, the platoon controller, and the outage scenario."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -294,16 +295,38 @@ def test_baseline_tail_vehicle_keeps_platooning():
 
 
 def test_scenario_facts_read_the_baseline_over_the_outage_rounds():
-    # With the tail vehicle cut, the baseline drops it to LOW on exactly the
-    # outage rounds u .. u+outage_rounds-1 and restores it right after.
-    spec = ScenarioSpec(cut_vehicle=3)
+    # The baseline's deaf vehicle drops to LOW on exactly the outage rounds
+    # u .. u+outage_rounds-1 and is restored right after; the facts read the
+    # tail over those rounds only.
+    spec = ScenarioSpec()
     base = run_baseline(spec)
     end = spec.outage_round + spec.outage_rounds
-    assert base.levels[spec.outage_round - 1][3] == MEDIUM
-    assert base.levels[end][3] == MEDIUM
+    assert base.levels[spec.outage_round - 1][2] == MEDIUM
+    assert [base.levels[r][2] for r in range(spec.outage_round, end)] == [LOW] * spec.outage_rounds
+    assert base.levels[end][2] == MEDIUM
+    protocol_res = run_worst_case(spec)
+
+    def tail_low_at(rounds):
+        rows = [replace(row, level=LOW) if row.vehicle == 3 and row.round in rounds else row
+                for row in base.rows]
+        return scenario_facts(spec, protocol_res, replace(base, rows=rows))
+
+    facts = tail_low_at({spec.outage_round - 1, end})
+    assert facts["baseline_tail_vehicle_level"] == ["medium"] * spec.outage_rounds
+    assert facts["baseline_tail_stays_initial"]
+    assert not tail_low_at({end - 1})["baseline_tail_stays_initial"]
+
+
+def test_scenario_facts_read_the_last_vehicle_that_is_not_cut():
+    # A cut tail drives LOW in the baseline by design, so the facts read the
+    # vehicle ahead of it, which keeps platooning.
+    spec = ScenarioSpec(cut_vehicle=3, outage_round=12)
+    base = run_baseline(spec)
+    outage = range(spec.outage_round, spec.outage_round + spec.outage_rounds)
+    assert all(base.levels[r][3] == LOW and base.levels[r][2] == MEDIUM for r in outage)
     facts = scenario_facts(spec, run_worst_case(spec), base)
-    assert facts["baseline_tail_vehicle_level"] == ["low"] * spec.outage_rounds
-    assert not facts["baseline_tail_stays_initial"]
+    assert facts["baseline_tail_vehicle_level"] == ["medium"] * spec.outage_rounds
+    assert all(facts[name] for name in platoon.SCENARIO_CHECKS)
 
 
 def test_scenario_trace_replays(tmp_path):
