@@ -8,8 +8,10 @@ out into independent point-to-point transmissions, each delivered after a
 sampled delay in (0, maximum_delay] or dropped by the loss model.
 ``simulate`` is the one event loop: it yields every send, delivery, drop,
 and round output as it happens, a sequence that is a pure function of the
-configuration. ``run`` keeps them all in a trace; ``replay`` compares them
-with a trace file as they come, so any trace can be replayed bit-for-bit.
+configuration. ``run`` keeps them all in a trace; ``replay`` encodes them as
+they come and compares a block of ``_BLOCK`` lines at a time, newlines
+included, with the text of a trace file, so any trace is replayed
+byte for byte and neither side is held beyond one block.
 Events hold each fact once: ``SendEvent(t, msg)``, ``DeliverEvent(t, receiver,
 msg)``, ``DropEvent(t, receiver, msg, cause)`` and ``OutputEvent(t, vehicle,
 output)``. The sender is ``msg.sender``, and a drop's ``t`` is its send time.
@@ -47,16 +49,30 @@ TRACE_FORMAT = "lockstep-trace"
 TRACE_VERSION = 1
 
 
-class ReplayMismatch(Exception):
-    """Replay diverged from the recorded trace."""
+# Control characters as escapes, so that a message shows a stray "\r".
+_VISIBLE = {c: repr(chr(c))[1:-1] for c in (*range(32), 127)}
 
-    def __init__(self, line_no: int, expected: str, actual: str) -> None:
+
+class ReplayMismatch(Exception):
+    """Replay diverged from the recorded trace.
+
+    ``expected`` and ``actual`` are the recorded and replayed lines without
+    their newline, or ``"<missing>"`` where a side has no such line; a
+    recorded last line that lacks its newline is ``unterminated``.
+    """
+
+    def __init__(self, line_no: int, expected: str, actual: str,
+                 unterminated: bool = False) -> None:
+        note = " (no newline at end of file)" if unterminated else ""
         super().__init__(
-            f"replay diverged at line {line_no}:\n  recorded: {expected}\n  replayed: {actual}"
+            f"replay diverged at line {line_no}:\n"
+            f"  recorded: {expected.translate(_VISIBLE)}{note}\n"
+            f"  replayed: {actual.translate(_VISIBLE)}"
         )
         self.line_no = line_no
         self.expected = expected
         self.actual = actual
+        self.unterminated = unterminated
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +402,10 @@ def _dumps_decision(decision: tuple) -> str:
     return _dumps(datum_to_json(decision[0]))
 
 
+# Trace.write and replay take the lines this many at a time (about 45 KB of
+# an 8-vehicle trace): one write, or one read and compare, per block.
+_BLOCK = 256
+
 # The JSON of each distinct vector met in the passes under way, one memo per
 # kind: vector -> (vector, JSON). A hit counts only if the cached vector holds
 # the very same element objects, since equal vectors of other element types,
@@ -433,9 +453,14 @@ _in_flight: dict[int, list] = {}
 
 
 def event_to_json(ev: TraceEvent) -> str:
-    """One trace line. Keys are written in sorted order, as ``_dumps`` would."""
-    if isinstance(ev, (DeliverEvent, DropEvent)):
-        m = ev.msg
+    """One trace line. Keys are written in sorted order, as ``_dumps`` would.
+
+    Events are told apart by exact type and read by position, in their
+    fields' order; anything else is taken for an ``OutputEvent``.
+    """
+    kind = type(ev)
+    if kind is DeliverEvent or kind is DropEvent:
+        m = ev[2]
         entry = _in_flight.get(id(m))
         if entry is not None:
             _, ack, data, head, left = entry
@@ -446,22 +471,23 @@ def event_to_json(ev: TraceEvent) -> str:
         else:
             ack, data = _ack_and_data(m)
             head = _deliver_head(m, ack, data)
-        if isinstance(ev, DeliverEvent):
-            return f'{head}"t":{ev.t},"to":{ev.receiver}}}'
-        return (f'{{"ack":{ack},"cause":{_dumps(ev.cause)},"data":{data},"ev":"drop",'
-                f'"from":{m.sender},"round":{m.round},"t":{ev.t},"to":{ev.receiver}}}')
-    if isinstance(ev, SendEvent):
-        m = ev.msg
+        if kind is DeliverEvent:
+            return f'{head}"t":{ev[0]},"to":{ev[1]}}}'
+        t, receiver, _, cause = ev
+        return (f'{{"ack":{ack},"cause":{_dumps(cause)},"data":{data},"ev":"drop",'
+                f'"from":{m[0]},"round":{m[1]},"t":{t},"to":{receiver}}}')
+    if kind is SendEvent:
+        t, m = ev
+        sender, rnd, _, vack = m
         ack, data = _ack_and_data(m)
-        if len(m.ack) > 1:
-            _in_flight[id(m)] = [m, ack, data, _deliver_head(m, ack, data), len(m.ack) - 1]
-        return (f'{{"ack":{ack},"data":{data},"ev":"send","round":{m.round},'
-                f'"t":{ev.t},"v":{m.sender}}}')
-    out = ev.output
-    return (f'{{"ack":{_memo_dumps(_ack_json, out.r, _dumps)},'
-            f'"data":{_memo_dumps(_data_json, out.s, _dumps_data)},'
-            f'"decision":{_memo_dumps(_decision_json, (out.decision,), _dumps_decision)},'
-            f'"ev":"output","round":{out.round},"t":{ev.t},"v":{ev.vehicle}}}')
+        if len(vack) > 1:
+            _in_flight[id(m)] = [m, ack, data, _deliver_head(m, ack, data), len(vack) - 1]
+        return f'{{"ack":{ack},"data":{data},"ev":"send","round":{rnd},"t":{t},"v":{sender}}}'
+    t, vehicle, (rnd, s, r, decision) = ev
+    return (f'{{"ack":{_memo_dumps(_ack_json, r, _dumps)},'
+            f'"data":{_memo_dumps(_data_json, s, _dumps_data)},'
+            f'"decision":{_memo_dumps(_decision_json, (decision,), _dumps_decision)},'
+            f'"ev":"output","round":{rnd},"t":{t},"v":{vehicle}}}')
 
 
 def _lines(config: SimConfig, app_spec: dict, events: Iterable[TraceEvent]) -> Iterator[str]:
@@ -493,10 +519,19 @@ class Trace:
         return _lines(self.config, self.app_spec, self.events)
 
     def write(self, path: Union[str, Path]) -> None:
-        with open(path, "w") as fh:
-            for line in self.lines():
-                fh.write(line)
-                fh.write("\n")
+        with open(path, "w", newline="\n") as fh:
+            for text in _blocks(self.lines()):
+                fh.write(text)
+
+
+def _blocks(lines: Iterator[str]) -> Iterator[str]:
+    """The lines, ``_BLOCK`` at a time, each block one string with every newline."""
+    while True:
+        block = list(itertools.islice(lines, _BLOCK))
+        if not block:
+            return
+        block.append("")
+        yield "\n".join(block)
 
 
 def read_trace_header(path: Union[str, Path]) -> tuple[SimConfig, dict]:
@@ -651,32 +686,52 @@ def run(config: SimConfig, app: App) -> Trace:
     return Trace(config, app.spec(), events)
 
 
-def _recorded_lines(path: Union[str, Path]) -> Iterator[str]:
-    # A byte that is not text is a divergence at its line, not a crash.
-    with open(path, errors="backslashreplace") as fh:
-        for line in fh:
-            yield line.rstrip("\n")
+def _mismatch(line_no: int, recorded: str, replayed: str) -> ReplayMismatch:
+    """The divergence of one line; each side is a line with its newline, or ""."""
+    return ReplayMismatch(line_no,
+                          recorded.removesuffix("\n") if recorded else "<missing>",
+                          replayed.removesuffix("\n") if replayed else "<missing>",
+                          unterminated=recorded[-1:] not in ("", "\n"))
+
+
+def _divergence(fh, text: str, line_no: int) -> ReplayMismatch:
+    """Walk a block that differs, from its start in ``fh``, to the line that does."""
+    for line_no, line in enumerate(text[:-1].split("\n"), start=line_no):
+        recorded = fh.readline()
+        if recorded != line + "\n":
+            return _mismatch(line_no, recorded, line + "\n")
+    raise AssertionError("a block that differs has a line that does")
 
 
 def replay(path: Union[str, Path]) -> None:
-    """Re-run a trace file's config and verify the result is identical.
+    """Re-run a trace file's config and verify the result is byte-identical.
 
-    The application is rebuilt from the recorded app spec. The file is read
-    as the run is re-simulated and re-encoded, and the two are compared line
-    by line, so neither side is held; raises ReplayMismatch at the first
-    divergent line.
+    The application is rebuilt from the recorded app spec. The run is
+    re-simulated and re-encoded ``_BLOCK`` lines at a time, and each block,
+    newlines included, is compared with as much text read from the file.
+    Only a block that differs is walked again line by line, from its start
+    in the file, to name the first divergent line; text left in the file
+    after the run is a divergence too. So neither side is held beyond one
+    block; raises ReplayMismatch at the first divergent line.
     """
     from .platoon import build_app  # platoon imports this module
 
     config, app_spec = read_trace_header(path)
     app = build_app(app_spec)
-    recorded = _recorded_lines(path)
     replayed = _lines(config, app.spec(), simulate(config, app))
-    try:
-        pairs = itertools.zip_longest(recorded, replayed, fillvalue="<missing>")
-        for i, (want, got) in enumerate(pairs, start=1):
-            if want != got:
-                raise ReplayMismatch(i, want, got)
-    finally:
-        recorded.close()
-        replayed.close()
+    # Lines end at "\n" alone and are read untranslated, so a "\r" is a
+    # divergence; a byte that is not text is one too, at its line, not a crash.
+    with open(path, newline="\n", errors="backslashreplace") as fh:
+        try:
+            line_no = 1
+            for text in _blocks(replayed):
+                start = fh.tell()
+                if fh.read(len(text)) != text:
+                    fh.seek(start)
+                    raise _divergence(fh, text, line_no)
+                line_no += text.count("\n")
+            rest = fh.readline()
+            if rest:
+                raise _mismatch(line_no, rest, "")
+        finally:
+            replayed.close()

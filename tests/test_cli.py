@@ -272,6 +272,18 @@ def test_replay_command_detects_tampering(tmp_path, capsys):
     assert "diverged at line 3" in capsys.readouterr().err
 
 
+def test_replay_command_rejects_a_crlf_copy(tmp_path, capsys):
+    main(["run", "--n", "3", "--duration-s", "2", "--seed", "3", "--out", str(tmp_path)])
+    data = (tmp_path / "trace.jsonl").read_bytes()
+    path = tmp_path / "crlf.jsonl"
+    path.write_bytes(data.replace(b"\n", b"\r\n"))
+    capsys.readouterr()
+    assert main(["replay", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("replay diverged at line 1:\n  recorded: {")
+    assert err.split("\n")[1].endswith("}\\r")  # the "\r" shown as an escape
+
+
 def _record_small_trace(tmp_path):
     main(["run", "--n", "2", "--duration-s", "2", "--seed", "6", "--out", str(tmp_path)])
     path = tmp_path / "trace.jsonl"

@@ -846,6 +846,175 @@ def test_replay_leaves_no_file_open(tmp_path, monkeypatch):
     assert_nothing_cached()
 
 
+def test_replay_of_a_crlf_copy_diverges_at_line_one(tmp_path):
+    trace = run_high(make_sim_config(n=3, rounds=6, seed=17, loss=BernoulliLoss(0.2)))
+    lines = list(trace.lines())
+    path = tmp_path / "crlf.jsonl"
+    path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+    with pytest.raises(ReplayMismatch) as info:
+        replay(path)
+    assert info.value.line_no == 1
+    assert info.value.expected == lines[0] + "\r"  # the raw text
+    assert info.value.actual == lines[0]
+    assert not info.value.unterminated
+    assert f"recorded: {lines[0]}\\r\n" in str(info.value)  # the "\r" shows
+
+
+def test_replay_of_a_copy_without_its_final_newline_diverges_at_its_last_line(tmp_path):
+    trace = run_high(make_sim_config(n=3, rounds=6, seed=18, loss=BernoulliLoss(0.2)))
+    lines = list(trace.lines())
+    path = tmp_path / "nonl.jsonl"
+    path.write_text("\n".join(lines))
+    with pytest.raises(ReplayMismatch) as info:
+        replay(path)
+    assert info.value.line_no == len(lines)
+    assert info.value.expected == info.value.actual == lines[-1]
+    assert info.value.unterminated
+    assert f"recorded: {lines[-1]} (no newline at end of file)\n" in str(info.value)
+
+
+def test_replay_names_a_whole_line_with_a_carriage_return_inside(tmp_path):
+    trace = run_high(make_sim_config(n=3, rounds=6, seed=19, loss=BernoulliLoss(0.2)))
+    lines = list(trace.lines())
+    bad = len(lines) // 2
+    tampered = lines[bad - 1].replace(",", ",\r", 1)  # a line ends at "\n" alone
+    path = tmp_path / "trace.jsonl"
+    write_trace_lines(path, lines[:bad - 1] + [tampered] + lines[bad:])
+    with pytest.raises(ReplayMismatch) as info:
+        replay(path)
+    assert (info.value.line_no, info.value.expected, info.value.actual) == (
+        bad, tampered, lines[bad - 1])
+
+
+# ---------------------------------------------------------------------------
+# Replay at the edges of its blocks
+# ---------------------------------------------------------------------------
+
+def block_edge_trace(monkeypatch, event_lines):
+    """A trace of exactly ``event_lines`` event lines, which replay re-simulates.
+
+    ``sim.simulate`` is cut to that many events, for ``run`` and ``replay``
+    alike, so a file can end anywhere relative to the block size.
+    """
+    simulate = sim.simulate
+    monkeypatch.setattr(sim, "simulate",
+                        lambda config, app: itertools.islice(simulate(config, app), event_lines))
+    # About 21 events a round: over four blocks of lines.
+    trace = run_high(make_sim_config(n=3, rounds=sim._BLOCK // 5, seed=21,
+                                     loss=BernoulliLoss(0.2)))
+    assert len(trace.events) == event_lines
+    return trace
+
+
+@pytest.mark.parametrize("blocks,offset", [
+    (1, -2), (1, -1), (1, 0), (1, 1), (2, -1), (2, 0),
+])
+def test_replay_of_traces_ending_at_block_edges_is_identical(tmp_path, monkeypatch, blocks,
+                                                             offset):
+    trace = block_edge_trace(monkeypatch, blocks * sim._BLOCK + offset)
+    path = tmp_path / "trace.jsonl"
+    trace.write(path)
+    assert path.read_text() == "".join(line + "\n" for line in reference_lines(trace))
+    assert replay(path) is None
+    assert_nothing_cached()
+
+
+@pytest.mark.parametrize("line_no", [
+    pytest.param(2, id="first-event-line"),
+    pytest.param(sim._BLOCK, id="last-line-of-the-first-block"),
+    pytest.param(sim._BLOCK + 1, id="first-line-of-a-block"),
+    pytest.param(2 * sim._BLOCK, id="last-line-of-a-block"),
+    pytest.param(3 * sim._BLOCK + 3, id="inside-the-final-partial-block"),
+    pytest.param(3 * sim._BLOCK + 5, id="last-line-of-the-final-partial-block"),
+])
+def test_replay_names_a_divergence_at_a_block_edge(tmp_path, monkeypatch, line_no):
+    lines = list(block_edge_trace(monkeypatch, 3 * sim._BLOCK + 4).lines())
+    assert len(lines) == 3 * sim._BLOCK + 5
+    # The same length as the line it replaces, so the block's length matches too.
+    tampered = lines[line_no - 1].replace('"ev"', '"EV"')
+    assert len(tampered) == len(lines[line_no - 1]) and tampered != lines[line_no - 1]
+    path = tmp_path / "trace.jsonl"
+    write_trace_lines(path, lines[:line_no - 1] + [tampered] + lines[line_no:])
+    with pytest.raises(ReplayMismatch) as info:
+        replay(path)
+    assert (info.value.line_no, info.value.expected, info.value.actual) == (
+        line_no, tampered, lines[line_no - 1])
+    assert_nothing_cached()
+
+
+def test_replay_of_a_file_cut_at_a_block_boundary_reports_the_missing_line(tmp_path,
+                                                                           monkeypatch):
+    lines = list(block_edge_trace(monkeypatch, 3 * sim._BLOCK).lines())
+    path = tmp_path / "trace.jsonl"
+    write_trace_lines(path, lines[:2 * sim._BLOCK])
+    with pytest.raises(ReplayMismatch) as info:
+        replay(path)
+    assert (info.value.line_no, info.value.expected, info.value.actual) == (
+        2 * sim._BLOCK + 1, "<missing>", lines[2 * sim._BLOCK])
+
+
+def test_replay_reports_a_line_added_after_whole_blocks(tmp_path, monkeypatch):
+    lines = list(block_edge_trace(monkeypatch, 2 * sim._BLOCK - 1).lines())
+    assert len(lines) == 2 * sim._BLOCK
+    path = tmp_path / "trace.jsonl"
+    write_trace_lines(path, lines + [lines[-1]])
+    with pytest.raises(ReplayMismatch) as info:
+        replay(path)
+    assert (info.value.line_no, info.value.expected, info.value.actual) == (
+        2 * sim._BLOCK + 1, lines[-1], "<missing>")
+
+
+def test_replay_reports_a_byte_that_is_not_text_in_a_later_block(tmp_path, monkeypatch):
+    lines = list(block_edge_trace(monkeypatch, 3 * sim._BLOCK).lines())
+    bad = 2 * sim._BLOCK + 7
+    data = "".join(line + "\n" for line in lines).encode()
+    cut = data.index(lines[bad - 1].encode()) + 5
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(data[:cut] + b"\xff" + data[cut + 1:])
+    with pytest.raises(ReplayMismatch) as info:
+        replay(path)
+    want = lines[bad - 1]
+    assert (info.value.line_no, info.value.expected, info.value.actual) == (
+        bad, want[:5] + "\\xff" + want[6:], want)
+
+
+@pytest.mark.parametrize("edit", ["first-event-line-differs", "last-line-differs", "extra-line"])
+def test_replay_mismatch_path_holds_neither_the_run_nor_the_file(tmp_path, edit):
+    """The memory bound of the identical replay, on a divergence.
+
+    A first line that differs is there so that a walk which takes the rest
+    of the run (or of the file) at once fails the bound.
+    """
+    path = tmp_path / "trace.jsonl"
+    tracemalloc.start()
+    try:
+        trace = run_high(make_sim_config(n=8, rounds=200, seed=16, loss=BernoulliLoss(0.17)))
+        _, run_peak = tracemalloc.get_traced_memory()
+        trace.write(path)
+        last = len(trace.events) + 1
+        del trace
+        with open(path, "r+b") as fh:
+            if edit == "first-event-line-differs":
+                fh.readline()
+                fh.write(b"[")  # in place of the line's "{"
+            elif edit == "last-line-differs":
+                fh.seek(-2, 2)
+                fh.write(b"]")  # in place of the line's "}"
+            else:
+                fh.seek(0, 2)
+                fh.write(b"{}\n")
+        want = {"first-event-line-differs": 2, "last-line-differs": last, "extra-line": last + 1}
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        with pytest.raises(ReplayMismatch) as info:
+            replay(path)
+        _, replay_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.line_no == want[edit]
+    assert replay_peak - before < run_peak / 10
+
+
 HOT_PATH_TUPLES = (SendEvent, DeliverEvent, DropEvent, OutputEvent, GossipMessage, RoundOutput)
 
 
