@@ -697,9 +697,10 @@ def _mismatch(line_no: int, recorded: str, replayed: str) -> ReplayMismatch:
 def _divergence(fh, text: str, line_no: int) -> ReplayMismatch:
     """Walk a block that differs, from its start in ``fh``, to the line that does."""
     for line_no, line in enumerate(text[:-1].split("\n"), start=line_no):
+        line += "\n"
         recorded = fh.readline()
-        if recorded != line + "\n":
-            return _mismatch(line_no, recorded, line + "\n")
+        if recorded != line:
+            return _mismatch(line_no, recorded, line)
     raise AssertionError("a block that differs has a line that does")
 
 
