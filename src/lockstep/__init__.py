@@ -40,9 +40,7 @@ from .sim import (
 )
 from .analysis import (
     AnalysisError,
-    Period,
     PropertyReport,
-    maximal_periods,
     packet_drop_rate,
     reliability,
     run_all_checks,

@@ -1,4 +1,4 @@
-"""Ground-truth trace analysis: period classification and property checking.
+"""Ground-truth trace analysis: the round view, property checks and metrics.
 
 ``round_view`` reads a run's events in one pass, from a recorded trace or
 straight from ``sim.simulate``, and keeps an omniscient summary: each
@@ -8,13 +8,9 @@ reads that view. A vehicle is complete in a round when it ended it holding
 every member's message: all of the ack snapshot it emits on entering the
 next round. This is the completeness vector the abstract model in
 ``oracle`` reads. A round is *stable* when every vehicle is complete in it;
-otherwise it is unstable. The three checkers decide no violation themselves:
-they read the four rules of ``oracle.rule_violations``, as the abstract-model
-verifier does. Disagreement is confined to single isolated rounds at the start
-of unstable periods (P3: one-round-uncertainty and agreement), unstable periods
-settle on the default value (P2: default-correction), and decisions agree
-through recovery and are non-default after a two-round stable prefix (P1:
-agreement and recovery, with no check of its own).
+otherwise it is unstable. P1-P3 are read straight off the four rules of
+``oracle.rule_violations``, as the abstract-model verifier reads them, with
+no period classification of their own (``run_all_checks``).
 
 Conventions: the decision "at round t" is the one emitted on entering round
 t (it is used during round t). Round 0 produces no decision. The trailing
@@ -34,15 +30,6 @@ from .sim import DeliverEvent, DropEvent, OutputEvent, TraceEvent
 
 class AnalysisError(ValueError):
     """Raised for traces that cannot be classified (malformed or empty)."""
-
-
-@dataclass(frozen=True)
-class Period:
-    """Maximal run of equally-classified rounds; kind is 'stable' or 'unstable'."""
-
-    kind: str
-    start: int
-    end: int
 
 
 @dataclass(frozen=True)
@@ -127,93 +114,68 @@ def round_view(n: int, events: Iterable[TraceEvent]) -> RoundView:
                      delivers=delivers, drops=drops)
 
 
-def maximal_periods(stable: Sequence[bool]) -> list[Period]:
-    """Run-length encode per-round stable flags into maximal alternating periods."""
-    periods: list[Period] = []
-    for r, ok in enumerate(stable):
-        kind = "stable" if ok else "unstable"
-        if periods and periods[-1].kind == kind:
-            periods[-1] = Period(kind, periods[-1].start, r)
-        else:
-            periods.append(Period(kind, r, r))
-    return periods
-
-
-def _bounded_uncertainty(view: RoundView, first: dict) -> PropertyReport:
-    """Disagreement rounds are isolated and pinned to the start of unstable periods.
-
-    The one-round-uncertainty and agreement rules of
-    ``oracle.rule_violations``: fails at two consecutive rounds with split
-    decisions, or at a split at any round other than r1+1 for a maximal
-    unstable period starting at r1. Reports whichever starts first, the
-    consecutive pair on a tie.
-    """
-    pid = "P3-bounded-uncertainty"
-    u, a = first["one-round-uncertainty"], first["agreement"]
-    if u is not None and (a is None or u <= a + 1):
-        return PropertyReport(pid, False, CheckCounterexample(
-            u, view.decisions[u - 1], "consecutive disagreement rounds"))
-    if a is not None:
-        return PropertyReport(pid, False, CheckCounterexample(
-            a, view.decisions[a - 1],
-            "disagreement not at the first round after an unstable period began"))
-    split_rounds = [t for t, row in enumerate(view.decisions, start=1) if split(row)]
-    return PropertyReport(pid, True, details={"disagreement_rounds": split_rounds})
-
-
-def _disagreement_correction(view: RoundView, periods: list[Period],
-                             first: dict) -> PropertyReport:
-    """Every maximal unstable period [r1, r2] forces all-default decisions on [r1+2, r2+1].
-
-    The default-correction rule of ``oracle.rule_violations``.
-    """
-    pid = "P2-correction"
-    t = first["default-correction"]
-    if t is None:
-        return PropertyReport(pid, True)
-    p = next(p for p in periods if p.start <= t - 1 <= p.end)
-    return PropertyReport(pid, False, CheckCounterexample(
-        t, view.decisions[t - 1],
-        f"non-default decision inside correction span of [{p.start},{p.end}]"))
-
-
-def _certainty(view: RoundView, periods: list[Period], first: dict) -> PropertyReport:
-    """Agreement through recovery, and non-default decisions after a stable prefix.
-
-    The agreement and recovery rules of ``oracle.rule_violations``: for each
-    maximal unstable period [r1, r2] followed by a maximal stable period
-    [r2+1, r3], decisions must agree on every round in [r1+2, r3+1], from
-    round 1 in a run that starts stable; within every maximal stable period
-    [a, b] they must be non-default on [a+2, b+1] (round 1 is exempt). On a
-    pass only row a+1 may hold a DEFAULT, so ``max_measured_prefix`` is 0 or
-    1. Assumes the application never reads a default state.
-    """
-    pid = "P1-certainty"
-    t = first["agreement"]
-    if t is not None:
-        return PropertyReport(pid, False, CheckCounterexample(
-            t, view.decisions[t - 1], "vehicles used different values inside a certainty span"))
-    t = first["recovery"]
-    if t is not None:
-        p = next(p for p in periods if p.start <= t - 1 <= p.end)
-        return PropertyReport(pid, False, CheckCounterexample(
-            t, view.decisions[t - 1],
-            f"default decision past the prefix of stable period [{p.start},{p.end}]"))
-    max_prefix = any(any(map(is_default, view.decisions[p.start])) for p in periods
-                     if p.kind == "stable" and p.start < view.rounds)
-    return PropertyReport(pid, True, details={"max_measured_prefix": int(max_prefix)})
+def _period(stable: Sequence[bool], r: int) -> str:
+    """The maximal run of rounds classified like round r, as "[start,end]"."""
+    start = end = r
+    while start > 0 and stable[start - 1] == stable[r]:
+        start -= 1
+    while end + 1 < len(stable) and stable[end + 1] == stable[r]:
+        end += 1
+    return f"[{start},{end}]"
 
 
 def run_all_checks(view: RoundView) -> list[PropertyReport]:
-    """P1, P2 and P3, classifying the rounds and reading the rules once for all three."""
+    """P1, P2 and P3, read off one call of ``oracle.rule_violations``.
+
+    No property decides a violation itself. A failure names the first row
+    that breaks its rules, and where a rule reads one, the maximal period
+    holding round t-1.
+
+    - P1 certainty (agreement, then recovery): rows agree from r1+2 of each
+      unstable period [r1, r2] through the stable period after it, and from
+      row 1 in a run that starts stable; in each stable period [a, b], rows
+      a+2 .. b+1 hold no DEFAULT (row 1 is exempt). On a pass only row a+1
+      may hold a DEFAULT, so ``max_measured_prefix`` is 0 or 1. Assumes the
+      application never reads a default state.
+    - P2 correction (default-correction): each unstable period [r1, r2]
+      forces all-DEFAULT rows r1+2 .. r2+1.
+    - P3 bounded uncertainty (one-round-uncertainty and agreement): no two
+      consecutive rows split, and only row r1+1 may; whichever breaks first
+      is reported, the consecutive pair on a tie. A pass lists the split rows.
+    """
     stable = [all(c) for c in view.complete]
-    periods = maximal_periods(stable)
     first = rule_violations(stable, view.decisions)
-    return [
-        _certainty(view, periods, first),
-        _disagreement_correction(view, periods, first),
-        _bounded_uncertainty(view, first),
-    ]
+
+    def failed(pid: str, t: int, note: str) -> PropertyReport:
+        return PropertyReport(pid, False, CheckCounterexample(t, view.decisions[t - 1], note))
+
+    agreement, recovery = first["agreement"], first["recovery"]
+    if agreement is not None:
+        p1 = failed("P1-certainty", agreement,
+                    "vehicles used different values inside a certainty span")
+    elif recovery is not None:
+        p1 = failed("P1-certainty", recovery, "default decision past the prefix of stable period "
+                    + _period(stable, recovery - 1))
+    else:
+        prefix = any(ok and (r == 0 or not stable[r - 1]) and any(map(is_default, row))
+                     for r, (ok, row) in enumerate(zip(stable, view.decisions)))
+        p1 = PropertyReport("P1-certainty", True, details={"max_measured_prefix": int(prefix)})
+
+    t = first["default-correction"]
+    p2 = PropertyReport("P2-correction", True) if t is None else failed(
+        "P2-correction", t,
+        "non-default decision inside correction span of " + _period(stable, t - 1))
+
+    u = first["one-round-uncertainty"]
+    if u is not None and (agreement is None or u <= agreement + 1):
+        p3 = failed("P3-bounded-uncertainty", u, "consecutive disagreement rounds")
+    elif agreement is not None:
+        p3 = failed("P3-bounded-uncertainty", agreement,
+                    "disagreement not at the first round after an unstable period began")
+    else:
+        p3 = PropertyReport("P3-bounded-uncertainty", True, details={
+            "disagreement_rounds": [t for t, row in enumerate(view.decisions, 1) if split(row)]})
+    return [p1, p2, p3]
 
 
 def reliability(view: RoundView, highest: Datum) -> float:

@@ -18,6 +18,7 @@ into an acceleration through ``World.command``, which records one
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from enum import IntEnum
 from typing import Optional
@@ -48,13 +49,30 @@ class ServiceLevel(IntEnum):
         return ServiceLevel[name.upper()]
 
 
+# The names a scenario may give a level, in order.
+_LEVEL_NAMES = ", ".join(level.to_json() for level in ServiceLevel)
+
+
+def _level_from_json(field: str, name) -> ServiceLevel:
+    """The service level a scenario field names; an error names the field and the levels allowed."""
+    if isinstance(name, str) and name.upper() in ServiceLevel.__members__:
+        return ServiceLevel[name.upper()]
+    raise ConfigError(f"scenario field {field!r} must name one of {_LEVEL_NAMES}, got {name!r}")
+
+
+def _finite(value) -> bool:
+    """True for an int or a float, not a bool, that is neither infinite nor NaN."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class LevelParams:
     """Operating envelope of one service level.
 
     ``headway`` is the target gap to the predecessor; ``accel_bound`` the
-    symmetric acceleration limit; the error bounds describe the information
-    quality the level requires (None = unbounded / not required).
+    symmetric acceleration limit; both are finite and > 0. The error bounds
+    describe the information quality the level requires: a finite number
+    >= 0, or None (unbounded / not required).
     """
 
     headway: float
@@ -76,6 +94,19 @@ def default_level_table() -> LevelTable:
 
 
 def validate_level_table(table: LevelTable) -> None:
+    if sorted(table) != list(ServiceLevel):
+        got = ", ".join(level.to_json() for level in sorted(table)) or "none"
+        raise ConfigError(f"scenario field 'levels' must give each of {_LEVEL_NAMES}, got {got}")
+    for level, params in sorted(table.items()):
+        where = f"scenario field 'levels' {level.to_json()}"
+        for name in ("headway", "accel_bound"):
+            value = getattr(params, name)
+            if not (_finite(value) and value > 0):
+                raise ConfigError(f"{where} {name} must be finite and > 0, got {value!r}")
+        for name in ("position_error", "velocity_error"):
+            value = getattr(params, name)
+            if value is not None and not (_finite(value) and value >= 0):
+                raise ConfigError(f"{where} {name} must be null or finite and >= 0, got {value!r}")
     hi, med, lo = table[ServiceLevel.HIGH], table[ServiceLevel.MEDIUM], table[ServiceLevel.LOW]
     if not hi.headway < med.headway < lo.headway:
         raise ConfigError("headways must grow as the level drops")
@@ -88,7 +119,7 @@ def level_table_to_json(table: LevelTable) -> dict:
 
 
 def level_table_from_json(d: dict) -> LevelTable:
-    return {ServiceLevel.from_json(name): LevelParams(**p) for name, p in d.items()}
+    return {_level_from_json("levels", name): LevelParams(**p) for name, p in d.items()}
 
 
 @dataclass(frozen=True)
@@ -238,6 +269,9 @@ class ScenarioSpec:
     others keep relaying its data), and it must end by round ``horizon_rounds``.
     The leader starts braking ``brake_after_rounds`` rounds into the outage;
     both spans must be at least two rounds for the fallback to develop.
+    The physics, ``cruise_speed``, ``brake_decel``, ``gap_gain`` and
+    ``speed_gain``, must be finite and > 0; none of them may be 0. Of the
+    numbers, only ``outage_round`` and a level's error bounds may be 0.
     """
 
     n: int = 3
@@ -265,6 +299,10 @@ class ScenarioSpec:
             value = getattr(self, f.name)
             if kinds and (isinstance(value, bool) or not isinstance(value, kinds)):
                 raise ConfigError(f"scenario field {f.name!r} must be {f.type}, got {value!r}")
+        for name in ("cruise_speed", "brake_decel", "gap_gain", "speed_gain"):
+            value = getattr(self, name)
+            if not (_finite(value) and value > 0):
+                raise ConfigError(f"scenario field {name!r} must be finite and > 0, got {value!r}")
         if self.n < 2:
             raise ConfigError("a platoon needs at least two vehicles")
         if not 1 <= self.cut_vehicle <= self.n:
@@ -273,6 +311,9 @@ class ScenarioSpec:
             raise ConfigError("outage and brake offsets must each span at least two rounds")
         if self.brake_after_rounds >= self.outage_rounds:
             raise ConfigError("the brake must land inside the outage")
+        if self.horizon_rounds < self.outage_rounds:
+            raise ConfigError(f"scenario field 'horizon_rounds' must be at least outage_rounds"
+                              f" ({self.outage_rounds}), got {self.horizon_rounds}")
         if not 0 <= self.outage_round <= self.horizon_rounds - self.outage_rounds:
             raise ConfigError(f"outage_round must be in 0..{self.horizon_rounds - self.outage_rounds}"
                               f" so the outage ends by the horizon, got {self.outage_round}")
@@ -327,7 +368,7 @@ class ScenarioSpec:
             raise ConfigError(f"a scenario must be a JSON object, got {d!r}")
         try:
             return ScenarioSpec(**dict(
-                d, initial_level=ServiceLevel.from_json(d["initial_level"]),
+                d, initial_level=_level_from_json("initial_level", d["initial_level"]),
                 levels=tuple(sorted(level_table_from_json(d["levels"]).items()))))
         except (AttributeError, KeyError, TypeError) as exc:  # missing, unknown or mistyped
             raise ConfigError(f"malformed scenario: {type(exc).__name__}: {exc}") from None

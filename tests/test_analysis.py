@@ -9,8 +9,6 @@ import pytest
 from lockstep import oracle
 from lockstep.analysis import (
     AnalysisError,
-    Period,
-    maximal_periods,
     packet_drop_rate,
     reliability,
     run_all_checks,
@@ -40,7 +38,7 @@ def synthetic_view(decisions_by_round, stable_rounds=None):
 
 
 # ---------------------------------------------------------------------------
-# Classification and periods
+# Completeness
 # ---------------------------------------------------------------------------
 
 def test_failure_free_trace_all_stable():
@@ -79,35 +77,6 @@ def test_gapped_outputs_rejected():
     trace.events.append(OutputEvent(9 * RL, 1, RoundOutput(9, (HIGH, HIGH), (True, True), HIGH)))
     with pytest.raises(AnalysisError):
         trace_view(trace)
-
-
-def test_maximal_periods_rle():
-    periods = maximal_periods([True, True, False, True, True])
-    assert periods == [
-        Period("stable", 0, 1),
-        Period("unstable", 2, 2),
-        Period("stable", 3, 4),
-    ]
-
-
-def test_maximal_periods_all_unstable():
-    assert maximal_periods([False] * 4) == [Period("unstable", 0, 3)]
-
-
-def test_maximal_periods_alternating():
-    periods = maximal_periods([False, True, False])
-    assert [p.kind for p in periods] == ["unstable", "stable", "unstable"]
-
-
-def test_periods_tile_without_overlap():
-    pattern = [True, False, False, True, False, True, True]
-    periods = maximal_periods(pattern)
-    covered = []
-    for p in periods:
-        covered.extend(range(p.start, p.end + 1))
-    assert covered == list(range(len(pattern)))
-    for a, b in zip(periods, periods[1:]):
-        assert a.kind != b.kind
 
 
 # ---------------------------------------------------------------------------

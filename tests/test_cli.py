@@ -448,7 +448,8 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
                  id="scenario-json-missing-key"),
     pytest.param(["scenario", "--scenario-json", "{unknown}"], "'bogus'",
                  id="scenario-json-unknown-key"),
-    pytest.param(["scenario", "--scenario-json", "{ultra}"], "KeyError: 'ULTRA'",
+    pytest.param(["scenario", "--scenario-json", "{ultra}"],
+                 "'initial_level' must name one of low, medium, high, got 'ultra'",
                  id="scenario-json-unknown-level"),
     pytest.param(["scenario", "--scenario-json", "{fast}"], "'cruise_speed' must be float",
                  id="scenario-json-float-field-a-string"),
@@ -458,9 +459,75 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
                  id="scenario-json-round-length-0"),
     pytest.param(["scenario", "--scenario-json", "{levelkey}"],
                  "unexpected keyword argument 'bogus'", id="scenario-json-unknown-level-key"),
+    # Physics must be finite and > 0: NaN, an infinity, 0 or a negative value is named.
+    pytest.param(["scenario", "--scenario-json", "{cruise_nan}"],
+                 "'cruise_speed' must be finite and > 0, got nan",
+                 id="scenario-json-cruise-speed-nan"),
+    pytest.param(["scenario", "--scenario-json", "{cruise_inf}"],
+                 "'cruise_speed' must be finite and > 0, got inf",
+                 id="scenario-json-cruise-speed-inf"),
+    pytest.param(["scenario", "--scenario-json", "{cruise_neg}"],
+                 "'cruise_speed' must be finite and > 0, got -1.0",
+                 id="scenario-json-cruise-speed-negative"),
+    pytest.param(["scenario", "--scenario-json", "{brake0}"],
+                 "'brake_decel' must be finite and > 0, got 0.0", id="scenario-json-brake-decel-0"),
+    pytest.param(["scenario", "--scenario-json", "{brake_inf}"],
+                 "'brake_decel' must be finite and > 0, got inf",
+                 id="scenario-json-brake-decel-inf"),
+    pytest.param(["scenario", "--scenario-json", "{gap_neg}"],
+                 "'gap_gain' must be finite and > 0, got -1.0",
+                 id="scenario-json-gap-gain-negative"),
+    pytest.param(["scenario", "--scenario-json", "{speed_nan}"],
+                 "'speed_gain' must be finite and > 0, got nan", id="scenario-json-speed-gain-nan"),
+    pytest.param(["scenario", "--scenario-json", "{speed0}"],
+                 "'speed_gain' must be finite and > 0, got 0", id="scenario-json-speed-gain-0"),
+    # A level, a level table and the horizon are named with the values allowed.
+    pytest.param(["scenario", "--scenario-json", "{level3}"],
+                 "'initial_level' must name one of low, medium, high, got 3",
+                 id="scenario-json-initial-level-a-number"),
+    pytest.param(["scenario", "--scenario-json", "{bogus}"],
+                 "'initial_level' must name one of low, medium, high, got 'bogus'",
+                 id="scenario-json-initial-level-bogus"),
+    pytest.param(["scenario", "--scenario-json", "{nolow}"],
+                 "'levels' must give each of low, medium, high, got medium, high",
+                 id="scenario-json-levels-without-low"),
+    pytest.param(["scenario", "--scenario-json", "{levelname}"],
+                 "'levels' must name one of low, medium, high, got 'ultra'",
+                 id="scenario-json-levels-unknown-name"),
+    pytest.param(["scenario", "--scenario-json", "{horizon0}"],
+                 "'horizon_rounds' must be at least outage_rounds (10), got 0",
+                 id="scenario-json-horizon-rounds-0"),
+    # Level entries: headway and accel_bound finite and > 0, error bounds null or finite >= 0.
+    pytest.param(["scenario", "--scenario-json", "{pos_x}"],
+                 "'levels' low position_error must be null or finite and >= 0, got 'x'",
+                 id="scenario-json-position-error-a-string"),
+    pytest.param(["scenario", "--scenario-json", "{vel_neg}"],
+                 "'levels' high velocity_error must be null or finite and >= 0, got -0.5",
+                 id="scenario-json-velocity-error-negative"),
+    pytest.param(["scenario", "--scenario-json", "{vel_nan}"],
+                 "'levels' medium velocity_error must be null or finite and >= 0, got nan",
+                 id="scenario-json-velocity-error-nan"),
+    pytest.param(["scenario", "--scenario-json", "{headway0}"],
+                 "'levels' low headway must be finite and > 0, got 0.0",
+                 id="scenario-json-headway-0"),
+    pytest.param(["scenario", "--scenario-json", "{headway_inf}"],
+                 "'levels' low headway must be finite and > 0, got inf",
+                 id="scenario-json-headway-inf"),
+    pytest.param(["scenario", "--scenario-json", "{accel_str}"],
+                 "'levels' high accel_bound must be finite and > 0, got '2'",
+                 id="scenario-json-accel-bound-a-string"),
+    pytest.param(["scenario", "--scenario-json", "{accel_neg}"],
+                 "'levels' high accel_bound must be finite and > 0, got -2.0",
+                 id="scenario-json-accel-bound-negative"),
 ])
 def test_malformed_command_input_is_usage_error(tmp_path, capsys, argv, message):
     scenario = ScenarioSpec().to_json()
+    levels = scenario["levels"]
+
+    def level(name, **fields):
+        entry = dict(levels[name], **fields)
+        return json.dumps(dict(scenario, levels=dict(levels, **{name: entry})))
+
     files = {
         "bad": "not json\n",
         "five": "5\n",
@@ -473,6 +540,26 @@ def test_malformed_command_input_is_usage_error(tmp_path, capsys, argv, message)
         "round0": json.dumps(dict(scenario, round_length=0)),
         "levelkey": json.dumps(dict(scenario, levels=dict(
             scenario["levels"], low=dict(scenario["levels"]["low"], bogus=1)))),
+        "cruise_nan": json.dumps(dict(scenario, cruise_speed=float("nan"))),
+        "cruise_inf": json.dumps(dict(scenario, cruise_speed=float("inf"))),
+        "cruise_neg": json.dumps(dict(scenario, cruise_speed=-1.0)),
+        "brake0": json.dumps(dict(scenario, brake_decel=0.0)),
+        "brake_inf": json.dumps(dict(scenario, brake_decel=float("inf"))),
+        "gap_neg": json.dumps(dict(scenario, gap_gain=-1.0)),
+        "speed_nan": json.dumps(dict(scenario, speed_gain=float("nan"))),
+        "speed0": json.dumps(dict(scenario, speed_gain=0)),
+        "level3": json.dumps(dict(scenario, initial_level=3)),
+        "bogus": json.dumps(dict(scenario, initial_level="bogus")),
+        "nolow": json.dumps(dict(scenario, levels={k: v for k, v in levels.items() if k != "low"})),
+        "levelname": json.dumps(dict(scenario, levels=dict(levels, ultra=levels["low"]))),
+        "horizon0": json.dumps(dict(scenario, horizon_rounds=0)),
+        "pos_x": level("low", position_error="x"),
+        "vel_neg": level("high", velocity_error=-0.5),
+        "vel_nan": level("medium", velocity_error=float("nan")),
+        "headway0": level("low", headway=0.0),
+        "headway_inf": level("low", headway=float("inf")),
+        "accel_str": level("high", accel_bound="2"),
+        "accel_neg": level("high", accel_bound=-2.0),
         "round3": '[{"round": "3", "from": "*", "to": 1}]\n',
         "negative": '[{"round": -4, "from": 2, "to": "*"}]\n',
         "backwards": '[{"t": [2000000, 1000000], "from": "*", "to": 1}]\n',

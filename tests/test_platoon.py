@@ -194,6 +194,21 @@ def test_scenario_spec_validation():
                 dict(round_length=50_000)):
         with pytest.raises(ValueError):
             ScenarioSpec(**bad)
+    # The physics must be finite and > 0.
+    for name in ("cruise_speed", "brake_decel", "gap_gain", "speed_gain"):
+        for value in (float("nan"), float("inf"), -1.0, 0.0, 0):
+            with pytest.raises(ValueError, match=f"'{name}' must be finite and > 0"):
+                ScenarioSpec(**{name: value})
+
+
+def test_level_error_bounds_may_be_zero_or_absent():
+    table = default_level_table()
+    table[HIGH] = replace(table[HIGH], position_error=0, velocity_error=0.0)
+    table[LOW] = replace(table[LOW], position_error=None)
+    assert ScenarioSpec(levels=tuple(sorted(table.items()))).level_table == table
+    table[LOW] = replace(table[LOW], headway=True)  # a bool is not a number
+    with pytest.raises(ValueError, match="'levels' low headway must be finite and > 0, got True"):
+        ScenarioSpec(levels=tuple(sorted(table.items())))
 
 
 def test_scenario_json_round_trip():

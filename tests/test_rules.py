@@ -4,10 +4,13 @@
 the abstract-model verifier. The references below are the earlier
 period-and-span checkers, kept as in the literal enumerator of
 ``test_oracle.py``; the trace references read the view's per-round stable
-flags. Every P1-P3 report must stay identical, failures included. The
-oracle's verdict must too, except that the fourth rule, recovery, is the
-stable-prefix check that only the reference P1 made.
-"""
+flags and split them into maximal periods with their own run-length
+encoding, so no reference reads the code under test. Every P1-P3 report
+must stay identical, failures included. The oracle's verdict must too,
+except that the fourth rule, recovery, is the stable-prefix check that only
+the reference P1 made."""
+
+from collections import namedtuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +19,6 @@ from lockstep.analysis import (
     CheckCounterexample,
     PropertyReport,
     RoundView,
-    maximal_periods,
     run_all_checks,
 )
 from lockstep.oracle import RULES, check_decision_sequence, rule_violations
@@ -82,6 +84,21 @@ def reference_check_decision_sequence(stable, decisions):
 # ---------------------------------------------------------------------------
 # Reference: the trace checkers' period-and-span checks
 # ---------------------------------------------------------------------------
+
+Period = namedtuple("Period", "kind start end")
+
+
+def maximal_periods(stable):
+    """Run-length encode per-round stable flags into maximal alternating periods."""
+    periods = []
+    for r, ok in enumerate(stable):
+        kind = "stable" if ok else "unstable"
+        if periods and periods[-1].kind == kind:
+            periods[-1] = periods[-1]._replace(end=r)
+        else:
+            periods.append(Period(kind, r, r))
+    return periods
+
 
 def _split(row):
     first = row[0]
@@ -228,6 +245,16 @@ def test_shared_rules_match_the_replaced_checkers(case):
     (2, [False, False, False], [(DEFAULT, HIGH), (DEFAULT, DEFAULT), (HIGH, HIGH)]),
     (1, [False, True, False, False], [(HIGH,), (DEFAULT,), (HIGH,), (HIGH,)]),  # n = 1
     (1, [True, True], [(DEFAULT,), (DEFAULT,)]),
+    # Period edges, which the failure notes name. Recovery fails in [1,3],
+    # which ends the run; correction fails in [0,1], the whole run; then
+    # one-round periods at both ends, failing and passing.
+    (2, [False, True, True, True],
+     [(DEFAULT, HIGH), (DEFAULT, DEFAULT), (HIGH, HIGH), (DEFAULT, DEFAULT)]),
+    (2, [False, False], [(HIGH, HIGH), (LOW, LOW)]),
+    (2, [True, False, False, True],
+     [(HIGH, HIGH), (DEFAULT, HIGH), (LOW, LOW), (DEFAULT, DEFAULT)]),
+    (2, [False, True, False], [(DEFAULT, HIGH), (DEFAULT, DEFAULT), (DEFAULT, HIGH)]),
+    (2, [False, False, True], [(DEFAULT, DEFAULT)] * 3),      # a last-round stable period's row
 ])
 def test_shared_rules_edge_cases(n, stable, decisions):
     assert_same_verdicts(n, stable, decisions)
