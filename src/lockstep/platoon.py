@@ -44,20 +44,16 @@ class ServiceLevel(IntEnum):
     def to_json(self) -> str:
         return self.name.lower()
 
-    @staticmethod
-    def from_json(name: str) -> "ServiceLevel":
-        return ServiceLevel[name.upper()]
 
-
-# The names a scenario may give a level, in order.
+# The names a level may be given, in order.
 _LEVEL_NAMES = ", ".join(level.to_json() for level in ServiceLevel)
 
 
-def _level_from_json(field: str, name) -> ServiceLevel:
-    """The service level a scenario field names; an error names the field and the levels allowed."""
+def level_from_json(where: str, name) -> ServiceLevel:
+    """The level ``name`` names; an error names the field, ``where``, and the levels allowed."""
     if isinstance(name, str) and name.upper() in ServiceLevel.__members__:
         return ServiceLevel[name.upper()]
-    raise ConfigError(f"scenario field {field!r} must name one of {_LEVEL_NAMES}, got {name!r}")
+    raise ConfigError(f"{where} must name one of {_LEVEL_NAMES}, got {name!r}")
 
 
 def _finite(value) -> bool:
@@ -119,7 +115,15 @@ def level_table_to_json(table: LevelTable) -> dict:
 
 
 def level_table_from_json(d: dict) -> LevelTable:
-    return {_level_from_json("levels", name): LevelParams(**p) for name, p in d.items()}
+    if not isinstance(d, dict):
+        raise ConfigError(f"scenario field 'levels' must be an object, got {d!r}")
+    table = {}
+    for name, entry in d.items():
+        level = level_from_json("scenario field 'levels'", name)
+        if not isinstance(entry, dict):
+            raise ConfigError(f"scenario field 'levels' {name} must be an object, got {entry!r}")
+        table[level] = LevelParams(**entry)
+    return table
 
 
 @dataclass(frozen=True)
@@ -364,13 +368,18 @@ class ScenarioSpec:
 
     @staticmethod
     def from_json(d: dict) -> "ScenarioSpec":
+        """The scenario a JSON object gives; a field it omits takes its default."""
         if not isinstance(d, dict):
             raise ConfigError(f"a scenario must be a JSON object, got {d!r}")
+        d = dict(d)
+        if "initial_level" in d:
+            d["initial_level"] = level_from_json("scenario field 'initial_level'",
+                                                 d["initial_level"])
         try:
-            return ScenarioSpec(**dict(
-                d, initial_level=_level_from_json("initial_level", d["initial_level"]),
-                levels=tuple(sorted(level_table_from_json(d["levels"]).items()))))
-        except (AttributeError, KeyError, TypeError) as exc:  # missing, unknown or mistyped
+            if "levels" in d:
+                d["levels"] = tuple(sorted(level_table_from_json(d["levels"]).items()))
+            return ScenarioSpec(**d)
+        except TypeError as exc:  # an unknown field, or a level entry without a required one
             raise ConfigError(f"malformed scenario: {type(exc).__name__}: {exc}") from None
 
 
@@ -432,11 +441,11 @@ def build_app(spec: dict) -> App:
     kind = spec.get("kind")
     try:
         if kind == "level":
-            return LevelApp(ServiceLevel.from_json(spec["level"]))
+            return LevelApp(level_from_json("field 'level'", spec.get("level")))
         if kind == "platoon-worst-case":
-            return PlatoonApp(ScenarioSpec.from_json(spec["scenario"]))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # missing, unknown or mistyped
-        raise ConfigError(f"malformed {kind!r} app spec: {type(exc).__name__}: {exc}") from None
+            return PlatoonApp(ScenarioSpec.from_json(spec.get("scenario")))
+    except ConfigError as exc:  # missing, unknown or mistyped: named, with the app it came from
+        raise ConfigError(f"malformed {kind!r} app spec: {exc}") from None
     raise ConfigError(f"no app builder for kind {kind!r}")
 
 

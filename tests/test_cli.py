@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line driver and its exit codes."""
 
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -254,6 +255,16 @@ def test_scenario_artifacts_are_pinned(tmp_path, name):
     assert got == want
 
 
+def test_scenario_fields_left_out_take_their_defaults(tmp_path):
+    spec = ScenarioSpec().to_json()
+    del spec["initial_level"], spec["levels"], spec["cruise_speed"]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["scenario", "--scenario-json", str(spec_path), "--out", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "scenario.json").read_bytes()).hexdigest()
+    assert digest == PINNED_SCENARIOS["default"][2]["scenario.json"]
+
+
 def test_replay_command_round_trip(tmp_path):
     assert main(["run", "--n", "3", "--duration-s", "4", "--seed", "5",
                  "--loss", "bernoulli:0.1", "--out", str(tmp_path)]) == 0
@@ -303,13 +314,15 @@ def _rewrite_header(path, lines, edit):
     ("wrong-version", "trace version 2"),
     ("wrong-type", "field of the wrong type"),
     ("app-not-object", "app that is not an object"),
-    ("app-without-level", "malformed 'level' app spec: KeyError"),
+    ("app-without-level",
+     "malformed 'level' app spec: field 'level' must name one of low, medium, high, got None"),
     ("app-unknown-kind", "app builder for kind 'bogus'"),
-    ("app-unknown-level", "malformed 'level' app spec: KeyError: 'ULTRA'"),
+    ("app-unknown-level",
+     "malformed 'level' app spec: field 'level' must name one of low, medium, high, got 'ultra'"),
     ("app-level-a-number",
-     "malformed 'level' app spec: AttributeError: 'int' object has no attribute 'upper'"),
+     "malformed 'level' app spec: field 'level' must name one of low, medium, high, got 3"),
     ("app-level-a-list",
-     "malformed 'level' app spec: AttributeError: 'list' object has no attribute 'upper'"),
+     "malformed 'level' app spec: field 'level' must name one of low, medium, high, got ['high']"),
     ("seed-a-list", "bad value: seed must be an int, got [1]"),
     ("n-a-float", "bad value: n must be an int, got 3.0"),
     ("round-length-a-float", "bad value: round_length must be an int, got 160000.5"),
@@ -444,8 +457,8 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
                  id="scenario-json-not-json"),
     pytest.param(["scenario", "--scenario-json", "{list}"], "must be a JSON object",
                  id="scenario-json-not-an-object"),
-    pytest.param(["scenario", "--scenario-json", "{missing}"], "KeyError: 'initial_level'",
-                 id="scenario-json-missing-key"),
+    pytest.param(["scenario", "--scenario-json", "{missing}"],
+                 "unexpected keyword argument 'bogus'", id="scenario-json-missing-key"),
     pytest.param(["scenario", "--scenario-json", "{unknown}"], "'bogus'",
                  id="scenario-json-unknown-key"),
     pytest.param(["scenario", "--scenario-json", "{ultra}"],
@@ -494,6 +507,11 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
     pytest.param(["scenario", "--scenario-json", "{levelname}"],
                  "'levels' must name one of low, medium, high, got 'ultra'",
                  id="scenario-json-levels-unknown-name"),
+    pytest.param(["scenario", "--scenario-json", "{levelint}"],
+                 "'levels' medium must be an object, got 3",
+                 id="scenario-json-level-entry-a-number"),
+    pytest.param(["scenario", "--scenario-json", "{levelsint}"],
+                 "'levels' must be an object, got 3", id="scenario-json-levels-a-number"),
     pytest.param(["scenario", "--scenario-json", "{horizon0}"],
                  "'horizon_rounds' must be at least outage_rounds (10), got 0",
                  id="scenario-json-horizon-rounds-0"),
@@ -552,6 +570,8 @@ def test_malformed_command_input_is_usage_error(tmp_path, capsys, argv, message)
         "bogus": json.dumps(dict(scenario, initial_level="bogus")),
         "nolow": json.dumps(dict(scenario, levels={k: v for k, v in levels.items() if k != "low"})),
         "levelname": json.dumps(dict(scenario, levels=dict(levels, ultra=levels["low"]))),
+        "levelint": json.dumps(dict(scenario, levels=dict(levels, medium=3))),
+        "levelsint": json.dumps(dict(scenario, levels=3)),
         "horizon0": json.dumps(dict(scenario, horizon_rounds=0)),
         "pos_x": level("low", position_error="x"),
         "vel_neg": level("high", velocity_error=-0.5),
@@ -677,3 +697,69 @@ def test_closed_stdout_is_not_a_usage_error():
     passing = run_into_closed_pipe(["verify", "--n", "2", "--rounds", "3"])
     assert passing.returncode != 2
     assert passing.stderr == b""
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The cyclic collector switched on or off for the test, and restored after it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("argv,code", [
+    pytest.param(["verify", "--n", "2", "--rounds", "3"], 0, id="exit-0"),
+    pytest.param(["verify", "--n", "2", "--rounds", "3", "--mutate", "drop-default-write"], 1,
+                 id="exit-1"),
+    pytest.param(["run", "--loss", "bernoulli:abc"], 2, id="exit-2"),
+    pytest.param(["run", "--bogus"], 2, id="argparse-system-exit"),
+])
+def test_main_leaves_the_collector_as_it_found_it(collector, capsys, argv, code):
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # argparse rejected the command line
+        got = exc.code
+    assert got == code
+    assert gc.isenabled() is collector
+
+
+def test_main_runs_commands_with_the_collector_paused(collector, monkeypatch):
+    seen = []
+
+    def broken(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("a command that fails")
+
+    monkeypatch.setattr(cli, "cmd_verify", broken)
+    with pytest.raises(RuntimeError, match="a command that fails"):
+        main(["verify"])
+    assert seen == [False]
+    assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("small,large", [
+    pytest.param(["run", "--n", "3", "--duration-s", "4"],
+                 ["run", "--n", "3", "--duration-s", "40"], id="run"),
+    pytest.param(["scenario"], ["scenario", "--scenario-json", "{horizon400}"], id="scenario"),
+    pytest.param(["sweep", "--n-list", "3", "--round-ms-list", "160", "--seeds", "1",
+                  "--processes", "1", "--duration-s", "2"],
+                 ["sweep", "--n-list", "3", "--round-ms-list", "160", "--seeds", "1",
+                  "--processes", "1", "--duration-s", "20"], id="sweep"),
+])
+def test_cyclic_garbage_does_not_grow_with_a_command(tmp_path, capsys, small, large):
+    """``main`` pauses the cyclic collector, so nothing may leave cycles per event or round."""
+    horizon400 = tmp_path / "horizon400.json"
+    horizon400.write_text(json.dumps(dict(ScenarioSpec().to_json(), horizon_rounds=400)))
+    was = gc.isenabled()
+    found = []
+    try:
+        for argv in (small, large):
+            gc.collect()
+            gc.disable()
+            assert main([a.format(horizon400=horizon400) for a in argv]
+                        + ["--out", str(tmp_path / "out")]) == 0
+            found.append(gc.collect())
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert found[0] == found[1]
