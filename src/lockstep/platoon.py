@@ -19,7 +19,7 @@ into an acceleration through ``World.command``, which records one
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from enum import IntEnum
 from typing import Optional
 
@@ -57,8 +57,28 @@ def level_from_json(where: str, name) -> ServiceLevel:
 
 
 def _finite(value) -> bool:
-    """True for an int or a float, not a bool, that is neither infinite nor NaN."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """True for an int or a float, not a bool, that is neither infinite nor NaN.
+
+    An int too large for a float counts as infinite: the physics run in floats.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _check_keys(where: str, d: dict, cls) -> None:
+    """Reject the first key of ``d`` that is no field of ``cls``, then the
+    first field without a default that ``d`` lacks, naming it."""
+    names = {f.name: f for f in fields(cls)}
+    for key in d:
+        if key not in names:
+            raise ConfigError(f"{where} has unknown field {key!r}")
+    for name, f in names.items():
+        if name not in d and f.default is MISSING:
+            raise ConfigError(f"{where} lacks field {name!r}")
 
 
 @dataclass(frozen=True)
@@ -120,8 +140,10 @@ def level_table_from_json(d: dict) -> LevelTable:
     table = {}
     for name, entry in d.items():
         level = level_from_json("scenario field 'levels'", name)
+        where = f"scenario field 'levels' {name}"
         if not isinstance(entry, dict):
-            raise ConfigError(f"scenario field 'levels' {name} must be an object, got {entry!r}")
+            raise ConfigError(f"{where} must be an object, got {entry!r}")
+        _check_keys(where, entry, LevelParams)
         table[level] = LevelParams(**entry)
     return table
 
@@ -371,16 +393,14 @@ class ScenarioSpec:
         """The scenario a JSON object gives; a field it omits takes its default."""
         if not isinstance(d, dict):
             raise ConfigError(f"a scenario must be a JSON object, got {d!r}")
+        _check_keys("scenario", d, ScenarioSpec)
         d = dict(d)
         if "initial_level" in d:
             d["initial_level"] = level_from_json("scenario field 'initial_level'",
                                                  d["initial_level"])
-        try:
-            if "levels" in d:
-                d["levels"] = tuple(sorted(level_table_from_json(d["levels"]).items()))
-            return ScenarioSpec(**d)
-        except TypeError as exc:  # an unknown field, or a level entry without a required one
-            raise ConfigError(f"malformed scenario: {type(exc).__name__}: {exc}") from None
+        if "levels" in d:
+            d["levels"] = tuple(sorted(level_table_from_json(d["levels"]).items()))
+        return ScenarioSpec(**d)
 
 
 class PlatoonApp(App):

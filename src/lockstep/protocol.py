@@ -130,8 +130,8 @@ class RoundOutput(NamedTuple):
     decision: Datum
 
 
-def in_send_window(config: ProtocolConfig, round_index: int, local_clock: int) -> bool:
-    """True iff ``local_clock`` lies in the gossip window of ``round_index``.
+def send_window(config: ProtocolConfig, round_index: int) -> tuple[int, int]:
+    """The first and last local clock readings of the gossip window of ``round_index``.
 
     The window leaves sync_bound at the front (latest-clock members must have
     entered the round) and sync_bound + maximum_delay at the back (the message
@@ -139,6 +139,12 @@ def in_send_window(config: ProtocolConfig, round_index: int, local_clock: int) -
     """
     lo = config.round_length * round_index + config.sync_bound
     hi = config.round_length * (round_index + 1) - (config.sync_bound + config.maximum_delay)
+    return lo, hi
+
+
+def in_send_window(config: ProtocolConfig, round_index: int, local_clock: int) -> bool:
+    """True iff ``local_clock`` lies in the gossip window of ``round_index``."""
+    lo, hi = send_window(config, round_index)
     return lo <= local_clock <= hi
 
 
@@ -157,17 +163,21 @@ class VehicleProtocol:
 
     Single-threaded by contract: the owner delivers receive events and ticks
     in local-timestamp order. Ticks carry the vehicle's local clock; the
-    instance never reads time itself.
+    instance never reads time itself. ``window_start`` and ``window_end``
+    (``send_window``'s bounds) and ``next_round_start`` belong to
+    ``my_round``: ``_enter_round`` sets all four, once per round, so a tick
+    compares its clock with them and divides only at a boundary.
     """
 
-    __slots__ = ("config", "vid", "my_round", "data", "ack", "last_send_time")
+    __slots__ = ("config", "vid", "my_round", "data", "ack", "last_send_time",
+                 "window_start", "window_end", "next_round_start")
 
     def __init__(self, config: ProtocolConfig, vid: int, initial_datum: Datum) -> None:
         if not 1 <= vid <= config.n:
             raise ConfigError(f"vehicle id {vid} outside 1..{config.n}")
         self.config = config
         self.vid = vid
-        self.my_round = 0
+        self._enter_round(0)
         # data[k-1]/ack[k-1] are the slot for member k; own slot is primed as
         # if a round transition had just run.
         self.data = [DEFAULT] * config.n
@@ -175,6 +185,11 @@ class VehicleProtocol:
         self.data[vid - 1] = initial_datum
         self.ack[vid - 1] = True
         self.last_send_time: Optional[int] = None
+
+    def _enter_round(self, round_index: int) -> None:
+        self.my_round = round_index
+        self.window_start, self.window_end = send_window(self.config, round_index)
+        self.next_round_start = self.config.round_length * (round_index + 1)
 
     def on_gossip_receive(self, msg: GossipMessage) -> None:
         """Fold a received view into this round's slots.
@@ -191,7 +206,7 @@ class VehicleProtocol:
         gives the same state as taking every copy.
         """
         ack = self.ack
-        if msg.round != self.my_round or False not in ack:
+        if False not in ack or msg.round != self.my_round:
             return
         data = self.data
         mdata = msg.data
@@ -215,23 +230,22 @@ class VehicleProtocol:
         sends). The output is emitted when the clock has crossed into a later
         round; local_clock must be non-decreasing across calls.
         """
-        config = self.config
         msg: Optional[GossipMessage] = None
-        if in_send_window(config, self.my_round, local_clock) and (
+        if self.window_start <= local_clock <= self.window_end and (
             self.last_send_time is None
-            or local_clock - self.last_send_time >= config.gossip_interval
+            or local_clock - self.last_send_time >= self.config.gossip_interval
         ):
             # tuple.__new__ builds the same NamedTuple as its constructor, in C.
             msg = tuple.__new__(GossipMessage, (self.vid, self.my_round, tuple(self.data), tuple(self.ack)))
             self.last_send_time = local_clock
 
         output: Optional[RoundOutput] = None
-        clock_round = local_clock // config.round_length
-        if self.my_round < clock_round:
+        if local_clock >= self.next_round_start:
             s = tuple(self.data)
             r = tuple(self.ack)
-            self.my_round = clock_round
-            n = config.n
+            clock_round = local_clock // self.config.round_length
+            self._enter_round(clock_round)
+            n = self.config.n
             self.data = [DEFAULT] * n
             self.ack = [False] * n
             self.ack[self.vid - 1] = True

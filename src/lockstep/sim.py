@@ -24,6 +24,7 @@ loss decision), one transmission per receiver in ascending id.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import json
@@ -567,8 +568,10 @@ class App:
 
     ``app_tick_times`` may yield global times at which ``on_app_tick`` runs
     before any vehicle tick at the same instant (the platoon world advances
-    its kinematics there). ``spec`` identifies the app for trace replay;
-    ``platoon.build_app`` rebuilds the kinds it names.
+    its kinematics there). The times may not depend on the run: the event
+    loop takes each next time before the tick at the one before it runs.
+    ``spec`` identifies the app for trace replay; ``platoon.build_app``
+    rebuilds the kinds it names.
     """
 
     def read_state(self, vid: int) -> Datum:
@@ -627,14 +630,16 @@ def simulate(config: SimConfig, app: App) -> Iterator[TraceEvent]:
     rng = random.Random(config.seed)
     max_delay = p.maximum_delay
 
+    # Per-vehicle tables are indexed by vehicle id, like the clocks; slot 0
+    # is the app's clock and unused here.
     instances = [VehicleProtocol(p, vid, app.read_state(vid)) for vid in range(1, n + 1)]
-    readers = [(lambda v: (lambda: app.read_state(v)))(vid) for vid in range(1, n + 1)]
+    readers = [None] + [functools.partial(app.read_state, vid) for vid in range(1, n + 1)]
     decide = app.decide
     # Bound once per run, on first read: a wrapper installed on a class
     # before the run starts is what gets bound.
-    receives = [inst.on_gossip_receive for inst in instances]
-    ticks = [inst.on_tick for inst in instances]
-    peers = [tuple(k for k in range(1, n + 1) if k != vid) for vid in range(1, n + 1)]
+    receives = [None] + [inst.on_gossip_receive for inst in instances]
+    ticks = [None] + [inst.on_tick for inst in instances]
+    peers = [()] + [tuple(k for k in range(1, n + 1) if k != vid) for vid in range(1, n + 1)]
     sample = config.delay.sample
     decide_loss = config.loss.decide
     new = tuple.__new__  # builds the same NamedTuple events without a Python call
@@ -647,37 +652,47 @@ def simulate(config: SimConfig, app: App) -> Iterator[TraceEvent]:
     seq = itertools.count()
     push = heapq.heappush
     pop = heapq.heappop
+    replace = heapq.heapreplace
     for clock, instants in enumerate(clocks):
         for at, local in instants:
             push(heap, (at, _PRIO_TICK, clock, next(seq), local))
             break
 
     while heap:
-        t, prio, vid, _, payload = pop(heap)
+        t, prio, vid, _, payload = heap[0]
         if prio == _PRIO_DELIVER:
+            pop(heap)
             yield new(DeliverEvent, (t, vid, payload))
-            receives[vid - 1](payload)
+            receives[vid](payload)
             continue
+        # The tick's successor takes its place in one heap step, before the
+        # tick runs. No order changes: a clock has one entry in the heap at a
+        # time, so seq never ranks the successor against another tick (they
+        # differ in clock) or a delivery (they differ in prio); and a clock
+        # is a pure function of the config, so advancing it early reads the
+        # same instants.
+        for at, local in clocks[vid]:
+            replace(heap, (at, _PRIO_TICK, vid, next(seq), local))
+            break
+        else:
+            pop(heap)
         if vid == 0:
             app.on_app_tick(t)
-        else:
-            msg, output = ticks[vid - 1](payload, readers[vid - 1], decide)
-            if msg is not None:
-                yield new(SendEvent, (t, msg))
-                rnd = msg.round
-                for rcv in peers[vid - 1]:
-                    d = sample(rng, max_delay)
-                    cause = decide_loss(rng, rnd, vid, rcv, t)
-                    if cause is None:
-                        push(heap, (t + d, _PRIO_DELIVER, rcv, next(seq), msg))
-                    else:
-                        yield new(DropEvent, (t, rcv, msg, cause))
-            if output is not None:
-                yield new(OutputEvent, (t, vid, output))
-                app.on_output(vid, output, t)
-        for at, local in clocks[vid]:
-            push(heap, (at, _PRIO_TICK, vid, next(seq), local))
-            break
+            continue
+        msg, output = ticks[vid](payload, readers[vid], decide)
+        if msg is not None:
+            yield new(SendEvent, (t, msg))
+            rnd = msg.round
+            for rcv in peers[vid]:
+                d = sample(rng, max_delay)
+                cause = decide_loss(rng, rnd, vid, rcv, t)
+                if cause is None:
+                    push(heap, (t + d, _PRIO_DELIVER, rcv, next(seq), msg))
+                else:
+                    yield new(DropEvent, (t, rcv, msg, cause))
+        if output is not None:
+            yield new(OutputEvent, (t, vid, output))
+            app.on_output(vid, output, t)
 
 
 def run(config: SimConfig, app: App) -> Trace:

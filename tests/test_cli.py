@@ -458,7 +458,7 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
     pytest.param(["scenario", "--scenario-json", "{list}"], "must be a JSON object",
                  id="scenario-json-not-an-object"),
     pytest.param(["scenario", "--scenario-json", "{missing}"],
-                 "unexpected keyword argument 'bogus'", id="scenario-json-missing-key"),
+                 "scenario has unknown field 'bogus'", id="scenario-json-missing-key"),
     pytest.param(["scenario", "--scenario-json", "{unknown}"], "'bogus'",
                  id="scenario-json-unknown-key"),
     pytest.param(["scenario", "--scenario-json", "{ultra}"],
@@ -471,7 +471,9 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
     pytest.param(["scenario", "--scenario-json", "{round0}"], "round_length",
                  id="scenario-json-round-length-0"),
     pytest.param(["scenario", "--scenario-json", "{levelkey}"],
-                 "unexpected keyword argument 'bogus'", id="scenario-json-unknown-level-key"),
+                 "'levels' low has unknown field 'bogus'", id="scenario-json-unknown-level-key"),
+    pytest.param(["scenario", "--scenario-json", "{no_headway}"],
+                 "'levels' low lacks field 'headway'", id="scenario-json-level-entry-without-headway"),
     # Physics must be finite and > 0: NaN, an infinity, 0 or a negative value is named.
     pytest.param(["scenario", "--scenario-json", "{cruise_nan}"],
                  "'cruise_speed' must be finite and > 0, got nan",
@@ -482,6 +484,10 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
     pytest.param(["scenario", "--scenario-json", "{cruise_neg}"],
                  "'cruise_speed' must be finite and > 0, got -1.0",
                  id="scenario-json-cruise-speed-negative"),
+    # An int too large for a float counts as infinite.
+    pytest.param(["scenario", "--scenario-json", "{cruise_huge}"],
+                 f"'cruise_speed' must be finite and > 0, got {10**400}",
+                 id="scenario-json-cruise-speed-too-large-for-a-float"),
     pytest.param(["scenario", "--scenario-json", "{brake0}"],
                  "'brake_decel' must be finite and > 0, got 0.0", id="scenario-json-brake-decel-0"),
     pytest.param(["scenario", "--scenario-json", "{brake_inf}"],
@@ -531,6 +537,9 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
     pytest.param(["scenario", "--scenario-json", "{headway_inf}"],
                  "'levels' low headway must be finite and > 0, got inf",
                  id="scenario-json-headway-inf"),
+    pytest.param(["scenario", "--scenario-json", "{headway_huge}"],
+                 f"'levels' low headway must be finite and > 0, got {10**400}",
+                 id="scenario-json-headway-too-large-for-a-float"),
     pytest.param(["scenario", "--scenario-json", "{accel_str}"],
                  "'levels' high accel_bound must be finite and > 0, got '2'",
                  id="scenario-json-accel-bound-a-string"),
@@ -561,6 +570,7 @@ def test_malformed_command_input_is_usage_error(tmp_path, capsys, argv, message)
         "cruise_nan": json.dumps(dict(scenario, cruise_speed=float("nan"))),
         "cruise_inf": json.dumps(dict(scenario, cruise_speed=float("inf"))),
         "cruise_neg": json.dumps(dict(scenario, cruise_speed=-1.0)),
+        "cruise_huge": json.dumps(dict(scenario, cruise_speed=10**400)),
         "brake0": json.dumps(dict(scenario, brake_decel=0.0)),
         "brake_inf": json.dumps(dict(scenario, brake_decel=float("inf"))),
         "gap_neg": json.dumps(dict(scenario, gap_gain=-1.0)),
@@ -578,6 +588,9 @@ def test_malformed_command_input_is_usage_error(tmp_path, capsys, argv, message)
         "vel_nan": level("medium", velocity_error=float("nan")),
         "headway0": level("low", headway=0.0),
         "headway_inf": level("low", headway=float("inf")),
+        "headway_huge": level("low", headway=10**400),
+        "no_headway": json.dumps(dict(scenario, levels=dict(
+            levels, low={k: v for k, v in levels["low"].items() if k != "headway"}))),
         "accel_str": level("high", accel_bound="2"),
         "accel_neg": level("high", accel_bound=-2.0),
         "round3": '[{"round": "3", "from": "*", "to": 1}]\n',

@@ -8,7 +8,7 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from lockstep.protocol import (
     DEFAULT,
@@ -16,6 +16,7 @@ from lockstep.protocol import (
     DecideContractError,
     GossipMessage,
     ProtocolConfig,
+    RoundOutput,
     VehicleProtocol,
     checked_decide,
     in_send_window,
@@ -222,6 +223,113 @@ def test_receive_invariants(case):
         assert after or not before  # no true -> false
     if msg.round != my_round:
         assert v.data == list(data) and v.ack == list(ack)
+
+
+class ReferenceTicker:
+    """A vehicle whose tick tests ``in_send_window`` and divides, on every tick.
+
+    Kept independent on purpose, like ``reference_receive``, which takes its
+    receives.
+    """
+
+    def __init__(self, config, vid, datum):
+        self.config, self.vid, self.my_round = config, vid, 0
+        self.data = [DEFAULT] * config.n
+        self.ack = [False] * config.n
+        self.data[vid - 1], self.ack[vid - 1] = datum, True
+        self.last_send_time = None
+
+    def on_gossip_receive(self, msg):
+        self.data, self.ack = reference_receive(
+            self.config.n, self.vid, self.my_round, self.data, self.ack, msg)
+
+    def on_tick(self, local_clock, read_state, decide):
+        config = self.config
+        msg = None
+        if in_send_window(config, self.my_round, local_clock) and (
+                self.last_send_time is None
+                or local_clock - self.last_send_time >= config.gossip_interval):
+            msg = GossipMessage(self.vid, self.my_round, tuple(self.data), tuple(self.ack))
+            self.last_send_time = local_clock
+        output = None
+        clock_round = local_clock // config.round_length
+        if self.my_round < clock_round:
+            s, r = tuple(self.data), tuple(self.ack)
+            self.my_round = clock_round
+            self.data = [DEFAULT] * config.n
+            self.ack = [False] * config.n
+            self.ack[self.vid - 1] = True
+            self.last_send_time = None
+            if all(r):
+                self.data[self.vid - 1] = read_state()
+                output = RoundOutput(clock_round, s, r, checked_decide(decide, s))
+            else:
+                output = RoundOutput(clock_round, s, r, DEFAULT)
+        return msg, output
+
+
+LEVELS = [HIGH, MEDIUM, ServiceLevel.LOW]
+
+
+@st.composite
+def tick_schedules(draw):
+    """A config, a vehicle and non-decreasing clock readings, each with a datum
+    to read and, from time to time, a receive before it.
+
+    A reading sits in the round of the one before, the next, or one to three
+    rounds later, on a boundary, a window edge, next to one or anywhere. A
+    receive is ``(sender, ack, own_round)``: its message is built when it is
+    delivered, with the data every copy of that round holds.
+    """
+    n = draw(st.integers(min_value=1, max_value=4))
+    sync = draw(st.integers(min_value=0, max_value=3))
+    delay = draw(st.integers(min_value=1, max_value=3))
+    window = draw(st.integers(min_value=1, max_value=6))
+    config = ProtocolConfig(n, 2 * sync + delay + window, sync, delay,
+                            draw(st.integers(min_value=1, max_value=window)))
+    vid = draw(st.integers(min_value=1, max_value=n))
+    rl = config.round_length
+    clock, steps = 0, []
+    for _ in range(draw(st.integers(min_value=1, max_value=40))):
+        start = (clock // rl + draw(st.integers(min_value=0, max_value=3))) * rl
+        edges = [start, start + sync - 1, start + sync, start + sync + 1,
+                 start + rl - sync - delay - 1, start + rl - sync - delay,
+                 start + rl - sync - delay + 1, start + rl - 1]
+        clock = max(clock, draw(st.sampled_from(edges) | st.integers(start, start + rl - 1)))
+        receive = None
+        if n > 1 and draw(st.booleans()):
+            sender = draw(st.integers(min_value=1, max_value=n).filter(lambda k: k != vid))
+            ack = [draw(st.booleans()) for _ in range(n)]
+            ack[sender - 1] = True
+            receive = (sender, tuple(ack), draw(st.booleans()))
+        steps.append((clock, draw(st.sampled_from(LEVELS)), receive))
+    return config, vid, steps
+
+
+def round_datum(rnd, k):
+    """Vehicle k's datum in round ``rnd``: what every copy of its slot holds."""
+    return LEVELS[(rnd + k) % len(LEVELS)]
+
+
+@settings(max_examples=300)
+@given(tick_schedules())
+def test_tick_matches_reference(case):
+    """The window kept per round sends and outputs as testing it on every tick does."""
+    config, vid, steps = case
+    vehicle = VehicleProtocol(config, vid, HIGH)
+    reference = ReferenceTicker(config, vid, HIGH)
+    for clock, datum, receive in steps:
+        if receive is not None:
+            sender, ack, own_round = receive
+            rnd = reference.my_round if own_round else reference.my_round + 1
+            data = tuple(round_datum(rnd, k) if acked else DEFAULT for k, acked in enumerate(ack))
+            msg = GossipMessage(sender, rnd, data, ack)
+            vehicle.on_gossip_receive(msg)
+            reference.on_gossip_receive(msg)
+        got = vehicle.on_tick(clock, lambda: datum, min_level_decide)
+        assert got == reference.on_tick(clock, lambda: datum, min_level_decide), clock
+    assert ((vehicle.my_round, vehicle.data, vehicle.ack, vehicle.last_send_time)
+            == (reference.my_round, reference.data, reference.ack, reference.last_send_time))
 
 
 # ---------------------------------------------------------------------------

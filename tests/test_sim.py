@@ -1,8 +1,10 @@
 """Tests for the discrete-event harness: timing, loss, traces, replay."""
 
 import copy
+import dataclasses
 import gc
 import hashlib
+import heapq
 import itertools
 import json
 import pickle
@@ -16,7 +18,7 @@ import pytest
 
 from lockstep import oracle, sim
 from lockstep.cli import TABLE1_DROP_RATES, build_sim_config
-from lockstep.platoon import LevelApp, ScenarioSpec, ServiceLevel, run_worst_case
+from lockstep.platoon import LevelApp, PlatoonApp, ScenarioSpec, ServiceLevel, run_worst_case
 from lockstep.protocol import (
     DEFAULT,
     ConfigError,
@@ -478,6 +480,20 @@ PINNED_TRACES = {
     "single-vehicle": (
         lambda: run_high(make_sim_config(n=1, rounds=6, seed=25)),
         "74592f850263bc4d041132158dbc82aabc145d7dbf7d893b95f0309530fd74cf"),
+    # Shared clocks and a delay of one gossip interval: a copy sent at a
+    # send instant lands on its receivers' next send instant, so deliveries
+    # tie with ticks.
+    "copies-on-tick-instants": (
+        lambda: run_high(dataclasses.replace(
+            make_sim_config(n=4, rounds=10, seed=26, offsets=(0,) * 4, loss=BernoulliLoss(0.2)),
+            delay=FixedDelay(50 * MS))),
+        "33cb68a1b31b14b678e42893d3a068da933db6d8ab7bc69d272ae0817f76e0d0"),
+    # The shortest delay: a copy lands 1 µs after its send.
+    "delay-1us": (
+        lambda: run_high(dataclasses.replace(
+            make_sim_config(n=4, rounds=10, seed=27, loss=BernoulliLoss(0.2)),
+            delay=FixedDelay(1))),
+        "d416ec87ad05ce482caaeef654a24cf7cef8fe036a196aef137445caba825986"),
 }
 
 
@@ -492,6 +508,37 @@ def trace_sha256(trace) -> str:
 def test_trace_bytes_are_pinned(name):
     make, want = PINNED_TRACES[name]
     assert trace_sha256(make()) == want
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (make_sim_config(n=4, rounds=10, seed=28, loss=BernoulliLoss(0.2)), LevelApp(HIGH)),
+    lambda: (ScenarioSpec(horizon_rounds=12, outage_round=2).sim_config(),
+             PlatoonApp(ScenarioSpec(horizon_rounds=12, outage_round=2))),
+], ids=["level", "platoon-app-clock"])
+def test_one_heap_step_per_tick(monkeypatch, make):
+    """A tick is one replace (a pop where its clock ends); a delivered copy one push, one pop."""
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(heapq, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("heappush", "heappop", "heapreplace"):
+        monkeypatch.setattr(heapq, name, counted(name))
+    config, app = make()
+    p = config.protocol
+    clocks = [[*app.app_tick_times()]]
+    clocks += [[*sim._tick_times(p, config.duration, offset)] for offset in config.offsets]
+    ticks = sum(map(len, clocks))
+    started = sum(1 for clock in clocks if clock)
+    delivered = sum(type(ev) is DeliverEvent for ev in simulate(config, app))
+    assert delivered > 0 and ticks > started > 1
+    assert calls == {"heappush": started + delivered, "heappop": delivered + started,
+                     "heapreplace": ticks - started}
 
 
 def test_replay_from_file(tmp_path):
