@@ -40,9 +40,9 @@ from .sim import (
     SimConfig,
     load_schedule,
     replay,
+    round_journeys,
     run,
     sample_offsets,
-    simulate,
 )
 
 # Per-fleet-size packet drop rates that calibrate the Bernoulli loss model
@@ -143,8 +143,12 @@ class SweepSpec:
 
 def _sweep_cell(config: SimConfig) -> dict:
     n = config.protocol.n
-    # The events are read as they are made: a cell holds no trace.
-    view = analysis.round_view(n, simulate(config, LevelApp(ServiceLevel.HIGH)))
+    # The round-level model on the simulator's own draws: no event loop runs,
+    # and the decisions are the abstract model's over the completeness vectors.
+    complete, delivers, drops = round_journeys(config)
+    decisions = oracle.run_abstract(n, complete, min_level_decide, (ServiceLevel.HIGH,) * n)
+    view = analysis.RoundView(n, len(complete), decisions, complete,
+                              delivers=delivers, drops=drops)
     reports = analysis.run_all_checks(view)
     return {
         "n": n,
@@ -162,9 +166,9 @@ def _sweep_cell(config: SimConfig) -> dict:
 def run_sweep(spec: SweepSpec, processes: Optional[int] = None) -> list[dict]:
     """Run every sweep cell; cells are independent seeded simulations."""
     cells = spec.cells()
-    if processes is None:
-        processes = os.cpu_count() or 1
-    processes = min(processes, len(cells))  # a worker per cell at most
+    cpus = os.cpu_count() or 1
+    # A worker per cell and per CPU at most: the cells are CPU-bound.
+    processes = min(cpus if processes is None else processes, len(cells), cpus)
     if processes <= 1:
         return [_sweep_cell(c) for c in cells]
     import multiprocessing  # only a pool needs it

@@ -59,6 +59,14 @@ ReadStateFn = Callable[[], Datum]
 is_default: Callable[[Datum], bool] = functools.partial(operator.is_, DEFAULT)
 
 
+# The most gossip sends one round may hold. The simulator lists a round's
+# send offsets and broadcasts n - 1 copies per send, so a round with millions
+# of sends (a 10**400 µs round_length, say) would exhaust memory before its
+# first tick. The largest configuration the repo runs, 360 ms rounds with
+# 50 ms gossip, sends 6.
+MAX_SENDS_PER_ROUND = 1_000
+
+
 def require_int(name: str, value: Any) -> None:
     """Reject anything but an int: a float, a string, a list, or a bool."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -97,6 +105,11 @@ class ProtocolConfig:
             raise ConfigError(
                 f"gossip_interval must be in (0, {self.send_window_length}], "
                 f"got {self.gossip_interval}"
+            )
+        if self.sends_per_round() > MAX_SENDS_PER_ROUND:
+            raise ConfigError(
+                f"round_length {self.round_length} holds more than {MAX_SENDS_PER_ROUND} "
+                f"gossip sends of gossip_interval {self.gossip_interval}"
             )
 
     @property

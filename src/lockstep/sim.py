@@ -19,7 +19,10 @@ output)``. The sender is ``msg.sender``, and a drop's ``t`` is its send time.
 Event order is total: by time, then deliveries before ticks, then receiver
 or clock (so the app's tick comes before vehicle 1's), then insertion order.
 Per transmission the RNG is consumed in a fixed order (delay first, then the
-loss decision), one transmission per receiver in ascending id.
+loss decision), one transmission per receiver in ascending id, sends by
+(time, vehicle). Two functions read the draws in that order: ``simulate``,
+and ``round_journeys``, which takes each round's completeness and
+transmission counts from them without running the protocol.
 """
 
 from __future__ import annotations
@@ -601,10 +604,16 @@ _PRIO_DELIVER = 0
 _PRIO_TICK = 1
 
 
+def _send_offsets(p: ProtocolConfig) -> range:
+    """The local times of a round's gossip sends, from the round's start."""
+    return range(p.sync_bound, p.sync_bound + p.sends_per_round() * p.gossip_interval,
+                 p.gossip_interval)
+
+
 def _tick_times(p: ProtocolConfig, horizon: int, offset: int) -> Iterator[tuple[int, int]]:
     """A vehicle's clock: ``(global, local)`` at each round boundary, then its sends,
     up to local ``horizon``. A local reading below ``offset`` is before global 0."""
-    sends = [p.sync_bound + j * p.gossip_interval for j in range(p.sends_per_round())]
+    sends = _send_offsets(p)
     for k in itertools.count():
         base = k * p.round_length
         if base > horizon:
@@ -693,6 +702,80 @@ def simulate(config: SimConfig, app: App) -> Iterator[TraceEvent]:
         if output is not None:
             yield new(OutputEvent, (t, vid, output))
             app.on_output(vid, output, t)
+
+
+def round_journeys(config: SimConfig) -> tuple[list[tuple[bool, ...]], int, int]:
+    """Each round's completeness vector, and the run's delivered and dropped copies.
+
+    A round-level reading of the run ``simulate`` makes, on its own draws:
+    per round, the sends by (global time, vehicle) from ``_send_offsets``;
+    per copy, the delay and then the loss, receivers ascending, from
+    ``random.Random(config.seed)``; then the ack bitmasks OR-ed in time
+    order, deliveries before sends at one instant. Vehicle i is complete in
+    round r when its mask holds every slot: what its ack snapshot on
+    entering round r + 1 holds. The vectors cover rounds 0 .. duration //
+    round_length - 1, the rounds every vehicle ends within the run; the
+    counts cover every copy sent, as ``analysis.round_view`` counts them.
+
+    Rounds are independent, so each is read on its own. With offsets within
+    ``sync_bound`` and delays in (0, maximum_delay], a round-r copy sent at
+    local time at most (r+1) * round_length - sync_bound - maximum_delay
+    reaches its receiver after that vehicle entered round r and by its local
+    (r+1) * round_length, where a delivery comes before the tick: every copy
+    lands in its own round, and ``on_gossip_receive``'s round test never
+    fires. Round r's last send precedes round r+1's first in global time, by
+    at least 2 * sync_bound + maximum_delay - spread > 0, so reading the
+    rounds in order reads the draws in ``simulate``'s order. A model whose
+    copies may land in a later round (a delay beyond ``maximum_delay``)
+    breaks both facts.
+
+    The decisions follow from the vectors: ``oracle.run_abstract`` over them
+    equals the simulator's, as acceptance criterion 2 checks on adversarial
+    schedules. Within a round every copy of slot k carries vehicle k's datum,
+    so a complete vehicle holds all of what the others gossiped and decides
+    on it, and an incomplete one outputs and then gossips DEFAULT.
+    """
+    p = config.protocol
+    n = p.n
+    rl = p.round_length
+    horizon = config.duration
+    max_delay = p.maximum_delay
+    rng = random.Random(config.seed)
+    sample = config.delay.sample
+    decide_loss = config.loss.decide
+    clocks = list(enumerate(config.offsets))
+    send_offsets = _send_offsets(p)
+    peers = [[k for k in range(n) if k != i] for i in range(n)]
+    full = (1 << n) - 1
+    complete = []
+    delivers = drops = 0
+    for rnd in range(horizon // rl + 1):
+        base = rnd * rl
+        # Vehicle i + 1 sends at local base + s, global base + s - offset.
+        sends = sorted([(base + s - offset, i) for s in send_offsets if base + s <= horizon
+                        for i, offset in clocks if base + s >= offset])
+        # (time, 0 for a delivery or 1 for a send, vehicle index, send index)
+        journey = []
+        for j, (t, i) in enumerate(sends):
+            journey.append((t, 1, i, j))
+            for k in peers[i]:
+                delay = sample(rng, max_delay)
+                if decide_loss(rng, rnd, i + 1, k + 1, t) is None:
+                    journey.append((t + delay, 0, k, j))
+                else:
+                    drops += 1
+        delivers += len(journey) - len(sends)
+        journey.sort()
+        masks = [1 << i for i in range(n)]
+        carried = [0] * len(sends)  # each send's ack mask
+        for _, is_send, i, j in journey:
+            if is_send:
+                carried[j] = masks[i]
+            else:
+                masks[i] |= carried[j]
+        if base + rl <= horizon:
+            complete.append(tuple([mask == full for mask in masks]))
+    return complete, delivers, drops
 
 
 def run(config: SimConfig, app: App) -> Trace:

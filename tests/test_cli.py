@@ -24,6 +24,7 @@ from lockstep.cli import (
     run_sweep,
 )
 from lockstep.platoon import LevelApp, ScenarioSpec, ServiceLevel
+from lockstep.protocol import MAX_SENDS_PER_ROUND
 from lockstep.sim import BernoulliLoss, run
 
 
@@ -153,7 +154,9 @@ def test_sweep_rejects_bad_round_length():
         SweepSpec(ns=(2,), round_ms=(110,), seeds=(1,))
 
 
-def test_sweep_starts_no_more_workers_than_cells(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Pools run their cells in process; the list records each pool's size."""
     sizes = []
 
     class SerialPool:
@@ -170,14 +173,28 @@ def test_sweep_starts_no_more_workers_than_cells(monkeypatch):
             return [fn(x) for x in items]
 
     monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", SerialPool)
+    return sizes
+
+
+def test_sweep_starts_no_more_workers_than_cells(monkeypatch, pool_sizes):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 6)
     spec = SweepSpec(ns=(2,), round_ms=(160, 260), seeds=(1,), duration_s=1)
     rows = run_sweep(spec, processes=6)
-    assert sizes == [2]
+    assert pool_sizes == [2]
     assert rows == run_sweep(spec, processes=1)
-    assert sizes == [2]  # one worker runs in process, with no pool
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 6)
+    assert pool_sizes == [2]  # one worker runs in process, with no pool
     run_sweep(spec)
-    assert sizes == [2, 2]
+    assert pool_sizes == [2, 2]
+
+
+def test_sweep_starts_no_more_workers_than_cpus(monkeypatch, pool_sizes):
+    spec = SweepSpec(ns=(2, 3), round_ms=(160, 260), seeds=(1, 2), duration_s=1)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    rows = run_sweep(spec, processes=5000)
+    assert pool_sizes == [3]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
+    assert run_sweep(spec, processes=5000) == rows
+    assert pool_sizes == [3]  # one CPU: the cells run in process, with no pool
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():
@@ -395,6 +412,9 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
 
 @pytest.mark.parametrize("argv,message", [
     pytest.param(["run", "--round-ms", "0"], "round_length", id="run-round-ms-0"),
+    pytest.param(["run", "--round-ms", str(10**400)],
+                 f"round_length {10**403} holds more than {MAX_SENDS_PER_ROUND} gossip sends "
+                 "of gossip_interval 50000", id="run-round-ms-too-many-sends"),
     pytest.param(["run", "--loss", "bernoulli:abc"], "bad loss spec 'bernoulli:abc'",
                  id="run-loss-p-not-a-number"),
     pytest.param(["run", "--loss", "composite:abc,x.json"], "bad loss spec",
@@ -470,6 +490,9 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
                  id="scenario-json-int-field-a-float"),
     pytest.param(["scenario", "--scenario-json", "{round0}"], "round_length",
                  id="scenario-json-round-length-0"),
+    pytest.param(["scenario", "--scenario-json", "{round_huge}"],
+                 f"round_length {10**400} holds more than {MAX_SENDS_PER_ROUND} gossip sends "
+                 "of gossip_interval 50000", id="scenario-json-round-length-too-many-sends"),
     pytest.param(["scenario", "--scenario-json", "{levelkey}"],
                  "'levels' low has unknown field 'bogus'", id="scenario-json-unknown-level-key"),
     pytest.param(["scenario", "--scenario-json", "{no_headway}"],
@@ -565,6 +588,7 @@ def test_malformed_command_input_is_usage_error(tmp_path, capsys, argv, message)
         "fast": json.dumps(dict(scenario, cruise_speed="fast")),
         "half": json.dumps(dict(scenario, horizon_rounds=2.5)),
         "round0": json.dumps(dict(scenario, round_length=0)),
+        "round_huge": json.dumps(dict(scenario, round_length=10**400)),
         "levelkey": json.dumps(dict(scenario, levels=dict(
             scenario["levels"], low=dict(scenario["levels"]["low"], bogus=1)))),
         "cruise_nan": json.dumps(dict(scenario, cruise_speed=float("nan"))),

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from lockstep.protocol import (
     DEFAULT,
+    MAX_SENDS_PER_ROUND,
     ConfigError,
     DecideContractError,
     GossipMessage,
@@ -68,6 +69,16 @@ def test_gossip_interval_must_fit_window():
         make_protocol_config(gossip_ms=51)
     with pytest.raises(ConfigError):
         ProtocolConfig(2, 160 * MS, 5 * MS, 100 * MS, 0)
+
+
+def test_a_round_holds_at_most_max_sends_per_round():
+    # sync_bound 0 and a 1 ms delay: the window is round_length - 1 ms.
+    at_bound = ProtocolConfig(2, MS + (MAX_SENDS_PER_ROUND - 1) * MS, 0, MS, MS)
+    assert at_bound.sends_per_round() == MAX_SENDS_PER_ROUND
+    with pytest.raises(ConfigError, match="round_length .* gossip_interval"):
+        ProtocolConfig(2, MS + MAX_SENDS_PER_ROUND * MS, 0, MS, MS)
+    with pytest.raises(ConfigError, match="round_length .* gossip_interval"):
+        make_protocol_config(round_ms=10**400)
 
 
 def test_vehicle_id_range_checked():

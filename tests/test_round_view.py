@@ -1,7 +1,7 @@
 """The one-pass round view against the trace readers it replaced.
 
-``analysis.round_view`` reads any iterable of events once, straight from
-``sim.simulate`` in a sweep, and keeps only each output's decision and
+``analysis.round_view`` reads any iterable of events once, from a trace or
+straight from ``sim.simulate``, and keeps only each output's decision and
 completeness (all of its ack snapshot) plus the delivered and dropped
 counts. The references below are the earlier whole-trace ``round_view`` and
 ``Counter`` drop rate, kept as in ``test_rules.py``; the reference's ack
