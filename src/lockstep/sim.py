@@ -31,8 +31,10 @@ import functools
 import heapq
 import itertools
 import json
+import math
 import operator
 import random
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -298,6 +300,11 @@ class SimConfig:
     ``duration`` is a local-clock horizon: each vehicle executes every tick
     with local time <= duration. Use a multiple of round_length so the final
     round closes cleanly at every vehicle.
+
+    Vehicle i's clock reads global time plus ``offsets[i - 1]``. Offsets are
+    >= 0, spread by at most ``sync_bound``, and at most ``round_length``:
+    a larger one would put a vehicle's round-1 boundary before global 0,
+    where its clock never ticks, so the vehicle would skip a round.
     """
 
     protocol: ProtocolConfig
@@ -316,6 +323,9 @@ class SimConfig:
             raise ConfigError(f"expected {self.protocol.n} offsets, got {len(self.offsets)}")
         if any(o < 0 for o in self.offsets):
             raise ConfigError("clock offsets must be >= 0")
+        if max(self.offsets) > self.protocol.round_length:
+            raise ConfigError(f"clock offsets must be <= round_length "
+                              f"{self.protocol.round_length}, got {max(self.offsets)}")
         if max(self.offsets) - min(self.offsets) > self.protocol.sync_bound:
             raise ConfigError(
                 f"offset spread {max(self.offsets) - min(self.offsets)} exceeds "
@@ -704,20 +714,38 @@ def simulate(config: SimConfig, app: App) -> Iterator[TraceEvent]:
             app.on_output(vid, output, t)
 
 
+def _round_sends(send_offsets: range, offsets: tuple[int, ...], base: int,
+                 horizon: float) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
+    """A round's sends, sorted as (global time - ``base``, vehicle index, its
+    send index), and each vehicle's send times: vehicle i + 1 sends at local
+    ``base + s`` for each ``s`` in ``send_offsets`` within ``[offsets[i], horizon]``."""
+    times = [[s - o for s in send_offsets if o <= base + s <= horizon] for o in offsets]
+    return sorted([(t, i, b) for i, ts in enumerate(times) for b, t in enumerate(ts)]), times
+
+
 def round_journeys(config: SimConfig) -> tuple[list[tuple[bool, ...]], int, int]:
     """Each round's completeness vector, and the run's delivered and dropped copies.
 
     A round-level reading of the run ``simulate`` makes, on its own draws:
     per round, the sends by (global time, vehicle) from ``_send_offsets``;
     per copy, the delay and then the loss, receivers ascending, from
-    ``random.Random(config.seed)``; then the ack bitmasks OR-ed in time
-    order, deliveries before sends at one instant. Vehicle i is complete in
-    round r when its mask holds every slot: what its ack snapshot on
-    entering round r + 1 holds. The vectors cover rounds 0 .. duration //
-    round_length - 1, the rounds every vehicle ends within the run; the
-    counts cover every copy sent, as ``analysis.round_view`` counts them.
+    ``random.Random(config.seed)``. Vehicle i is complete in round r when
+    its ack mask holds every slot: what its ack snapshot on entering round
+    r + 1 holds. The vectors cover rounds 0 .. duration // round_length - 1,
+    the rounds every vehicle ends within the run; the counts cover every
+    copy sent, as ``analysis.round_view`` counts them.
 
-    Rounds are independent, so each is read on its own. With offsets within
+    Masks only grow by OR, so all a copy's arrival decides is which of its
+    receiver's sends come after it. The sends are walked by (global time,
+    vehicle); each delivered copy is filed under its receiver's first send
+    at or after its arrival (``bisect_left``: deliveries before sends at one
+    instant), or past the last, and is ORed in before that send, or into
+    the final mask. It lands after its own send, so it is filed before it
+    is read. A copy to a receiver whose mask is full is not filed: that
+    mask, what the receiver's later sends carry and its final mask are full
+    whatever the copy holds.
+
+    Rounds are independent, so each is read on its own. With offsets spread within
     ``sync_bound`` and delays in (0, maximum_delay], a round-r copy sent at
     local time at most (r+1) * round_length - sync_bound - maximum_delay
     reaches its receiver after that vehicle entered round r and by its local
@@ -743,39 +771,36 @@ def round_journeys(config: SimConfig) -> tuple[list[tuple[bool, ...]], int, int]
     rng = random.Random(config.seed)
     sample = config.delay.sample
     decide_loss = config.loss.decide
-    clocks = list(enumerate(config.offsets))
+    offsets = config.offsets
     send_offsets = _send_offsets(p)
+    # A round with every send in [offset, horizon] lists the same sends.
+    latest = max(offsets)
+    whole = _round_sends(send_offsets, offsets, latest, math.inf)
     peers = [[k for k in range(n) if k != i] for i in range(n)]
     full = (1 << n) - 1
     complete = []
-    delivers = drops = 0
+    copies = drops = 0
     for rnd in range(horizon // rl + 1):
         base = rnd * rl
-        # Vehicle i + 1 sends at local base + s, global base + s - offset.
-        sends = sorted([(base + s - offset, i) for s in send_offsets if base + s <= horizon
-                        for i, offset in clocks if base + s >= offset])
-        # (time, 0 for a delivery or 1 for a send, vehicle index, send index)
-        journey = []
-        for j, (t, i) in enumerate(sends):
-            journey.append((t, 1, i, j))
+        if latest <= base + send_offsets[0] and base + send_offsets[-1] <= horizon:
+            sends, times = whole
+        else:
+            sends, times = _round_sends(send_offsets, offsets, base, horizon)
+        masks = [1 << i for i in range(n)]
+        filed = [[0] * (len(ts) + 1) for ts in times]
+        for t, i, b in sends:
+            carried = masks[i] = masks[i] | filed[i][b]
+            at = base + t
             for k in peers[i]:
                 delay = sample(rng, max_delay)
-                if decide_loss(rng, rnd, i + 1, k + 1, t) is None:
-                    journey.append((t + delay, 0, k, j))
-                else:
+                if decide_loss(rng, rnd, i + 1, k + 1, at) is not None:
                     drops += 1
-        delivers += len(journey) - len(sends)
-        journey.sort()
-        masks = [1 << i for i in range(n)]
-        carried = [0] * len(sends)  # each send's ack mask
-        for _, is_send, i, j in journey:
-            if is_send:
-                carried[j] = masks[i]
-            else:
-                masks[i] |= carried[j]
+                elif masks[k] != full:
+                    filed[k][bisect_left(times[k], t + delay)] |= carried
+        copies += len(sends) * (n - 1)
         if base + rl <= horizon:
-            complete.append(tuple([mask == full for mask in masks]))
-    return complete, delivers, drops
+            complete.append(tuple([(mask | f[-1]) == full for mask, f in zip(masks, filed)]))
+    return complete, copies - drops, drops
 
 
 def run(config: SimConfig, app: App) -> Trace:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 
 import pytest
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from lockstep.sim import (
     BernoulliLoss,
     CompositeLoss,
     DropRule,
+    FixedDelay,
     OutputEvent,
     ScheduleLoss,
     SimConfig,
@@ -43,6 +45,32 @@ def make_sim_config(n=4, rounds=25, seed=1, loss=None, round_ms=160, offsets=Non
         duration=protocol.round_length * rounds,
         seed=seed,
     )
+
+
+PIN_RULES = [DropRule(round=3, receiver=2), DropRule(t0=5 * 160 * MS, t1=6 * 160 * MS, sender=1)]
+
+# Level-app runs the benchmark never makes: tests/test_sim.py pins their
+# trace bytes, and tests/test_journeys.py checks the journey model on them.
+PINNED_LEVEL_CONFIGS = {
+    # Every clock is past sync_bound, so each vehicle skips its first send.
+    "offsets-past-sync-bound": make_sim_config(
+        n=3, rounds=12, seed=21, offsets=(7 * MS, 9 * MS, 8 * MS), loss=BernoulliLoss(0.2)),
+    # The first send falls on the round boundary: two ticks at one instant.
+    "sync-0": make_sim_config(n=4, rounds=12, seed=22, sync_ms=0, loss=BernoulliLoss(0.2)),
+    "schedule": make_sim_config(n=4, rounds=10, seed=23, loss=ScheduleLoss(PIN_RULES)),
+    "composite": make_sim_config(n=4, rounds=10, seed=24,
+                                 loss=CompositeLoss(0.3, ScheduleLoss(PIN_RULES))),
+    "single-vehicle": make_sim_config(n=1, rounds=6, seed=25),
+    # Shared clocks and a delay of one gossip interval: a copy sent at a
+    # send instant lands on its receivers' next send instant, so deliveries
+    # tie with ticks.
+    "copies-on-tick-instants": dataclasses.replace(
+        make_sim_config(n=4, rounds=10, seed=26, offsets=(0,) * 4, loss=BernoulliLoss(0.2)),
+        delay=FixedDelay(50 * MS)),
+    # The shortest delay: a copy lands 1 µs after its send.
+    "delay-1us": dataclasses.replace(
+        make_sim_config(n=4, rounds=10, seed=27, loss=BernoulliLoss(0.2)), delay=FixedDelay(1)),
+}
 
 
 def events_of(trace, kind):

@@ -356,6 +356,8 @@ def _rewrite_header(path, lines, edit):
     # A rule that can match nothing is a typo, not a schedule.
     ("rule-round-negative", "bad value: drop rule round must be >= 0, got -4"),
     ("rule-span-backwards", "bad value: drop rule span [200, 100] matches no send time"),
+    # A clock more than a round ahead would skip a round.
+    ("offsets-past-a-round", "clock offsets must be <= round_length 160000"),
 ])
 def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message):
     path, lines = _record_small_trace(tmp_path)
@@ -398,6 +400,11 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
         _rewrite_header(path, lines, lambda h: h.pop("config"))
     elif case == "missing-protocol-field":
         _rewrite_header(path, lines, lambda h: h["config"].pop("gossip_interval"))
+    elif case == "offsets-past-a-round":
+        def shift(h):
+            config = h["config"]
+            config["offsets"] = [o + config["round_length"] + 1 for o in config["offsets"]]
+        _rewrite_header(path, lines, shift)
     elif case == "wrong-version":
         _rewrite_header(path, lines, lambda h: h.update(version=2))
     else:

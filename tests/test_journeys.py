@@ -11,6 +11,7 @@ on the simulator's own view.
 
 import multiprocessing
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lockstep.analysis import run_all_checks
@@ -29,7 +30,7 @@ from lockstep.sim import (
     round_journeys,
 )
 
-from conftest import simulated_view
+from conftest import PINNED_LEVEL_CONFIGS, simulated_view
 
 HIGH = ServiceLevel.HIGH
 PROCESSES = 2
@@ -56,10 +57,15 @@ def journey_configs(draw):
 
     The round length, ``sync_bound`` (0 included, where a boundary and a send
     share an instant and a send can fall on the horizon), ``maximum_delay``
-    and ``gossip_interval`` are drawn in µs; the offsets lie within
-    ``sync_bound`` and need not start at 0; the duration need not be a
-    multiple of the round. Delay is uniform or fixed; loss is Bernoulli, a
-    schedule of round and time-span rules, or the two composed.
+    and ``gossip_interval`` are drawn in µs. The offsets spread within
+    ``sync_bound`` above a common shift of up to ``round_length -
+    sync_bound``, so the largest may be a whole round. A vehicle whose
+    offset passes ``sync_bound`` makes none of its round-0 sends that fall
+    before global 0, so round 0 is cut differently per vehicle, as the
+    horizon cuts the last round. The duration need not be a multiple of the
+    round. Delay is uniform or
+    fixed; loss is Bernoulli, a schedule of round and time-span rules, or the
+    two composed.
     """
     n = draw(st.integers(min_value=2, max_value=5))
     sync = draw(st.sampled_from([0, 1]) | st.integers(min_value=0, max_value=20))
@@ -70,8 +76,9 @@ def journey_configs(draw):
     rl = protocol.round_length
     rounds = draw(st.integers(min_value=1, max_value=15))
     duration = rounds * rl + draw(st.sampled_from([0]) | st.integers(min_value=0, max_value=rl - 1))
-    offsets = tuple(draw(st.lists(st.integers(min_value=0, max_value=sync),
-                                  min_size=n, max_size=n)))
+    shift = draw(st.sampled_from([0, rl - sync]) | st.integers(min_value=0, max_value=rl - sync))
+    offsets = tuple(shift + o for o in draw(st.lists(st.integers(min_value=0, max_value=sync),
+                                                     min_size=n, max_size=n)))
     if draw(st.booleans()):
         delay = UniformDelay()
     else:
@@ -107,6 +114,14 @@ def test_model_matches_the_simulator_on_drawn_configs(config):
     models out.
     """
     assert _differences(config) == []
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LEVEL_CONFIGS))
+def test_model_matches_the_simulator_on_pinned_configs(name):
+    """The level runs whose trace bytes ``tests/test_sim.py`` pins. In
+    copies-on-tick-instants every copy lands on a send instant of its
+    receiver, so the model must file it before that send."""
+    assert _differences(PINNED_LEVEL_CONFIGS[name]) == []
 
 
 def _grid_cell(config):

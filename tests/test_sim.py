@@ -1,7 +1,6 @@
 """Tests for the discrete-event harness: timing, loss, traces, replay."""
 
 import copy
-import dataclasses
 import gc
 import hashlib
 import heapq
@@ -51,6 +50,7 @@ from lockstep.sim import (
 
 from conftest import (
     MS,
+    PINNED_LEVEL_CONFIGS,
     acked_copies_agree,
     drain_checked,
     events_of,
@@ -80,6 +80,18 @@ def test_offsets_at_exact_sync_bound_accepted():
 def test_offsets_beyond_sync_bound_rejected():
     with pytest.raises(ConfigError):
         make_sim_config(n=2, offsets=(0, 6 * MS))
+
+
+def test_offset_of_exactly_a_round_accepted():
+    config = make_sim_config(n=2, offsets=(RL - 5 * MS, RL))
+    assert max(config.offsets) == RL
+
+
+def test_offset_past_a_round_rejected():
+    """A clock more than a round ahead would put its round-1 boundary before
+    global 0, where no tick runs, and its vehicle would skip a round."""
+    with pytest.raises(ConfigError, match=f"offsets must be <= round_length {RL}, got {RL + 1}"):
+        make_sim_config(n=2, offsets=(RL - 5 * MS, RL + 1))
 
 
 def test_sampled_offsets_are_deterministic_and_bounded():
@@ -452,49 +464,25 @@ def test_different_seed_changes_the_trace():
     assert list(a.lines()) != list(b.lines())
 
 
-PIN_RULES = [DropRule(round=3, receiver=2), DropRule(t0=5 * RL, t1=6 * RL, sender=1)]
-
-# Runs the benchmark never makes, each with the sha256 of its trace lines.
+# Runs the benchmark never makes, each with the sha256 of its trace lines:
+# the platoon scenario, whose world step shares instants with every round
+# boundary, and the level-app runs of ``PINNED_LEVEL_CONFIGS``.
 PINNED_TRACES = {
-    # The platoon app's world step shares instants with every round boundary.
-    "platoon-app-clock": (
-        lambda: run_worst_case(ScenarioSpec()).trace,
-        "4ef2ba903547b1085e74505175bf596bd314bf14a217566966ce60bfaa9d940b"),
-    # Every clock is past sync_bound, so each vehicle skips its first send.
-    "offsets-past-sync-bound": (
-        lambda: run_high(make_sim_config(n=3, rounds=12, seed=21, offsets=(7 * MS, 9 * MS, 8 * MS),
-                                         loss=BernoulliLoss(0.2))),
-        "07ca0d14ab7182faa11bc9c7c4ab8a7035ae1345d24a25cec480cb2348cb93dc"),
-    # The first send falls on the round boundary: two ticks at one instant.
-    "sync-0": (
-        lambda: run_high(make_sim_config(n=4, rounds=12, seed=22, sync_ms=0,
-                                         loss=BernoulliLoss(0.2))),
-        "1ad47daf05e3afd336be599379ad2559f67b64939aa891346252ede5b35c89b0"),
-    "schedule": (
-        lambda: run_high(make_sim_config(n=4, rounds=10, seed=23, loss=ScheduleLoss(PIN_RULES))),
-        "0988c1f27cee2894f2c0ecbf4733d279aaa9bd7498b9d843a3ea7208a5fd371f"),
-    "composite": (
-        lambda: run_high(make_sim_config(n=4, rounds=10, seed=24,
-                                         loss=CompositeLoss(0.3, ScheduleLoss(PIN_RULES)))),
-        "7d71ef4b4cace61bfbfde322d8d300b7e472f25b0618dce67b7f76fcaf597ceb"),
-    "single-vehicle": (
-        lambda: run_high(make_sim_config(n=1, rounds=6, seed=25)),
-        "74592f850263bc4d041132158dbc82aabc145d7dbf7d893b95f0309530fd74cf"),
-    # Shared clocks and a delay of one gossip interval: a copy sent at a
-    # send instant lands on its receivers' next send instant, so deliveries
-    # tie with ticks.
-    "copies-on-tick-instants": (
-        lambda: run_high(dataclasses.replace(
-            make_sim_config(n=4, rounds=10, seed=26, offsets=(0,) * 4, loss=BernoulliLoss(0.2)),
-            delay=FixedDelay(50 * MS))),
-        "33cb68a1b31b14b678e42893d3a068da933db6d8ab7bc69d272ae0817f76e0d0"),
-    # The shortest delay: a copy lands 1 µs after its send.
-    "delay-1us": (
-        lambda: run_high(dataclasses.replace(
-            make_sim_config(n=4, rounds=10, seed=27, loss=BernoulliLoss(0.2)),
-            delay=FixedDelay(1))),
-        "d416ec87ad05ce482caaeef654a24cf7cef8fe036a196aef137445caba825986"),
+    "platoon-app-clock": "4ef2ba903547b1085e74505175bf596bd314bf14a217566966ce60bfaa9d940b",
+    "offsets-past-sync-bound": "07ca0d14ab7182faa11bc9c7c4ab8a7035ae1345d24a25cec480cb2348cb93dc",
+    "sync-0": "1ad47daf05e3afd336be599379ad2559f67b64939aa891346252ede5b35c89b0",
+    "schedule": "0988c1f27cee2894f2c0ecbf4733d279aaa9bd7498b9d843a3ea7208a5fd371f",
+    "composite": "7d71ef4b4cace61bfbfde322d8d300b7e472f25b0618dce67b7f76fcaf597ceb",
+    "single-vehicle": "74592f850263bc4d041132158dbc82aabc145d7dbf7d893b95f0309530fd74cf",
+    "copies-on-tick-instants": "33cb68a1b31b14b678e42893d3a068da933db6d8ab7bc69d272ae0817f76e0d0",
+    "delay-1us": "d416ec87ad05ce482caaeef654a24cf7cef8fe036a196aef137445caba825986",
 }
+
+
+def pinned_trace(name):
+    if name == "platoon-app-clock":
+        return run_worst_case(ScenarioSpec()).trace
+    return run_high(PINNED_LEVEL_CONFIGS[name])
 
 
 def trace_sha256(trace) -> str:
@@ -506,8 +494,7 @@ def trace_sha256(trace) -> str:
 
 @pytest.mark.parametrize("name", sorted(PINNED_TRACES))
 def test_trace_bytes_are_pinned(name):
-    make, want = PINNED_TRACES[name]
-    assert trace_sha256(make()) == want
+    assert trace_sha256(pinned_trace(name)) == PINNED_TRACES[name]
 
 
 @pytest.mark.parametrize("make", [
