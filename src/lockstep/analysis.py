@@ -5,12 +5,12 @@ straight from ``sim.simulate``, and keeps an omniscient summary: each
 vehicle's decision per round and whether it ended the round complete, plus
 counts of delivered and dropped transmissions. Every checker and metric
 reads that view. A vehicle is complete in a round when it ended it holding
-every member's message: all of the ack snapshot it emits on entering the
-next round. This is the completeness vector the abstract model in
-``oracle`` reads. A round is *stable* when every vehicle is complete in it;
-otherwise it is unstable. P1-P3 are read straight off the four rules of
-``oracle.rule_violations``, as the abstract-model verifier reads them, with
-no period classification of their own (``run_all_checks``).
+every member's message: when the ack mask it emits on entering the next
+round is full, ``(1 << n) - 1``. This is the completeness vector the
+abstract model in ``oracle`` reads. A round is *stable* when every vehicle
+is complete in it; otherwise it is unstable. P1-P3 are read straight off the
+four rules of ``oracle.rule_violations``, as the abstract-model verifier
+reads them, with no period classification of their own (``run_all_checks``).
 
 Conventions: the decision "at round t" is the one emitted on entering round
 t (it is used during round t). Round 0 produces no decision. The trailing
@@ -90,6 +90,7 @@ def round_view(n: int, events: Iterable[TraceEvent]) -> RoundView:
     Each vehicle's outputs must come in round order 1, 2, 3, ...; a gap, a
     repeat or a step back raises ``AnalysisError``.
     """
+    full = (1 << n) - 1
     decided: list[list[Datum]] = [[] for _ in range(n)]
     complete: list[list[bool]] = [[] for _ in range(n)]
     delivers = drops = 0
@@ -104,7 +105,7 @@ def round_view(n: int, events: Iterable[TraceEvent]) -> RoundView:
             if out.round != len(decided[i]) + 1:
                 raise AnalysisError(f"vehicle {ev.vehicle} has non-consecutive output rounds")
             decided[i].append(out.decision)
-            complete[i].append(all(out.r))
+            complete[i].append(out.r == full)
     rounds = min(map(len, decided))
     # zip stops at the vehicle with the fewest outputs; the others' extra
     # outputs are of rounds whose end the run did not reach for every vehicle.

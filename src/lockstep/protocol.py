@@ -10,11 +10,16 @@ the whole group onto the default within one further round.
 Pure and clock-free: callers feed in receive events and clock ticks and get
 back at most one message and one round output per tick. Times are integer µs.
 
+An ack view is a set of members, kept as an int mask: bit k - 1 stands for
+member k, and a view is complete when the mask is ``(1 << n) - 1``. The
+mask itself is what a message and an output carry.
+
 Within a round every copy of slot k holds the same datum: vehicle k writes
 its own slot only at a round boundary, and a receive takes slots only from a
 message of its own round. So the first copy of a slot that arrives is the
 one every later copy repeats, and a receive takes only the slots it has not
-yet acked; it returns at once when it holds them all.
+yet acked, visiting the new bits alone; it returns at once when it holds
+them all.
 """
 
 from __future__ import annotations
@@ -121,25 +126,29 @@ class ProtocolConfig:
 
 
 class GossipMessage(NamedTuple):
-    """Wire view of a sender's state: its round plus the data/ack vectors."""
+    """Wire view of a sender's state: its round, its data vector and its ack mask.
+
+    ``data[k-1]`` is member k's slot, DEFAULT while unacked; bit k - 1 of
+    ``ack`` says the sender holds member k's datum of ``round``.
+    """
 
     sender: int
     round: int
     data: tuple
-    ack: tuple
+    ack: int
 
 
 class RoundOutput(NamedTuple):
     """Emitted on entering ``round``: snapshots of the previous round and the decision.
 
-    ``s`` and ``r`` are the data and ack vectors collected during the round
-    that just ended; ``decision`` is DEFAULT exactly when ``r`` has a false
-    entry or decide(s) returned DEFAULT.
+    ``s`` is the data vector and ``r`` the ack mask collected during the
+    round that just ended; ``decision`` is DEFAULT exactly when ``r`` lacks a
+    member's bit (``r != (1 << len(s)) - 1``) or decide(s) returned DEFAULT.
     """
 
     round: int
     s: tuple
-    r: tuple
+    r: int
     decision: Datum
 
 
@@ -180,24 +189,39 @@ class VehicleProtocol:
     (``send_window``'s bounds) and ``next_round_start`` belong to
     ``my_round``: ``_enter_round`` sets all four, once per round, so a tick
     compares its clock with them and divides only at a boundary.
+
+    ``data[k-1]`` is member k's slot and bit k - 1 of ``mask`` its ack;
+    ``own`` is this vehicle's bit and ``full`` the mask of every member.
     """
 
-    __slots__ = ("config", "vid", "my_round", "data", "ack", "last_send_time",
-                 "window_start", "window_end", "next_round_start")
+    __slots__ = ("config", "vid", "my_round", "data", "mask", "own", "full",
+                 "last_send_time", "window_start", "window_end", "next_round_start")
 
     def __init__(self, config: ProtocolConfig, vid: int, initial_datum: Datum) -> None:
         if not 1 <= vid <= config.n:
             raise ConfigError(f"vehicle id {vid} outside 1..{config.n}")
         self.config = config
         self.vid = vid
+        self.own = 1 << (vid - 1)
+        self.full = (1 << config.n) - 1
         self._enter_round(0)
-        # data[k-1]/ack[k-1] are the slot for member k; own slot is primed as
-        # if a round transition had just run.
+        # The own slot is primed as if a round transition had just run.
         self.data = [DEFAULT] * config.n
-        self.ack = [False] * config.n
         self.data[vid - 1] = initial_datum
-        self.ack[vid - 1] = True
+        self.mask = self.own
         self.last_send_time: Optional[int] = None
+
+    @property
+    def ack(self) -> tuple[bool, ...]:
+        """The ack mask as one bool per member, ``ack[k-1]`` for member k.
+
+        A read-only view built on each read, for readers that count or
+        compare slots (the benchmark's layer tracer counts ``True`` entries
+        around each receive, and the tests compare states); the protocol
+        itself reads ``mask``.
+        """
+        mask = self.mask
+        return tuple([mask >> k & 1 == 1 for k in range(self.config.n)])
 
     def _enter_round(self, round_index: int) -> None:
         self.my_round = round_index
@@ -210,7 +234,8 @@ class VehicleProtocol:
         Messages from other rounds are ignored. Slot k is taken when the
         sender vouches for it (its ack) or when it is the sender's own slot,
         and only while this vehicle has not acked it; the own slot is acked
-        from the round's start and is therefore never overwritten.
+        from the round's start and is therefore never overwritten. Those
+        slots are the set bits of ``new``, visited lowest first.
 
         First copy wins. In round r every copy of slot k carries vehicle k's
         round-r datum, since vehicle k writes its own slot only at a round
@@ -218,17 +243,18 @@ class VehicleProtocol:
         an acked slot would write the datum it already holds, and skipping it
         gives the same state as taking every copy.
         """
-        ack = self.ack
-        if False not in ack or msg.round != self.my_round:
+        mask = self.mask
+        if mask == self.full or msg.round != self.my_round:
             return
+        new = (msg.ack | 1 << (msg.sender - 1)) & ~mask
+        self.mask = mask | new
         data = self.data
         mdata = msg.data
-        mack = msg.ack
-        sender = msg.sender - 1
-        for k, acked in enumerate(ack):
-            if not acked and (mack[k] or k == sender):
-                data[k] = mdata[k]
-                ack[k] = True
+        while new:
+            low = new & -new
+            k = low.bit_length() - 1
+            data[k] = mdata[k]
+            new ^= low
 
     def on_tick(
         self,
@@ -249,21 +275,19 @@ class VehicleProtocol:
             or local_clock - self.last_send_time >= self.config.gossip_interval
         ):
             # tuple.__new__ builds the same NamedTuple as its constructor, in C.
-            msg = tuple.__new__(GossipMessage, (self.vid, self.my_round, tuple(self.data), tuple(self.ack)))
+            msg = tuple.__new__(GossipMessage, (self.vid, self.my_round, tuple(self.data), self.mask))
             self.last_send_time = local_clock
 
         output: Optional[RoundOutput] = None
         if local_clock >= self.next_round_start:
             s = tuple(self.data)
-            r = tuple(self.ack)
+            r = self.mask
             clock_round = local_clock // self.config.round_length
             self._enter_round(clock_round)
-            n = self.config.n
-            self.data = [DEFAULT] * n
-            self.ack = [False] * n
-            self.ack[self.vid - 1] = True
+            self.data = [DEFAULT] * self.config.n
+            self.mask = self.own
             self.last_send_time = None
-            if not all(r):
+            if r != self.full:
                 # Missed someone last round: impose the default for one round
                 # and gossip it so everyone else falls back with us.
                 self.data[self.vid - 1] = DEFAULT

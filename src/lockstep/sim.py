@@ -85,6 +85,9 @@ class ReplayMismatch(Exception):
 # Loss and delay models
 # ---------------------------------------------------------------------------
 
+_RULE_KEYS = frozenset({"round", "t", "from", "to"})
+
+
 @dataclass(frozen=True)
 class DropRule:
     """One adversarial drop directive; None fields are wildcards.
@@ -135,9 +138,14 @@ class DropRule:
 
     @staticmethod
     def from_json(d: dict) -> "DropRule":
+        """Read a rule; a key other than ``round``, ``t``, ``from`` and ``to``
+        is a misspelling, which would otherwise widen the rule to a wildcard."""
         def ref(v):
             return None if v in (None, "*") else v
 
+        unknown = next((key for key in d if key not in _RULE_KEYS), None)
+        if unknown is not None:
+            raise ConfigError(f"drop rule has unknown key {unknown!r}")
         if "round" in d:
             return DropRule(round=d["round"], sender=ref(d.get("from")), receiver=ref(d.get("to")))
         t0, t1 = d["t"]
@@ -416,22 +424,40 @@ def _dumps_decision(decision: tuple) -> str:
     return _dumps(datum_to_json(decision[0]))
 
 
-# Trace.write and replay take the lines this many at a time (about 45 KB of
-# an 8-vehicle trace): one write, or one read and compare, per block.
-_BLOCK = 256
+# Trace.write and replay take the lines this many at a time (about 22 KB of
+# an 8-vehicle trace): one write, or one read and compare, per block. Replay
+# holds about 1 KB per line of a block (the lines, their join and the text
+# read), so a block of 128 keeps its peak near 240 KB; 256 took it to 380 KB
+# and ran no faster.
+_BLOCK = 128
 
 # The JSON of each distinct vector met in the passes under way, one memo per
-# kind: vector -> (vector, JSON). A hit counts only if the cached vector holds
-# the very same element objects, since equal vectors of other element types,
-# (1, 0) and (True, False) or ServiceLevel.LOW and 1, encode differently. A
-# kind of its own keeps n=1's data vector (HIGH,) apart from the decision
-# (HIGH,). A memo that reaches _MEMO_SIZE entries starts afresh, so vectors
-# that keep changing (the platoon's data) cannot grow it; 512 holds all 256
-# ack or data vectors an 8-vehicle level run can send. _lines clears all.
+# kind. The data and decision memos map vector -> (vector, JSON), and a hit
+# counts only if the cached vector holds the very same element objects,
+# since equal vectors of other element types, (1, 0) and (True, False) or
+# ServiceLevel.LOW and 1, encode differently. A kind of its own keeps n=1's
+# data vector (HIGH,) apart from the decision (HIGH,). The ack memo maps an
+# ack mask of n members, keyed as mask | 1 << n, to its JSON list of n
+# booleans. A memo that reaches _MEMO_SIZE entries starts afresh, so vectors
+# that keep changing (the platoon's data, a large fleet's acks) cannot grow
+# it; 512 holds all 256 ack or data vectors an 8-vehicle level run can send.
+# _lines clears all.
 _MEMO_SIZE = 512
-_ack_json: dict[tuple, tuple] = {}
+_ack_json: dict[int, str] = {}
 _data_json: dict[tuple, tuple] = {}
 _decision_json: dict[tuple, tuple] = {}
+
+
+def _ack_dumps(mask: int, n: int) -> str:
+    """An ack mask of ``n`` members as the JSON list of its n bits, lowest first."""
+    key = mask | 1 << n
+    text = _ack_json.get(key)
+    if text is None:
+        text = _dumps([mask >> k & 1 == 1 for k in range(n)])
+        if len(_ack_json) >= _MEMO_SIZE:
+            _ack_json.clear()
+        _ack_json[key] = text
+    return text
 
 
 def _memo_dumps(memo: dict, vec: tuple, dumps) -> str:
@@ -449,7 +475,8 @@ def _memo_dumps(memo: dict, vec: tuple, dumps) -> str:
 
 
 def _ack_and_data(m: GossipMessage) -> tuple[str, str]:
-    return _memo_dumps(_ack_json, m.ack, _dumps), _memo_dumps(_data_json, m.data, _dumps_data)
+    data = m.data
+    return _ack_dumps(m.ack, len(data)), _memo_dumps(_data_json, data, _dumps_data)
 
 
 def _deliver_head(m: GossipMessage, ack: str, data: str) -> str:
@@ -461,7 +488,7 @@ def _deliver_head(m: GossipMessage, ack: str, data: str) -> str:
 # id(msg) -> [msg, ack JSON, data JSON, deliver head, copies left]. The entry
 # holds msg, so no other object can have its id while cached; a miss (a
 # deliver with no send line, say) encodes afresh. A send
-# expects one copy per other member (len(msg.ack) - 1) and each deliver or
+# expects one copy per other member (len(msg.data) - 1) and each deliver or
 # drop line takes one, so after a complete trace the cache is empty again.
 _in_flight: dict[int, list] = {}
 
@@ -492,13 +519,13 @@ def event_to_json(ev: TraceEvent) -> str:
                 f'"from":{m[0]},"round":{m[1]},"t":{t},"to":{receiver}}}')
     if kind is SendEvent:
         t, m = ev
-        sender, rnd, _, vack = m
+        sender, rnd, vdata, _ = m
         ack, data = _ack_and_data(m)
-        if len(vack) > 1:
-            _in_flight[id(m)] = [m, ack, data, _deliver_head(m, ack, data), len(vack) - 1]
+        if len(vdata) > 1:
+            _in_flight[id(m)] = [m, ack, data, _deliver_head(m, ack, data), len(vdata) - 1]
         return f'{{"ack":{ack},"data":{data},"ev":"send","round":{rnd},"t":{t},"v":{sender}}}'
     t, vehicle, (rnd, s, r, decision) = ev
-    return (f'{{"ack":{_memo_dumps(_ack_json, r, _dumps)},'
+    return (f'{{"ack":{_ack_dumps(r, len(s))},'
             f'"data":{_memo_dumps(_data_json, s, _dumps_data)},'
             f'"decision":{_memo_dumps(_decision_json, (decision,), _dumps_decision)},'
             f'"ev":"output","round":{rnd},"t":{t},"v":{vehicle}}}')

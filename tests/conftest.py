@@ -73,6 +73,19 @@ PINNED_LEVEL_CONFIGS = {
 }
 
 
+def ack_mask(flags):
+    """The ack mask of one bool per member, ``flags[k-1]`` for member k: bit k - 1.
+
+    Tests state acks as bools and read masks back through ``ack_flags``.
+    """
+    return sum(1 << k for k, acked in enumerate(flags) if acked)
+
+
+def ack_flags(mask, n):
+    """An ack mask of ``n`` members as one bool per member: ``ack_mask``'s inverse."""
+    return tuple(mask >> k & 1 == 1 for k in range(n))
+
+
 def events_of(trace, kind):
     """The trace's events of one type (``SendEvent``, ``DropEvent``, ...), in order."""
     return [ev for ev in trace.events if isinstance(ev, kind)]
@@ -118,7 +131,7 @@ def acked_copies_agree(inst, msg):
     """
     if msg.round != inst.my_round:
         return
-    for k, (mine, theirs) in enumerate(zip(inst.ack, msg.ack)):
+    for k, (mine, theirs) in enumerate(zip(inst.ack, ack_flags(msg.ack, len(msg.data)))):
         if mine and theirs:
             assert inst.data[k] == msg.data[k], (inst.vid, k + 1, inst.data[k], msg)
 
@@ -150,7 +163,7 @@ def synthetic_trace(decisions_by_round, stable_rounds=None, n=None):
             if not stable[r] and vid == 1:
                 acks[-1] = False
             s = tuple(HIGH for _ in range(n))
-            out = RoundOutput(r + 1, s, tuple(acks), decisions_by_round[r][vid - 1])
+            out = RoundOutput(r + 1, s, ack_mask(acks), decisions_by_round[r][vid - 1])
             events.append(OutputEvent((r + 1) * round_length, vid, out))
     return Trace(config=config, app_spec={"kind": "level", "level": "high"}, events=events)
 

@@ -17,7 +17,8 @@ from lockstep.platoon import LevelApp, ServiceLevel
 from lockstep.protocol import DEFAULT, RoundOutput, is_default
 from lockstep.sim import BernoulliLoss, DropEvent, DropRule, OutputEvent, ScheduleLoss, run
 
-from conftest import MS, events_of, make_sim_config, simulated_view, synthetic_trace, trace_view
+from conftest import (MS, ack_mask, events_of, make_sim_config, simulated_view, synthetic_trace,
+                      trace_view)
 
 HIGH = ServiceLevel.HIGH
 LOW = ServiceLevel.LOW
@@ -66,7 +67,8 @@ def test_retransmission_repair_keeps_round_stable():
 
 def test_truncated_vehicle_outputs_are_flagged():
     trace = synthetic_trace([[HIGH, HIGH]] * 5)
-    trace.events.append(OutputEvent(6 * RL, 1, RoundOutput(6, (HIGH, HIGH), (True, True), HIGH)))
+    trace.events.append(OutputEvent(6 * RL, 1, RoundOutput(6, (HIGH, HIGH),
+                                                           ack_mask((True, True)), HIGH)))
     view = trace_view(trace)
     assert view.rounds == 5
     assert view.truncated_outputs == 1
@@ -74,7 +76,8 @@ def test_truncated_vehicle_outputs_are_flagged():
 
 def test_gapped_outputs_rejected():
     trace = synthetic_trace([[HIGH, HIGH]] * 3)
-    trace.events.append(OutputEvent(9 * RL, 1, RoundOutput(9, (HIGH, HIGH), (True, True), HIGH)))
+    trace.events.append(OutputEvent(9 * RL, 1, RoundOutput(9, (HIGH, HIGH),
+                                                           ack_mask((True, True)), HIGH)))
     with pytest.raises(AnalysisError):
         trace_view(trace)
 

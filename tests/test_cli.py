@@ -356,6 +356,8 @@ def _rewrite_header(path, lines, edit):
     # A rule that can match nothing is a typo, not a schedule.
     ("rule-round-negative", "bad value: drop rule round must be >= 0, got -4"),
     ("rule-span-backwards", "bad value: drop rule span [200, 100] matches no send time"),
+    # A misspelled key would widen the rule to a wildcard.
+    ("rule-misspelled-key", "bad value: drop rule has unknown key 'recieer'"),
     # A clock more than a round ahead would skip a round.
     ("offsets-past-a-round", "clock offsets must be <= round_length 160000"),
 ])
@@ -381,6 +383,8 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
                                          "rules": [{"round": -4, "from": 2, "to": "*"}]}},
         "rule-span-backwards": {"loss": {"kind": "composite", "p": 0.1,
                                          "rules": [{"t": [200, 100], "from": "*", "to": 1}]}},
+        "rule-misspelled-key": {"loss": {"kind": "schedule",
+                                         "rules": [{"round": 3, "recieer": 2}]}},
     }
     app_edits = {
         "app-not-object": 5,
@@ -451,6 +455,10 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
     pytest.param(["run", "--loss", "composite:0.1,{before0}"],
                  "drop rule span [-300, -1] matches no send time",
                  id="run-composite-span-before-0"),
+    pytest.param(["run", "--loss", "schedule:{misspelled}"],
+                 "drop rule has unknown key 'recieer'", id="run-schedule-misspelled-key"),
+    pytest.param(["run", "--loss", "composite:0.1,{misspelled}"],
+                 "drop rule has unknown key 'recieer'", id="run-composite-misspelled-key"),
     pytest.param(["scenario", "--outage-rounds", "1"], "at least two rounds",
                  id="scenario-outage-rounds-1"),
     pytest.param(["scenario", "--outage-round", "39"], "outage_round must be in 0..30",
@@ -628,6 +636,7 @@ def test_malformed_command_input_is_usage_error(tmp_path, capsys, argv, message)
         "negative": '[{"round": -4, "from": 2, "to": "*"}]\n',
         "backwards": '[{"t": [2000000, 1000000], "from": "*", "to": 1}]\n',
         "before0": '[{"t": [-300, -1], "from": "*", "to": 1}]\n',
+        "misspelled": '[{"round": 3, "recieer": 2}]\n',
     }
     paths = {name: tmp_path / f"{name}.json" for name in files}
     for name, text in files.items():

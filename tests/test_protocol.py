@@ -25,7 +25,7 @@ from lockstep.protocol import (
 )
 from lockstep.platoon import ServiceLevel, min_level_decide
 
-from conftest import MS, make_protocol_config
+from conftest import MS, ack_flags, ack_mask, make_protocol_config
 
 HIGH = ServiceLevel.HIGH
 MEDIUM = ServiceLevel.MEDIUM
@@ -42,7 +42,8 @@ def read_high():
 def test_init_state_shape():
     v = VehicleProtocol(make_protocol_config(n=2), 1, HIGH)
     assert v.my_round == 0
-    assert v.ack == [True, False]
+    assert v.mask == 0b01
+    assert v.ack == (True, False)
     assert v.data == [HIGH, DEFAULT]
     assert v.last_send_time is None
 
@@ -113,44 +114,50 @@ def make_vehicle(n=3, vid=1, datum=HIGH, round_ms=160):
 def test_receive_ignores_other_rounds():
     v = make_vehicle(n=2)
     v.my_round = 5
-    before = (list(v.data), list(v.ack))
-    v.on_gossip_receive(GossipMessage(2, 4, (DEFAULT, MEDIUM), (False, True)))
-    v.on_gossip_receive(GossipMessage(2, 6, (DEFAULT, MEDIUM), (False, True)))
-    assert (v.data, v.ack) == before
+    before = (list(v.data), v.mask)
+    v.on_gossip_receive(GossipMessage(2, 4, (DEFAULT, MEDIUM), ack_mask((False, True))))
+    v.on_gossip_receive(GossipMessage(2, 6, (DEFAULT, MEDIUM), ack_mask((False, True))))
+    assert (v.data, v.mask) == before
 
 
 def test_receive_takes_vouched_slots_but_never_own():
     # Sender 2 vouches for slot 1 (our own) and itself; slot 3 is unacked.
     v = make_vehicle(n=3, vid=1, datum=HIGH)
-    msg = GossipMessage(2, 0, (MEDIUM, MEDIUM, DEFAULT), (True, True, False))
+    msg = GossipMessage(2, 0, (MEDIUM, MEDIUM, DEFAULT), ack_mask((True, True, False)))
     v.on_gossip_receive(msg)
     assert v.data == [HIGH, MEDIUM, DEFAULT]
-    assert v.ack == [True, True, False]
+    assert v.ack == (True, True, False)
 
 
 def test_receive_transitive_relay():
     # 3 relays 2's datum: both slots land even though 2 never reached us.
     v = make_vehicle(n=3, vid=1, datum=HIGH)
-    msg = GossipMessage(3, 0, (DEFAULT, MEDIUM, HIGH), (False, True, True))
+    msg = GossipMessage(3, 0, (DEFAULT, MEDIUM, HIGH), ack_mask((False, True, True)))
     v.on_gossip_receive(msg)
-    assert v.ack == [True, True, True]
+    assert v.ack == (True, True, True)
     assert v.data == [HIGH, MEDIUM, HIGH]
 
 
 def reference_receive(n, vid, my_round, data, ack, msg):
     """Direct transliteration of the receive guard, kept independent on purpose."""
     data, ack = list(data), list(ack)
+    msg_ack = ack_flags(msg.ack, n)
     if my_round == msg.round:
         for k in range(1, n + 1):
-            if (msg.ack[k - 1] and vid != k) or (k == msg.sender):
+            if (msg_ack[k - 1] and vid != k) or (k == msg.sender):
                 data[k - 1] = msg.data[k - 1]
                 ack[k - 1] = True
     return data, ack
 
 
+SMALL_FLEETS = st.integers(min_value=2, max_value=5)
+# Fleets up to 64 members: masks wider than 30 bits are multi-digit ints.
+FLEETS_UP_TO_64 = st.integers(min_value=2, max_value=8) | st.integers(min_value=9, max_value=64)
+
+
 @st.composite
-def receive_cases(draw):
-    n = draw(st.integers(min_value=2, max_value=5))
+def receive_cases(draw, sizes=FLEETS_UP_TO_64):
+    n = draw(sizes)
     vid = draw(st.integers(min_value=1, max_value=n))
     sender = draw(st.integers(min_value=1, max_value=n).filter(lambda s: s != vid))
     my_round = draw(st.integers(min_value=0, max_value=3))
@@ -159,10 +166,11 @@ def receive_cases(draw):
     state_ack = [draw(st.booleans()) for _ in range(n)]
     state_ack[vid - 1] = True
     state_data = [draw(datum) if state_ack[k] else DEFAULT for k in range(n)]
+    # The sender's own ack bit is drawn too: its slot is taken either way.
     msg_ack = [draw(st.booleans()) for _ in range(n)]
-    msg_ack[sender - 1] = True
-    msg_data = tuple(draw(datum) if msg_ack[k] else DEFAULT for k in range(n))
-    msg = GossipMessage(sender, msg_round, msg_data, tuple(msg_ack))
+    msg_data = tuple(draw(datum) if msg_ack[k] or k == sender - 1 else DEFAULT
+                     for k in range(n))
+    msg = GossipMessage(sender, msg_round, msg_data, ack_mask(msg_ack))
     return n, vid, my_round, state_data, state_ack, msg
 
 
@@ -173,7 +181,7 @@ def reachable_receive_cases(draw):
     Vehicle k's datum for round r is ``round_data[r][k-1]``; a slot is
     DEFAULT until acked, and a message carries the data of its own round.
     """
-    n = draw(st.integers(min_value=2, max_value=8))
+    n = draw(FLEETS_UP_TO_64)
     vid = draw(st.integers(min_value=1, max_value=n))
     sender = draw(st.integers(min_value=1, max_value=n).filter(lambda s: s != vid))
     my_round = draw(st.integers(min_value=0, max_value=3))
@@ -186,7 +194,7 @@ def reachable_receive_cases(draw):
     msg_ack = [draw(st.booleans()) for _ in range(n)]
     msg_ack[sender - 1] = True
     msg_data = tuple(round_data[msg_round][k] if msg_ack[k] else DEFAULT for k in range(n))
-    msg = GossipMessage(sender, msg_round, msg_data, tuple(msg_ack))
+    msg = GossipMessage(sender, msg_round, msg_data, ack_mask(msg_ack))
     return n, vid, my_round, state_data, state_ack, msg
 
 
@@ -194,7 +202,7 @@ def received(n, vid, my_round, data, ack, msg):
     v = make_vehicle(n=n, vid=vid, datum=data[vid - 1])
     v.my_round = my_round
     v.data = list(data)
-    v.ack = list(ack)
+    v.mask = ack_mask(ack)
     v.on_gossip_receive(msg)
     return v
 
@@ -207,7 +215,7 @@ def test_receive_matches_reference_interpreter(case):
     n, vid, my_round, data, ack, msg = case
     v = received(n, vid, my_round, data, ack, msg)
     want_data, want_ack = reference_receive(n, vid, my_round, data, ack, msg)
-    assert v.ack == want_ack
+    assert list(v.ack) == want_ack
     unacked = [k for k in range(n) if not ack[k]]
     assert [v.data[k] for k in unacked] == [want_data[k] for k in unacked]
 
@@ -216,24 +224,24 @@ def test_receive_matches_reference_interpreter(case):
 def test_receive_matches_reference_on_reachable_states(case):
     n, vid, my_round, data, ack, msg = case
     v = received(n, vid, my_round, data, ack, msg)
-    assert (v.data, v.ack) == reference_receive(n, vid, my_round, data, ack, msg)
+    assert (v.data, list(v.ack)) == reference_receive(n, vid, my_round, data, ack, msg)
 
 
-@given(receive_cases())
+@given(receive_cases(SMALL_FLEETS))
 def test_receive_invariants(case):
     """Own slots immutable, acks monotone, and stale rounds leave no trace."""
     n, vid, my_round, data, ack, msg = case
     v = make_vehicle(n=n, vid=vid, datum=data[vid - 1])
     v.my_round = my_round
     v.data = list(data)
-    v.ack = list(ack)
+    v.mask = ack_mask(ack)
     v.on_gossip_receive(msg)
     assert v.data[vid - 1] == data[vid - 1]
     assert v.ack[vid - 1] is True
     for before, after in zip(ack, v.ack):
         assert after or not before  # no true -> false
     if msg.round != my_round:
-        assert v.data == list(data) and v.ack == list(ack)
+        assert v.data == list(data) and list(v.ack) == list(ack)
 
 
 class ReferenceTicker:
@@ -260,7 +268,7 @@ class ReferenceTicker:
         if in_send_window(config, self.my_round, local_clock) and (
                 self.last_send_time is None
                 or local_clock - self.last_send_time >= config.gossip_interval):
-            msg = GossipMessage(self.vid, self.my_round, tuple(self.data), tuple(self.ack))
+            msg = GossipMessage(self.vid, self.my_round, tuple(self.data), ack_mask(self.ack))
             self.last_send_time = local_clock
         output = None
         clock_round = local_clock // config.round_length
@@ -273,9 +281,9 @@ class ReferenceTicker:
             self.last_send_time = None
             if all(r):
                 self.data[self.vid - 1] = read_state()
-                output = RoundOutput(clock_round, s, r, checked_decide(decide, s))
+                output = RoundOutput(clock_round, s, ack_mask(r), checked_decide(decide, s))
             else:
-                output = RoundOutput(clock_round, s, r, DEFAULT)
+                output = RoundOutput(clock_round, s, ack_mask(r), DEFAULT)
         return msg, output
 
 
@@ -334,12 +342,12 @@ def test_tick_matches_reference(case):
             sender, ack, own_round = receive
             rnd = reference.my_round if own_round else reference.my_round + 1
             data = tuple(round_datum(rnd, k) if acked else DEFAULT for k, acked in enumerate(ack))
-            msg = GossipMessage(sender, rnd, data, ack)
+            msg = GossipMessage(sender, rnd, data, ack_mask(ack))
             vehicle.on_gossip_receive(msg)
             reference.on_gossip_receive(msg)
         got = vehicle.on_tick(clock, lambda: datum, min_level_decide)
         assert got == reference.on_tick(clock, lambda: datum, min_level_decide), clock
-    assert ((vehicle.my_round, vehicle.data, vehicle.ack, vehicle.last_send_time)
+    assert ((vehicle.my_round, vehicle.data, list(vehicle.ack), vehicle.last_send_time)
             == (reference.my_round, reference.data, reference.ack, reference.last_send_time))
 
 
@@ -373,7 +381,7 @@ def test_tick_sends_inside_window_without_transition():
     msg, output = v.on_tick(5 * MS, read_high, min_level_decide)
     assert output is None
     assert v.my_round == 0
-    assert msg == GossipMessage(1, 0, (HIGH, DEFAULT), (True, False))
+    assert msg == GossipMessage(1, 0, (HIGH, DEFAULT), ack_mask((True, False)))
 
 
 def test_tick_rate_limits_sends():
@@ -386,13 +394,13 @@ def test_tick_rate_limits_sends():
 
 def test_boundary_with_all_acks_decides():
     v = make_vehicle(n=2, vid=1)
-    v.on_gossip_receive(GossipMessage(2, 0, (DEFAULT, HIGH), (False, True)))
+    v.on_gossip_receive(GossipMessage(2, 0, (DEFAULT, HIGH), ack_mask((False, True))))
     msg, output = v.on_tick(160 * MS, read_high, min_level_decide)
     assert msg is None
     assert output is not None
     assert output.round == 1
     assert output.s == (HIGH, HIGH)
-    assert output.r == (True, True)
+    assert output.r == ack_mask((True, True))
     assert output.decision == HIGH
     assert v.my_round == 1
 
@@ -400,7 +408,7 @@ def test_boundary_with_all_acks_decides():
 def test_boundary_with_missing_ack_falls_back_and_gossips_default():
     v = make_vehicle(n=2, vid=1)
     _, output = v.on_tick(160 * MS, read_high, min_level_decide)
-    assert output.r == (True, False)
+    assert output.r == ack_mask((True, False))
     assert is_default(output.decision)
     assert is_default(v.data[0])
     msg, _ = v.on_tick(165 * MS, read_high, min_level_decide)
@@ -422,7 +430,7 @@ def test_tick_determinism():
         log = []
         for t in (5 * MS, 55 * MS, 160 * MS, 165 * MS, 320 * MS):
             if t == 55 * MS:
-                v.on_gossip_receive(GossipMessage(2, 0, (DEFAULT, MEDIUM), (False, True)))
+                v.on_gossip_receive(GossipMessage(2, 0, (DEFAULT, MEDIUM), ack_mask((False, True))))
             log.append(copy.deepcopy(v.on_tick(t, read_high, min_level_decide)))
         return log, v.data, v.ack, v.my_round
 
@@ -451,6 +459,6 @@ def test_checked_decide_reports_contract_violation():
 
 def test_contract_enforced_at_round_boundary():
     v = make_vehicle(n=2, vid=1)
-    v.on_gossip_receive(GossipMessage(2, 0, (DEFAULT, DEFAULT), (False, True)))
+    v.on_gossip_receive(GossipMessage(2, 0, (DEFAULT, DEFAULT), ack_mask((False, True))))
     with pytest.raises(DecideContractError):
         v.on_tick(160 * MS, read_high, lambda s: HIGH)

@@ -31,7 +31,7 @@ from lockstep.sim import (
     simulate,
 )
 
-from conftest import MS, adversaries, make_sim_config, synthetic_trace
+from conftest import MS, ack_flags, ack_mask, adversaries, make_sim_config, synthetic_trace
 
 HIGH = ServiceLevel.HIGH
 RL = 160 * MS
@@ -71,7 +71,7 @@ def reference_round_view(trace: Trace) -> ReferenceView:
         for t in range(1, rounds + 1)
     ]
     end_acks = [
-        tuple(per_vehicle[i][r + 1].output.r for i in range(n))
+        tuple(ack_flags(per_vehicle[i][r + 1].output.r, n) for i in range(n))
         for r in range(rounds)
     ]
     return ReferenceView(n=n, rounds=rounds, decisions=decisions,
@@ -149,13 +149,15 @@ def test_one_pass_view_matches_reference_on_adversaries(config):
 
 def test_one_pass_view_matches_reference_on_a_truncated_trace():
     trace = synthetic_trace([[HIGH, HIGH]] * 5)
-    trace.events.append(OutputEvent(6 * RL, 1, RoundOutput(6, (HIGH, HIGH), (True, True), HIGH)))
+    trace.events.append(OutputEvent(6 * RL, 1, RoundOutput(6, (HIGH, HIGH),
+                                                           ack_mask((True, True)), HIGH)))
     assert_same_view(trace, trace.events)
 
 
 def test_one_pass_view_rejects_a_gapped_trace_like_the_reference():
     trace = synthetic_trace([[HIGH, HIGH]] * 3)
-    trace.events.append(OutputEvent(9 * RL, 1, RoundOutput(9, (HIGH, HIGH), (True, True), HIGH)))
+    trace.events.append(OutputEvent(9 * RL, 1, RoundOutput(9, (HIGH, HIGH),
+                                                           ack_mask((True, True)), HIGH)))
     with pytest.raises(AnalysisError, match="non-consecutive"):
         reference_round_view(trace)
     with pytest.raises(AnalysisError, match="non-consecutive"):
@@ -168,7 +170,7 @@ def test_one_pass_view_rejects_outputs_out_of_round_order(late_round):
     # rest; reading once, a vehicle's outputs must come in round order.
     trace = synthetic_trace([[HIGH, HIGH]] * 3)
     trace.events.append(OutputEvent(4 * RL, 1, RoundOutput(late_round, (HIGH, HIGH),
-                                                           (True, True), HIGH)))
+                                                           ack_mask((True, True)), HIGH)))
     reference_round_view(trace)
     with pytest.raises(AnalysisError, match="non-consecutive"):
         round_view(2, trace.events)

@@ -51,6 +51,8 @@ from lockstep.sim import (
 from conftest import (
     MS,
     PINNED_LEVEL_CONFIGS,
+    ack_flags,
+    ack_mask,
     acked_copies_agree,
     drain_checked,
     events_of,
@@ -284,9 +286,9 @@ def test_single_link_outage_matches_oracle():
     for ev in events_of(trace, OutputEvent):
         out = ev.output
         if (ev.vehicle, out.round) == (1, 21):
-            assert out.r == (True, True, False, True)
+            assert out.r == ack_mask((True, True, False, True))
         else:
-            assert all(out.r)
+            assert all(ack_flags(out.r, 4))
     assert view.complete[20] == (False, True, True, True)
     expected = oracle.run_abstract(4, view.complete, LevelApp(HIGH).decide, (HIGH,) * 4)
     assert view.decisions == expected
@@ -297,8 +299,9 @@ def test_messages_are_well_formed():
     trace = run_high(make_sim_config(n=4, rounds=30, seed=20, loss=BernoulliLoss(0.3)))
     for ev in events_of(trace, SendEvent):
         msg = ev.msg
-        assert msg.ack[msg.sender - 1]
-        for d, a in zip(msg.data, msg.ack):
+        ack = ack_flags(msg.ack, len(msg.data))
+        assert ack[msg.sender - 1]
+        for d, a in zip(msg.data, ack):
             assert a or is_default(d)
 
 
@@ -309,7 +312,8 @@ def test_output_law_on_lossy_run():
 
     for ev in events_of(trace, OutputEvent):
         out = ev.output
-        expect_default = (not all(out.r)) or is_default(min_level_decide(out.s))
+        complete = all(ack_flags(out.r, len(out.s)))
+        expect_default = (not complete) or is_default(min_level_decide(out.s))
         assert is_default(out.decision) == expect_default
 
 
@@ -573,23 +577,27 @@ def _reference_dumps(obj: dict) -> str:
 
 def reference_event_to_json(ev) -> str:
     """The one-dict-per-line encoder that re-encoded every message copy."""
+    def acks(m):
+        return list(ack_flags(m.ack, len(m.data)))
+
     if isinstance(ev, SendEvent):
         m = ev.msg
         return _reference_dumps({"t": ev.t, "ev": "send", "v": m.sender, "round": m.round,
-                                 "data": [datum_to_json(d) for d in m.data], "ack": list(m.ack)})
+                                 "data": [datum_to_json(d) for d in m.data], "ack": acks(m)})
     if isinstance(ev, DeliverEvent):
         m = ev.msg
         return _reference_dumps({"t": ev.t, "ev": "deliver", "from": m.sender, "to": ev.receiver,
                                  "round": m.round, "data": [datum_to_json(d) for d in m.data],
-                                 "ack": list(m.ack)})
+                                 "ack": acks(m)})
     if isinstance(ev, DropEvent):
         m = ev.msg
         return _reference_dumps({"t": ev.t, "ev": "drop", "from": m.sender, "to": ev.receiver,
                                  "round": m.round, "data": [datum_to_json(d) for d in m.data],
-                                 "ack": list(m.ack), "cause": ev.cause})
+                                 "ack": acks(m), "cause": ev.cause})
     out = ev.output
     return _reference_dumps({"t": ev.t, "ev": "output", "v": ev.vehicle, "round": out.round,
-                             "data": [datum_to_json(d) for d in out.s], "ack": list(out.r),
+                             "data": [datum_to_json(d) for d in out.s],
+                             "ack": list(ack_flags(out.r, len(out.s))),
                              "decision": datum_to_json(out.decision)})
 
 
@@ -661,12 +669,13 @@ def test_encoder_matches_reference_on_platoon_dict_payloads():
 def hand_built_trace():
     """Copies out of step with their sends: the cache must miss, never mis-hit."""
     config = make_sim_config(n=3, rounds=2, seed=8)
-    orphan = GossipMessage(2, 0, (DEFAULT, HIGH, DEFAULT), (False, True, False))
-    m = GossipMessage(1, 0, (HIGH, DEFAULT, DEFAULT), (True, False, False))
+    orphan = GossipMessage(2, 0, (DEFAULT, HIGH, DEFAULT), ack_mask((False, True, False)))
+    m = GossipMessage(1, 0, (HIGH, DEFAULT, DEFAULT), ack_mask((True, False, False)))
     twin = GossipMessage(*m)  # equal to m, another object
-    unhashable = GossipMessage(3, 1, (DEFAULT, DEFAULT, ["raw", 1]), (False, False, True))
-    never_copied = GossipMessage(2, 1, (DEFAULT, HIGH, DEFAULT), (False, True, False))
-    out = RoundOutput(1, (HIGH, DEFAULT, DEFAULT), (True, False, False), DEFAULT)
+    unhashable = GossipMessage(3, 1, (DEFAULT, DEFAULT, ["raw", 1]),
+                               ack_mask((False, False, True)))
+    never_copied = GossipMessage(2, 1, (DEFAULT, HIGH, DEFAULT), ack_mask((False, True, False)))
+    out = RoundOutput(1, (HIGH, DEFAULT, DEFAULT), ack_mask((True, False, False)), DEFAULT)
     events = [
         DeliverEvent(5, 1, orphan),  # no send line
         SendEvent(10, m),
@@ -692,17 +701,18 @@ def test_encoder_matches_reference_on_a_hand_built_trace():
 
 
 def mixed_type_trace():
-    """Equal vectors whose elements differ in type: no two may share an encoding."""
+    """Equal data and decision vectors whose elements differ in type: no two
+    may share an encoding. An ack is an int mask, so acks have no such types."""
     config = make_sim_config(n=2, rounds=2, seed=8)
     low = ServiceLevel.LOW
     sends = [
-        GossipMessage(1, 0, (1, DEFAULT), (True, False)),
-        GossipMessage(2, 0, (True, DEFAULT), (1, 0)),
-        GossipMessage(1, 0, (1.0, DEFAULT), (True, False)),
-        GossipMessage(2, 0, (low, DEFAULT), (1, 0)),
-        GossipMessage(1, 0, (1, DEFAULT), (True, False)),  # the first types again
-        GossipMessage(2, 1, (DEFAULT, ["raw", 1]), (False, True)),  # unhashable
-        GossipMessage(1, 1, (DEFAULT, ["raw", 1]), (False, True)),
+        GossipMessage(1, 0, (1, DEFAULT), 0b01),
+        GossipMessage(2, 0, (True, DEFAULT), 0b01),
+        GossipMessage(1, 0, (1.0, DEFAULT), 0b01),
+        GossipMessage(2, 0, (low, DEFAULT), 0b01),
+        GossipMessage(1, 0, (1, DEFAULT), 0b01),  # the first types again
+        GossipMessage(2, 1, (DEFAULT, ["raw", 1]), 0b10),  # unhashable
+        GossipMessage(1, 1, (DEFAULT, ["raw", 1]), 0b10),
     ]
     events = []
     for i, m in enumerate(sends):
@@ -711,11 +721,11 @@ def mixed_type_trace():
         copy = m if i % 2 else GossipMessage(*m)
         events.append(DeliverEvent(10 * i + 5, 3 - m.sender, copy))
     for vid, s, r, decision in [
-        (1, (1, DEFAULT), (True, False), 1),
-        (2, (True, DEFAULT), (1, 0), True),
-        (1, (low, 1.0), (True, True), low),
-        (2, (1.0, low), (True, True), 1.0),
-        (1, (1, 1), (True, True), 1),
+        (1, (1, DEFAULT), 0b01, 1),
+        (2, (True, DEFAULT), 0b01, True),
+        (1, (low, 1.0), 0b11, low),
+        (2, (1.0, low), 0b11, 1.0),
+        (1, (1, 1), 0b11, 1),
     ]:
         events.append(OutputEvent(RL, vid, RoundOutput(1, s, r, decision)))
     return Trace(config=config, app_spec={"kind": "level", "level": "high"}, events=events)
@@ -739,6 +749,24 @@ def test_vector_memos_stay_within_their_bound_on_the_platoon_scenario(monkeypatc
             lines.append(line)
             sizes.append(max(map(len, memos)))
         assert lines == reference_lines(trace)
+        assert max(sizes) <= bound
+        assert_nothing_cached()
+
+
+def test_ack_memo_stays_within_its_bound_on_a_large_fleet(monkeypatch):
+    # 32 members: masks wider than 30 bits. Under heavy loss they keep changing;
+    # a small bound shows them reach it.
+    trace = run_high(make_sim_config(n=32, rounds=2, seed=12, round_ms=260,
+                                     loss=BernoulliLoss(0.9)))
+    assert len({ev.msg.ack for ev in events_of(trace, SendEvent)}) > 64
+    reference = reference_lines(trace)
+    for bound in (sim._MEMO_SIZE, 64):
+        monkeypatch.setattr(sim, "_MEMO_SIZE", bound)
+        lines, sizes = [], []
+        for line in trace.lines():
+            lines.append(line)
+            sizes.append(len(sim._ack_json))
+        assert lines == reference
         assert max(sizes) <= bound
         assert_nothing_cached()
 
