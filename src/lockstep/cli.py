@@ -77,7 +77,7 @@ def parse_loss(text: str) -> LossModel:
         if kind == "composite":
             p, _, path = rest.partition(",")
             return CompositeLoss(float(p), load_schedule(path))
-    except (KeyError, OSError, TypeError, ValueError) as exc:  # not a number, or not a schedule
+    except (OSError, RecursionError, ValueError) as exc:  # not a number, JSON or a schedule
         raise ConfigError(f"bad loss spec {text!r}: {exc}") from None
     raise ConfigError(f"unknown loss spec {text!r} (bernoulli:P | schedule:FILE | composite:P,FILE)")
 
@@ -291,7 +291,7 @@ def cmd_scenario(args) -> int:
     if args.scenario_json:
         try:
             spec = json.loads(Path(args.scenario_json).read_text())
-        except (OSError, ValueError) as exc:  # unreadable, not text, or not JSON
+        except (OSError, RecursionError, ValueError) as exc:  # unreadable, or not JSON
             raise ConfigError(f"cannot read scenario {args.scenario_json}: {exc}") from None
         scenario = ScenarioSpec.from_json(spec)
     else:
@@ -409,10 +409,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # cyclic garbage that grows with its input: events, messages, vectors,
     # views and reports are tuples, lists and dataclasses, which reference
     # counting frees. Left on, the collector would rescan everything a command
-    # holds, above all the events of a run before its trace is written. The
-    # few hundred cyclic objects the argument parser leaves wait for the next
-    # collection after the call; tests/test_cli.py checks that a command's
-    # cyclic garbage does not grow with its size.
+    # holds, above all the events of a run before its trace is written. For a
+    # caller that had it on, the young generation (the parser's few hundred
+    # cyclic objects) is collected before returning, not at the caller's next
+    # allocation; tests/test_cli.py checks a command's cyclic garbage does not grow.
     collecting = gc.isenabled()
     gc.disable()
     try:
@@ -430,6 +430,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 2
     finally:
         if collecting:  # a caller that had the collector off keeps it off
+            gc.collect(0)
             gc.enable()
 
 

@@ -19,11 +19,12 @@ into an acceleration through ``World.command``, which records one
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from enum import IntEnum
 from typing import Optional
 
-from .protocol import DEFAULT, ConfigError, Datum, ProtocolConfig, RoundOutput, is_default
+from .protocol import (DEFAULT, ConfigError, Datum, ProtocolConfig, RoundOutput, is_default,
+                       read_kind, read_object)
 from .sim import (
     App,
     DropRule,
@@ -46,7 +47,8 @@ class ServiceLevel(IntEnum):
 
 
 # The names a level may be given, in order.
-_LEVEL_NAMES = ", ".join(level.to_json() for level in ServiceLevel)
+_LEVEL_KEYS = tuple(level.to_json() for level in ServiceLevel)
+_LEVEL_NAMES = ", ".join(_LEVEL_KEYS)
 
 
 def level_from_json(where: str, name) -> ServiceLevel:
@@ -67,18 +69,6 @@ def _finite(value) -> bool:
         return math.isfinite(value)
     except OverflowError:
         return False
-
-
-def _check_keys(where: str, d: dict, cls) -> None:
-    """Reject the first key of ``d`` that is no field of ``cls``, then the
-    first field without a default that ``d`` lacks, naming it."""
-    names = {f.name: f for f in fields(cls)}
-    for key in d:
-        if key not in names:
-            raise ConfigError(f"{where} has unknown field {key!r}")
-    for name, f in names.items():
-        if name not in d and f.default is MISSING:
-            raise ConfigError(f"{where} lacks field {name!r}")
 
 
 @dataclass(frozen=True)
@@ -134,18 +124,14 @@ def level_table_to_json(table: LevelTable) -> dict:
     return {level.to_json(): asdict(params) for level, params in sorted(table.items())}
 
 
-def level_table_from_json(d: dict) -> LevelTable:
-    if not isinstance(d, dict):
-        raise ConfigError(f"scenario field 'levels' must be an object, got {d!r}")
+def levels_from_json(d: dict, where: str) -> tuple:
+    """The level table ``d`` gives, as ``ScenarioSpec.levels`` holds it: sorted pairs."""
     table = {}
-    for name, entry in d.items():
-        level = level_from_json("scenario field 'levels'", name)
-        where = f"scenario field 'levels' {name}"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{where} must be an object, got {entry!r}")
-        _check_keys(where, entry, LevelParams)
-        table[level] = LevelParams(**entry)
-    return table
+    for name, entry in read_object(where, d, optional=_LEVEL_KEYS).items():
+        read_object(f"{where}.{name}", entry, ("headway", "accel_bound"),
+                    ("position_error", "velocity_error"))
+        table[ServiceLevel[name.upper()]] = LevelParams(**entry)
+    return tuple(sorted(table.items()))
 
 
 @dataclass(frozen=True)
@@ -389,17 +375,13 @@ class ScenarioSpec:
                 "levels": level_table_to_json(self.level_table)}
 
     @staticmethod
-    def from_json(d: dict) -> "ScenarioSpec":
+    def from_json(d: dict, where: str = "scenario") -> "ScenarioSpec":
         """The scenario a JSON object gives; a field it omits takes its default."""
-        if not isinstance(d, dict):
-            raise ConfigError(f"a scenario must be a JSON object, got {d!r}")
-        _check_keys("scenario", d, ScenarioSpec)
-        d = dict(d)
+        d = dict(read_object(where, d, optional=[f.name for f in fields(ScenarioSpec)]))
         if "initial_level" in d:
-            d["initial_level"] = level_from_json("scenario field 'initial_level'",
-                                                 d["initial_level"])
+            d["initial_level"] = level_from_json(f"{where}.initial_level", d["initial_level"])
         if "levels" in d:
-            d["levels"] = tuple(sorted(level_table_from_json(d["levels"]).items()))
+            d["levels"] = levels_from_json(d["levels"], f"{where}.levels")
         return ScenarioSpec(**d)
 
 
@@ -458,15 +440,10 @@ class LevelApp(App):
 
 def build_app(spec: dict) -> App:
     """Rebuild a recorded application from its ``App.spec``, for replay."""
-    kind = spec.get("kind")
-    try:
-        if kind == "level":
-            return LevelApp(level_from_json("field 'level'", spec.get("level")))
-        if kind == "platoon-worst-case":
-            return PlatoonApp(ScenarioSpec.from_json(spec.get("scenario")))
-    except ConfigError as exc:  # missing, unknown or mistyped: named, with the app it came from
-        raise ConfigError(f"malformed {kind!r} app spec: {exc}") from None
-    raise ConfigError(f"no app builder for kind {kind!r}")
+    kind = read_kind("app", spec, {"level": ("level",), "platoon-worst-case": ("scenario",)})
+    if kind == "level":
+        return LevelApp(level_from_json("app.level", spec["level"]))
+    return PlatoonApp(ScenarioSpec.from_json(spec["scenario"], "app.scenario"))
 
 
 @dataclass

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, fields
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 
 class ConfigError(ValueError):
@@ -71,11 +71,52 @@ is_default: Callable[[Datum], bool] = functools.partial(operator.is_, DEFAULT)
 # 50 ms gossip, sends 6.
 MAX_SENDS_PER_ROUND = 1_000
 
+# The largest fleet: a trace grows as n**3. One second of `lockstep run --n N`
+# (160 ms rounds, 2 shared cores) took 2.7 s, 43 MB peak RSS and a 302 MB trace
+# at N = 128, and 13.0 s, 121 MB and a 2.37 GB trace at N = 256. N = 512 would
+# write some 19 GB, past a budget of 60 s and 4 GB; N = 30,000 ran out of memory.
+MAX_MEMBERS = 256
+
 
 def require_int(name: str, value: Any) -> None:
     """Reject anything but an int: a float, a string, a list, or a bool."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an int, got {value!r}")
+
+
+def read_object(where: str, value: Any, required: Iterable[str] = (),
+                optional: Iterable[str] = ()) -> dict:
+    """``value``, once it is a JSON object with every ``required`` key and no
+    key outside ``required`` and ``optional``. Every JSON object the program
+    takes in is read here; an error names ``where``, the object's dotted path
+    (``config.loss.rules[0]``, say). The constructors check kinds and ranges."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    allowed = {*required, *optional}
+    for key in value:
+        if key not in allowed:
+            raise ConfigError(f"{where} has unknown field {key!r}")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{where} lacks field {key!r}")
+    return value
+
+
+def read_kind(where: str, value: Any, kinds: dict[str, tuple[str, ...]]) -> str:
+    """The ``kind`` of the object ``value``, whose other keys are those ``kinds`` gives it."""
+    kind = read_object(where, value, ("kind",), [k for ks in kinds.values() for k in ks])["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{where}.kind must be one of {', '.join(kinds)}, got {kind!r}")
+    read_object(where, value, ("kind", *kinds[kind]))
+    return kind
+
+
+def read_list(where: str, value: Any, length: Optional[int] = None) -> list:
+    """``value``, once it is a JSON array, of ``length`` items unless that is None."""
+    if not isinstance(value, list) or length is not None and len(value) != length:
+        size = "" if length is None else f" of length {length}"
+        raise ConfigError(f"{where} must be a JSON array{size}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -97,8 +138,8 @@ class ProtocolConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             require_int(f.name, getattr(self, f.name))
-        if self.n < 1:
-            raise ConfigError(f"need at least one vehicle, got n={self.n}")
+        if not 1 <= self.n <= MAX_MEMBERS:
+            raise ConfigError(f"n must be in 1..{MAX_MEMBERS}, got {self.n}")
         if self.sync_bound < 0 or self.maximum_delay <= 0:
             raise ConfigError("sync_bound must be >= 0 and maximum_delay > 0")
         if self.round_length <= 2 * self.sync_bound + self.maximum_delay:

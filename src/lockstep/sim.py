@@ -40,16 +40,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
-from .protocol import (
-    ConfigError,
-    Datum,
-    GossipMessage,
-    ProtocolConfig,
-    RoundOutput,
-    VehicleProtocol,
-    is_default,
-    require_int,
-)
+from .protocol import (ConfigError, Datum, GossipMessage, ProtocolConfig, RoundOutput,
+                       VehicleProtocol, is_default, read_kind, read_list, read_object, require_int)
 
 TRACE_FORMAT = "lockstep-trace"
 TRACE_VERSION = 1
@@ -84,9 +76,6 @@ class ReplayMismatch(Exception):
 # ---------------------------------------------------------------------------
 # Loss and delay models
 # ---------------------------------------------------------------------------
-
-_RULE_KEYS = frozenset({"round", "t", "from", "to"})
-
 
 @dataclass(frozen=True)
 class DropRule:
@@ -137,19 +126,15 @@ class DropRule:
         return out
 
     @staticmethod
-    def from_json(d: dict) -> "DropRule":
-        """Read a rule; a key other than ``round``, ``t``, ``from`` and ``to``
-        is a misspelling, which would otherwise widen the rule to a wildcard."""
+    def from_json(d: dict, where: str) -> "DropRule":
+        """Read a rule; a misspelled key would otherwise widen it to a wildcard."""
         def ref(v):
             return None if v in (None, "*") else v
 
-        unknown = next((key for key in d if key not in _RULE_KEYS), None)
-        if unknown is not None:
-            raise ConfigError(f"drop rule has unknown key {unknown!r}")
-        if "round" in d:
-            return DropRule(round=d["round"], sender=ref(d.get("from")), receiver=ref(d.get("to")))
-        t0, t1 = d["t"]
-        return DropRule(t0=t0, t1=t1, sender=ref(d.get("from")), receiver=ref(d.get("to")))
+        read_object(where, d, optional=("round", "t", "from", "to"))
+        t0, t1 = read_list(f"{where}.t", d["t"], 2) if "t" in d else (None, None)
+        return DropRule(round=d.get("round"), t0=t0, t1=t1,
+                        sender=ref(d.get("from")), receiver=ref(d.get("to")))
 
 
 class LossModel:
@@ -232,21 +217,23 @@ class CompositeLoss(LossModel):
         return {"kind": "composite", "p": self.p, "rules": [r.to_json() for r in self.schedule.rules]}
 
 
-def loss_from_json(d: dict) -> LossModel:
-    kind = d["kind"]
+def schedule_from_json(rules: list, where: str) -> ScheduleLoss:
+    return ScheduleLoss([DropRule.from_json(r, f"{where}[{i}]")
+                         for i, r in enumerate(read_list(where, rules))])
+
+
+def loss_from_json(d: dict, where: str) -> LossModel:
+    kind = read_kind(where, d, {"bernoulli": ("p",), "schedule": ("rules",),
+                                "composite": ("p", "rules")})
     if kind == "bernoulli":
         return BernoulliLoss(d["p"])
-    if kind == "schedule":
-        return ScheduleLoss([DropRule.from_json(r) for r in d["rules"]])
-    if kind == "composite":
-        return CompositeLoss(d["p"], ScheduleLoss([DropRule.from_json(r) for r in d["rules"]]))
-    raise ConfigError(f"unknown loss model kind {kind!r}")
+    schedule = schedule_from_json(d["rules"], f"{where}.rules")
+    return schedule if kind == "schedule" else CompositeLoss(d["p"], schedule)
 
 
 def load_schedule(path: Union[str, Path]) -> ScheduleLoss:
     """Load an adversarial schedule file: a JSON array of drop directives."""
-    rules = json.loads(Path(path).read_text())
-    return ScheduleLoss([DropRule.from_json(r) for r in rules])
+    return schedule_from_json(json.loads(Path(path).read_text()), "schedule")
 
 
 class DelayModel:
@@ -289,17 +276,17 @@ class FixedDelay(DelayModel):
         return {"kind": "fixed", "delay": self.delay}
 
 
-def delay_from_json(d: dict) -> DelayModel:
-    if d["kind"] == "uniform":
-        return UniformDelay()
-    if d["kind"] == "fixed":
-        return FixedDelay(d["delay"])
-    raise ConfigError(f"unknown delay model kind {d['kind']!r}")
+def delay_from_json(d: dict, where: str) -> DelayModel:
+    kind = read_kind(where, d, {"uniform": (), "fixed": ("delay",)})
+    return UniformDelay() if kind == "uniform" else FixedDelay(d["delay"])
 
 
 # ---------------------------------------------------------------------------
 # Simulation configuration
 # ---------------------------------------------------------------------------
+
+_PROTOCOL_FIELDS = tuple(f.name for f in fields(ProtocolConfig))
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -351,13 +338,16 @@ class SimConfig:
 
     @staticmethod
     def from_json(d: dict) -> "SimConfig":
+        read_object("config", d,
+                    (*_PROTOCOL_FIELDS, "offsets", "loss", "duration", "seed", "delay"))
+        protocol = ProtocolConfig(**{name: d[name] for name in _PROTOCOL_FIELDS})
         return SimConfig(
-            protocol=ProtocolConfig(**{f.name: d[f.name] for f in fields(ProtocolConfig)}),
-            offsets=tuple(d["offsets"]),
-            loss=loss_from_json(d["loss"]),
+            protocol=protocol,
+            offsets=tuple(read_list("config.offsets", d["offsets"], protocol.n)),
+            loss=loss_from_json(d["loss"], "config.loss"),
             duration=d["duration"],
             seed=d["seed"],
-            delay=delay_from_json(d["delay"]),
+            delay=delay_from_json(d["delay"], "config.delay"),
         )
 
 
@@ -579,24 +569,15 @@ def read_trace_header(path: Union[str, Path]) -> tuple[SimConfig, dict]:
     with open(path) as fh:
         try:
             header = json.loads(fh.readline())
-        except ValueError as exc:  # not text, or not JSON
+        except (RecursionError, ValueError) as exc:  # not text, not JSON, or nested too deep
             raise ConfigError(f"{path} is not a {TRACE_FORMAT} file: {exc}") from None
     if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
         raise ConfigError(f"{path} is not a {TRACE_FORMAT} file")
     if header.get("version") != TRACE_VERSION:
         raise ConfigError(f"{path} has trace version {header.get('version')!r}, "
                           f"this build reads version {TRACE_VERSION}")
-    try:
-        config, app_spec = SimConfig.from_json(header["config"]), header["app"]
-    except KeyError as exc:
-        raise ConfigError(f"{path} header is missing key {exc}") from None
-    except TypeError as exc:
-        raise ConfigError(f"{path} header has a field of the wrong type: {exc}") from None
-    except ValueError as exc:  # a value out of range, or a string that is not a number
-        raise ConfigError(f"{path} header has a bad value: {exc}") from None
-    if not isinstance(app_spec, dict):
-        raise ConfigError(f"{path} header has an app that is not an object: {app_spec!r}")
-    return config, app_spec
+    read_object("header", header, ("format", "version", "config", "app"))
+    return SimConfig.from_json(header["config"]), header["app"]
 
 
 # ---------------------------------------------------------------------------

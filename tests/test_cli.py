@@ -24,8 +24,10 @@ from lockstep.cli import (
     run_sweep,
 )
 from lockstep.platoon import LevelApp, ScenarioSpec, ServiceLevel
-from lockstep.protocol import MAX_SENDS_PER_ROUND
+from lockstep.protocol import MAX_MEMBERS, MAX_SENDS_PER_ROUND
 from lockstep.sim import BernoulliLoss, run
+
+from conftest import PYTHON_WORDING
 
 
 def test_run_writes_trace_and_report(tmp_path):
@@ -324,43 +326,103 @@ def _rewrite_header(path, lines, edit):
     path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
 
 
-@pytest.mark.parametrize("case,message", [
+# Each case below keeps the id it has always had, made of its case and the
+# message it pinned before the header's objects named their paths; the
+# message it pins now is the one in HEADER_CASES.
+_FORMER_MESSAGES = {
+    "app-level-a-list":
+        "malformed 'level' app spec: field 'level' must name one of low, medium, high, got ['high']",
+    "app-level-a-number":
+        "malformed 'level' app spec: field 'level' must name one of low, medium, high, got 3",
+    "app-not-object": "app that is not an object",
+    "app-unknown-kind": "app builder for kind 'bogus'",
+    "app-unknown-level":
+        "malformed 'level' app spec: field 'level' must name one of low, medium, high, got 'ultra'",
+    "app-without-level":
+        "malformed 'level' app spec: field 'level' must name one of low, medium, high, got None",
+    "composite-p-a-string": "bad value: drop probability must be a number, got '0.1'",
+    "fixed-delay-a-float": "bad value: fixed delay must be an int, got 3.5",
+    "fixed-delay-not-a-number": "bad value: fixed delay must be an int, got 'x'",
+    "loss-p-a-bool": "bad value: drop probability must be a number, got True",
+    "loss-p-a-numeric-string": "bad value: drop probability must be a number, got '0.15'",
+    "loss-p-not-a-number": "bad value: drop probability must be a number, got 'abc'",
+    "missing-config": "missing key 'config'",
+    "missing-protocol-field": "header is missing key 'gossip_interval'",
+    "n-a-float": "bad value: n must be an int, got 3.0",
+    "round-length-a-float": "bad value: round_length must be an int, got 160000.5",
+    "rule-misspelled-key": "bad value: drop rule has unknown key 'recieer'",
+    "rule-receiver-a-string": "bad value: drop rule receiver must be an int, got '2'",
+    "rule-round-a-string": "bad value: drop rule round must be an int, got '3'",
+    "rule-round-negative": "bad value: drop rule round must be >= 0, got -4",
+    "rule-span-a-float": "bad value: drop rule t1 must be an int, got 200.5",
+    "rule-span-backwards": "bad value: drop rule span [200, 100] matches no send time",
+    "seed-a-list": "bad value: seed must be an int, got [1]",
+    "wrong-type": "field of the wrong type",
+}
+
+HEADER_CASES = [
     ("not-json", "is not a lockstep-trace file"),
-    ("missing-config", "missing key 'config'"),
-    ("missing-protocol-field", "header is missing key 'gossip_interval'"),
+    ("missing-config", "header lacks field 'config'"),
+    ("missing-protocol-field", "config lacks field 'gossip_interval'"),
     ("wrong-version", "trace version 2"),
-    ("wrong-type", "field of the wrong type"),
-    ("app-not-object", "app that is not an object"),
-    ("app-without-level",
-     "malformed 'level' app spec: field 'level' must name one of low, medium, high, got None"),
-    ("app-unknown-kind", "app builder for kind 'bogus'"),
-    ("app-unknown-level",
-     "malformed 'level' app spec: field 'level' must name one of low, medium, high, got 'ultra'"),
-    ("app-level-a-number",
-     "malformed 'level' app spec: field 'level' must name one of low, medium, high, got 3"),
-    ("app-level-a-list",
-     "malformed 'level' app spec: field 'level' must name one of low, medium, high, got ['high']"),
-    ("seed-a-list", "bad value: seed must be an int, got [1]"),
-    ("n-a-float", "bad value: n must be an int, got 3.0"),
-    ("round-length-a-float", "bad value: round_length must be an int, got 160000.5"),
-    ("loss-p-not-a-number", "bad value: drop probability must be a number, got 'abc'"),
-    ("fixed-delay-not-a-number", "bad value: fixed delay must be an int, got 'x'"),
+    ("wrong-type", "config must be a JSON object, got 5"),
+    ("app-not-object", "app must be a JSON object, got 5"),
+    ("app-without-level", "app lacks field 'level'"),
+    ("app-unknown-kind", "app.kind must be one of level, platoon-worst-case, got 'bogus'"),
+    ("app-unknown-level", "app.level must name one of low, medium, high, got 'ultra'"),
+    ("app-level-a-number", "app.level must name one of low, medium, high, got 3"),
+    ("app-level-a-list", "app.level must name one of low, medium, high, got ['high']"),
+    ("seed-a-list", "error: seed must be an int, got [1]"),
+    ("n-a-float", "error: n must be an int, got 3.0"),
+    ("round-length-a-float", "error: round_length must be an int, got 160000.5"),
+    ("loss-p-not-a-number", "error: drop probability must be a number, got 'abc'"),
+    ("fixed-delay-not-a-number", "error: fixed delay must be an int, got 'x'"),
     # A number of the wrong kind is malformed too, not a different config.
-    ("loss-p-a-numeric-string", "bad value: drop probability must be a number, got '0.15'"),
-    ("loss-p-a-bool", "bad value: drop probability must be a number, got True"),
-    ("composite-p-a-string", "bad value: drop probability must be a number, got '0.1'"),
-    ("fixed-delay-a-float", "bad value: fixed delay must be an int, got 3.5"),
-    ("rule-round-a-string", "bad value: drop rule round must be an int, got '3'"),
-    ("rule-span-a-float", "bad value: drop rule t1 must be an int, got 200.5"),
-    ("rule-receiver-a-string", "bad value: drop rule receiver must be an int, got '2'"),
+    ("loss-p-a-numeric-string", "error: drop probability must be a number, got '0.15'"),
+    ("loss-p-a-bool", "error: drop probability must be a number, got True"),
+    ("composite-p-a-string", "error: drop probability must be a number, got '0.1'"),
+    ("fixed-delay-a-float", "error: fixed delay must be an int, got 3.5"),
+    ("rule-round-a-string", "error: drop rule round must be an int, got '3'"),
+    ("rule-span-a-float", "error: drop rule t1 must be an int, got 200.5"),
+    ("rule-receiver-a-string", "error: drop rule receiver must be an int, got '2'"),
     # A rule that can match nothing is a typo, not a schedule.
-    ("rule-round-negative", "bad value: drop rule round must be >= 0, got -4"),
-    ("rule-span-backwards", "bad value: drop rule span [200, 100] matches no send time"),
+    ("rule-round-negative", "error: drop rule round must be >= 0, got -4"),
+    ("rule-span-backwards", "error: drop rule span [200, 100] matches no send time"),
     # A misspelled key would widen the rule to a wildcard.
-    ("rule-misspelled-key", "bad value: drop rule has unknown key 'recieer'"),
+    ("rule-misspelled-key", "config.loss.rules[0] has unknown field 'recieer'"),
     # A clock more than a round ahead would skip a round.
     ("offsets-past-a-round", "clock offsets must be <= round_length 160000"),
-])
+    # Every object of the header names an unknown key, a missing one or a
+    # value of the wrong shape by its path.
+    ("header-unknown-key", "header has unknown field 'extra'"),
+    ("config-unknown-key", "config has unknown field 'sedd'"),
+    ("loss-unknown-key", "config.loss has unknown field 'pp'"),
+    ("composite-misspelled-rules", "config.loss has unknown field 'ruels'"),
+    ("delay-unknown-key", "config.delay has unknown field 'dealy'"),
+    ("app-unknown-key", "app has unknown field 'levle'"),
+    ("loss-a-list", "config.loss must be a JSON object, got [0.1]"),
+    ("delay-a-list", "config.delay must be a JSON object, got ['uniform']"),
+    ("loss-kind-a-list",
+     "config.loss.kind must be one of bernoulli, schedule, composite, got ['x']"),
+    ("offsets-null", "config.offsets must be a JSON array of length 2, got None"),
+    ("offsets-too-few", "config.offsets must be a JSON array of length 2, got [0]"),
+    ("rules-null", "config.loss.rules must be a JSON array, got None"),
+    ("rules-an-object", "config.loss.rules must be a JSON array, got {'r': 1}"),
+    ("rule-a-number", "config.loss.rules[1] must be a JSON object, got 3"),
+    ("rule-span-of-three",
+     "config.loss.rules[0].t must be a JSON array of length 2, got [1, 2, 3]"),
+    ("rule-without-round-or-span", "drop rule needs exactly one of: round, [t0, t1]"),
+    # Read as a round alone, the rule would drop the whole round, not the span.
+    ("rule-round-and-span", "drop rule needs exactly one of: round, [t0, t1]"),
+    ("n-above-max-members", f"n must be in 1..{MAX_MEMBERS}, got 1000000"),
+    # JSON nested deeper than the parser recurses is not JSON it can read.
+    ("nested-too-deep", "is not a lockstep-trace file: maximum recursion depth exceeded"),
+]
+
+
+@pytest.mark.parametrize("case,message", HEADER_CASES,
+                         ids=[f"{case}-{_FORMER_MESSAGES.get(case, message)}"
+                              for case, message in HEADER_CASES])
 def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message):
     path, lines = _record_small_trace(tmp_path)
     config_edits = {
@@ -385,6 +447,25 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
                                          "rules": [{"t": [200, 100], "from": "*", "to": 1}]}},
         "rule-misspelled-key": {"loss": {"kind": "schedule",
                                          "rules": [{"round": 3, "recieer": 2}]}},
+        "config-unknown-key": {"sedd": 6},
+        "loss-unknown-key": {"loss": {"kind": "bernoulli", "p": 0.1, "pp": 0.2}},
+        "composite-misspelled-rules": {"loss": {"kind": "composite", "p": 0.1, "rules": [],
+                                                "ruels": [{"round": 3}]}},
+        "delay-unknown-key": {"delay": {"kind": "fixed", "delay": 5, "dealy": 7}},
+        "loss-a-list": {"loss": [0.1]},
+        "delay-a-list": {"delay": ["uniform"]},
+        "loss-kind-a-list": {"loss": {"kind": ["x"]}},
+        "offsets-null": {"offsets": None},
+        "offsets-too-few": {"offsets": [0]},
+        "rules-null": {"loss": {"kind": "schedule", "rules": None}},
+        "rules-an-object": {"loss": {"kind": "schedule", "rules": {"r": 1}}},
+        "rule-a-number": {"loss": {"kind": "schedule", "rules": [{"round": 2}, 3]}},
+        "rule-span-of-three": {"loss": {"kind": "composite", "p": 0.1,
+                                        "rules": [{"t": [1, 2, 3]}]}},
+        "rule-without-round-or-span": {"loss": {"kind": "schedule", "rules": [{"to": 2}]}},
+        "rule-round-and-span": {"loss": {"kind": "schedule",
+                                         "rules": [{"round": 3, "t": [0, 100], "to": 2}]}},
+        "n-above-max-members": {"n": 1_000_000},
     }
     app_edits = {
         "app-not-object": 5,
@@ -393,6 +474,7 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
         "app-unknown-level": {"kind": "level", "level": "ultra"},
         "app-level-a-number": {"kind": "level", "level": 3},
         "app-level-a-list": {"kind": "level", "level": ["high"]},
+        "app-unknown-key": {"kind": "level", "level": "high", "levle": "low"},
     }
     if case in config_edits:
         _rewrite_header(path, lines, lambda h: h["config"].update(config_edits[case]))
@@ -411,6 +493,10 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
         _rewrite_header(path, lines, shift)
     elif case == "wrong-version":
         _rewrite_header(path, lines, lambda h: h.update(version=2))
+    elif case == "header-unknown-key":
+        _rewrite_header(path, lines, lambda h: h.update(extra=1))
+    elif case == "nested-too-deep":
+        path.write_text("[" * 100_000 + "]" * 100_000 + "\n" + "\n".join(lines[1:]) + "\n")
     else:
         assert case == "wrong-type"
         _rewrite_header(path, lines, lambda h: h.update(config=5))
@@ -419,6 +505,7 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+    assert not any(word in err for word in PYTHON_WORDING)
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -456,9 +543,33 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
                  "drop rule span [-300, -1] matches no send time",
                  id="run-composite-span-before-0"),
     pytest.param(["run", "--loss", "schedule:{misspelled}"],
-                 "drop rule has unknown key 'recieer'", id="run-schedule-misspelled-key"),
+                 "schedule[0] has unknown field 'recieer'", id="run-schedule-misspelled-key"),
     pytest.param(["run", "--loss", "composite:0.1,{misspelled}"],
-                 "drop rule has unknown key 'recieer'", id="run-composite-misspelled-key"),
+                 "schedule[0] has unknown field 'recieer'", id="run-composite-misspelled-key"),
+    pytest.param(["run", "--loss", "schedule:{both}"],
+                 "drop rule needs exactly one of: round, [t0, t1]",
+                 id="run-schedule-round-and-span"),
+    pytest.param(["run", "--loss", "composite:0.1,{both}"],
+                 "drop rule needs exactly one of: round, [t0, t1]",
+                 id="run-composite-round-and-span"),
+    pytest.param(["run", "--loss", "schedule:{null}"], "schedule must be a JSON array, got None",
+                 id="run-schedule-null"),
+    pytest.param(["run", "--loss", "schedule:{deep}"], "bad loss spec",
+                 id="run-schedule-nested-too-deep"),
+    pytest.param(["scenario", "--scenario-json", "{deep}"], "cannot read scenario",
+                 id="scenario-json-nested-too-deep"),
+    pytest.param(["run", "--loss", "schedule:{span3}"],
+                 "schedule[0].t must be a JSON array of length 2, got [1, 2, 3]",
+                 id="run-schedule-span-of-three"),
+    # The fleet bound is checked before anything of size n is made.
+    pytest.param(["run", "--n", str(MAX_MEMBERS + 1), "--duration-s", "1"],
+                 f"n must be in 1..{MAX_MEMBERS}, got {MAX_MEMBERS + 1}",
+                 id="run-n-above-max-members"),
+    pytest.param(["run", "--n", "30000", "--duration-s", "1"],
+                 f"n must be in 1..{MAX_MEMBERS}, got 30000", id="run-n-30000"),
+    pytest.param(["scenario", "--scenario-json", "{fleet}"],
+                 f"n must be in 1..{MAX_MEMBERS}, got {MAX_MEMBERS + 1}",
+                 id="scenario-json-n-above-max-members"),
     pytest.param(["scenario", "--outage-rounds", "1"], "at least two rounds",
                  id="scenario-outage-rounds-1"),
     pytest.param(["scenario", "--outage-round", "39"], "outage_round must be in 0..30",
@@ -497,7 +608,7 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
     pytest.param(["scenario", "--scenario-json", "{unknown}"], "'bogus'",
                  id="scenario-json-unknown-key"),
     pytest.param(["scenario", "--scenario-json", "{ultra}"],
-                 "'initial_level' must name one of low, medium, high, got 'ultra'",
+                 "scenario.initial_level must name one of low, medium, high, got 'ultra'",
                  id="scenario-json-unknown-level"),
     pytest.param(["scenario", "--scenario-json", "{fast}"], "'cruise_speed' must be float",
                  id="scenario-json-float-field-a-string"),
@@ -509,9 +620,11 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
                  f"round_length {10**400} holds more than {MAX_SENDS_PER_ROUND} gossip sends "
                  "of gossip_interval 50000", id="scenario-json-round-length-too-many-sends"),
     pytest.param(["scenario", "--scenario-json", "{levelkey}"],
-                 "'levels' low has unknown field 'bogus'", id="scenario-json-unknown-level-key"),
+                 "scenario.levels.low has unknown field 'bogus'",
+                 id="scenario-json-unknown-level-key"),
     pytest.param(["scenario", "--scenario-json", "{no_headway}"],
-                 "'levels' low lacks field 'headway'", id="scenario-json-level-entry-without-headway"),
+                 "scenario.levels.low lacks field 'headway'",
+                 id="scenario-json-level-entry-without-headway"),
     # Physics must be finite and > 0: NaN, an infinity, 0 or a negative value is named.
     pytest.param(["scenario", "--scenario-json", "{cruise_nan}"],
                  "'cruise_speed' must be finite and > 0, got nan",
@@ -540,22 +653,23 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
                  "'speed_gain' must be finite and > 0, got 0", id="scenario-json-speed-gain-0"),
     # A level, a level table and the horizon are named with the values allowed.
     pytest.param(["scenario", "--scenario-json", "{level3}"],
-                 "'initial_level' must name one of low, medium, high, got 3",
+                 "scenario.initial_level must name one of low, medium, high, got 3",
                  id="scenario-json-initial-level-a-number"),
     pytest.param(["scenario", "--scenario-json", "{bogus}"],
-                 "'initial_level' must name one of low, medium, high, got 'bogus'",
+                 "scenario.initial_level must name one of low, medium, high, got 'bogus'",
                  id="scenario-json-initial-level-bogus"),
     pytest.param(["scenario", "--scenario-json", "{nolow}"],
                  "'levels' must give each of low, medium, high, got medium, high",
                  id="scenario-json-levels-without-low"),
     pytest.param(["scenario", "--scenario-json", "{levelname}"],
-                 "'levels' must name one of low, medium, high, got 'ultra'",
+                 "scenario.levels has unknown field 'ultra'",
                  id="scenario-json-levels-unknown-name"),
     pytest.param(["scenario", "--scenario-json", "{levelint}"],
-                 "'levels' medium must be an object, got 3",
+                 "scenario.levels.medium must be a JSON object, got 3",
                  id="scenario-json-level-entry-a-number"),
     pytest.param(["scenario", "--scenario-json", "{levelsint}"],
-                 "'levels' must be an object, got 3", id="scenario-json-levels-a-number"),
+                 "scenario.levels must be a JSON object, got 3",
+                 id="scenario-json-levels-a-number"),
     pytest.param(["scenario", "--scenario-json", "{horizon0}"],
                  "'horizon_rounds' must be at least outage_rounds (10), got 0",
                  id="scenario-json-horizon-rounds-0"),
@@ -637,6 +751,11 @@ def test_malformed_command_input_is_usage_error(tmp_path, capsys, argv, message)
         "backwards": '[{"t": [2000000, 1000000], "from": "*", "to": 1}]\n',
         "before0": '[{"t": [-300, -1], "from": "*", "to": 1}]\n',
         "misspelled": '[{"round": 3, "recieer": 2}]\n',
+        "both": '[{"round": 3, "t": [0, 100], "to": 2}]\n',
+        "null": "null\n",
+        "span3": '[{"t": [1, 2, 3]}]\n',
+        "deep": "[" * 100_000 + "]" * 100_000,
+        "fleet": json.dumps(dict(scenario, n=MAX_MEMBERS + 1)),
     }
     paths = {name: tmp_path / f"{name}.json" for name in files}
     for name, text in files.items():
@@ -647,6 +766,7 @@ def test_malformed_command_input_is_usage_error(tmp_path, capsys, argv, message)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+    assert not any(word in err for word in PYTHON_WORDING)
     assert not out.exists()  # rejected before any output directory is made
 
 
