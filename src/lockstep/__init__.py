@@ -7,59 +7,10 @@ state machine, a deterministic discrete-event simulator with replayable
 traces, trace checkers for the stability properties, a brute-force
 round-granularity verifier, and a vehicle-platooning application of the
 whole stack.
-"""
 
-from .protocol import (
-    DEFAULT,
-    ConfigError,
-    Datum,
-    DecideContractError,
-    GossipMessage,
-    ProtocolConfig,
-    RoundOutput,
-    VehicleProtocol,
-    in_send_window,
-    is_default,
-)
-from .sim import (
-    App,
-    BernoulliLoss,
-    CompositeLoss,
-    DropRule,
-    FixedDelay,
-    ReplayMismatch,
-    ScheduleLoss,
-    SimConfig,
-    Trace,
-    UniformDelay,
-    load_schedule,
-    replay,
-    run,
-    sample_offsets,
-    simulate,
-)
-from .analysis import (
-    AnalysisError,
-    PropertyReport,
-    packet_drop_rate,
-    reliability,
-    run_all_checks,
-)
-from .oracle import (
-    abstract_round,
-    enumerate_and_verify,
-    run_abstract,
-    sample_and_verify,
-)
-from .platoon import (
-    LevelApp,
-    PlatoonDatum,
-    ScenarioSpec,
-    ServiceLevel,
-    min_level_decide,
-    platoon_decide,
-    run_baseline,
-    run_worst_case,
-)
+Each name is imported from its own module: ``protocol``, ``sim``,
+``analysis``, ``oracle``, ``platoon`` or ``cli``. Importing the package
+loads none of them, so ``import lockstep.protocol`` loads the protocol alone.
+"""
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ from .platoon import (
     scenario_facts,
     write_kinematics_csv,
 )
-from .protocol import ConfigError, ProtocolConfig
+from .protocol import ConfigError, ProtocolConfig, read_json
 from .sim import (
     BernoulliLoss,
     CompositeLoss,
@@ -67,17 +67,24 @@ def out_dir(args) -> Path:
     return d
 
 
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{text!r} is not a number") from None
+
+
 def parse_loss(text: str) -> LossModel:
     kind, _, rest = text.partition(":")
     try:
         if kind == "bernoulli":
-            return BernoulliLoss(float(rest))
+            return BernoulliLoss(_number(rest))
         if kind == "schedule":
             return load_schedule(rest)
         if kind == "composite":
             p, _, path = rest.partition(",")
-            return CompositeLoss(float(p), load_schedule(path))
-    except (OSError, RecursionError, ValueError) as exc:  # not a number, JSON or a schedule
+            return CompositeLoss(_number(p), load_schedule(path))
+    except (ConfigError, OSError) as exc:  # not a number, a readable file or a schedule
         raise ConfigError(f"bad loss spec {text!r}: {exc}") from None
     raise ConfigError(f"unknown loss spec {text!r} (bernoulli:P | schedule:FILE | composite:P,FILE)")
 
@@ -146,7 +153,7 @@ def _sweep_cell(config: SimConfig) -> dict:
     # The round-level model on the simulator's own draws: no event loop runs,
     # and the decisions are the abstract model's over the completeness vectors.
     complete, delivers, drops = round_journeys(config)
-    decisions = oracle.run_abstract(n, complete, min_level_decide, (ServiceLevel.HIGH,) * n)
+    decisions = oracle.run_abstract(complete, min_level_decide, (ServiceLevel.HIGH,) * n)
     view = analysis.RoundView(n, len(complete), decisions, complete,
                               delivers=delivers, drops=drops)
     reports = analysis.run_all_checks(view)
@@ -289,11 +296,8 @@ def cmd_verify(args) -> int:
 
 def cmd_scenario(args) -> int:
     if args.scenario_json:
-        try:
-            spec = json.loads(Path(args.scenario_json).read_text())
-        except (OSError, RecursionError, ValueError) as exc:  # unreadable, or not JSON
-            raise ConfigError(f"cannot read scenario {args.scenario_json}: {exc}") from None
-        scenario = ScenarioSpec.from_json(spec)
+        what = f"cannot read scenario {args.scenario_json}"
+        scenario = ScenarioSpec.from_json(read_json(what, Path(args.scenario_json).read_bytes()))
     else:
         scenario = ScenarioSpec(
             round_length=args.round_ms * 1000,
@@ -360,8 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--loss", default="bernoulli:0.15",
                        help="bernoulli:P | schedule:FILE | composite:P,FILE")
     p_run.add_argument("--duration-s", type=int, default=360, help="simulated seconds")
-    p_run.add_argument("--level", default="high", choices=["low", "medium", "high"],
-                       help="level every vehicle reports")
+    p_run.add_argument("--level", default="high", help="level every vehicle reports")
     p_run.add_argument("--trace-file", help="trace output path (default OUT/trace.jsonl)")
     p_run.set_defaults(func=cmd_run)
 

@@ -92,10 +92,9 @@ def abstract_round(
 
 
 def run_abstract(
-    n: int,
     completes: Iterable[Sequence[bool]],
     decide: DecideFn,
-    read_state: Optional[tuple] = None,
+    read_state: tuple,
     drop_default_write: bool = False,
     steps: Optional[dict] = None,
 ) -> list[tuple]:
@@ -110,8 +109,6 @@ def run_abstract(
     and ``abstract_round``, with ``decide`` a pure function of its vector. List
     vectors and unhashable data bypass it.
     """
-    if read_state is None:
-        read_state = tuple("value" for _ in range(n))
     steps = {} if steps is None else steps
     sent = read_state
     decisions = []
@@ -233,15 +230,14 @@ def check_decision_sequence(
 
 
 def _first_break(
-    n: int,
     completes: Sequence[Sequence[bool]],
     decide: DecideFn,
-    read_state: Optional[tuple],
+    read_state: tuple,
     drop_default_write: bool,
     steps: dict,
 ) -> Optional[tuple[str, int, list[tuple]]]:
     """Run the model over one vector sequence: (rule, round, decisions) if it breaks a rule."""
-    decisions = run_abstract(n, completes, decide, read_state, drop_default_write, steps)
+    decisions = run_abstract(completes, decide, read_state, drop_default_write, steps)
     hit = check_decision_sequence([all(c) for c in completes], decisions)
     return None if hit is None else (*hit, decisions)
 
@@ -272,7 +268,7 @@ def enumerate_and_verify(
     n: int,
     rounds: int,
     decide: DecideFn,
-    read_state: Optional[tuple] = None,
+    read_state: tuple,
     drop_default_write: bool = False,
 ) -> VerificationReport:
     """Check every delivery-pattern sequence of the given size; halt on a counterexample.
@@ -304,7 +300,7 @@ def enumerate_and_verify(
     steps: dict = {}
     for seq in itertools.product(enumerate(vectors), repeat=rounds):
         completes = [c for _, c in seq]
-        hit = _first_break(n, completes, decide, read_state, drop_default_write, steps)
+        hit = _first_break(completes, decide, read_state, drop_default_write, steps)
         if hit is not None:
             rule, rnd, decisions = hit
             rank = 0
@@ -321,7 +317,7 @@ def sample_and_verify(
     trials: int,
     seed: int,
     decide: DecideFn,
-    read_state: Optional[tuple] = None,
+    read_state: tuple,
     drop_default_write: bool = False,
 ) -> VerificationReport:
     """Randomized variant for fleets too large to enumerate; reproducible by seed.
@@ -353,7 +349,7 @@ def sample_and_verify(
             else tuple([rng.random() < complete_probability for _ in range(n)])
             for _ in range(rounds)
         ]
-        hit = _first_break(n, completes, decide, read_state, drop_default_write, steps)
+        hit = _first_break(completes, decide, read_state, drop_default_write, steps)
         if hit is not None:
             rule, rnd, decisions = hit
             return VerificationReport(

@@ -87,51 +87,13 @@ class LevelParams:
     velocity_error: Optional[float] = None
 
 
-LevelTable = dict[ServiceLevel, LevelParams]
-
-
-def default_level_table() -> LevelTable:
-    return {
-        ServiceLevel.HIGH: LevelParams(headway=5.0, accel_bound=2.0,
-                                       position_error=0.5, velocity_error=0.5),
-        ServiceLevel.MEDIUM: LevelParams(headway=10.0, accel_bound=3.0, velocity_error=0.5),
-        ServiceLevel.LOW: LevelParams(headway=20.0, accel_bound=5.0),
-    }
-
-
-def validate_level_table(table: LevelTable) -> None:
-    if sorted(table) != list(ServiceLevel):
-        got = ", ".join(level.to_json() for level in sorted(table)) or "none"
-        raise ConfigError(f"scenario field 'levels' must give each of {_LEVEL_NAMES}, got {got}")
-    for level, params in sorted(table.items()):
-        where = f"scenario field 'levels' {level.to_json()}"
-        for name in ("headway", "accel_bound"):
-            value = getattr(params, name)
-            if not (_finite(value) and value > 0):
-                raise ConfigError(f"{where} {name} must be finite and > 0, got {value!r}")
-        for name in ("position_error", "velocity_error"):
-            value = getattr(params, name)
-            if value is not None and not (_finite(value) and value >= 0):
-                raise ConfigError(f"{where} {name} must be null or finite and >= 0, got {value!r}")
-    hi, med, lo = table[ServiceLevel.HIGH], table[ServiceLevel.MEDIUM], table[ServiceLevel.LOW]
-    if not hi.headway < med.headway < lo.headway:
-        raise ConfigError("headways must grow as the level drops")
-    if not hi.accel_bound < med.accel_bound < lo.accel_bound:
-        raise ConfigError("acceleration bounds must nest upward as the level drops")
-
-
-def level_table_to_json(table: LevelTable) -> dict:
-    return {level.to_json(): asdict(params) for level, params in sorted(table.items())}
-
-
 def levels_from_json(d: dict, where: str) -> tuple:
-    """The level table ``d`` gives, as ``ScenarioSpec.levels`` holds it: sorted pairs."""
-    table = {}
-    for name, entry in read_object(where, d, optional=_LEVEL_KEYS).items():
-        read_object(f"{where}.{name}", entry, ("headway", "accel_bound"),
-                    ("position_error", "velocity_error"))
-        table[ServiceLevel[name.upper()]] = LevelParams(**entry)
-    return tuple(sorted(table.items()))
+    """The levels ``d`` gives, as ``ScenarioSpec.levels`` holds them; None for
+    a level ``d`` omits, which the spec then names."""
+    read_object(where, d, optional=_LEVEL_KEYS)
+    return tuple(LevelParams(**read_object(f"{where}.{name}", d[name], ("headway", "accel_bound"),
+                                           ("position_error", "velocity_error")))
+                 if name in d else None for name in _LEVEL_KEYS)
 
 
 @dataclass(frozen=True)
@@ -193,8 +155,7 @@ class World:
 
     def __init__(self, scenario: ScenarioSpec) -> None:
         self.scenario = scenario
-        self.table = scenario.level_table
-        headway = self.table[scenario.initial_level].headway
+        headway = scenario.levels[scenario.initial_level - 1].headway
         self.bodies = [VehicleBody(-headway * i, scenario.cruise_speed) for i in range(scenario.n)]
         self.time = 0  # global µs, advanced by step_world
         self.min_gap = float("inf")
@@ -234,7 +195,7 @@ def control_accel(world: World, vid: int, s: tuple, decision: Datum) -> float:
     """
     spec = world.scenario
     level = effective_level(decision)
-    params = world.table[level]
+    params = spec.levels[level - 1]
     body = world.body(vid)
     if vid == 1:
         if world.time >= spec.brake_time:
@@ -302,8 +263,12 @@ class ScenarioSpec:
     gap_gain: float = 0.3
     speed_gain: float = 2.0
     seed: int = 1
-    # Level envelopes as sorted (level, params) pairs; tuples keep the spec frozen.
-    levels: tuple = tuple(sorted(default_level_table().items()))
+    # The envelope of each level, in ServiceLevel order: LOW, MEDIUM, HIGH.
+    levels: tuple = (
+        LevelParams(headway=20.0, accel_bound=5.0),
+        LevelParams(headway=10.0, accel_bound=3.0, velocity_error=0.5),
+        LevelParams(headway=5.0, accel_bound=2.0, position_error=0.5, velocity_error=0.5),
+    )
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -330,11 +295,27 @@ class ScenarioSpec:
             raise ConfigError(f"outage_round must be in 0..{self.horizon_rounds - self.outage_rounds}"
                               f" so the outage ends by the horizon, got {self.outage_round}")
         self.sim_config()  # the timing a run would reject
-        validate_level_table(self.level_table)
-
-    @property
-    def level_table(self) -> LevelTable:
-        return dict(self.levels)
+        # One LevelParams per level, in level order, widening as the level drops.
+        given = [key for key, params in zip(_LEVEL_KEYS, self.levels) if params is not None]
+        if len(given) != len(self.levels) or len(given) != len(_LEVEL_KEYS):
+            raise ConfigError(f"scenario field 'levels' must give each of {_LEVEL_NAMES}, "
+                              f"got {', '.join(given) or 'none'}")
+        for key, params in zip(_LEVEL_KEYS, self.levels):
+            where = f"scenario field 'levels' {key}"
+            for name in ("headway", "accel_bound"):
+                value = getattr(params, name)
+                if not (_finite(value) and value > 0):
+                    raise ConfigError(f"{where} {name} must be finite and > 0, got {value!r}")
+            for name in ("position_error", "velocity_error"):
+                value = getattr(params, name)
+                if value is not None and not (_finite(value) and value >= 0):
+                    raise ConfigError(f"{where} {name} must be null or finite and >= 0, "
+                                      f"got {value!r}")
+        lo, med, hi = self.levels
+        if not hi.headway < med.headway < lo.headway:
+            raise ConfigError("headways must grow as the level drops")
+        if not hi.accel_bound < med.accel_bound < lo.accel_bound:
+            raise ConfigError("acceleration bounds must nest upward as the level drops")
 
     @property
     def outage_start(self) -> int:
@@ -372,7 +353,7 @@ class ScenarioSpec:
     def to_json(self) -> dict:
         return {**{f.name: getattr(self, f.name) for f in fields(self)},
                 "initial_level": self.initial_level.to_json(),
-                "levels": level_table_to_json(self.level_table)}
+                "levels": dict(zip(_LEVEL_KEYS, map(asdict, self.levels)))}
 
     @staticmethod
     def from_json(d: dict, where: str = "scenario") -> "ScenarioSpec":
@@ -485,7 +466,7 @@ def scenario_facts(scenario: ScenarioSpec, protocol_res: ScenarioResult,
     u = scenario.outage_round
     low = ServiceLevel.LOW
     brake_round = u + scenario.brake_after_rounds
-    initial_gap = scenario.level_table[scenario.initial_level].headway
+    initial_gap = scenario.levels[scenario.initial_level - 1].headway
     levels, baseline_levels = protocol_res.levels, baseline_res.levels
     tail_vehicle = scenario.n if scenario.cut_vehicle != scenario.n else scenario.n - 1
     tail = [baseline_levels[r][tail_vehicle]

@@ -25,7 +25,9 @@ them all.
 from __future__ import annotations
 
 import functools
+import json
 import operator
+import sys
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterable, NamedTuple, Optional
 
@@ -100,6 +102,23 @@ def read_object(where: str, value: Any, required: Iterable[str] = (),
         if key not in value:
             raise ConfigError(f"{where} lacks field {key!r}")
     return value
+
+
+def read_json(what: str, data: bytes) -> Any:
+    """The JSON value of ``data``, UTF-8 text. Every JSON text the program
+    takes in is decoded here; an error begins with ``what`` (``cannot read
+    scenario s.json``, say) and says why in the program's own terms."""
+    try:
+        return json.loads(data.decode())
+    except UnicodeDecodeError as exc:
+        why = f"it is not UTF-8 text at byte {exc.start}"
+    except json.JSONDecodeError as exc:
+        why = f"it is not JSON at line {exc.lineno}, column {exc.colno}"
+    except RecursionError:
+        why = "it is nested deeper than can be read"
+    except ValueError:  # the one other error of json.loads: an int too long to convert
+        why = f"it holds an integer of more than {sys.get_int_max_str_digits()} digits"
+    raise ConfigError(f"{what}: {why}")
 
 
 def read_kind(where: str, value: Any, kinds: dict[str, tuple[str, ...]]) -> str:

@@ -36,12 +36,12 @@ import operator
 import random
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field, fields
-from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .protocol import (ConfigError, Datum, GossipMessage, ProtocolConfig, RoundOutput,
-                       VehicleProtocol, is_default, read_kind, read_list, read_object, require_int)
+                       VehicleProtocol, is_default, read_json, read_kind, read_list, read_object,
+                       require_int)
 
 TRACE_FORMAT = "lockstep-trace"
 TRACE_VERSION = 1
@@ -127,14 +127,18 @@ class DropRule:
 
     @staticmethod
     def from_json(d: dict, where: str) -> "DropRule":
-        """Read a rule; a misspelled key would otherwise widen it to a wildcard."""
+        """Read a rule; a misspelled key would otherwise widen it to a wildcard.
+        Every error names the rule's path, ``where``."""
         def ref(v):
             return None if v in (None, "*") else v
 
         read_object(where, d, optional=("round", "t", "from", "to"))
         t0, t1 = read_list(f"{where}.t", d["t"], 2) if "t" in d else (None, None)
-        return DropRule(round=d.get("round"), t0=t0, t1=t1,
-                        sender=ref(d.get("from")), receiver=ref(d.get("to")))
+        try:
+            return DropRule(round=d.get("round"), t0=t0, t1=t1,
+                            sender=ref(d.get("from")), receiver=ref(d.get("to")))
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
 
 
 class LossModel:
@@ -181,10 +185,11 @@ class ScheduleLoss(LossModel):
         object.__setattr__(self, "rules", tuple(self.rules))  # a list is accepted too
 
     def validate(self, n: int) -> None:
-        for rule in self.rules:
+        for i, rule in enumerate(self.rules):
             for ref in (rule.sender, rule.receiver):
                 if ref is not None and not 1 <= ref <= n:
-                    raise ConfigError(f"drop rule references vehicle {ref}, valid ids are 1..{n}")
+                    raise ConfigError(f"drop rule at index {i} references vehicle {ref}, "
+                                      f"valid ids are 1..{n}")
 
     def decide(self, rng, msg_round, sender, receiver, send_time):
         for rule in self.rules:
@@ -233,7 +238,8 @@ def loss_from_json(d: dict, where: str) -> LossModel:
 
 def load_schedule(path: Union[str, Path]) -> ScheduleLoss:
     """Load an adversarial schedule file: a JSON array of drop directives."""
-    return schedule_from_json(json.loads(Path(path).read_text()), "schedule")
+    return schedule_from_json(read_json(f"cannot read schedule {path}", Path(path).read_bytes()),
+                              "schedule")
 
 
 class DelayModel:
@@ -393,12 +399,8 @@ TraceEvent = Union[SendEvent, DeliverEvent, DropEvent, OutputEvent]
 def datum_to_json(d: Datum):
     if is_default(d):
         return None
-    if isinstance(d, Enum):
-        return d.name.lower()
     to_json = getattr(d, "to_json", None)
-    if to_json is not None:
-        return to_json()
-    return d
+    return d if to_json is None else to_json()
 
 
 # json.dumps(obj, sort_keys=True, separators=(",", ":")) without building an
@@ -566,11 +568,8 @@ def _blocks(lines: Iterator[str]) -> Iterator[str]:
 
 
 def read_trace_header(path: Union[str, Path]) -> tuple[SimConfig, dict]:
-    with open(path) as fh:
-        try:
-            header = json.loads(fh.readline())
-        except (RecursionError, ValueError) as exc:  # not text, not JSON, or nested too deep
-            raise ConfigError(f"{path} is not a {TRACE_FORMAT} file: {exc}") from None
+    with open(path, "rb") as fh:
+        header = read_json(f"{path} is not a {TRACE_FORMAT} file", fh.readline())
     if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
         raise ConfigError(f"{path} is not a {TRACE_FORMAT} file")
     if header.get("version") != TRACE_VERSION:

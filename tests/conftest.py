@@ -24,7 +24,8 @@ MS = 1000  # microseconds per millisecond
 HIGH = ServiceLevel.HIGH
 
 # Python's own exception wording, which no usage error may carry.
-PYTHON_WORDING = ("NoneType", "indices", "unpack", "__init__", "object is not", "Traceback")
+PYTHON_WORDING = ("NoneType", "indices", "unpack", "__init__", "object is not", "Traceback",
+                  "set_int_max_str_digits", "recursion depth", "could not convert")
 
 
 def make_protocol_config(n=4, round_ms=160, sync_ms=5, delay_ms=100, gossip_ms=50):

@@ -17,7 +17,6 @@ from lockstep.platoon import (
     LevelApp,
     ScenarioSpec,
     ServiceLevel,
-    default_level_table,
     min_level_decide,
     run_baseline,
     run_worst_case,
@@ -80,7 +79,7 @@ def _equivalence_case(seed):
     config = make_sim_config(n=n, rounds=rounds + 1, seed=seed,
                              loss=_random_schedule(rng, n, rounds))
     view = simulated_view(config, LevelApp(HIGH))
-    expected = oracle.run_abstract(n, view.complete, min_level_decide, (HIGH,) * n)
+    expected = oracle.run_abstract(view.complete, min_level_decide, (HIGH,) * n)
     unstable = sum(1 for c in view.complete if not all(c))
     return view.decisions == expected, unstable
 
@@ -191,7 +190,7 @@ def test_criterion_6_platoon_worst_case():
     assert res.levels[u + 1][spec.cut_vehicle] == LOW
     assert all(lv == LOW for lv in res.levels[u + 2].values())
     brake_round = u + spec.brake_after_rounds
-    initial_gap = default_level_table()[spec.initial_level].headway
+    initial_gap = ScenarioSpec().levels[spec.initial_level - 1].headway
     for vid in range(2, spec.n + 1):
         assert res.gap_at(brake_round, vid) > initial_gap
     assert res.min_gap > 0.0

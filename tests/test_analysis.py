@@ -135,7 +135,7 @@ def test_correction_window_enforced_on_persistent_failures():
     for t in range(12, 17):
         assert all(is_default(d) for d in view.decisions[t - 1])
     assert run_all_checks(view)[P2].passed
-    expected = oracle.run_abstract(n, view.complete, LevelApp(HIGH).decide, (HIGH,) * n)
+    expected = oracle.run_abstract(view.complete, LevelApp(HIGH).decide, (HIGH,) * n)
     assert view.decisions == expected
 
 

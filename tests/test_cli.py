@@ -327,8 +327,9 @@ def _rewrite_header(path, lines, edit):
 
 
 # Each case below keeps the id it has always had, made of its case and the
-# message it pinned before the header's objects named their paths; the
-# message it pins now is the one in HEADER_CASES.
+# message it pinned before the header's objects, and then its drop rules and
+# its decoding errors, named their paths in the program's words; the message
+# it pins now is the one in HEADER_CASES.
 _FORMER_MESSAGES = {
     "app-level-a-list":
         "malformed 'level' app spec: field 'level' must name one of low, medium, high, got ['high']",
@@ -349,13 +350,16 @@ _FORMER_MESSAGES = {
     "missing-config": "missing key 'config'",
     "missing-protocol-field": "header is missing key 'gossip_interval'",
     "n-a-float": "bad value: n must be an int, got 3.0",
+    "nested-too-deep": "is not a lockstep-trace file: maximum recursion depth exceeded",
     "round-length-a-float": "bad value: round_length must be an int, got 160000.5",
     "rule-misspelled-key": "bad value: drop rule has unknown key 'recieer'",
     "rule-receiver-a-string": "bad value: drop rule receiver must be an int, got '2'",
     "rule-round-a-string": "bad value: drop rule round must be an int, got '3'",
+    "rule-round-and-span": "drop rule needs exactly one of: round, [t0, t1]",
     "rule-round-negative": "bad value: drop rule round must be >= 0, got -4",
     "rule-span-a-float": "bad value: drop rule t1 must be an int, got 200.5",
     "rule-span-backwards": "bad value: drop rule span [200, 100] matches no send time",
+    "rule-without-round-or-span": "drop rule needs exactly one of: round, [t0, t1]",
     "seed-a-list": "bad value: seed must be an int, got [1]",
     "wrong-type": "field of the wrong type",
 }
@@ -382,12 +386,15 @@ HEADER_CASES = [
     ("loss-p-a-bool", "error: drop probability must be a number, got True"),
     ("composite-p-a-string", "error: drop probability must be a number, got '0.1'"),
     ("fixed-delay-a-float", "error: fixed delay must be an int, got 3.5"),
-    ("rule-round-a-string", "error: drop rule round must be an int, got '3'"),
-    ("rule-span-a-float", "error: drop rule t1 must be an int, got 200.5"),
-    ("rule-receiver-a-string", "error: drop rule receiver must be an int, got '2'"),
+    # A rule's error names the rule.
+    ("rule-round-a-string", "error: config.loss.rules[0]: drop rule round must be an int, got '3'"),
+    ("rule-span-a-float", "error: config.loss.rules[0]: drop rule t1 must be an int, got 200.5"),
+    ("rule-receiver-a-string",
+     "error: config.loss.rules[0]: drop rule receiver must be an int, got '2'"),
     # A rule that can match nothing is a typo, not a schedule.
-    ("rule-round-negative", "error: drop rule round must be >= 0, got -4"),
-    ("rule-span-backwards", "error: drop rule span [200, 100] matches no send time"),
+    ("rule-round-negative", "error: config.loss.rules[0]: drop rule round must be >= 0, got -4"),
+    ("rule-span-backwards",
+     "error: config.loss.rules[0]: drop rule span [200, 100] matches no send time"),
     # A misspelled key would widen the rule to a wildcard.
     ("rule-misspelled-key", "config.loss.rules[0] has unknown field 'recieer'"),
     # A clock more than a round ahead would skip a round.
@@ -411,12 +418,19 @@ HEADER_CASES = [
     ("rule-a-number", "config.loss.rules[1] must be a JSON object, got 3"),
     ("rule-span-of-three",
      "config.loss.rules[0].t must be a JSON array of length 2, got [1, 2, 3]"),
-    ("rule-without-round-or-span", "drop rule needs exactly one of: round, [t0, t1]"),
+    ("rule-without-round-or-span",
+     "config.loss.rules[0]: drop rule needs exactly one of: round, [t0, t1]"),
     # Read as a round alone, the rule would drop the whole round, not the span.
-    ("rule-round-and-span", "drop rule needs exactly one of: round, [t0, t1]"),
+    ("rule-round-and-span",
+     "config.loss.rules[0]: drop rule needs exactly one of: round, [t0, t1]"),
+    ("rule-vehicle-outside-the-fleet",
+     "drop rule at index 1 references vehicle 3, valid ids are 1..2"),
     ("n-above-max-members", f"n must be in 1..{MAX_MEMBERS}, got 1000000"),
     # JSON nested deeper than the parser recurses is not JSON it can read.
-    ("nested-too-deep", "is not a lockstep-trace file: maximum recursion depth exceeded"),
+    ("nested-too-deep", "is not a lockstep-trace file: it is nested deeper than can be read"),
+    ("integer-too-long", "is not a lockstep-trace file: it holds an integer of more than "
+                         f"{sys.get_int_max_str_digits()} digits"),
+    ("not-utf-8", "is not a lockstep-trace file: it is not UTF-8 text at byte 2"),
 ]
 
 
@@ -465,6 +479,8 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
         "rule-without-round-or-span": {"loss": {"kind": "schedule", "rules": [{"to": 2}]}},
         "rule-round-and-span": {"loss": {"kind": "schedule",
                                          "rules": [{"round": 3, "t": [0, 100], "to": 2}]}},
+        "rule-vehicle-outside-the-fleet": {"loss": {"kind": "schedule", "rules": [
+            {"round": 3}, {"round": 4, "to": 3}]}},
         "n-above-max-members": {"n": 1_000_000},
     }
     app_edits = {
@@ -497,6 +513,11 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
         _rewrite_header(path, lines, lambda h: h.update(extra=1))
     elif case == "nested-too-deep":
         path.write_text("[" * 100_000 + "]" * 100_000 + "\n" + "\n".join(lines[1:]) + "\n")
+    elif case == "integer-too-long":  # a seed of 5,000 digits, which json.dumps cannot write
+        _rewrite_header(path, lines, lambda h: h["config"].update(seed=0))
+        path.write_text(path.read_text().replace('"seed": 0', '"seed": ' + "7" * 5_000, 1))
+    elif case == "not-utf-8":
+        path.write_bytes(b'{"\xff": 1}\n' + "\n".join(lines[1:]).encode() + b"\n")
     else:
         assert case == "wrong-type"
         _rewrite_header(path, lines, lambda h: h.update(config=5))
@@ -513,51 +534,82 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
     pytest.param(["run", "--round-ms", str(10**400)],
                  f"round_length {10**403} holds more than {MAX_SENDS_PER_ROUND} gossip sends "
                  "of gossip_interval 50000", id="run-round-ms-too-many-sends"),
-    pytest.param(["run", "--loss", "bernoulli:abc"], "bad loss spec 'bernoulli:abc'",
+    pytest.param(["run", "--loss", "bernoulli:abc"],
+                 "bad loss spec 'bernoulli:abc': 'abc' is not a number",
                  id="run-loss-p-not-a-number"),
-    pytest.param(["run", "--loss", "composite:abc,x.json"], "bad loss spec",
+    pytest.param(["run", "--loss", "composite:abc,x.json"],
+                 "bad loss spec 'composite:abc,x.json': 'abc' is not a number",
                  id="run-composite-p-not-a-number"),
-    pytest.param(["run", "--loss", "schedule:{bad}"], "bad loss spec", id="run-schedule-not-json"),
+    pytest.param(["run", "--level", "ultra"],
+                 "--level must name one of low, medium, high, got 'ultra'",
+                 id="run-level-unknown"),
+    pytest.param(["run", "--loss", "schedule:{bad}"],
+                 "bad loss spec 'schedule:{bad}': cannot read schedule {bad}: "
+                 "it is not JSON at line 1, column 1", id="run-schedule-not-json"),
     pytest.param(["run", "--loss", "schedule:{five}"], "bad loss spec",
                  id="run-schedule-not-a-list"),
     pytest.param(["run", "--loss", "composite:0.1"], "bad loss spec",
                  id="run-composite-without-file"),
-    pytest.param(["run", "--loss", "schedule:{round3}"], "drop rule round must be an int, got '3'",
+    # A rule's error names the rule.
+    pytest.param(["run", "--loss", "schedule:{round3}"],
+                 "schedule[0]: drop rule round must be an int, got '3'",
                  id="run-schedule-round-a-string"),
     pytest.param(["run", "--loss", "composite:0.1,{round3}"],
-                 "drop rule round must be an int, got '3'", id="run-composite-round-a-string"),
-    pytest.param(["run", "--loss", "schedule:{negative}"], "drop rule round must be >= 0, got -4",
+                 "schedule[0]: drop rule round must be an int, got '3'",
+                 id="run-composite-round-a-string"),
+    pytest.param(["run", "--loss", "schedule:{negative}"],
+                 "schedule[1]: drop rule round must be >= 0, got -4",
                  id="run-schedule-round-negative"),
     pytest.param(["run", "--loss", "composite:0.1,{negative}"],
-                 "drop rule round must be >= 0, got -4", id="run-composite-round-negative"),
+                 "schedule[1]: drop rule round must be >= 0, got -4",
+                 id="run-composite-round-negative"),
     pytest.param(["run", "--loss", "schedule:{backwards}"],
-                 "drop rule span [2000000, 1000000] matches no send time",
+                 "schedule[0]: drop rule span [2000000, 1000000] matches no send time",
                  id="run-schedule-span-backwards"),
     pytest.param(["run", "--loss", "composite:0.1,{backwards}"],
-                 "drop rule span [2000000, 1000000] matches no send time",
+                 "schedule[0]: drop rule span [2000000, 1000000] matches no send time",
                  id="run-composite-span-backwards"),
     pytest.param(["run", "--loss", "schedule:{before0}"],
-                 "drop rule span [-300, -1] matches no send time",
+                 "schedule[0]: drop rule span [-300, -1] matches no send time",
                  id="run-schedule-span-before-0"),
     pytest.param(["run", "--loss", "composite:0.1,{before0}"],
-                 "drop rule span [-300, -1] matches no send time",
+                 "schedule[0]: drop rule span [-300, -1] matches no send time",
                  id="run-composite-span-before-0"),
+    pytest.param(["run", "--loss", "schedule:{outside}"],
+                 "drop rule at index 1 references vehicle 5, valid ids are 1..4",
+                 id="run-schedule-vehicle-outside-the-fleet"),
     pytest.param(["run", "--loss", "schedule:{misspelled}"],
                  "schedule[0] has unknown field 'recieer'", id="run-schedule-misspelled-key"),
     pytest.param(["run", "--loss", "composite:0.1,{misspelled}"],
                  "schedule[0] has unknown field 'recieer'", id="run-composite-misspelled-key"),
     pytest.param(["run", "--loss", "schedule:{both}"],
-                 "drop rule needs exactly one of: round, [t0, t1]",
+                 "schedule[0]: drop rule needs exactly one of: round, [t0, t1]",
                  id="run-schedule-round-and-span"),
     pytest.param(["run", "--loss", "composite:0.1,{both}"],
-                 "drop rule needs exactly one of: round, [t0, t1]",
+                 "schedule[0]: drop rule needs exactly one of: round, [t0, t1]",
                  id="run-composite-round-and-span"),
     pytest.param(["run", "--loss", "schedule:{null}"], "schedule must be a JSON array, got None",
                  id="run-schedule-null"),
-    pytest.param(["run", "--loss", "schedule:{deep}"], "bad loss spec",
-                 id="run-schedule-nested-too-deep"),
-    pytest.param(["scenario", "--scenario-json", "{deep}"], "cannot read scenario",
+    # JSON the decoder cannot read is named in the program's words: too deep,
+    # an integer too long to convert, or bytes that are not UTF-8.
+    pytest.param(["run", "--loss", "schedule:{deep}"],
+                 "bad loss spec 'schedule:{deep}': cannot read schedule {deep}: "
+                 "it is nested deeper than can be read", id="run-schedule-nested-too-deep"),
+    pytest.param(["scenario", "--scenario-json", "{deep}"],
+                 "cannot read scenario {deep}: it is nested deeper than can be read",
                  id="scenario-json-nested-too-deep"),
+    pytest.param(["run", "--loss", "schedule:{digits}"],
+                 f"cannot read schedule {{digits}}: it holds an integer of more than "
+                 f"{sys.get_int_max_str_digits()} digits", id="run-schedule-integer-too-long"),
+    pytest.param(["scenario", "--scenario-json", "{digits}"],
+                 f"cannot read scenario {{digits}}: it holds an integer of more than "
+                 f"{sys.get_int_max_str_digits()} digits", id="scenario-json-integer-too-long"),
+    pytest.param(["run", "--loss", "schedule:{latin1}"],
+                 "cannot read schedule {latin1}: it is not UTF-8 text at byte 12",
+                 id="run-schedule-not-utf-8"),
+    pytest.param(["scenario", "--scenario-json", "{latin1}"],
+                 "cannot read scenario {latin1}: it is not UTF-8 text at byte 12",
+                 id="scenario-json-not-utf-8"),
     pytest.param(["run", "--loss", "schedule:{span3}"],
                  "schedule[0].t must be a JSON array of length 2, got [1, 2, 3]",
                  id="run-schedule-span-of-three"),
@@ -599,7 +651,8 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
                  "--processes must be >= 1, got 0", id="sweep-processes-0"),
     pytest.param(["sweep", "--processes", "-3", "--n-list", "2", "--duration-s", "1"],
                  "--processes must be >= 1, got -3", id="sweep-processes-negative"),
-    pytest.param(["scenario", "--scenario-json", "{bad}"], "cannot read scenario",
+    pytest.param(["scenario", "--scenario-json", "{bad}"],
+                 "cannot read scenario {bad}: it is not JSON at line 1, column 1",
                  id="scenario-json-not-json"),
     pytest.param(["scenario", "--scenario-json", "{list}"], "must be a JSON object",
                  id="scenario-json-not-an-object"),
@@ -747,7 +800,9 @@ def test_malformed_command_input_is_usage_error(tmp_path, capsys, argv, message)
         "accel_str": level("high", accel_bound="2"),
         "accel_neg": level("high", accel_bound=-2.0),
         "round3": '[{"round": "3", "from": "*", "to": 1}]\n',
-        "negative": '[{"round": -4, "from": 2, "to": "*"}]\n',
+        "negative": '[{"round": 3}, {"round": -4, "from": 2, "to": "*"}]\n',
+        "outside": '[{"round": 3, "to": 4}, {"round": 3, "from": 5}]\n',
+        "digits": '[{"round": ' + "7" * 5_000 + '}]\n',
         "backwards": '[{"t": [2000000, 1000000], "from": "*", "to": 1}]\n',
         "before0": '[{"t": [-300, -1], "from": "*", "to": 1}]\n',
         "misspelled": '[{"round": 3, "recieer": 2}]\n',
@@ -755,12 +810,14 @@ def test_malformed_command_input_is_usage_error(tmp_path, capsys, argv, message)
         "null": "null\n",
         "span3": '[{"t": [1, 2, 3]}]\n',
         "deep": "[" * 100_000 + "]" * 100_000,
+        "latin1": '[{"to": "caf\xe9"}]\n'.encode("latin-1"),
         "fleet": json.dumps(dict(scenario, n=MAX_MEMBERS + 1)),
     }
     paths = {name: tmp_path / f"{name}.json" for name in files}
     for name, text in files.items():
-        paths[name].write_text(text)
+        (paths[name].write_bytes if isinstance(text, bytes) else paths[name].write_text)(text)
     argv = [a.format(**paths) for a in argv]
+    message = message.format(**paths)
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err

@@ -41,7 +41,7 @@ def _differences(config):
     n = config.protocol.n
     view = simulated_view(config, LevelApp(HIGH))
     complete, delivers, drops = round_journeys(config)
-    decisions = run_abstract(n, complete, min_level_decide, (HIGH,) * n)
+    decisions = run_abstract(complete, min_level_decide, (HIGH,) * n)
     return [name for name, ok in (
         ("complete", complete == view.complete),
         ("delivers", delivers == view.delivers),

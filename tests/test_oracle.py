@@ -83,7 +83,7 @@ def test_abstract_round_flushes_default_next_round():
 def test_run_abstract_recovery_timeline():
     n = 2
     matrices = [full_matrix(n), matrix_from_missing(n, [(2, 1)]), full_matrix(n), full_matrix(n)]
-    decisions = run_abstract(n, map(completeness, matrices), min_level_decide, high_state(n))
+    decisions = run_abstract(map(completeness, matrices), min_level_decide, high_state(n))
     assert decisions[0] == (HIGH, HIGH)
     assert is_default(decisions[1][0]) and decisions[1][1] == HIGH
     assert all(is_default(d) for d in decisions[2])
@@ -160,7 +160,7 @@ def test_all_false_matrices_stay_uniformly_default():
     n = 4
     dead = tuple(tuple(i == j for i in range(n)) for j in range(n))
     assert reference_verify_sequence(n, [dead] * 5, min_level_decide, high_state(n)) is None
-    decisions = run_abstract(n, [completeness(dead)] * 5, min_level_decide, high_state(n))
+    decisions = run_abstract([completeness(dead)] * 5, min_level_decide, high_state(n))
     for row in decisions:
         assert all(is_default(d) for d in row)
 
@@ -233,8 +233,8 @@ def matrix_pairs(draw):
 def test_relay_monotonicity(case):
     """More delivery never flips a decided value, only resolves defaults."""
     n, base, sup = case
-    d_base = run_abstract(n, map(completeness, base), min_level_decide, high_state(n))
-    d_sup = run_abstract(n, map(completeness, sup), min_level_decide, high_state(n))
+    d_base = run_abstract(map(completeness, base), min_level_decide, high_state(n))
+    d_sup = run_abstract(map(completeness, sup), min_level_decide, high_state(n))
     for row_b, row_s in zip(d_base, d_sup):
         for b, s in zip(row_b, row_s):
             if not is_default(b):
@@ -320,7 +320,7 @@ def test_completeness_model_matches_the_matrix_model(case):
         want = reference_abstract_round(sent, matrix, min_level_decide, read_state, mutant)
         assert got == want
         sent = want[1]
-    assert run_abstract(n, map(completeness, matrices), min_level_decide, read_state,
+    assert run_abstract(map(completeness, matrices), min_level_decide, read_state,
                         mutant) == \
         reference_run_abstract(n, matrices, min_level_decide, read_state, mutant)
 
@@ -364,9 +364,9 @@ def reference_smallest_matrix(complete):
         n, [(max(j for j in ids if j != i), i) for i, ok in zip(ids, complete) if not ok])
 
 
-def reference_verify_sequence(n, matrices, decide, read_state=None, drop_default_write=False):
+def reference_verify_sequence(n, matrices, decide, read_state, drop_default_write=False):
     completes = [completeness(m) for m in matrices]
-    decisions = run_abstract(n, completes, decide, read_state, drop_default_write)
+    decisions = run_abstract(completes, decide, read_state, drop_default_write)
     hit = check_decision_sequence([all(c) for c in completes], decisions)
     if hit is None:
         return None
@@ -381,7 +381,7 @@ def literal_json(report, matrices):
     return out
 
 
-def reference_sample_and_verify(n, rounds, trials, seed, decide, read_state=None,
+def reference_sample_and_verify(n, rounds, trials, seed, decide, read_state,
                                 drop_default_write=False):
     """The report and, for a failure, the failing trial's matrix sequence (else None)."""
     rng = random.Random(seed)
@@ -490,7 +490,7 @@ def test_smallest_matrix_is_the_class_representative(monkeypatch, n):
     """
     seen = []
     monkeypatch.setattr(oracle, "_first_break",
-                        lambda n, completes, *rest: seen.append(completes[0]))
+                        lambda completes, *rest: seen.append(completes[0]))
     assert enumerate_and_verify(n, 1, min_level_decide, high_state(n)).passed
     matrices = all_matrices(n)
     assert sorted(seen) == sorted(set(map(completeness, matrices)))  # each vector once
@@ -519,7 +519,7 @@ def test_a_shared_table_matches_the_matrix_model(case):
     n, runs, read_state, mutant = case
     steps = {}
     for matrices in runs:
-        got = run_abstract(n, map(completeness, matrices), min_level_decide, read_state,
+        got = run_abstract(map(completeness, matrices), min_level_decide, read_state,
                            mutant, steps)
         assert got == reference_run_abstract(n, matrices, min_level_decide, read_state, mutant)
 
@@ -533,7 +533,7 @@ def test_a_full_table_starts_afresh_and_still_matches():
         vectors = [tuple(rng.random() < 0.5 for _ in range(n)) for _ in range(8)]
         matrices = [oracle._smallest_matrix(v) for v in vectors]
         want = reference_run_abstract(n, matrices, min_level_decide, read_state)
-        assert run_abstract(n, vectors, min_level_decide, read_state, False, steps) == want
+        assert run_abstract(vectors, min_level_decide, read_state, False, steps) == want
         sent = read_state
         for vector in vectors:
             met.add((sent, vector))
@@ -548,11 +548,11 @@ def test_list_vectors_and_unhashable_data_bypass_the_table():
     vectors = [[True, False, True], [True, True, True], [False, True, True], [True, True, True]]
     matrices = [oracle._smallest_matrix(v) for v in vectors]
     steps = {}
-    got = run_abstract(3, vectors, min_level_decide, high_state(3), False, steps)
+    got = run_abstract(vectors, min_level_decide, high_state(3), False, steps)
     assert got == reference_run_abstract(3, matrices, min_level_decide, high_state(3))
     assert steps == {}
     lists = ([3], [1], [2])  # min works on lists, which do not hash
-    got = run_abstract(3, map(tuple, vectors), min_level_decide, lists, True, steps)
+    got = run_abstract(map(tuple, vectors), min_level_decide, lists, True, steps)
     assert got == reference_run_abstract(3, matrices, min_level_decide, lists, True)
     assert steps == {}
 

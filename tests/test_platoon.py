@@ -7,13 +7,13 @@ import pytest
 
 from lockstep import platoon
 from lockstep.platoon import (
+    LevelParams,
     PlatoonApp,
     PlatoonDatum,
     ScenarioSpec,
     ServiceLevel,
     World,
     control_accel,
-    default_level_table,
     effective_level,
     min_level_decide,
     platoon_decide,
@@ -21,7 +21,6 @@ from lockstep.platoon import (
     run_worst_case,
     scenario_facts,
     step_world,
-    validate_level_table,
     write_kinematics_csv,
 )
 from lockstep.protocol import DEFAULT, is_default
@@ -59,17 +58,15 @@ def test_min_level_decide_absorbs_default():
 
 
 def test_default_table_orderings():
-    table = default_level_table()
-    validate_level_table(table)
-    assert table[HIGH].headway < table[MEDIUM].headway < table[LOW].headway
-    assert table[HIGH].accel_bound < table[MEDIUM].accel_bound < table[LOW].accel_bound
+    low, medium, high = ScenarioSpec().levels
+    assert high.headway < medium.headway < low.headway
+    assert high.accel_bound < medium.accel_bound < low.accel_bound
 
 
 def test_bad_table_rejected():
-    table = default_level_table()
-    table[ServiceLevel.HIGH] = table[ServiceLevel.LOW]
+    low, medium, _ = ScenarioSpec().levels
     with pytest.raises(ValueError):
-        validate_level_table(table)
+        ScenarioSpec(levels=(low, medium, low))
 
 
 def test_effective_level_maps_default_to_low():
@@ -117,14 +114,14 @@ def test_default_decision_opens_toward_widest_headway():
     world = make_world(gap=10.0)
     a = control_accel(world, 2, (), DEFAULT)
     assert a < 0
-    assert abs(a) <= world.table[LOW].accel_bound
+    assert abs(a) <= world.scenario.levels[LOW - 1].accel_bound
 
 
 def test_leader_accelerates_toward_cruise_within_level_bound():
     world = make_world(gap=10.0)
     world.body(1).v = 15.0
     a = control_accel(world, 1, (), HIGH)
-    assert 0 < a <= world.table[HIGH].accel_bound
+    assert 0 < a <= world.scenario.levels[HIGH - 1].accel_bound
 
 
 def test_cooperative_control_uses_shared_snapshot():
@@ -141,7 +138,7 @@ def test_accel_clipped_to_level_bound():
     world = make_world(gap=100.0)  # huge positive gap error
     for level in (HIGH, MEDIUM, LOW):
         a = control_accel(world, 2, (), level)
-        assert abs(a) <= world.table[level].accel_bound
+        assert abs(a) <= world.scenario.levels[level - 1].accel_bound
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +199,13 @@ def test_scenario_spec_validation():
 
 
 def test_level_error_bounds_may_be_zero_or_absent():
-    table = default_level_table()
-    table[HIGH] = replace(table[HIGH], position_error=0, velocity_error=0.0)
-    table[LOW] = replace(table[LOW], position_error=None)
-    assert ScenarioSpec(levels=tuple(sorted(table.items()))).level_table == table
-    table[LOW] = replace(table[LOW], headway=True)  # a bool is not a number
+    low, medium, high = ScenarioSpec().levels
+    high = replace(high, position_error=0, velocity_error=0.0)
+    low = replace(low, position_error=None)
+    assert ScenarioSpec(levels=(low, medium, high)).levels == (low, medium, high)
+    low = replace(low, headway=True)  # a bool is not a number
     with pytest.raises(ValueError, match="'levels' low headway must be finite and > 0, got True"):
-        ScenarioSpec(levels=tuple(sorted(table.items())))
+        ScenarioSpec(levels=(low, medium, high))
 
 
 def test_scenario_json_round_trip():
@@ -223,11 +220,10 @@ def test_level_entry_may_omit_its_error_bounds():
 
 
 def test_scenario_with_custom_level_table_replays(tmp_path):
-    table = default_level_table()
-    table[LOW] = table[LOW].__class__(headway=30.0, accel_bound=6.0,
-                                      position_error=None, velocity_error=None)
-    spec = ScenarioSpec(horizon_rounds=30, levels=tuple(sorted(table.items())))
-    assert spec.level_table[LOW].headway == 30.0
+    _, medium, high = ScenarioSpec().levels
+    low = LevelParams(headway=30.0, accel_bound=6.0, position_error=None, velocity_error=None)
+    spec = ScenarioSpec(horizon_rounds=30, levels=(low, medium, high))
+    assert spec.levels[LOW - 1].headway == 30.0
     res = run_worst_case(spec)
     path = tmp_path / "custom.jsonl"
     res.trace.write(path)
@@ -250,7 +246,7 @@ def test_worst_case_gaps_open_before_brake_and_stay_positive():
     spec = ScenarioSpec()
     res = run_worst_case(spec)
     brake_round = spec.outage_round + spec.brake_after_rounds
-    initial_gap = default_level_table()[spec.initial_level].headway
+    initial_gap = ScenarioSpec().levels[spec.initial_level - 1].headway
     assert res.gap_at(brake_round, 2) > initial_gap
     assert res.gap_at(brake_round, 3) > initial_gap
     assert res.min_gap > 0
@@ -282,10 +278,10 @@ def test_accel_commands_respect_effective_level_bounds(monkeypatch):
 
     monkeypatch.setattr(platoon, "control_accel", recorded_accel)
     res = run_worst_case(ScenarioSpec())
-    table = default_level_table()
+    levels = ScenarioSpec().levels
     assert [level for level, _ in commands] == [row.level for row in res.rows]
     for level, a in commands:
-        assert abs(a) <= table[level].accel_bound + 1e-9
+        assert abs(a) <= levels[level - 1].accel_bound + 1e-9
 
 
 def test_agreed_rounds_use_uniform_parameters():

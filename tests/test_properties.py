@@ -39,7 +39,7 @@ def test_every_trace_satisfies_the_three_properties(config):
 def test_every_trace_matches_the_abstract_model(config):
     n = config.protocol.n
     view = simulated_view(config, LevelApp(HIGH))
-    expected = oracle.run_abstract(n, view.complete, min_level_decide, (HIGH,) * n)
+    expected = oracle.run_abstract(view.complete, min_level_decide, (HIGH,) * n)
     assert view.decisions == expected
 
 

@@ -5,11 +5,16 @@ transliteration of its defining condition, over randomized inputs.
 """
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lockstep.protocol
 from lockstep.protocol import (
     DEFAULT,
     MAX_SENDS_PER_ROUND,
@@ -462,3 +467,18 @@ def test_contract_enforced_at_round_boundary():
     v.on_gossip_receive(GossipMessage(2, 0, (DEFAULT, DEFAULT), ack_mask((False, True))))
     with pytest.raises(DecideContractError):
         v.on_tick(160 * MS, read_high, lambda s: HIGH)
+
+
+@pytest.mark.parametrize("module,loaded", [
+    ("lockstep.protocol", ["lockstep", "lockstep.protocol"]),
+    ("lockstep.sim", ["lockstep", "lockstep.protocol", "lockstep.sim"]),
+])
+def test_a_module_loads_only_the_modules_it_imports(module, loaded):
+    """A vehicle runs the protocol alone: importing it loads no simulator,
+    checker, verifier or platoon physics."""
+    src = Path(lockstep.protocol.__file__).resolve().parent.parent
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'lockstep'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=60, check=True)
+    assert out.stdout == f"{loaded}\n"

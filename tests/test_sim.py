@@ -290,7 +290,7 @@ def test_single_link_outage_matches_oracle():
         else:
             assert all(ack_flags(out.r, 4))
     assert view.complete[20] == (False, True, True, True)
-    expected = oracle.run_abstract(4, view.complete, LevelApp(HIGH).decide, (HIGH,) * 4)
+    expected = oracle.run_abstract(view.complete, LevelApp(HIGH).decide, (HIGH,) * 4)
     assert view.decisions == expected
 
 
@@ -859,7 +859,7 @@ def test_replay_reports_a_line_that_is_not_text_as_a_mismatch(tmp_path):
     trace = run_high(make_sim_config(n=3, rounds=60, seed=15, loss=BernoulliLoss(0.2)))
     lines = list(trace.lines())
     path = tmp_path / "trace.jsonl"
-    bad = len(lines) - 5  # past the first read buffer, which the header check decodes
+    bad = len(lines) - 5  # past the first read buffer
     data = "".join(line + "\n" for line in lines).encode()
     cut = data.index(lines[bad - 1].encode())
     path.write_bytes(data[:cut] + b"\xff" + data[cut + 1:])
@@ -868,6 +868,21 @@ def test_replay_reports_a_line_that_is_not_text_as_a_mismatch(tmp_path):
         replay(path)
     assert info.value.line_no == bad
     assert info.value.expected == "\\xff" + lines[bad - 1][1:]
+
+
+def test_replay_reports_a_byte_that_is_not_text_on_an_early_line_as_a_mismatch(tmp_path):
+    # The header check decodes the header line alone, so a bad byte on line 3,
+    # inside the file's first read buffer, is a divergence at line 3 too.
+    trace = run_high(make_sim_config(n=3, rounds=6, seed=15, loss=BernoulliLoss(0.2)))
+    lines = list(trace.lines())
+    data = "".join(line + "\n" for line in lines).encode()
+    cut = data.index(lines[2].encode())
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(data[:cut] + b"\xff" + data[cut + 1:])
+    with pytest.raises(ReplayMismatch) as info:
+        replay(path)
+    assert info.value.line_no == 3
+    assert info.value.expected == "\\xff" + lines[2][1:]
 
 
 def test_replay_holds_neither_the_run_nor_the_file(tmp_path):
