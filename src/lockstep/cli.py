@@ -14,7 +14,6 @@ import gc
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -24,12 +23,12 @@ from .platoon import (
     LevelApp,
     ScenarioSpec,
     ServiceLevel,
+    kinematics_rows,
     level_from_json,
     min_level_decide,
     run_baseline,
     run_worst_case,
     scenario_facts,
-    write_kinematics_csv,
 )
 from .protocol import ConfigError, ProtocolConfig, read_json
 from .sim import (
@@ -116,36 +115,19 @@ def build_sim_config(n: int, round_ms: int, sync_ms: int, delay_ms: int,
 # Sweep engine
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Grid of reliability experiments; the drop rate defaults to the calibrated table."""
-
-    ns: tuple[int, ...]
-    round_ms: tuple[int, ...]
-    seeds: tuple[int, ...]
-    duration_s: int = 360
-    sync_ms: int = 5
-    delay_ms: int = 100
-    gossip_ms: int = 50
-    drop_rate: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if not (self.ns and self.round_ms and self.seeds):
-            raise ConfigError("sweep axes must be non-empty")
-        if min(self.ns) < 2:  # every row reports a drop rate, which needs transmissions
-            raise ConfigError(f"sweep fleet sizes must be >= 2, got {min(self.ns)}")
-        self.cells()  # every cell is checked before the first one runs
-
-    def cells(self) -> list[SimConfig]:
-        return [
-            build_sim_config(n, rl, self.sync_ms, self.delay_ms, self.gossip_ms,
-                             BernoulliLoss(self.drop_rate if self.drop_rate is not None
-                                           else TABLE1_DROP_RATES.get(n, 0.15)),
-                             seed, self.duration_s)
-            for n in self.ns
-            for rl in self.round_ms
-            for seed in self.seeds
-        ]
+def sweep_cells(ns: Sequence[int], round_ms: Sequence[int], seeds: Sequence[int],
+                duration_s: int = 360, sync_ms: int = 5, delay_ms: int = 100,
+                gossip_ms: int = 50, drop_rate: Optional[float] = None) -> list[SimConfig]:
+    """Every cell of the grid, each checked before any runs; drop rates default to the table."""
+    if not (ns and round_ms and seeds):
+        raise ConfigError("sweep axes must be non-empty")
+    if min(ns) < 2:  # every row reports a drop rate, which needs transmissions
+        raise ConfigError(f"sweep fleet sizes must be >= 2, got {min(ns)}")
+    return [
+        build_sim_config(n, rl, sync_ms, delay_ms, gossip_ms, BernoulliLoss(
+            TABLE1_DROP_RATES.get(n, 0.15) if drop_rate is None else drop_rate), seed, duration_s)
+        for n in ns for rl in round_ms for seed in seeds
+    ]
 
 
 def _sweep_cell(config: SimConfig) -> dict:
@@ -170,9 +152,8 @@ def _sweep_cell(config: SimConfig) -> dict:
     }
 
 
-def run_sweep(spec: SweepSpec, processes: Optional[int] = None) -> list[dict]:
+def run_sweep(cells: list[SimConfig], processes: Optional[int] = None) -> list[dict]:
     """Run every sweep cell; cells are independent seeded simulations."""
-    cells = spec.cells()
     cpus = os.cpu_count() or 1
     # A worker per cell and per CPU at most: the cells are CPU-bound.
     processes = min(cpus if processes is None else processes, len(cells), cpus)
@@ -200,14 +181,14 @@ def aggregate_sweep(rows: list[dict]) -> list[dict]:
     return out
 
 
-def write_csv(path: Path, rows: list[dict], columns: Sequence[str]) -> None:
+def write_csv(path: Path, rows: list[dict]) -> None:
+    """The first row's keys as the header, then each row's values in order."""
     import csv
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([row[c] for c in columns])
+        writer.writerow(rows[0])
+        writer.writerows(row.values() for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -250,24 +231,15 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     if args.processes is not None and args.processes < 1:
         raise ConfigError(f"--processes must be >= 1, got {args.processes}")
-    spec = SweepSpec(
-        ns=tuple(args.n_list),
-        round_ms=tuple(args.round_ms_list),
-        seeds=tuple(range(args.seed, args.seed + args.seeds)),
-        duration_s=args.duration_s,
-        sync_ms=args.sync_ms,
-        delay_ms=args.delay_ms,
-        gossip_ms=args.gossip_ms,
-        drop_rate=args.drop_rate,
-    )
+    cells = sweep_cells(args.n_list, args.round_ms_list, range(args.seed, args.seed + args.seeds),
+                        args.duration_s, args.sync_ms, args.delay_ms, args.gossip_ms, args.drop_rate)
     directory = out_dir(args)
-    rows = run_sweep(spec, processes=args.processes)
+    rows = run_sweep(cells, processes=args.processes)
     results = directory / "sweep.csv"
-    write_csv(results, rows,
-              ["n", "round_ms", "loss", "seed", "reliability", "drop_rate", "p1", "p2", "p3"])
+    write_csv(results, rows)
     agg = aggregate_sweep(rows)
     plot = directory / "sweep_plot.csv"
-    write_csv(plot, agg, ["n", "round_ms", "mean_reliability", "mean_drop_rate", "seeds"])
+    write_csv(plot, agg)
     print(f"results: {results}")
     print(f"plot data: {plot}")
     for row in agg:
@@ -277,16 +249,15 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    oracle.check_size(args.n, args.rounds)  # before a state of n members is built
     mutate = args.mutate == "drop-default-write"
+    read_state = (ServiceLevel.HIGH,) * args.n
     if args.trials is not None:
         report = oracle.sample_and_verify(args.n, args.rounds, args.trials, args.seed,
-                                          min_level_decide,
-                                          read_state=(ServiceLevel.HIGH,) * args.n,
-                                          drop_default_write=mutate)
+                                          min_level_decide, read_state, mutate)
     else:
         report = oracle.enumerate_and_verify(args.n, args.rounds, min_level_decide,
-                                             read_state=(ServiceLevel.HIGH,) * args.n,
-                                             drop_default_write=mutate)
+                                             read_state, mutate)
     text = json.dumps(report.to_json(), indent=2, sort_keys=True)
     if args.report_file:  # written first: a report that fails to write is not printed
         Path(args.report_file).write_text(text + "\n")
@@ -311,8 +282,8 @@ def cmd_scenario(args) -> int:
     baseline_res = run_baseline(scenario)
 
     protocol_res.trace.write(directory / "scenario_trace.jsonl")
-    write_kinematics_csv(directory / "scenario_protocol.csv", protocol_res.rows)
-    write_kinematics_csv(directory / "scenario_baseline.csv", baseline_res.rows)
+    write_csv(directory / "scenario_protocol.csv", kinematics_rows(protocol_res.rows))
+    write_csv(directory / "scenario_baseline.csv", kinematics_rows(baseline_res.rows))
     (directory / "scenario.json").write_text(
         json.dumps(scenario.to_json(), indent=2, sort_keys=True) + "\n")
 
@@ -340,11 +311,19 @@ def cmd_replay(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
+    try:
+        return [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers separated by commas, got {text!r}")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # one line and exit 2, as for any bad input
+        self.exit(2, f"error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lockstep",
         description="Round-synchronous cooperation protocol: simulate, verify, analyze.",
     )

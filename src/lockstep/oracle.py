@@ -44,13 +44,20 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .protocol import DEFAULT, ConfigError, Datum, DecideFn, checked_decide, is_default
+from .protocol import DEFAULT, MAX_MEMBERS, ConfigError, Datum, DecideFn, checked_decide, is_default
 
 # E[j][i] == True iff vehicle i+1 effectively receives the round message of
 # vehicle j+1. The diagonal is forced true (own slot is always present).
 DeliveryMatrix = tuple[tuple[bool, ...], ...]
 
 MAX_EXHAUSTIVE_BITS = 18
+
+# The longest run either verifier takes, and the most delivery cells (n x n a
+# round) a failing report may render: a failure at n=16 over 10,000 rounds
+# peaks at 351 MB. At the bounds, failing `verify --mutate drop-default-write`
+# runs peaked at 103-220 MB RSS in under 1.3 s (n = 2, 5, 8, 31; 2 shared cores).
+MAX_VERIFY_ROUNDS = 50_000
+MAX_REPORT_CELLS = 1_000_000
 
 # The round mix of ``sample_and_verify``.
 STABLE_ROUND_PROBABILITY = 0.5
@@ -242,9 +249,12 @@ def _first_break(
     return None if hit is None else (*hit, decisions)
 
 
-def _check_size(n: int, rounds: int) -> None:
-    if n < 1 or rounds < 1:
-        raise ConfigError(f"verification needs n >= 1 and rounds >= 1, got n={n}, rounds={rounds}")
+def check_size(n: int, rounds: int) -> None:
+    if not (1 <= n <= MAX_MEMBERS and 1 <= rounds <= MAX_VERIFY_ROUNDS
+            and n * n * rounds <= MAX_REPORT_CELLS):
+        raise ConfigError(f"verification needs n in 1..{MAX_MEMBERS}, rounds in "
+                          f"1..{MAX_VERIFY_ROUNDS} and n x n x rounds <= {MAX_REPORT_CELLS}, "
+                          f"got n={n}, rounds={rounds}")
 
 
 def _smallest_matrix(complete: Sequence[bool]) -> DeliveryMatrix:
@@ -285,7 +295,7 @@ def enumerate_and_verify(
     vehicle n's link in row n-1 and every other vehicle's in row n, the last
     n off-diagonal cells. A sequence's rank reads its k's as digits.
     """
-    _check_size(n, rounds)
+    check_size(n, rounds)
     # One completeness bit per vehicle and round; a lone vehicle has no links,
     # so its only vector is the complete one.
     bits = (n if n > 1 else 0) * rounds
@@ -336,7 +346,7 @@ def sample_and_verify(
     at n=32. So at large n sampling rarely makes a split round, and a pass
     there says little.
     """
-    _check_size(n, rounds)
+    check_size(n, rounds)
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)

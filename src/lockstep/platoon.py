@@ -522,13 +522,9 @@ def run_baseline(scenario: ScenarioSpec) -> ScenarioResult:
     return ScenarioResult(None, world.rows, world.min_gap)
 
 
-def write_kinematics_csv(path, rows: list[KinematicsRow]) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "vehicle", "x", "v", "gap", "level"])
-        for row in rows:
-            writer.writerow([row.round, row.vehicle, f"{row.x:.6f}", f"{row.v:.6f}",
-                             "" if row.gap is None else f"{row.gap:.6f}",
-                             row.level.to_json()])
+def kinematics_rows(rows: list[KinematicsRow]) -> list[dict]:
+    """CSV rows: x, v and gap to 6 decimals, an empty gap for the leader, the level's name."""
+    return [{"round": row.round, "vehicle": row.vehicle, "x": f"{row.x:.6f}",
+             "v": f"{row.v:.6f}", "gap": "" if row.gap is None else f"{row.gap:.6f}",
+             "level": row.level.to_json()}
+            for row in rows]

@@ -12,7 +12,7 @@ import pytest
 
 from lockstep import oracle
 from lockstep.analysis import run_all_checks
-from lockstep.cli import SweepSpec, aggregate_sweep, main, run_sweep
+from lockstep.cli import aggregate_sweep, main, run_sweep, sweep_cells
 from lockstep.platoon import (
     LevelApp,
     ScenarioSpec,
@@ -142,9 +142,9 @@ def test_criterion_3_theorem_holds_over_seeded_runs():
 
 def test_criterion_4_reliability_sweep():
     started = time.monotonic()
-    spec = SweepSpec(ns=tuple(range(2, 9)), round_ms=(160, 260, 360),
-                     seeds=(1, 2, 3, 4, 5), duration_s=360)
-    rows = run_sweep(spec, processes=PROCESSES)
+    grid = sweep_cells(ns=tuple(range(2, 9)), round_ms=(160, 260, 360),
+                       seeds=(1, 2, 3, 4, 5), duration_s=360)
+    rows = run_sweep(grid, processes=PROCESSES)
     assert all(r["p1"] and r["p2"] and r["p3"] for r in rows)
     cells = {(a["n"], a["round_ms"]): a["mean_reliability"] for a in aggregate_sweep(rows)}
     for n in range(4, 9):

@@ -16,13 +16,14 @@ import lockstep
 from lockstep import cli
 from lockstep.cli import (
     TABLE1_DROP_RATES,
-    SweepSpec,
     _sweep_cell,
     aggregate_sweep,
     build_sim_config,
     main,
     run_sweep,
+    sweep_cells,
 )
+from lockstep.oracle import MAX_REPORT_CELLS, MAX_VERIFY_ROUNDS
 from lockstep.platoon import LevelApp, ScenarioSpec, ServiceLevel
 from lockstep.protocol import MAX_MEMBERS, MAX_SENDS_PER_ROUND
 from lockstep.sim import BernoulliLoss, run
@@ -103,6 +104,12 @@ def test_verify_sampled_mode(capsys):
     ["verify", "--n", "3", "--rounds", "-1"],
     ["verify", "--n", "3", "--rounds", "-1", "--trials", "5"],
     ["verify", "--n", "3", "--rounds", "0"],
+    # Just past each size bound; unbounded, each of these passes small and fast.
+    ["verify", "--n", str(MAX_MEMBERS + 1), "--rounds", "1", "--trials", "1"],
+    ["verify", "--n", "2", "--rounds", str(MAX_VERIFY_ROUNDS + 1), "--trials", "1"],
+    ["verify", "--n", "1", "--rounds", str(MAX_VERIFY_ROUNDS + 1)],  # 0 bits, still bounded
+    # One round more than a failing report of 16 vehicles may render.
+    ["verify", "--n", "16", "--rounds", str(MAX_REPORT_CELLS // 16**2 + 1), "--trials", "1"],
 ])
 def test_verify_usage_errors_exit_2(argv, capsys):
     assert main(argv) == 2
@@ -147,13 +154,13 @@ def test_sweep_single_cell(tmp_path):
 
 
 def test_sweep_spec_uses_calibrated_drop_rates():
-    spec = SweepSpec(ns=(2, 8), round_ms=(160,), seeds=(1,))
-    assert [c.loss.p for c in spec.cells()] == [TABLE1_DROP_RATES[2], TABLE1_DROP_RATES[8]]
+    cells = sweep_cells(ns=(2, 8), round_ms=(160,), seeds=(1,))
+    assert [c.loss.p for c in cells] == [TABLE1_DROP_RATES[2], TABLE1_DROP_RATES[8]]
 
 
 def test_sweep_rejects_bad_round_length():
     with pytest.raises(Exception):
-        SweepSpec(ns=(2,), round_ms=(110,), seeds=(1,))
+        sweep_cells(ns=(2,), round_ms=(110,), seeds=(1,))
 
 
 @pytest.fixture
@@ -180,22 +187,22 @@ def pool_sizes(monkeypatch):
 
 def test_sweep_starts_no_more_workers_than_cells(monkeypatch, pool_sizes):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 6)
-    spec = SweepSpec(ns=(2,), round_ms=(160, 260), seeds=(1,), duration_s=1)
-    rows = run_sweep(spec, processes=6)
+    cells = sweep_cells(ns=(2,), round_ms=(160, 260), seeds=(1,), duration_s=1)
+    rows = run_sweep(cells, processes=6)
     assert pool_sizes == [2]
-    assert rows == run_sweep(spec, processes=1)
+    assert rows == run_sweep(cells, processes=1)
     assert pool_sizes == [2]  # one worker runs in process, with no pool
-    run_sweep(spec)
+    run_sweep(cells)
     assert pool_sizes == [2, 2]
 
 
 def test_sweep_starts_no_more_workers_than_cpus(monkeypatch, pool_sizes):
-    spec = SweepSpec(ns=(2, 3), round_ms=(160, 260), seeds=(1, 2), duration_s=1)
+    cells = sweep_cells(ns=(2, 3), round_ms=(160, 260), seeds=(1, 2), duration_s=1)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    rows = run_sweep(spec, processes=5000)
+    rows = run_sweep(cells, processes=5000)
     assert pool_sizes == [3]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 1)
-    assert run_sweep(spec, processes=5000) == rows
+    assert run_sweep(cells, processes=5000) == rows
     assert pool_sizes == [3]  # one CPU: the cells run in process, with no pool
 
 
@@ -209,7 +216,7 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
 
 
 def test_aggregate_groups_by_cell():
-    rows = run_sweep(SweepSpec(ns=(2,), round_ms=(160,), seeds=(1, 2), duration_s=5),
+    rows = run_sweep(sweep_cells(ns=(2,), round_ms=(160,), seeds=(1, 2), duration_s=5),
                      processes=1)
     agg = aggregate_sweep(rows)
     assert len(agg) == 1
@@ -622,6 +629,13 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
     pytest.param(["scenario", "--scenario-json", "{fleet}"],
                  f"n must be in 1..{MAX_MEMBERS}, got {MAX_MEMBERS + 1}",
                  id="scenario-json-n-above-max-members"),
+    pytest.param(["scenario", "--scenario-json", "{one}"], "a platoon needs at least two vehicles",
+                 id="scenario-json-n-1"),
+    pytest.param(["scenario", "--scenario-json", "{headways}"],
+                 "headways must grow as the level drops", id="scenario-json-headways-flat"),
+    pytest.param(["scenario", "--scenario-json", "{accels}"],
+                 "acceleration bounds must nest upward as the level drops",
+                 id="scenario-json-accel-bounds-flat"),
     pytest.param(["scenario", "--outage-rounds", "1"], "at least two rounds",
                  id="scenario-outage-rounds-1"),
     pytest.param(["scenario", "--outage-round", "39"], "outage_round must be in 0..30",
@@ -640,6 +654,7 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
     pytest.param(["scenario", "--round-ms", "-5"], "round_length", id="scenario-round-ms-negative"),
     pytest.param(["sweep", "--n-list", "1", "--duration-s", "1"], "fleet sizes must be >= 2",
                  id="sweep-n-list-1"),
+    pytest.param(["sweep", "--seeds", "0"], "sweep axes must be non-empty", id="sweep-seeds-0"),
     pytest.param(["sweep", "--n-list", "2,8", "--round-ms-list", "160,2000", "--seeds", "1",
                   "--duration-s", "1", "--processes", "1"], "a 1 s run holds no 2000 ms round",
                  id="sweep-duration-shorter-than-a-round"),
@@ -812,6 +827,9 @@ def test_malformed_command_input_is_usage_error(tmp_path, capsys, argv, message)
         "deep": "[" * 100_000 + "]" * 100_000,
         "latin1": '[{"to": "caf\xe9"}]\n'.encode("latin-1"),
         "fleet": json.dumps(dict(scenario, n=MAX_MEMBERS + 1)),
+        "one": json.dumps(dict(scenario, n=1)),
+        "headways": level("medium", headway=levels["low"]["headway"]),
+        "accels": level("medium", accel_bound=levels["high"]["accel_bound"]),
     }
     paths = {name: tmp_path / f"{name}.json" for name in files}
     for name, text in files.items():
@@ -875,6 +893,24 @@ def test_unusable_out_fails_before_any_simulation(tmp_path, capsys, monkeypatch,
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["run", "--n", "abc"], id="run-n-not-a-number"),
+    pytest.param(["verify", "--trials", "x"], id="verify-trials-not-a-number"),
+    pytest.param(["run", "--bogus", "1"], id="run-unknown-flag"),
+    pytest.param([], id="no-command"),
+    pytest.param(["sweep", "--n-list", "a"], id="sweep-n-list-not-integers"),
+    pytest.param(["sweep", "--round-ms-list", "160,x"], id="sweep-round-ms-list-not-integers"),
+])
+def test_bad_command_line_is_one_error_line(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "usage:" not in err and "_int_list" not in err
+    assert not any(word in err for word in PYTHON_WORDING)
 
 
 def test_usage_error_exit_code():

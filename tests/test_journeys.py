@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lockstep.analysis import run_all_checks
-from lockstep.cli import SweepSpec
+from lockstep.cli import sweep_cells
 from lockstep.oracle import run_abstract
 from lockstep.platoon import LevelApp, ServiceLevel, min_level_decide
 from lockstep.protocol import ProtocolConfig
@@ -130,9 +130,9 @@ def _grid_cell(config):
 
 
 def test_model_matches_the_simulator_on_the_criterion_4_grid():
-    spec = SweepSpec(ns=tuple(range(2, 9)), round_ms=(160, 260, 360),
-                     seeds=(1, 2, 3, 4, 5), duration_s=360)
+    grid = sweep_cells(ns=tuple(range(2, 9)), round_ms=(160, 260, 360),
+                       seeds=(1, 2, 3, 4, 5), duration_s=360)
     with multiprocessing.get_context("spawn").Pool(PROCESSES) as pool:
-        cells = pool.map(_grid_cell, spec.cells(), chunksize=1)
+        cells = pool.map(_grid_cell, grid, chunksize=1)
     assert len(cells) == 105
     assert [cell for cell in cells if cell[3]] == []

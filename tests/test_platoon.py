@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from lockstep import platoon
+from lockstep.cli import write_csv
 from lockstep.platoon import (
     LevelParams,
     PlatoonApp,
@@ -15,13 +16,13 @@ from lockstep.platoon import (
     World,
     control_accel,
     effective_level,
+    kinematics_rows,
     min_level_decide,
     platoon_decide,
     run_baseline,
     run_worst_case,
     scenario_facts,
     step_world,
-    write_kinematics_csv,
 )
 from lockstep.protocol import DEFAULT, is_default
 from lockstep.sim import replay
@@ -250,6 +251,9 @@ def test_worst_case_gaps_open_before_brake_and_stay_positive():
     assert res.gap_at(brake_round, 2) > initial_gap
     assert res.gap_at(brake_round, 3) > initial_gap
     assert res.min_gap > 0
+    assert res.gap_at(brake_round, 1) is None  # the leader has no gap
+    assert res.gap_at(spec.horizon_rounds + 1, 2) is None  # no such round
+    assert res.gap_at(brake_round, spec.n + 1) is None  # no such vehicle
 
 
 def test_worst_case_recovers_after_outage():
@@ -350,7 +354,7 @@ def test_scenario_trace_replays(tmp_path):
 def test_kinematics_csv_format(tmp_path):
     res = run_worst_case(ScenarioSpec(horizon_rounds=30))
     path = tmp_path / "kin.csv"
-    write_kinematics_csv(path, res.rows)
+    write_csv(path, kinematics_rows(res.rows))
     lines = path.read_text().splitlines()
     assert lines[0] == "round,vehicle,x,v,gap,level"
     first = lines[1].split(",")

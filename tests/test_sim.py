@@ -79,6 +79,12 @@ def test_offsets_at_exact_sync_bound_accepted():
     assert config.offsets[1] - config.offsets[0] == 5 * MS
 
 
+def test_offsets_must_number_one_per_vehicle():
+    # Built directly: the JSON reader checks the length of "offsets" first.
+    with pytest.raises(ConfigError, match="expected 3 offsets, got 2"):
+        make_sim_config(n=3, offsets=(0, 0))
+
+
 def test_offsets_beyond_sync_bound_rejected():
     with pytest.raises(ConfigError):
         make_sim_config(n=2, offsets=(0, 6 * MS))
