@@ -329,12 +329,10 @@ class ScenarioSpec:
     def brake_time(self) -> int:
         return (self.outage_round + self.brake_after_rounds) * self.round_length
 
-    def protocol_config(self) -> ProtocolConfig:
-        return ProtocolConfig(self.n, self.round_length, self.sync_bound,
-                              self.maximum_delay, self.gossip_interval)
-
     def sim_config(self) -> SimConfig:
-        protocol = self.protocol_config()  # a bad timing is named before the outage rule reads it
+        # A bad timing is named before the outage rule reads it.
+        protocol = ProtocolConfig(self.n, self.round_length, self.sync_bound,
+                                  self.maximum_delay, self.gossip_interval)
         # Cutting every reception of the target vehicle is what the outage
         # means at message level: with gossip relaying, dropping single links
         # would be healed by the other members within the round.

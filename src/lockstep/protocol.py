@@ -104,10 +104,19 @@ def read_object(where: str, value: Any, required: Iterable[str] = (),
     return value
 
 
-def read_json(what: str, data: bytes) -> Any:
-    """The JSON value of ``data``, UTF-8 text. Every JSON text the program
-    takes in is decoded here; an error begins with ``what`` (``cannot read
-    scenario s.json``, say) and says why in the program's own terms."""
+# The most bytes of one JSON text: a schedule, a scenario or a trace header.
+# Four times the largest the repo will write: a schedule of one rule per drop
+# takes 3.7 MB indented for the 43,375 drops of an acceptance-scale run.
+MAX_INPUT_BYTES = 16 * 2**20
+
+
+def read_json(what: str, read: Callable[[int], bytes]) -> Any:
+    """The JSON value of the UTF-8 text of at most ``MAX_INPUT_BYTES`` that a
+    file's ``read`` or ``readline`` returns. Every JSON text the program takes
+    in is read here; an error begins with ``what`` (``cannot read scenario
+    s.json``, say) and says why in the program's own terms."""
+    if len(data := read(MAX_INPUT_BYTES + 1)) > MAX_INPUT_BYTES:
+        raise ConfigError(f"{what}: the JSON text is longer than {MAX_INPUT_BYTES} bytes")
     try:
         return json.loads(data.decode())
     except UnicodeDecodeError as exc:

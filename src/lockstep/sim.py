@@ -141,23 +141,8 @@ class DropRule:
             raise ConfigError(f"{where}: {exc}") from None
 
 
-class LossModel:
-    """Per-transmission omission behavior. Subclasses document their RNG draws."""
-
-    def decide(self, rng: random.Random, msg_round: int, sender: int, receiver: int,
-               send_time: int) -> Optional[str]:
-        """Return a drop cause, or None to deliver."""
-        raise NotImplementedError
-
-    def validate(self, n: int) -> None:
-        pass
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class BernoulliLoss(LossModel):
+class BernoulliLoss:
     """Independent drop with probability p per transmission. One RNG draw each."""
 
     p: float
@@ -176,7 +161,7 @@ class BernoulliLoss(LossModel):
 
 
 @dataclass(frozen=True)
-class ScheduleLoss(LossModel):
+class ScheduleLoss:
     """Drops exactly the transmissions matched by a rule list. No RNG draws."""
 
     rules: tuple[DropRule, ...]
@@ -202,7 +187,7 @@ class ScheduleLoss(LossModel):
 
 
 @dataclass(frozen=True)
-class CompositeLoss(LossModel):
+class CompositeLoss:
     """Schedule drops on top of Bernoulli noise. Exactly one RNG draw per transmission."""
 
     p: float
@@ -238,24 +223,16 @@ def loss_from_json(d: dict, where: str) -> LossModel:
 
 def load_schedule(path: Union[str, Path]) -> ScheduleLoss:
     """Load an adversarial schedule file: a JSON array of drop directives."""
-    return schedule_from_json(read_json(f"cannot read schedule {path}", Path(path).read_bytes()),
-                              "schedule")
-
-
-class DelayModel:
-    def sample(self, rng: random.Random, maximum_delay: int) -> int:
-        raise NotImplementedError
-
-    def validate(self, maximum_delay: int) -> None:
-        pass
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
+    with open(path, "rb") as fh:
+        return schedule_from_json(read_json(f"cannot read schedule {path}", fh.read), "schedule")
 
 
 @dataclass(frozen=True)
-class UniformDelay(DelayModel):
+class UniformDelay:
     """Uniform integer latency in [1, maximum_delay] microseconds. One RNG draw."""
+
+    def validate(self, maximum_delay: int) -> None:
+        pass
 
     def sample(self, rng, maximum_delay):
         return 1 + int(rng.random() * maximum_delay)
@@ -265,7 +242,7 @@ class UniformDelay(DelayModel):
 
 
 @dataclass(frozen=True)
-class FixedDelay(DelayModel):
+class FixedDelay:
     """Constant latency; handy for fully deterministic schedules. No RNG draws."""
 
     delay: int
@@ -282,6 +259,13 @@ class FixedDelay(DelayModel):
         return {"kind": "fixed", "delay": self.delay}
 
 
+# A loss model's ``decide(rng, msg_round, sender, receiver, send_time)`` gives a
+# drop cause, or None to deliver; a delay model's ``sample(rng, maximum_delay)``
+# a copy's latency in µs. Each states its RNG draws and has ``validate`` and ``to_json``.
+LossModel = Union[BernoulliLoss, ScheduleLoss, CompositeLoss]
+DelayModel = Union[UniformDelay, FixedDelay]
+
+
 def delay_from_json(d: dict, where: str) -> DelayModel:
     kind = read_kind(where, d, {"uniform": (), "fixed": ("delay",)})
     return UniformDelay() if kind == "uniform" else FixedDelay(d["delay"])
@@ -292,6 +276,13 @@ def delay_from_json(d: dict, where: str) -> DelayModel:
 # ---------------------------------------------------------------------------
 
 _PROTOCOL_FIELDS = tuple(f.name for f in fields(ProtocolConfig))
+
+# The most events a run may make: per round, n vehicles each send k times
+# (``sends_per_round``) to n - 1 others and output once. `lockstep run` holds
+# each, about 140 B: 510k events at n = 8 peaked at 90 MB in 2.3 s (2 shared
+# cores). At n = 256 a trace line is 3 KB, so 10^6 events write 3 GB, inside
+# `protocol.MAX_MEMBERS`'s budget of 60 s and 4 GB.
+MAX_EVENTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -334,6 +325,11 @@ class SimConfig:
             )
         if self.duration <= 0:
             raise ConfigError("duration must be positive")
+        n, rounds = self.protocol.n, -(-self.duration // self.protocol.round_length)
+        events = rounds * n * (n * self.protocol.sends_per_round() + 1)
+        if events > MAX_EVENTS:
+            raise ConfigError(f"duration {self.duration} holds {rounds} rounds of {n} vehicles, "
+                              f"about {events} events, more than {MAX_EVENTS}")
         self.loss.validate(self.protocol.n)
         self.delay.validate(self.protocol.maximum_delay)
 
@@ -569,7 +565,7 @@ def _blocks(lines: Iterator[str]) -> Iterator[str]:
 
 def read_trace_header(path: Union[str, Path]) -> tuple[SimConfig, dict]:
     with open(path, "rb") as fh:
-        header = read_json(f"{path} is not a {TRACE_FORMAT} file", fh.readline())
+        header = read_json(f"{path} is not a {TRACE_FORMAT} file", fh.readline)
     if not isinstance(header, dict) or header.get("format") != TRACE_FORMAT:
         raise ConfigError(f"{path} is not a {TRACE_FORMAT} file")
     if header.get("version") != TRACE_VERSION:

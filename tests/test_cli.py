@@ -25,8 +25,8 @@ from lockstep.cli import (
 )
 from lockstep.oracle import MAX_REPORT_CELLS, MAX_VERIFY_ROUNDS
 from lockstep.platoon import LevelApp, ScenarioSpec, ServiceLevel
-from lockstep.protocol import MAX_MEMBERS, MAX_SENDS_PER_ROUND
-from lockstep.sim import BernoulliLoss, run
+from lockstep.protocol import MAX_INPUT_BYTES, MAX_MEMBERS, MAX_SENDS_PER_ROUND
+from lockstep.sim import MAX_EVENTS, BernoulliLoss, run
 
 from conftest import PYTHON_WORDING
 
@@ -438,6 +438,11 @@ HEADER_CASES = [
     ("integer-too-long", "is not a lockstep-trace file: it holds an integer of more than "
                          f"{sys.get_int_max_str_digits()} digits"),
     ("not-utf-8", "is not a lockstep-trace file: it is not UTF-8 text at byte 2"),
+    # A run or a header line too large to hold is refused before it is made or read.
+    ("duration-too-many-events", "duration 10000000000000 holds 62500000 rounds of 2 vehicles, "
+                                 f"about 625000000 events, more than {MAX_EVENTS}"),
+    ("endless", "/dev/zero is not a lockstep-trace file: the JSON text is longer than "
+                f"{MAX_INPUT_BYTES} bytes"),
 ]
 
 
@@ -489,6 +494,7 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
         "rule-vehicle-outside-the-fleet": {"loss": {"kind": "schedule", "rules": [
             {"round": 3}, {"round": 4, "to": 3}]}},
         "n-above-max-members": {"n": 1_000_000},
+        "duration-too-many-events": {"duration": 10**13},
     }
     app_edits = {
         "app-not-object": 5,
@@ -525,6 +531,8 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
         path.write_text(path.read_text().replace('"seed": 0', '"seed": ' + "7" * 5_000, 1))
     elif case == "not-utf-8":
         path.write_bytes(b'{"\xff": 1}\n' + "\n".join(lines[1:]).encode() + b"\n")
+    elif case == "endless":
+        path = Path("/dev/zero")
     else:
         assert case == "wrong-type"
         _rewrite_header(path, lines, lambda h: h.update(config=5))
@@ -636,22 +644,46 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
     pytest.param(["scenario", "--scenario-json", "{accels}"],
                  "acceleration bounds must nest upward as the level drops",
                  id="scenario-json-accel-bounds-flat"),
-    pytest.param(["scenario", "--outage-rounds", "1"], "at least two rounds",
+    pytest.param(["scenario", "--scenario-json", "{outage1}"], "at least two rounds",
                  id="scenario-outage-rounds-1"),
-    pytest.param(["scenario", "--outage-round", "39"], "outage_round must be in 0..30",
+    pytest.param(["scenario", "--scenario-json", "{outage39}"], "outage_round must be in 0..30",
                  id="scenario-outage-past-the-horizon"),
-    pytest.param(["scenario", "--outage-round", "-3"], "outage_round must be in 0..30",
+    pytest.param(["scenario", "--scenario-json", "{outage_neg}"], "outage_round must be in 0..30",
                  id="scenario-outage-round-negative"),
-    pytest.param(["scenario", "--outage-round", "35"], "the outage ends by the horizon",
+    pytest.param(["scenario", "--scenario-json", "{outage35}"], "the outage ends by the horizon",
                  id="scenario-brake-past-the-horizon"),
-    pytest.param(["scenario", "--outage-rounds", "30", "--brake-after-rounds", "21"],
+    pytest.param(["scenario", "--scenario-json", "{long_brake}"],
                  "outage_round must be in 0..10", id="scenario-long-brake-past-the-horizon"),
-    pytest.param(["scenario", "--outage-round", "38", "--outage-rounds", "3",
-                  "--brake-after-rounds", "2"], "outage_round must be in 0..37",
+    pytest.param(["scenario", "--scenario-json", "{late_outage}"], "outage_round must be in 0..37",
                  id="scenario-outage-runs-past-the-horizon"),
-    pytest.param(["scenario", "--round-ms", "50"], "round_length", id="scenario-round-ms-50"),
-    pytest.param(["scenario", "--round-ms", "0"], "round_length", id="scenario-round-ms-0"),
-    pytest.param(["scenario", "--round-ms", "-5"], "round_length", id="scenario-round-ms-negative"),
+    pytest.param(["scenario", "--scenario-json", "{round50ms}"], "round_length",
+                 id="scenario-round-ms-50"),
+    pytest.param(["scenario", "--scenario-json", "{round0ms}"], "round_length",
+                 id="scenario-round-ms-0"),
+    pytest.param(["scenario", "--scenario-json", "{round_neg}"], "round_length",
+                 id="scenario-round-ms-negative"),
+    # A run, a sweep grid or an input file too large to hold is refused
+    # before anything of its size is made or read.
+    pytest.param(["run", "--n", "2", "--duration-s", "10000000"],
+                 "duration 10000000000000 holds 62500000 rounds of 2 vehicles, "
+                 f"about 625000000 events, more than {MAX_EVENTS}", id="run-too-many-events"),
+    pytest.param(["sweep", "--n-list", "2", "--round-ms-list", "160", "--seeds", "1",
+                  "--processes", "1", "--duration-s", "10000000"],
+                 f"about 625000000 events, more than {MAX_EVENTS}", id="sweep-too-many-events"),
+    pytest.param(["scenario", "--scenario-json", "{long_horizon}"],
+                 "duration 26000000000000 holds 100000000 rounds of 3 vehicles, "
+                 f"about 3900000000 events, more than {MAX_EVENTS}",
+                 id="scenario-json-too-many-events"),
+    pytest.param(["sweep", "--seeds", "10000000"],
+                 f"a sweep grid holds at most {cli.MAX_SWEEP_CELLS} cells, "
+                 "got 7 x 3 x 10000000 = 210000000", id="sweep-too-many-cells"),
+    pytest.param(["run", "--n", "2", "--duration-s", "1", "--loss", "schedule:/dev/zero"],
+                 "bad loss spec 'schedule:/dev/zero': cannot read schedule /dev/zero: "
+                 f"the JSON text is longer than {MAX_INPUT_BYTES} bytes",
+                 id="run-schedule-endless"),
+    pytest.param(["scenario", "--scenario-json", "/dev/zero"],
+                 f"cannot read scenario /dev/zero: the JSON text is longer than {MAX_INPUT_BYTES} "
+                 "bytes", id="scenario-json-endless"),
     pytest.param(["sweep", "--n-list", "1", "--duration-s", "1"], "fleet sizes must be >= 2",
                  id="sweep-n-list-1"),
     pytest.param(["sweep", "--seeds", "0"], "sweep axes must be non-empty", id="sweep-seeds-0"),
@@ -828,6 +860,17 @@ def test_malformed_command_input_is_usage_error(tmp_path, capsys, argv, message)
         "latin1": '[{"to": "caf\xe9"}]\n'.encode("latin-1"),
         "fleet": json.dumps(dict(scenario, n=MAX_MEMBERS + 1)),
         "one": json.dumps(dict(scenario, n=1)),
+        "outage1": json.dumps({"outage_rounds": 1}),
+        "outage39": json.dumps({"outage_round": 39}),
+        "outage_neg": json.dumps({"outage_round": -3}),
+        "outage35": json.dumps({"outage_round": 35}),
+        "long_brake": json.dumps({"outage_rounds": 30, "brake_after_rounds": 21}),
+        "late_outage": json.dumps({"outage_round": 38, "outage_rounds": 3,
+                                   "brake_after_rounds": 2}),
+        "round50ms": json.dumps({"round_length": 50_000}),
+        "round0ms": json.dumps({"round_length": 0}),
+        "round_neg": json.dumps({"round_length": -5_000}),
+        "long_horizon": json.dumps({"horizon_rounds": 100_000_000}),
         "headways": level("medium", headway=levels["low"]["headway"]),
         "accels": level("medium", accel_bound=levels["high"]["accel_bound"]),
     }
@@ -853,7 +896,7 @@ def test_replay_missing_file_is_usage_error():
     pytest.param(["replay", "{dir}"], "Is a directory", id="replay-a-directory"),
     pytest.param(["verify", "--n", "2", "--rounds", "1", "--report-file", "{dir}"],
                  "Is a directory", id="verify-report-file-a-directory"),
-    pytest.param(["run", "--duration-s", "1", "--out", "{dir}", "--trace-file", "{dir}"],
+    pytest.param(["run", "--duration-s", "1", "--out", "{traced}"],
                  "Is a directory", id="run-trace-file-a-directory"),
     pytest.param(["run", "--duration-s", "1", "--out", "{file}/x"], "Not a directory",
                  id="run-out-under-a-file"),
@@ -863,7 +906,9 @@ def test_replay_missing_file_is_usage_error():
 def test_unusable_path_is_usage_error(tmp_path, capsys, argv, message):
     plain = tmp_path / "plain"
     plain.write_text("")
-    argv = [a.format(dir=tmp_path, file=plain) for a in argv]
+    traced = tmp_path / "traced"  # an output directory whose trace.jsonl is a directory
+    (traced / "trace.jsonl").mkdir(parents=True)
+    argv = [a.format(dir=tmp_path, file=plain, traced=traced) for a in argv]
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""  # no result is printed by a command that failed
@@ -877,8 +922,8 @@ def test_unusable_path_is_usage_error(tmp_path, capsys, argv, message):
     pytest.param(["sweep", "--n-list", "2", "--round-ms-list", "160", "--seeds", "1",
                   "--processes", "1", "--out", "{file}"], "File exists", id="sweep-out-a-file"),
     pytest.param(["scenario", "--out", "{file}"], "File exists", id="scenario-out-a-file"),
-    pytest.param(["run", "--duration-s", "120", "--n", "8", "--out", "{dir}",
-                  "--trace-file", "{dir}"], "Is a directory", id="run-trace-file-a-directory"),
+    pytest.param(["run", "--duration-s", "120", "--n", "8", "--out", "{traced}"],
+                 "Is a directory", id="run-trace-file-a-directory"),
 ])
 def test_unusable_out_fails_before_any_simulation(tmp_path, capsys, monkeypatch, argv, message):
     def no_simulation(*args, **kwargs):
@@ -888,7 +933,9 @@ def test_unusable_out_fails_before_any_simulation(tmp_path, capsys, monkeypatch,
         monkeypatch.setattr(cli, name, no_simulation)
     plain = tmp_path / "plain"
     plain.write_text("")
-    assert main([a.format(file=plain, dir=tmp_path) for a in argv]) == 2
+    traced = tmp_path / "traced"  # an output directory whose trace.jsonl is a directory
+    (traced / "trace.jsonl").mkdir(parents=True)
+    assert main([a.format(file=plain, traced=traced) for a in argv]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -902,6 +949,9 @@ def test_unusable_out_fails_before_any_simulation(tmp_path, capsys, monkeypatch,
     pytest.param([], id="no-command"),
     pytest.param(["sweep", "--n-list", "a"], id="sweep-n-list-not-integers"),
     pytest.param(["sweep", "--round-ms-list", "160,x"], id="sweep-round-ms-list-not-integers"),
+    # A scenario is read from its file alone, and a run's trace is OUT/trace.jsonl.
+    pytest.param(["scenario", "--outage-round", "3"], id="scenario-outage-round-is-no-flag"),
+    pytest.param(["run", "--trace-file", "t.jsonl"], id="run-trace-file-is-no-flag"),
 ])
 def test_bad_command_line_is_one_error_line(capsys, argv):
     with pytest.raises(SystemExit) as info:
