@@ -32,11 +32,14 @@ from .platoon import (
 )
 from .protocol import ConfigError, ProtocolConfig, read_json
 from .sim import (
+    MAX_EVENTS,
+    MAX_JOURNEY_EVENTS,
     BernoulliLoss,
     CompositeLoss,
     LossModel,
     ReplayMismatch,
     SimConfig,
+    check_events,
     load_schedule,
     replay,
     round_journeys,
@@ -132,8 +135,9 @@ def sweep_cells(ns: Sequence[int], round_ms: Sequence[int], seeds: Sequence[int]
     if min(ns) < 2:  # every row reports a drop rate, which needs transmissions
         raise ConfigError(f"sweep fleet sizes must be >= 2, got {min(ns)}")
     return [
-        build_sim_config(n, rl, sync_ms, delay_ms, gossip_ms, BernoulliLoss(
-            TABLE1_DROP_RATES.get(n, 0.15) if drop_rate is None else drop_rate), seed, duration_s)
+        check_events(build_sim_config(n, rl, sync_ms, delay_ms, gossip_ms, BernoulliLoss(
+            TABLE1_DROP_RATES.get(n, 0.15) if drop_rate is None else drop_rate), seed, duration_s),
+            MAX_JOURNEY_EVENTS)
         for n in ns for rl in round_ms for seed in seeds
     ]
 
@@ -207,6 +211,7 @@ def cmd_run(args) -> int:
     loss = parse_loss(args.loss)
     config = build_sim_config(args.n, args.round_ms, args.sync_ms, args.delay_ms,
                               args.gossip_ms, loss, args.seed, args.duration_s)
+    check_events(config, MAX_EVENTS)
     level = level_from_json("--level", args.level)
     directory = out_dir(args)
     trace_path = directory / "trace.jsonl"

@@ -26,11 +26,12 @@ from typing import Optional
 from .protocol import (DEFAULT, ConfigError, Datum, ProtocolConfig, RoundOutput, is_default,
                        read_kind, read_object)
 from .sim import (
-    App,
+    MAX_EVENTS,
     DropRule,
     ScheduleLoss,
     SimConfig,
     Trace,
+    check_events,
     run,
 )
 
@@ -294,7 +295,7 @@ class ScenarioSpec:
         if not 0 <= self.outage_round <= self.horizon_rounds - self.outage_rounds:
             raise ConfigError(f"outage_round must be in 0..{self.horizon_rounds - self.outage_rounds}"
                               f" so the outage ends by the horizon, got {self.outage_round}")
-        self.sim_config()  # the timing a run would reject
+        check_events(self.sim_config(), MAX_EVENTS)  # the timing and size a run would reject
         # One LevelParams per level, in level order, widening as the level drops.
         given = [key for key, params in zip(_LEVEL_KEYS, self.levels) if params is not None]
         if len(given) != len(self.levels) or len(given) != len(_LEVEL_KEYS):
@@ -364,7 +365,7 @@ class ScenarioSpec:
         return ScenarioSpec(**d)
 
 
-class PlatoonApp(App):
+class PlatoonApp:
     """Protocol application driving the kinematic world.
 
     On every round boundary the world steps forward with the accelerations
@@ -397,7 +398,7 @@ class PlatoonApp(App):
         return {"kind": "platoon-worst-case", "scenario": self.scenario.to_json()}
 
 
-class LevelApp(App):
+class LevelApp:
     """Evaluation application: every vehicle always supports a fixed level.
 
     Payloads are bare ServiceLevel values and the decision is their minimum,
@@ -413,12 +414,21 @@ class LevelApp(App):
     def decide(self, s: tuple) -> Datum:
         return min_level_decide(s)
 
+    def on_output(self, vid: int, output: RoundOutput, t: int) -> None:
+        pass
+
+    def app_tick_times(self) -> tuple:
+        return ()
+
+    def on_app_tick(self, t: int) -> None:
+        pass
+
     def spec(self) -> dict:
         return {"kind": "level", "level": self.level.to_json()}
 
 
-def build_app(spec: dict) -> App:
-    """Rebuild a recorded application from its ``App.spec``, for replay."""
+def build_app(spec: dict) -> "LevelApp | PlatoonApp":
+    """Rebuild a recorded application from its ``spec()``, for replay."""
     kind = read_kind("app", spec, {"level": ("level",), "platoon-worst-case": ("scenario",)})
     if kind == "level":
         return LevelApp(level_from_json("app.level", spec["level"]))

@@ -233,12 +233,6 @@ def send_window(config: ProtocolConfig, round_index: int) -> tuple[int, int]:
     return lo, hi
 
 
-def in_send_window(config: ProtocolConfig, round_index: int, local_clock: int) -> bool:
-    """True iff ``local_clock`` lies in the gossip window of ``round_index``."""
-    lo, hi = send_window(config, round_index)
-    return lo <= local_clock <= hi
-
-
 def checked_decide(decide: DecideFn, s: tuple) -> Datum:
     """Apply ``decide`` and enforce default-absorption: DEFAULT in s forces DEFAULT out."""
     value = decide(s)

@@ -2,7 +2,7 @@
 
 A run drives n protocol instances over a virtual global clock. Every tick
 comes from a clock, an iterator of ``(global, local)`` instants: clock 0 is
-the app's (``App.app_tick_times``), and clock i is vehicle i's, which reads
+the app's (``app.app_tick_times()``), and clock i is vehicle i's, which reads
 the global clock plus a fixed offset (``_tick_times``). Gossip broadcasts fan
 out into independent point-to-point transmissions, each delivered after a
 sampled delay in (0, maximum_delay] or dropped by the loss model.
@@ -277,12 +277,20 @@ def delay_from_json(d: dict, where: str) -> DelayModel:
 
 _PROTOCOL_FIELDS = tuple(f.name for f in fields(ProtocolConfig))
 
-# The most events a run may make: per round, n vehicles each send k times
-# (``sends_per_round``) to n - 1 others and output once. `lockstep run` holds
-# each, about 140 B: 510k events at n = 8 peaked at 90 MB in 2.3 s (2 shared
+# The most events, as ``check_events`` counts them, of a run that `simulate`
+# makes: `lockstep run`, the scenario and replay. `lockstep run` holds each,
+# about 140 B: 510k events at n = 8 peaked at 90 MB in 2.3 s (2 shared
 # cores). At n = 256 a trace line is 3 KB, so 10^6 events write 3 GB, inside
 # `protocol.MAX_MEMBERS`'s budget of 60 s and 4 GB.
 MAX_EVENTS = 1_000_000
+
+# The most events of a run that `round_journeys` reads instead, a sweep cell,
+# which holds one vector per round and no events. A whole `cli._sweep_cell`
+# took 0.75 to 0.95 µs an event at n = 2 to 256 (2 shared cores); n = 2 has
+# the fewest events a round, and 10^7 of them peaked at 103 MB. So n = 2
+# stays near 45 s and 0.5 GB, inside the same budget, and n = 64 over 360 s
+# (18.6M events) takes about 15 s.
+MAX_JOURNEY_EVENTS = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -325,11 +333,6 @@ class SimConfig:
             )
         if self.duration <= 0:
             raise ConfigError("duration must be positive")
-        n, rounds = self.protocol.n, -(-self.duration // self.protocol.round_length)
-        events = rounds * n * (n * self.protocol.sends_per_round() + 1)
-        if events > MAX_EVENTS:
-            raise ConfigError(f"duration {self.duration} holds {rounds} rounds of {n} vehicles, "
-                              f"about {events} events, more than {MAX_EVENTS}")
         self.loss.validate(self.protocol.n)
         self.delay.validate(self.protocol.maximum_delay)
 
@@ -351,6 +354,18 @@ class SimConfig:
             seed=d["seed"],
             delay=delay_from_json(d["delay"], "config.delay"),
         )
+
+
+def check_events(config: SimConfig, bound: int) -> SimConfig:
+    """``config``, if its run makes at most ``bound`` events: per round, n vehicles
+    each send k times (``sends_per_round``) to n - 1 others and output once."""
+    p = config.protocol
+    n, rounds = p.n, -(-config.duration // p.round_length)
+    events = rounds * n * (n * p.sends_per_round() + 1)
+    if events > bound:
+        raise ConfigError(f"duration {config.duration} holds {rounds} rounds of {n} vehicles, "
+                          f"about {events} events, more than {bound}")
+    return config
 
 
 def sample_offsets(seed: int, n: int, sync_bound: int) -> tuple[int, ...]:
@@ -572,41 +587,7 @@ def read_trace_header(path: Union[str, Path]) -> tuple[SimConfig, dict]:
         raise ConfigError(f"{path} has trace version {header.get('version')!r}, "
                           f"this build reads version {TRACE_VERSION}")
     read_object("header", header, ("format", "version", "config", "app"))
-    return SimConfig.from_json(header["config"]), header["app"]
-
-
-# ---------------------------------------------------------------------------
-# Applications
-# ---------------------------------------------------------------------------
-
-class App:
-    """Application glue: state source, decision function, and output sink.
-
-    ``app_tick_times`` may yield global times at which ``on_app_tick`` runs
-    before any vehicle tick at the same instant (the platoon world advances
-    its kinematics there). The times may not depend on the run: the event
-    loop takes each next time before the tick at the one before it runs.
-    ``spec`` identifies the app for trace replay; ``platoon.build_app``
-    rebuilds the kinds it names.
-    """
-
-    def read_state(self, vid: int) -> Datum:
-        raise NotImplementedError
-
-    def decide(self, s: tuple) -> Datum:
-        raise NotImplementedError
-
-    def on_output(self, vid: int, output: RoundOutput, t: int) -> None:
-        pass
-
-    def app_tick_times(self) -> Iterable[int]:
-        return ()
-
-    def on_app_tick(self, t: int) -> None:
-        pass
-
-    def spec(self) -> dict:
-        return {"kind": "custom"}
+    return check_events(SimConfig.from_json(header["config"]), MAX_EVENTS), header["app"]
 
 
 # ---------------------------------------------------------------------------
@@ -641,11 +622,18 @@ def _tick_times(p: ProtocolConfig, horizon: int, offset: int) -> Iterator[tuple[
                 yield local - offset, local
 
 
-def simulate(config: SimConfig, app: App) -> Iterator[TraceEvent]:
+def simulate(config: SimConfig, app: "LevelApp | PlatoonApp") -> Iterator[TraceEvent]:
     """Execute one simulation, yielding its events in trace order.
 
     The events are a pure function of the inputs. The loop runs only as far
-    as the events are read.
+    as the events are read. ``app`` is one of ``platoon``'s two applications.
+    A vehicle reads its datum with ``app.read_state(vid)`` and decides a
+    round's vector ``s`` with ``app.decide(s)``; each round output goes to
+    ``app.on_output(vid, output, t)``. At each global time that
+    ``app.app_tick_times()`` yields, ``app.on_app_tick(t)`` runs before any
+    vehicle tick at the same instant (the platoon world advances its
+    kinematics there). The times may not depend on the run: the loop takes
+    each next time before the tick at the one before it runs.
     """
     p = config.protocol
     n = p.n
@@ -806,8 +794,9 @@ def round_journeys(config: SimConfig) -> tuple[list[tuple[bool, ...]], int, int]
     return complete, copies - drops, drops
 
 
-def run(config: SimConfig, app: App) -> Trace:
-    """Execute one simulation; the returned trace is a pure function of the inputs."""
+def run(config: SimConfig, app: "LevelApp | PlatoonApp") -> Trace:
+    """Execute one simulation; the returned trace is a pure function of the inputs.
+    It records ``app.spec()``, from which ``platoon.build_app`` rebuilds the app."""
     events = list(simulate(config, app))
     return Trace(config, app.spec(), events)
 

@@ -26,7 +26,7 @@ from lockstep.cli import (
 from lockstep.oracle import MAX_REPORT_CELLS, MAX_VERIFY_ROUNDS
 from lockstep.platoon import LevelApp, ScenarioSpec, ServiceLevel
 from lockstep.protocol import MAX_INPUT_BYTES, MAX_MEMBERS, MAX_SENDS_PER_ROUND
-from lockstep.sim import MAX_EVENTS, BernoulliLoss, run
+from lockstep.sim import MAX_EVENTS, MAX_JOURNEY_EVENTS, BernoulliLoss, run
 
 from conftest import PYTHON_WORDING
 
@@ -151,6 +151,18 @@ def test_sweep_single_cell(tmp_path):
     assert lines[0] == "n,round_ms,loss,seed,reliability,drop_rate,p1,p2,p3"
     assert len(lines) == 2
     assert (tmp_path / "sweep_plot.csv").exists()
+
+
+def test_sweep_runs_a_fleet_past_the_run_bound(tmp_path):
+    # 64 vehicles over 20 s are about 1.03M events, past MAX_EVENTS; a sweep
+    # cell holds no events, so MAX_JOURNEY_EVENTS bounds it instead.
+    code = main(["sweep", "--n-list", "64", "--round-ms-list", "160", "--seeds", "1",
+                 "--duration-s", "20", "--processes", "1", "--out", str(tmp_path)])
+    assert code == 0
+    header, *rows = [line.split(",") for line in
+                     (tmp_path / "sweep.csv").read_text().splitlines()]
+    assert len(rows) == 1 and rows[0][0] == "64"
+    assert [rows[0][header.index(p)] for p in ("p1", "p2", "p3")] == ["True"] * 3
 
 
 def test_sweep_spec_uses_calibrated_drop_rates():
@@ -669,7 +681,8 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
                  f"about 625000000 events, more than {MAX_EVENTS}", id="run-too-many-events"),
     pytest.param(["sweep", "--n-list", "2", "--round-ms-list", "160", "--seeds", "1",
                   "--processes", "1", "--duration-s", "10000000"],
-                 f"about 625000000 events, more than {MAX_EVENTS}", id="sweep-too-many-events"),
+                 f"about 625000000 events, more than {MAX_JOURNEY_EVENTS}",
+                 id="sweep-too-many-events"),
     pytest.param(["scenario", "--scenario-json", "{long_horizon}"],
                  "duration 26000000000000 holds 100000000 rounds of 3 vehicles, "
                  f"about 3900000000 events, more than {MAX_EVENTS}",

@@ -30,7 +30,7 @@ from lockstep.sim import (
     round_journeys,
 )
 
-from conftest import PINNED_LEVEL_CONFIGS, simulated_view
+from conftest import PINNED_LEVEL_CONFIGS, make_sim_config, simulated_view
 
 HIGH = ServiceLevel.HIGH
 PROCESSES = 2
@@ -122,6 +122,16 @@ def test_model_matches_the_simulator_on_pinned_configs(name):
     copies-on-tick-instants every copy lands on a send instant of its
     receiver, so the model must file it before that send."""
     assert _differences(PINNED_LEVEL_CONFIGS[name]) == []
+
+
+@pytest.mark.parametrize("n,rounds", [(16, 120), (32, 60)])
+def test_model_matches_the_simulator_on_large_fleets(n, rounds):
+    """Fleets past criterion 4's n = 8, inside ``MAX_EVENTS``. At 120 ms
+    rounds the two sends are 10 ms apart, so a copy rarely lands before its
+    relayer's next send, and complete and incomplete rounds both occur."""
+    config = make_sim_config(n=n, rounds=rounds, seed=n, round_ms=120, gossip_ms=10,
+                             loss=BernoulliLoss(0.15))
+    assert _differences(config) == []
 
 
 def _grid_cell(config):

@@ -25,8 +25,8 @@ from lockstep.protocol import (
     RoundOutput,
     VehicleProtocol,
     checked_decide,
-    in_send_window,
     is_default,
+    send_window,
 )
 from lockstep.platoon import ServiceLevel, min_level_decide
 
@@ -38,6 +38,12 @@ MEDIUM = ServiceLevel.MEDIUM
 
 def read_high():
     return HIGH
+
+
+def in_send_window(config, round_index, local_clock):
+    """True iff ``local_clock`` lies in the gossip window of ``round_index``."""
+    lo, hi = send_window(config, round_index)
+    return lo <= local_clock <= hi
 
 
 # ---------------------------------------------------------------------------
