@@ -41,9 +41,9 @@ from .sim import (
     SimConfig,
     check_events,
     load_schedule,
+    record,
     replay,
     round_journeys,
-    run,
     sample_offsets,
 )
 
@@ -215,11 +215,9 @@ def cmd_run(args) -> int:
     level = level_from_json("--level", args.level)
     directory = out_dir(args)
     trace_path = directory / "trace.jsonl"
-    open(trace_path, "a").close()  # a trace path that cannot be written fails before the run
-    trace = run(config, LevelApp(level))
-    view = analysis.round_view(args.n, trace.events)
+    with open(trace_path, "w", newline="\n") as fh:  # a bad trace path fails before the run
+        view = analysis.round_view(args.n, record(config, LevelApp(level), fh))
     reports = analysis.run_all_checks(view)
-    trace.write(trace_path)
     try:
         drop_rate = analysis.packet_drop_rate(view)
     except analysis.AnalysisError:  # no transmissions: a fleet of one
@@ -391,7 +389,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # cyclic garbage that grows with its input: events, messages, vectors,
     # views and reports are tuples, lists and dataclasses, which reference
     # counting frees. Left on, the collector would rescan everything a command
-    # holds, above all the events of a run before its trace is written. For a
+    # holds, above all a scenario's events before its trace is written. For a
     # caller that had it on, the young generation (the parser's few hundred
     # cyclic objects) is collected before returning, not at the caller's next
     # allocation; tests/test_cli.py checks a command's cyclic garbage does not grow.

@@ -8,10 +8,10 @@ out into independent point-to-point transmissions, each delivered after a
 sampled delay in (0, maximum_delay] or dropped by the loss model.
 ``simulate`` is the one event loop: it yields every send, delivery, drop,
 and round output as it happens, a sequence that is a pure function of the
-configuration. ``run`` keeps them all in a trace; ``replay`` encodes them as
-they come and compares a block of ``_BLOCK`` lines at a time, newlines
-included, with the text of a trace file, so any trace is replayed
-byte for byte and neither side is held beyond one block.
+configuration. ``record`` writes them to a trace file and ``replay``
+compares them with one, a block of ``_BLOCK`` encoded lines at a time,
+newlines included, so any trace is recorded and replayed byte for byte and
+no side is held beyond one block; ``run``, for the scenario, keeps them all.
 Events hold each fact once: ``SendEvent(t, msg)``, ``DeliverEvent(t, receiver,
 msg)``, ``DropEvent(t, receiver, msg, cause)`` and ``OutputEvent(t, vehicle,
 output)``. The sender is ``msg.sender``, and a drop's ``t`` is its send time.
@@ -278,10 +278,11 @@ def delay_from_json(d: dict, where: str) -> DelayModel:
 _PROTOCOL_FIELDS = tuple(f.name for f in fields(ProtocolConfig))
 
 # The most events, as ``check_events`` counts them, of a run that `simulate`
-# makes: `lockstep run`, the scenario and replay. `lockstep run` holds each,
-# about 140 B: 510k events at n = 8 peaked at 90 MB in 2.3 s (2 shared
-# cores). At n = 256 a trace line is 3 KB, so 10^6 events write 3 GB, inside
-# `protocol.MAX_MEMBERS`'s budget of 60 s and 4 GB.
+# makes: `lockstep run`, the scenario and replay. Run and replay hold none,
+# so it bounds their trace and time: 10^6 events at n = 8 wrote 168 MB in
+# 4.1 s and peaked at 19 MB (2 shared cores), and at n = 256 (3 KB a line)
+# 3 GB, inside `protocol.MAX_MEMBERS`'s budget of 60 s and 4 GB. The scenario
+# holds its events, so it bounds its memory: 10^6 at n = 3 peaked at 268 MB.
 MAX_EVENTS = 1_000_000
 
 # The most events of a run that `round_journeys` reads instead, a sweep cell,
@@ -427,11 +428,11 @@ def _dumps_decision(decision: tuple) -> str:
     return _dumps(datum_to_json(decision[0]))
 
 
-# Trace.write and replay take the lines this many at a time (about 22 KB of
-# an 8-vehicle trace): one write, or one read and compare, per block. Replay
-# holds about 1 KB per line of a block (the lines, their join and the text
-# read), so a block of 128 keeps its peak near 240 KB; 256 took it to 380 KB
-# and ran no faster.
+# record, Trace.write and replay take the lines this many at a time (about
+# 22 KB of an 8-vehicle trace): one write, or one read and compare, per block;
+# record holds a block's events until it is written. Replay holds about 1 KB
+# per line of a block (the lines, their join and the text read), so a block
+# of 128 keeps its peak near 240 KB; 256 took it to 380 KB and ran no faster.
 _BLOCK = 128
 
 # The JSON of each distinct vector met in the passes under way, one memo per
@@ -792,6 +793,23 @@ def round_journeys(config: SimConfig) -> tuple[list[tuple[bool, ...]], int, int]
         if base + rl <= horizon:
             complete.append(tuple([(mask | f[-1]) == full for mask, f in zip(masks, filed)]))
     return complete, copies - drops, drops
+
+
+def record(config: SimConfig, app: "LevelApp | PlatoonApp", fh) -> Iterator[TraceEvent]:
+    """Execute one simulation, writing its trace to ``fh`` ``_BLOCK`` lines at
+    a time; each event is yielded once its line is written, so the trace is
+    whole when the events are read to the end, and none is held beyond a block."""
+    pending: list[TraceEvent] = []
+
+    def events() -> Iterator[TraceEvent]:
+        for ev in simulate(config, app):
+            pending.append(ev)
+            yield ev
+
+    for text in _blocks(_lines(config, app.spec(), events())):
+        fh.write(text)
+        yield from pending
+        pending.clear()
 
 
 def run(config: SimConfig, app: "LevelApp | PlatoonApp") -> Trace:

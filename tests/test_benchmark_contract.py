@@ -4,9 +4,9 @@
 outside, by name, and counts trace bytes in its ``event_to_json`` wrapper.
 A rename or a call that bypasses a module global would leave a layer's time
 unaccounted for or its counts wrong without failing anything else, so this
-runs a small traced ``run`` and ``replay``, and a traced exhaustive and
-mutant ``verify``, the way the benchmark does: in a fresh interpreter,
-through ``lockstep.cli.main``.
+runs a small traced ``run``, ``replay`` and ``scenario``, and a traced
+exhaustive and mutant ``verify``, the way the benchmark does: in a fresh
+interpreter, through ``lockstep.cli.main``.
 """
 
 import json
@@ -47,16 +47,22 @@ def traced_pass(out, *commands):
 def test_traced_run_and_replay_are_fully_accounted_for(tmp_path):
     result = traced_pass(tmp_path,
                          ["run", "--n", "3", "--duration-s", "4", "--seed", "2", "--out", "{out}"],
-                         ["replay", "{out}/trace.jsonl"])
+                         ["replay", "{out}/trace.jsonl"],
+                         ["scenario", "--out", "{out}/s"])
     layers = result["layers"]
-    assert result["codes"] == [0, 0]
+    assert result["codes"] == [0, 0, 0]
     assert layers["trace.coverage_ratio"] >= 0.9
 
     header, *events = (tmp_path / "trace.jsonl").read_text().splitlines(keepends=True)
-    # Every event line is encoded once by run's write and once by replay.
-    assert layers["sim.trace_bytes"] == 2 * sum(len(line) for line in events)
-    # Events are counted from the trace run returns; replay returns none.
-    assert layers["sim.events"] == len(events)
+    header, *scenario = (tmp_path / "s" / "scenario_trace.jsonl").read_text().splitlines(
+        keepends=True)
+    # Every event line is encoded once by run's write and once by replay,
+    # and each scenario line once by its write.
+    assert layers["sim.trace_bytes"] == (2 * sum(len(line) for line in events)
+                                         + sum(len(line) for line in scenario))
+    # Events are counted from the trace that sim.run returns, and only the
+    # scenario calls it: run streams its events, and replay returns none.
+    assert layers["sim.events"] == len(scenario)
     assert layers["sim.run_s"] > 0 and layers["sim.replay_s"] > 0
 
 

@@ -4,6 +4,7 @@ import copy
 import gc
 import hashlib
 import heapq
+import io
 import itertools
 import json
 import pickle
@@ -505,6 +506,19 @@ def trace_sha256(trace) -> str:
 @pytest.mark.parametrize("name", sorted(PINNED_TRACES))
 def test_trace_bytes_are_pinned(name):
     assert trace_sha256(pinned_trace(name)) == PINNED_TRACES[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LEVEL_CONFIGS))
+def test_record_writes_each_block_before_its_events(name):
+    """``record`` yields run's events, each once its line is written, and writes run's trace."""
+    fh = io.StringIO()
+    seen = []
+    for ev in sim.record(PINNED_LEVEL_CONFIGS[name], LevelApp(HIGH), fh):
+        seen.append(ev)
+        written = fh.getvalue().count("\n")  # the header, then one line per event
+        assert len(seen) < written <= len(seen) + sim._BLOCK
+    assert hashlib.sha256(fh.getvalue().encode()).hexdigest() == PINNED_TRACES[name]
+    assert seen == run_high(PINNED_LEVEL_CONFIGS[name]).events
 
 
 @pytest.mark.parametrize("make", [
