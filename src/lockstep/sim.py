@@ -8,10 +8,10 @@ out into independent point-to-point transmissions, each delivered after a
 sampled delay in (0, maximum_delay] or dropped by the loss model.
 ``simulate`` is the one event loop: it yields every send, delivery, drop,
 and round output as it happens, a sequence that is a pure function of the
-configuration. ``record`` writes them to a trace file and ``replay``
-compares them with one, a block of ``_BLOCK`` encoded lines at a time,
-newlines included, so any trace is recorded and replayed byte for byte and
-no side is held beyond one block; ``run``, for the scenario, keeps them all.
+configuration. ``_blocks`` encodes them in one pass, ``_BLOCK`` events to a
+string: ``record`` writes each block and then yields its events, and
+``replay`` compares its bytes with the file's, so no side is held beyond one
+block and any trace replays byte for byte; ``run``, for the scenario, keeps all.
 Events hold each fact once: ``SendEvent(t, msg)``, ``DeliverEvent(t, receiver,
 msg)``, ``DropEvent(t, receiver, msg, cause)`` and ``OutputEvent(t, vehicle,
 output)``. The sender is ``msg.sender``, and a drop's ``t`` is its send time.
@@ -162,12 +162,23 @@ class BernoulliLoss:
 
 @dataclass(frozen=True)
 class ScheduleLoss:
-    """Drops exactly the transmissions matched by a rule list. No RNG draws."""
+    """Drops exactly the transmissions matched by a rule list. No RNG draws.
+    A copy meets only its round's rules, the one-instant rules (t0 = t1) at its
+    send time and the longer spans, from an index built once that is no field."""
 
     rules: tuple[DropRule, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))  # a list is accepted too
+        by_round, at_time, spans = {}, {}, []
+        for rule in self.rules:
+            if rule.round is not None:
+                by_round.setdefault(rule.round, []).append(rule)
+            elif rule.t0 == rule.t1:
+                at_time.setdefault(rule.t0, []).append(rule)
+            else:
+                spans.append(rule)
+        object.__setattr__(self, "_index", (by_round, at_time, tuple(spans)))
 
     def validate(self, n: int) -> None:
         for i, rule in enumerate(self.rules):
@@ -177,9 +188,11 @@ class ScheduleLoss:
                                       f"valid ids are 1..{n}")
 
     def decide(self, rng, msg_round, sender, receiver, send_time):
-        for rule in self.rules:
-            if rule.matches(msg_round, sender, receiver, send_time):
-                return "schedule"
+        by_round, at_time, spans = self._index
+        for rules in (by_round.get(msg_round, ()), at_time.get(send_time, ()), spans):
+            for rule in rules:
+                if rule.matches(msg_round, sender, receiver, send_time):
+                    return "schedule"
         return None
 
     def to_json(self) -> dict:
@@ -428,11 +441,11 @@ def _dumps_decision(decision: tuple) -> str:
     return _dumps(datum_to_json(decision[0]))
 
 
-# record, Trace.write and replay take the lines this many at a time (about
-# 22 KB of an 8-vehicle trace): one write, or one read and compare, per block;
-# record holds a block's events until it is written. Replay holds about 1 KB
-# per line of a block (the lines, their join and the text read), so a block
-# of 128 keeps its peak near 240 KB; 256 took it to 380 KB and ran no faster.
+# record, Trace.write and replay encode the events this many at a time into
+# one string, newlines included (about 22 KB of an 8-vehicle trace): one write,
+# or one read and byte compare, per block. Replay holds a block's events, their
+# lines and join, its bytes and the bytes read: a peak of 235 KB at 128 on the
+# n=8, 120 s trace; 256 took it to 356 KB and ran no faster.
 _BLOCK = 128
 
 # The JSON of each distinct vector met in the passes under way, one memo per
@@ -442,26 +455,31 @@ _BLOCK = 128
 # ServiceLevel.LOW and 1, encode differently. A kind of its own keeps n=1's
 # data vector (HIGH,) apart from the decision (HIGH,). The ack memo maps an
 # ack mask of n members, keyed as mask | 1 << n, to its JSON list of n
-# booleans. A memo that reaches _MEMO_SIZE entries starts afresh, so vectors
-# that keep changing (the platoon's data, a large fleet's acks) cannot grow
-# it; 512 holds all 256 ack or data vectors an 8-vehicle level run can send.
-# _lines clears all.
+# booleans, and the cause memo a drop cause, a str, to its JSON string. A
+# memo that reaches _MEMO_SIZE entries starts afresh, so vectors that keep
+# changing (the platoon's data, a large fleet's acks) cannot grow it; 512
+# holds all 256 ack or data vectors an 8-vehicle level run can send.
+# _blocks clears all.
 _MEMO_SIZE = 512
 _ack_json: dict[int, str] = {}
 _data_json: dict[tuple, tuple] = {}
 _decision_json: dict[tuple, tuple] = {}
+_cause_json: dict[str, str] = {}
+
+
+def _remember(memo: dict, key, value):
+    """Store ``value`` under ``key`` and return it; a full memo starts afresh."""
+    if len(memo) >= _MEMO_SIZE:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def _ack_dumps(mask: int, n: int) -> str:
     """An ack mask of ``n`` members as the JSON list of its n bits, lowest first."""
     key = mask | 1 << n
-    text = _ack_json.get(key)
-    if text is None:
-        text = _dumps([mask >> k & 1 == 1 for k in range(n)])
-        if len(_ack_json) >= _MEMO_SIZE:
-            _ack_json.clear()
-        _ack_json[key] = text
-    return text
+    return (_ack_json.get(key)
+            or _remember(_ack_json, key, _dumps([mask >> k & 1 == 1 for k in range(n)])))
 
 
 def _memo_dumps(memo: dict, vec: tuple, dumps) -> str:
@@ -471,29 +489,27 @@ def _memo_dumps(memo: dict, vec: tuple, dumps) -> str:
         return dumps(vec)
     if hit is not None and all(map(operator.is_, hit[0], vec)):
         return hit[1]
-    text = dumps(vec)
-    if len(memo) >= _MEMO_SIZE:
-        memo.clear()
-    memo[vec] = (vec, text)
-    return text
+    return _remember(memo, vec, (vec, dumps(vec)))[1]
 
 
-def _ack_and_data(m: GossipMessage) -> tuple[str, str]:
-    data = m.data
-    return _ack_dumps(m.ack, len(data)), _memo_dumps(_data_json, data, _dumps_data)
-
-
-def _deliver_head(m: GossipMessage, ack: str, data: str) -> str:
-    """A deliver line up to its ``"t":``, which is all that depends on the message."""
-    return f'{{"ack":{ack},"data":{data},"ev":"deliver","from":{m.sender},"round":{m.round},'
+def _message_json(m: GossipMessage) -> tuple[str, str, str, str, str]:
+    """A message's ack and data JSON, and what of a copy's line depends on it:
+    a deliver line up to ``"t":``, a drop line up to its cause and on to ``"t":``."""
+    sender, rnd, data, ack = m
+    ack = _ack_dumps(ack, len(data))
+    data = _memo_dumps(_data_json, data, _dumps_data)
+    return (ack, data,
+            f'{{"ack":{ack},"data":{data},"ev":"deliver","from":{sender},"round":{rnd},',
+            f'{{"ack":{ack},"cause":',
+            f',"data":{data},"ev":"drop","from":{sender},"round":{rnd},"t":')
 
 
 # Each sent message whose deliver and drop lines are still to be written:
-# id(msg) -> [msg, ack JSON, data JSON, deliver head, copies left]. The entry
-# holds msg, so no other object can have its id while cached; a miss (a
-# deliver with no send line, say) encodes afresh. A send
-# expects one copy per other member (len(msg.data) - 1) and each deliver or
-# drop line takes one, so after a complete trace the cache is empty again.
+# id(msg) -> [msg, deliver head, drop head, drop tail, copies left]. The
+# entry holds msg, so no other object can have its id while cached; a miss
+# (a deliver with no send line, say) encodes afresh. A send expects one copy
+# per other member (len(msg.data) - 1) and each deliver or drop line takes
+# one, so after a complete trace the cache is empty again.
 _in_flight: dict[int, list] = {}
 
 
@@ -508,25 +524,24 @@ def event_to_json(ev: TraceEvent) -> str:
         m = ev[2]
         entry = _in_flight.get(id(m))
         if entry is not None:
-            _, ack, data, head, left = entry
+            _, deliver, drop, tail, left = entry
             if left > 1:
                 entry[4] = left - 1
             else:
                 _in_flight.pop(id(m), None)
         else:
-            ack, data = _ack_and_data(m)
-            head = _deliver_head(m, ack, data)
+            _, _, deliver, drop, tail = _message_json(m)
         if kind is DeliverEvent:
-            return f'{head}"t":{ev[0]},"to":{ev[1]}}}'
-        t, receiver, _, cause = ev
-        return (f'{{"ack":{ack},"cause":{_dumps(cause)},"data":{data},"ev":"drop",'
-                f'"from":{m[0]},"round":{m[1]},"t":{t},"to":{receiver}}}')
+            return f'{deliver}"t":{ev[0]},"to":{ev[1]}}}'
+        cause = ev[3]
+        cause = _cause_json.get(cause) or _remember(_cause_json, cause, _dumps(cause))
+        return f'{drop}{cause}{tail}{ev[0]},"to":{ev[1]}}}'
     if kind is SendEvent:
         t, m = ev
         sender, rnd, vdata, _ = m
-        ack, data = _ack_and_data(m)
+        ack, data, deliver, drop, tail = _message_json(m)
         if len(vdata) > 1:
-            _in_flight[id(m)] = [m, ack, data, _deliver_head(m, ack, data), len(vdata) - 1]
+            _in_flight[id(m)] = [m, deliver, drop, tail, len(vdata) - 1]
         return f'{{"ack":{ack},"data":{data},"ev":"send","round":{rnd},"t":{t},"v":{sender}}}'
     t, vehicle, (rnd, s, r, decision) = ev
     return (f'{{"ack":{_ack_dumps(r, len(s))},'
@@ -535,21 +550,22 @@ def event_to_json(ev: TraceEvent) -> str:
             f'"ev":"output","round":{rnd},"t":{t},"v":{vehicle}}}')
 
 
-def _lines(config: SimConfig, app_spec: dict, events: Iterable[TraceEvent]) -> Iterator[str]:
-    """A trace file's lines: the header, then one line per event."""
+def _blocks(config: SimConfig, app_spec: dict, events: Iterable[TraceEvent],
+            size: int = _BLOCK) -> Iterator[tuple[str, list]]:
+    """A trace file's text with the events it encodes: the header line alone,
+    then each ``size`` events with their lines, every line with its newline."""
     yield _dumps({"format": TRACE_FORMAT, "version": TRACE_VERSION,
-                  "config": config.to_json(), "app": app_spec})
+                  "config": config.to_json(), "app": app_spec}) + "\n", []
+    events = iter(events)
     try:
-        for ev in events:
-            yield event_to_json(ev)
+        while block := list(itertools.islice(events, size)):
+            yield "\n".join([*map(event_to_json, block), ""]), block
     finally:
         # The memos hold the vectors this pass met; _in_flight holds entries
         # only if the pass stopped early or a send's copies are not all in
         # it. A pass still running elsewhere then re-encodes what it misses.
-        _in_flight.clear()
-        _ack_json.clear()
-        _data_json.clear()
-        _decision_json.clear()
+        for memo in (_in_flight, _ack_json, _data_json, _decision_json, _cause_json):
+            memo.clear()
 
 
 @dataclass
@@ -561,22 +577,14 @@ class Trace:
     events: list = field(default_factory=list)
 
     def lines(self) -> Iterator[str]:
-        return _lines(self.config, self.app_spec, self.events)
+        """The trace's lines without their newlines, each event encoded as it is read."""
+        for text, _ in _blocks(self.config, self.app_spec, self.events, 1):
+            yield text[:-1]
 
     def write(self, path: Union[str, Path]) -> None:
         with open(path, "w", newline="\n") as fh:
-            for text in _blocks(self.lines()):
+            for text, _ in _blocks(self.config, self.app_spec, self.events):
                 fh.write(text)
-
-
-def _blocks(lines: Iterator[str]) -> Iterator[str]:
-    """The lines, ``_BLOCK`` at a time, each block one string with every newline."""
-    while True:
-        block = list(itertools.islice(lines, _BLOCK))
-        if not block:
-            return
-        block.append("")
-        yield "\n".join(block)
 
 
 def read_trace_header(path: Union[str, Path]) -> tuple[SimConfig, dict]:
@@ -796,20 +804,12 @@ def round_journeys(config: SimConfig) -> tuple[list[tuple[bool, ...]], int, int]
 
 
 def record(config: SimConfig, app: "LevelApp | PlatoonApp", fh) -> Iterator[TraceEvent]:
-    """Execute one simulation, writing its trace to ``fh`` ``_BLOCK`` lines at
+    """Execute one simulation, writing its trace to ``fh`` ``_BLOCK`` events at
     a time; each event is yielded once its line is written, so the trace is
     whole when the events are read to the end, and none is held beyond a block."""
-    pending: list[TraceEvent] = []
-
-    def events() -> Iterator[TraceEvent]:
-        for ev in simulate(config, app):
-            pending.append(ev)
-            yield ev
-
-    for text in _blocks(_lines(config, app.spec(), events())):
+    for text, block in _blocks(config, app.spec(), simulate(config, app)):
         fh.write(text)
-        yield from pending
-        pending.clear()
+        yield from block
 
 
 def run(config: SimConfig, app: "LevelApp | PlatoonApp") -> Trace:
@@ -819,8 +819,9 @@ def run(config: SimConfig, app: "LevelApp | PlatoonApp") -> Trace:
     return Trace(config, app.spec(), events)
 
 
-def _mismatch(line_no: int, recorded: str, replayed: str) -> ReplayMismatch:
-    """The divergence of one line; each side is a line with its newline, or ""."""
+def _mismatch(line_no: int, recorded: bytes, replayed: str) -> ReplayMismatch:
+    """The divergence of one line; each side is a line with its newline, or empty."""
+    recorded = recorded.decode(errors="backslashreplace")
     return ReplayMismatch(line_no,
                           recorded.removesuffix("\n") if recorded else "<missing>",
                           replayed.removesuffix("\n") if replayed else "<missing>",
@@ -832,7 +833,7 @@ def _divergence(fh, text: str, line_no: int) -> ReplayMismatch:
     for line_no, line in enumerate(text[:-1].split("\n"), start=line_no):
         line += "\n"
         recorded = fh.readline()
-        if recorded != line:
+        if recorded != line.encode():
             return _mismatch(line_no, recorded, line)
     raise AssertionError("a block that differs has a line that does")
 
@@ -840,30 +841,29 @@ def _divergence(fh, text: str, line_no: int) -> ReplayMismatch:
 def replay(path: Union[str, Path]) -> None:
     """Re-run a trace file's config and verify the result is byte-identical.
 
-    The application is rebuilt from the recorded app spec. The run is
-    re-simulated and re-encoded ``_BLOCK`` lines at a time, and each block,
-    newlines included, is compared with as much text read from the file.
-    Only a block that differs is walked again line by line, from its start
-    in the file, to name the first divergent line; text left in the file
-    after the run is a divergence too. So neither side is held beyond one
-    block; raises ReplayMismatch at the first divergent line.
+    The application is rebuilt from the recorded app spec, and each block of
+    ``_blocks`` is compared, as bytes, with as many read from the file. Only a
+    block that differs is read again line by line, to name the first divergent
+    line; bytes left after the run are a divergence too. So neither side is
+    held beyond one block; raises ReplayMismatch at the first divergent line.
     """
     from .platoon import build_app  # platoon imports this module
 
     config, app_spec = read_trace_header(path)
     app = build_app(app_spec)
-    replayed = _lines(config, app.spec(), simulate(config, app))
-    # Lines end at "\n" alone and are read untranslated, so a "\r" is a
-    # divergence; a byte that is not text is one too, at its line, not a crash.
-    with open(path, newline="\n", errors="backslashreplace") as fh:
+    replayed = _blocks(config, app.spec(), simulate(config, app))
+    # The file's bytes are compared as they are, so a "\r" is a divergence,
+    # and so is a byte that is not text, at its line, not a crash.
+    with open(path, "rb") as fh:
         try:
             line_no = 1
-            for text in _blocks(replayed):
+            for text, block in replayed:
+                data = text.encode()
                 start = fh.tell()
-                if fh.read(len(text)) != text:
+                if fh.read(len(data)) != data:
                     fh.seek(start)
                     raise _divergence(fh, text, line_no)
-                line_no += text.count("\n")
+                line_no += len(block) or 1  # the header's block holds no event
             rest = fh.readline()
             if rest:
                 raise _mismatch(line_no, rest, "")

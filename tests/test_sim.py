@@ -1,6 +1,7 @@
 """Tests for the discrete-event harness: timing, loss, traces, replay."""
 
 import copy
+import dataclasses
 import gc
 import hashlib
 import heapq
@@ -431,6 +432,33 @@ def test_schedule_rejects_unknown_vehicle():
         make_sim_config(n=2, loss=ScheduleLoss([DropRule(round=0, receiver=9)]))
 
 
+def test_a_run_replays_its_own_drops_as_a_schedule_testing_few_rules_a_copy(monkeypatch):
+    """One one-instant rule per drop, under ``composite:0``, reproduces a
+    Bernoulli run: one draw per copy either way, so the same delays, drops and
+    decisions. The schedule's index tests a copy against the rules at its send
+    time alone, not against all of them."""
+    config = make_sim_config(n=8, rounds=60, seed=31, loss=BernoulliLoss(0.17))
+    bernoulli = run_high(config)
+    drops = events_of(bernoulli, DropEvent)
+    rules = [DropRule(t0=ev.t, t1=ev.t, sender=ev.msg.sender, receiver=ev.receiver)
+             for ev in drops]
+    transmissions = len(drops) + len(events_of(bernoulli, DeliverEvent))
+    assert len(rules) > 500
+    matches = DropRule.matches
+    calls = Counter()
+
+    def counted(rule, *args):
+        calls["matches"] += 1
+        return matches(rule, *args)
+
+    monkeypatch.setattr(DropRule, "matches", counted)
+    schedule = run_high(dataclasses.replace(config, loss=CompositeLoss(0, ScheduleLoss(rules))))
+    # Scanning every rule would make about a thousand calls a copy.
+    assert 0 < calls["matches"] <= 2 * transmissions
+    assert schedule.events == [ev._replace(cause="schedule") if type(ev) is DropEvent else ev
+                               for ev in bernoulli.events]
+
+
 # ---------------------------------------------------------------------------
 # Trace format, determinism, replay
 # ---------------------------------------------------------------------------
@@ -654,6 +682,7 @@ def assert_encodes_like_reference(trace):
 def assert_nothing_cached():
     assert not sim._in_flight
     assert not sim._ack_json and not sim._data_json and not sim._decision_json
+    assert not sim._cause_json
 
 
 @pytest.mark.parametrize("n,seed,p", [
@@ -968,6 +997,24 @@ def test_replay_of_a_copy_without_its_final_newline_diverges_at_its_last_line(tm
     assert info.value.expected == info.value.actual == lines[-1]
     assert info.value.unterminated
     assert f"recorded: {lines[-1]} (no newline at end of file)\n" in str(info.value)
+
+
+def test_replay_names_a_line_with_a_multibyte_character(tmp_path):
+    # Replay compares bytes, and the two bytes of "é" shift every byte after
+    # them; the walk decodes the recorded line, so the message shows the "é".
+    trace = run_high(make_sim_config(n=3, rounds=6, seed=20, loss=BernoulliLoss(0.2)))
+    lines = list(trace.lines())
+    bad = len(lines) // 2
+    tampered = lines[bad - 1].replace('"ev"', '"\u00e9v"', 1)
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes("".join(line + "\n" for line in
+                             lines[:bad - 1] + [tampered] + lines[bad:]).encode())
+    with pytest.raises(ReplayMismatch) as info:
+        replay(path)
+    assert (info.value.line_no, info.value.expected, info.value.actual) == (
+        bad, tampered, lines[bad - 1])
+    assert f"recorded: {tampered}\n" in str(info.value)
+    assert_nothing_cached()
 
 
 def test_replay_names_a_whole_line_with_a_carriage_return_inside(tmp_path):
