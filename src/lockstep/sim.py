@@ -455,16 +455,14 @@ _BLOCK = 128
 # ServiceLevel.LOW and 1, encode differently. A kind of its own keeps n=1's
 # data vector (HIGH,) apart from the decision (HIGH,). The ack memo maps an
 # ack mask of n members, keyed as mask | 1 << n, to its JSON list of n
-# booleans, and the cause memo a drop cause, a str, to its JSON string. A
-# memo that reaches _MEMO_SIZE entries starts afresh, so vectors that keep
-# changing (the platoon's data, a large fleet's acks) cannot grow it; 512
-# holds all 256 ack or data vectors an 8-vehicle level run can send.
+# booleans. A memo that reaches _MEMO_SIZE entries starts afresh, so vectors
+# that keep changing (the platoon's data, a large fleet's acks) cannot grow
+# it; 512 holds all 256 ack or data vectors an 8-vehicle level run can send.
 # _blocks clears all.
 _MEMO_SIZE = 512
 _ack_json: dict[int, str] = {}
 _data_json: dict[tuple, tuple] = {}
 _decision_json: dict[tuple, tuple] = {}
-_cause_json: dict[str, str] = {}
 
 
 def _remember(memo: dict, key, value):
@@ -492,20 +490,17 @@ def _memo_dumps(memo: dict, vec: tuple, dumps) -> str:
     return _remember(memo, vec, (vec, dumps(vec)))[1]
 
 
-def _message_json(m: GossipMessage) -> tuple[str, str, str, str, str]:
-    """A message's ack and data JSON, and what of a copy's line depends on it:
-    a deliver line up to ``"t":``, a drop line up to its cause and on to ``"t":``."""
+def _message_json(m: GossipMessage) -> tuple[str, str, str]:
+    """A message's ack and data JSON, and a deliver line up to its ``"t":``,
+    which is all of that line that depends on the message."""
     sender, rnd, data, ack = m
     ack = _ack_dumps(ack, len(data))
     data = _memo_dumps(_data_json, data, _dumps_data)
-    return (ack, data,
-            f'{{"ack":{ack},"data":{data},"ev":"deliver","from":{sender},"round":{rnd},',
-            f'{{"ack":{ack},"cause":',
-            f',"data":{data},"ev":"drop","from":{sender},"round":{rnd},"t":')
+    return ack, data, f'{{"ack":{ack},"data":{data},"ev":"deliver","from":{sender},"round":{rnd},'
 
 
 # Each sent message whose deliver and drop lines are still to be written:
-# id(msg) -> [msg, deliver head, drop head, drop tail, copies left]. The
+# id(msg) -> [msg, ack JSON, data JSON, deliver head, copies left]. The
 # entry holds msg, so no other object can have its id while cached; a miss
 # (a deliver with no send line, say) encodes afresh. A send expects one copy
 # per other member (len(msg.data) - 1) and each deliver or drop line takes
@@ -524,24 +519,24 @@ def event_to_json(ev: TraceEvent) -> str:
         m = ev[2]
         entry = _in_flight.get(id(m))
         if entry is not None:
-            _, deliver, drop, tail, left = entry
+            _, ack, data, head, left = entry
             if left > 1:
                 entry[4] = left - 1
             else:
                 _in_flight.pop(id(m), None)
         else:
-            _, _, deliver, drop, tail = _message_json(m)
+            ack, data, head = _message_json(m)
         if kind is DeliverEvent:
-            return f'{deliver}"t":{ev[0]},"to":{ev[1]}}}'
-        cause = ev[3]
-        cause = _cause_json.get(cause) or _remember(_cause_json, cause, _dumps(cause))
-        return f'{drop}{cause}{tail}{ev[0]},"to":{ev[1]}}}'
+            return f'{head}"t":{ev[0]},"to":{ev[1]}}}'
+        t, receiver, _, cause = ev
+        return (f'{{"ack":{ack},"cause":{_dumps(cause)},"data":{data},"ev":"drop",'
+                f'"from":{m[0]},"round":{m[1]},"t":{t},"to":{receiver}}}')
     if kind is SendEvent:
         t, m = ev
         sender, rnd, vdata, _ = m
-        ack, data, deliver, drop, tail = _message_json(m)
+        ack, data, head = _message_json(m)
         if len(vdata) > 1:
-            _in_flight[id(m)] = [m, deliver, drop, tail, len(vdata) - 1]
+            _in_flight[id(m)] = [m, ack, data, head, len(vdata) - 1]
         return f'{{"ack":{ack},"data":{data},"ev":"send","round":{rnd},"t":{t},"v":{sender}}}'
     t, vehicle, (rnd, s, r, decision) = ev
     return (f'{{"ack":{_ack_dumps(r, len(s))},'
@@ -550,21 +545,21 @@ def event_to_json(ev: TraceEvent) -> str:
             f'"ev":"output","round":{rnd},"t":{t},"v":{vehicle}}}')
 
 
-def _blocks(config: SimConfig, app_spec: dict, events: Iterable[TraceEvent],
-            size: int = _BLOCK) -> Iterator[tuple[str, list]]:
+def _blocks(config: SimConfig, app_spec: dict,
+            events: Iterable[TraceEvent]) -> Iterator[tuple[str, list]]:
     """A trace file's text with the events it encodes: the header line alone,
-    then each ``size`` events with their lines, every line with its newline."""
+    then each ``_BLOCK`` events with their lines, every line with its newline."""
     yield _dumps({"format": TRACE_FORMAT, "version": TRACE_VERSION,
                   "config": config.to_json(), "app": app_spec}) + "\n", []
     events = iter(events)
     try:
-        while block := list(itertools.islice(events, size)):
+        while block := list(itertools.islice(events, _BLOCK)):
             yield "\n".join([*map(event_to_json, block), ""]), block
     finally:
         # The memos hold the vectors this pass met; _in_flight holds entries
         # only if the pass stopped early or a send's copies are not all in
         # it. A pass still running elsewhere then re-encodes what it misses.
-        for memo in (_in_flight, _ack_json, _data_json, _decision_json, _cause_json):
+        for memo in (_in_flight, _ack_json, _data_json, _decision_json):
             memo.clear()
 
 
@@ -575,11 +570,6 @@ class Trace:
     config: SimConfig
     app_spec: dict
     events: list = field(default_factory=list)
-
-    def lines(self) -> Iterator[str]:
-        """The trace's lines without their newlines, each event encoded as it is read."""
-        for text, _ in _blocks(self.config, self.app_spec, self.events, 1):
-            yield text[:-1]
 
     def write(self, path: Union[str, Path]) -> None:
         with open(path, "w", newline="\n") as fh:

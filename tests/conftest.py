@@ -4,6 +4,7 @@ import dataclasses
 import pytest
 from hypothesis import strategies as st
 
+from lockstep import sim
 from lockstep.analysis import round_view
 from lockstep.platoon import LevelApp, ServiceLevel
 from lockstep.protocol import ProtocolConfig, RoundOutput, VehicleProtocol
@@ -93,6 +94,22 @@ def ack_flags(mask, n):
 def events_of(trace, kind):
     """The trace's events of one type (``SendEvent``, ``DropEvent``, ...), in order."""
     return [ev for ev in trace.events if isinstance(ev, kind)]
+
+
+def trace_lines(trace):
+    """The trace's lines without their newlines, each event encoded as its line
+    is read: ``sim._blocks`` in blocks of one event. ``_BLOCK`` is one only
+    while this pass takes a step, so passes that interleave with it keep theirs."""
+    blocks = sim._blocks(trace.config, trace.app_spec, trace.events)
+    while True:
+        size, sim._BLOCK = sim._BLOCK, 1
+        try:
+            text, _ = next(blocks, ("", None))
+        finally:
+            sim._BLOCK = size
+        if not text:
+            return
+        yield text[:-1]
 
 
 def trace_view(trace):

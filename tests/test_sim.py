@@ -61,6 +61,7 @@ from conftest import (
     in_own_round,
     make_protocol_config,
     make_sim_config,
+    trace_lines,
     trace_view,
 )
 
@@ -465,7 +466,7 @@ def test_a_run_replays_its_own_drops_as_a_schedule_testing_few_rules_a_copy(monk
 
 def test_trace_event_fields_and_datum_encoding():
     trace = run_high(make_sim_config(n=2, rounds=3, seed=11, loss=BernoulliLoss(0.3)))
-    lines = list(trace.lines())
+    lines = list(trace_lines(trace))
     header = json.loads(lines[0])
     assert header["format"] == "lockstep-trace"
     assert header["app"] == {"kind": "level", "level": "high"}
@@ -494,13 +495,13 @@ def test_trace_timestamps_non_decreasing():
 def test_identical_configs_produce_identical_traces():
     a = run_high(make_sim_config(n=4, rounds=15, seed=13, loss=BernoulliLoss(0.25)))
     b = run_high(make_sim_config(n=4, rounds=15, seed=13, loss=BernoulliLoss(0.25)))
-    assert list(a.lines()) == list(b.lines())
+    assert list(trace_lines(a)) == list(trace_lines(b))
 
 
 def test_different_seed_changes_the_trace():
     a = run_high(make_sim_config(n=4, rounds=15, seed=13, loss=BernoulliLoss(0.25)))
     b = run_high(make_sim_config(n=4, rounds=15, seed=14, loss=BernoulliLoss(0.25)))
-    assert list(a.lines()) != list(b.lines())
+    assert list(trace_lines(a)) != list(trace_lines(b))
 
 
 # Runs the benchmark never makes, each with the sha256 of its trace lines:
@@ -526,7 +527,7 @@ def pinned_trace(name):
 
 def trace_sha256(trace) -> str:
     digest = hashlib.sha256()
-    for line in trace.lines():
+    for line in trace_lines(trace):
         digest.update(line.encode() + b"\n")
     return digest.hexdigest()
 
@@ -650,7 +651,7 @@ def reference_event_to_json(ev) -> str:
 
 
 def reference_lines(trace):
-    return [next(trace.lines())] + [reference_event_to_json(ev) for ev in trace.events]
+    return [next(trace_lines(trace))] + [reference_event_to_json(ev) for ev in trace.events]
 
 
 def in_flight_after_each_event(trace):
@@ -667,8 +668,8 @@ def in_flight_after_each_event(trace):
 
 def assert_encodes_like_reference(trace):
     """Byte-identical lines, with a cache that holds only the messages in flight."""
-    lines = trace.lines()
-    assert next(lines) == next(trace.lines())
+    lines = trace_lines(trace)
+    assert next(lines) == next(trace_lines(trace))
     encoded, cached = [], []
     for _ in trace.events:
         encoded.append(next(lines))
@@ -682,7 +683,6 @@ def assert_encodes_like_reference(trace):
 def assert_nothing_cached():
     assert not sim._in_flight
     assert not sim._ack_json and not sim._data_json and not sim._decision_json
-    assert not sim._cause_json
 
 
 @pytest.mark.parametrize("n,seed,p", [
@@ -745,7 +745,7 @@ def hand_built_trace():
 
 def test_encoder_matches_reference_on_a_hand_built_trace():
     trace = hand_built_trace()
-    assert list(trace.lines()) == reference_lines(trace)
+    assert list(trace_lines(trace)) == reference_lines(trace)
     assert_nothing_cached()  # the send whose copies never came is forgotten at the end
 
 
@@ -782,7 +782,7 @@ def mixed_type_trace():
 
 def test_encoder_keeps_equal_vectors_of_other_types_apart():
     trace = mixed_type_trace()
-    assert list(trace.lines()) == reference_lines(trace)
+    assert list(trace_lines(trace)) == reference_lines(trace)
     assert_nothing_cached()
 
 
@@ -794,7 +794,7 @@ def test_vector_memos_stay_within_their_bound_on_the_platoon_scenario(monkeypatc
     for bound in (sim._MEMO_SIZE, 64):
         monkeypatch.setattr(sim, "_MEMO_SIZE", bound)
         lines, sizes = [], []
-        for line in trace.lines():
+        for line in trace_lines(trace):
             lines.append(line)
             sizes.append(max(map(len, memos)))
         assert lines == reference_lines(trace)
@@ -812,7 +812,7 @@ def test_ack_memo_stays_within_its_bound_on_a_large_fleet(monkeypatch):
     for bound in (sim._MEMO_SIZE, 64):
         monkeypatch.setattr(sim, "_MEMO_SIZE", bound)
         lines, sizes = [], []
-        for line in trace.lines():
+        for line in trace_lines(trace):
             lines.append(line)
             sizes.append(len(sim._ack_json))
         assert lines == reference
@@ -827,7 +827,7 @@ def test_ack_memo_stays_within_its_bound_on_a_large_fleet(monkeypatch):
 ])
 def test_interleaved_encodings_of_one_trace(make):
     trace = make()
-    a, b = trace.lines(), trace.lines()
+    a, b = trace_lines(trace), trace_lines(trace)
     # a starts half a trace ahead of b, then they take turns.
     from_a, from_b = [next(a) for _ in range(len(trace.events) // 2)], []
     for x, y in itertools.zip_longest(b, a):
@@ -841,7 +841,7 @@ def test_interleaved_encodings_of_one_trace(make):
 def test_abandoned_encoding_leaves_nothing_cached():
     trace = run_high(make_sim_config(n=4, rounds=6, seed=10, loss=BernoulliLoss(0.2)))
     first_send = next(i for i, ev in enumerate(trace.events) if isinstance(ev, SendEvent))
-    lines = trace.lines()
+    lines = trace_lines(trace)
     for _ in range(first_send + 2):  # the header, then up to that send line
         next(lines)
     assert sim._in_flight and sim._ack_json and sim._data_json
@@ -882,7 +882,7 @@ def write_trace_lines(path, lines):
 
 def test_replay_of_a_truncated_trace_reports_the_first_missing_line(tmp_path):
     trace = run_high(make_sim_config(n=3, rounds=6, seed=12, loss=BernoulliLoss(0.2)))
-    lines = list(trace.lines())
+    lines = list(trace_lines(trace))
     path = tmp_path / "trace.jsonl"
     write_trace_lines(path, lines[:-3])
     with pytest.raises(ReplayMismatch) as info:
@@ -894,7 +894,7 @@ def test_replay_of_a_truncated_trace_reports_the_first_missing_line(tmp_path):
 
 def test_replay_of_a_trace_with_an_extra_line_reports_it(tmp_path):
     trace = run_high(make_sim_config(n=3, rounds=6, seed=13, loss=BernoulliLoss(0.2)))
-    lines = list(trace.lines())
+    lines = list(trace_lines(trace))
     path = tmp_path / "trace.jsonl"
     write_trace_lines(path, lines + [lines[-1]])
     with pytest.raises(ReplayMismatch) as info:
@@ -906,7 +906,7 @@ def test_replay_of_a_trace_with_an_extra_line_reports_it(tmp_path):
 
 def test_replay_reports_a_line_that_is_not_text_as_a_mismatch(tmp_path):
     trace = run_high(make_sim_config(n=3, rounds=60, seed=15, loss=BernoulliLoss(0.2)))
-    lines = list(trace.lines())
+    lines = list(trace_lines(trace))
     path = tmp_path / "trace.jsonl"
     bad = len(lines) - 5  # past the first read buffer
     data = "".join(line + "\n" for line in lines).encode()
@@ -923,7 +923,7 @@ def test_replay_reports_a_byte_that_is_not_text_on_an_early_line_as_a_mismatch(t
     # The header check decodes the header line alone, so a bad byte on line 3,
     # inside the file's first read buffer, is a divergence at line 3 too.
     trace = run_high(make_sim_config(n=3, rounds=6, seed=15, loss=BernoulliLoss(0.2)))
-    lines = list(trace.lines())
+    lines = list(trace_lines(trace))
     data = "".join(line + "\n" for line in lines).encode()
     cut = data.index(lines[2].encode())
     path = tmp_path / "trace.jsonl"
@@ -953,7 +953,7 @@ def test_replay_holds_neither_the_run_nor_the_file(tmp_path):
 
 def test_replay_leaves_no_file_open(tmp_path, monkeypatch):
     trace = run_high(make_sim_config(n=3, rounds=6, seed=14, loss=BernoulliLoss(0.2)))
-    lines = list(trace.lines())
+    lines = list(trace_lines(trace))
     good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
     write_trace_lines(good, lines)
     middle = len(lines) // 2
@@ -974,7 +974,7 @@ def test_replay_leaves_no_file_open(tmp_path, monkeypatch):
 
 def test_replay_of_a_crlf_copy_diverges_at_line_one(tmp_path):
     trace = run_high(make_sim_config(n=3, rounds=6, seed=17, loss=BernoulliLoss(0.2)))
-    lines = list(trace.lines())
+    lines = list(trace_lines(trace))
     path = tmp_path / "crlf.jsonl"
     path.write_bytes("".join(line + "\r\n" for line in lines).encode())
     with pytest.raises(ReplayMismatch) as info:
@@ -988,7 +988,7 @@ def test_replay_of_a_crlf_copy_diverges_at_line_one(tmp_path):
 
 def test_replay_of_a_copy_without_its_final_newline_diverges_at_its_last_line(tmp_path):
     trace = run_high(make_sim_config(n=3, rounds=6, seed=18, loss=BernoulliLoss(0.2)))
-    lines = list(trace.lines())
+    lines = list(trace_lines(trace))
     path = tmp_path / "nonl.jsonl"
     path.write_text("\n".join(lines))
     with pytest.raises(ReplayMismatch) as info:
@@ -1003,7 +1003,7 @@ def test_replay_names_a_line_with_a_multibyte_character(tmp_path):
     # Replay compares bytes, and the two bytes of "é" shift every byte after
     # them; the walk decodes the recorded line, so the message shows the "é".
     trace = run_high(make_sim_config(n=3, rounds=6, seed=20, loss=BernoulliLoss(0.2)))
-    lines = list(trace.lines())
+    lines = list(trace_lines(trace))
     bad = len(lines) // 2
     tampered = lines[bad - 1].replace('"ev"', '"\u00e9v"', 1)
     path = tmp_path / "trace.jsonl"
@@ -1019,7 +1019,7 @@ def test_replay_names_a_line_with_a_multibyte_character(tmp_path):
 
 def test_replay_names_a_whole_line_with_a_carriage_return_inside(tmp_path):
     trace = run_high(make_sim_config(n=3, rounds=6, seed=19, loss=BernoulliLoss(0.2)))
-    lines = list(trace.lines())
+    lines = list(trace_lines(trace))
     bad = len(lines) // 2
     tampered = lines[bad - 1].replace(",", ",\r", 1)  # a line ends at "\n" alone
     path = tmp_path / "trace.jsonl"
@@ -1063,8 +1063,20 @@ def test_replay_of_traces_ending_at_block_edges_is_identical(tmp_path, monkeypat
     assert_nothing_cached()
 
 
+def block_end(k):
+    """The line that ends the k-th block of event lines; the header is a block of its own."""
+    return 1 + k * sim._BLOCK
+
+
+# The cases at _BLOCK, _BLOCK + 1 and 2 * _BLOCK name edges of a layout whose
+# first block held the header and _BLOCK - 1 events; they stay as lines at the
+# end or start of a block's last or first event, and the block_end cases are
+# the edges of this one.
 @pytest.mark.parametrize("line_no", [
     pytest.param(2, id="first-event-line"),
+    pytest.param(block_end(1), id="last-line-of-the-first-event-block"),
+    pytest.param(block_end(1) + 1, id="first-line-of-the-second-event-block"),
+    pytest.param(block_end(2), id="last-line-of-the-second-event-block"),
     pytest.param(sim._BLOCK, id="last-line-of-the-first-block"),
     pytest.param(sim._BLOCK + 1, id="first-line-of-a-block"),
     pytest.param(2 * sim._BLOCK, id="last-line-of-a-block"),
@@ -1072,7 +1084,7 @@ def test_replay_of_traces_ending_at_block_edges_is_identical(tmp_path, monkeypat
     pytest.param(3 * sim._BLOCK + 5, id="last-line-of-the-final-partial-block"),
 ])
 def test_replay_names_a_divergence_at_a_block_edge(tmp_path, monkeypatch, line_no):
-    lines = list(block_edge_trace(monkeypatch, 3 * sim._BLOCK + 4).lines())
+    lines = list(trace_lines(block_edge_trace(monkeypatch, 3 * sim._BLOCK + 4)))
     assert len(lines) == 3 * sim._BLOCK + 5
     # The same length as the line it replaces, so the block's length matches too.
     tampered = lines[line_no - 1].replace('"ev"', '"EV"')
@@ -1088,7 +1100,7 @@ def test_replay_names_a_divergence_at_a_block_edge(tmp_path, monkeypatch, line_n
 
 def test_replay_of_a_file_cut_at_a_block_boundary_reports_the_missing_line(tmp_path,
                                                                            monkeypatch):
-    lines = list(block_edge_trace(monkeypatch, 3 * sim._BLOCK).lines())
+    lines = list(trace_lines(block_edge_trace(monkeypatch, 3 * sim._BLOCK)))
     path = tmp_path / "trace.jsonl"
     write_trace_lines(path, lines[:2 * sim._BLOCK])
     with pytest.raises(ReplayMismatch) as info:
@@ -1097,8 +1109,30 @@ def test_replay_of_a_file_cut_at_a_block_boundary_reports_the_missing_line(tmp_p
         2 * sim._BLOCK + 1, "<missing>", lines[2 * sim._BLOCK])
 
 
+def test_replay_of_a_file_cut_after_whole_event_blocks_reports_the_missing_line(tmp_path,
+                                                                               monkeypatch):
+    lines = list(trace_lines(block_edge_trace(monkeypatch, 3 * sim._BLOCK)))
+    path = tmp_path / "trace.jsonl"
+    write_trace_lines(path, lines[:block_end(2)])
+    with pytest.raises(ReplayMismatch) as info:
+        replay(path)
+    assert (info.value.line_no, info.value.expected, info.value.actual) == (
+        block_end(2) + 1, "<missing>", lines[block_end(2)])
+
+
+def test_replay_reports_a_line_added_after_whole_event_blocks(tmp_path, monkeypatch):
+    lines = list(trace_lines(block_edge_trace(monkeypatch, 2 * sim._BLOCK)))
+    assert len(lines) == block_end(2)
+    path = tmp_path / "trace.jsonl"
+    write_trace_lines(path, lines + [lines[-1]])
+    with pytest.raises(ReplayMismatch) as info:
+        replay(path)
+    assert (info.value.line_no, info.value.expected, info.value.actual) == (
+        block_end(2) + 1, lines[-1], "<missing>")
+
+
 def test_replay_reports_a_line_added_after_whole_blocks(tmp_path, monkeypatch):
-    lines = list(block_edge_trace(monkeypatch, 2 * sim._BLOCK - 1).lines())
+    lines = list(trace_lines(block_edge_trace(monkeypatch, 2 * sim._BLOCK - 1)))
     assert len(lines) == 2 * sim._BLOCK
     path = tmp_path / "trace.jsonl"
     write_trace_lines(path, lines + [lines[-1]])
@@ -1109,7 +1143,7 @@ def test_replay_reports_a_line_added_after_whole_blocks(tmp_path, monkeypatch):
 
 
 def test_replay_reports_a_byte_that_is_not_text_in_a_later_block(tmp_path, monkeypatch):
-    lines = list(block_edge_trace(monkeypatch, 3 * sim._BLOCK).lines())
+    lines = list(trace_lines(block_edge_trace(monkeypatch, 3 * sim._BLOCK)))
     bad = 2 * sim._BLOCK + 7
     data = "".join(line + "\n" for line in lines).encode()
     cut = data.index(lines[bad - 1].encode()) + 5
