@@ -29,8 +29,8 @@ drew every link give the same passing reports, but a failing one names
 another trial and other matrices. At large n an unstable round rarely
 splits the fleet, so sampling there finds little (see ``sample_and_verify``).
 
-Each verifier computes a round's transition once per (sent, complete) pair
-and reuses it across all its sequences (``run_abstract``'s ``steps``).
+Each verifier computes a round's next sent vector, and its ``decide`` value,
+once per completeness vector across all its sequences (``run_abstract``'s ``steps``).
 
 The four rules of the guarantee, ``RULES``, are implemented once, in
 ``rule_violations``; the trace checkers in ``analysis`` read the same
@@ -63,7 +63,17 @@ MAX_REPORT_CELLS = 1_000_000
 STABLE_ROUND_PROBABILITY = 0.5
 LINK_UP_PROBABILITY = 0.8
 
-_STEPS_SIZE = 1024  # a transition table this full starts afresh: about 0.5 MB at n=8
+_STEPS_SIZE = 1024  # a table this full starts afresh: n=8's 256 vectors take 0.17 MB, n=256 4.6 MB
+
+
+def _next_sent(complete: Sequence[bool], read_state: tuple, drop_default_write: bool) -> tuple:
+    """What each vehicle gossips after a round: its read state if complete, else DEFAULT."""
+    return tuple([r if ok or drop_default_write else DEFAULT for r, ok in zip(read_state, complete)])
+
+
+def _row(complete: Sequence[bool], decision: Datum) -> tuple:
+    """A round's decisions: ``decision`` where the vehicle is complete, DEFAULT elsewhere."""
+    return tuple([decision if ok else DEFAULT for ok in complete])
 
 
 def abstract_round(
@@ -82,20 +92,8 @@ def abstract_round(
     skips writing DEFAULT into the own slot after a failure; it exists to show
     the verifier catches the resulting consecutive disagreements.
     """
-    full_decision: Datum = None
-    decisions = []
-    next_sent = []
-    for i, ok in enumerate(complete):
-        if ok:
-            if full_decision is None:
-                # Every complete vehicle holds the same vector: all of `sent`.
-                full_decision = checked_decide(decide, sent)
-            decisions.append(full_decision)
-            next_sent.append(read_state[i])
-        else:
-            decisions.append(DEFAULT)
-            next_sent.append(read_state[i] if drop_default_write else DEFAULT)
-    return tuple(decisions), tuple(next_sent)
+    decision = checked_decide(decide, sent) if any(complete) else DEFAULT
+    return _row(complete, decision), _next_sent(complete, read_state, drop_default_write)
 
 
 def run_abstract(
@@ -111,26 +109,38 @@ def run_abstract(
     vectors entering rounds 1..T. Initially every vehicle gossips its
     read_state value, mirroring a freshly initialized instance.
 
-    ``steps`` maps (sent, complete) to ``abstract_round``'s result. One table
-    serves one model: the same ``decide``, ``read_state``, ``drop_default_write``
-    and ``abstract_round``, with ``decide`` a pure function of its vector. List
-    vectors and unhashable data bypass it.
+    What a vehicle sends next depends only on whether it was complete, so
+    ``steps`` maps a vector c to [next sent, its ``decide`` value or None, c's
+    rows by the id of their decision, any(c)], and ``decide`` runs at most
+    once an entry. One table serves one model: the same ``decide``,
+    ``read_state`` and ``drop_default_write``, with ``decide`` a pure function
+    of its vector. List vectors and unhashable data bypass it.
     """
+    try:
+        hash(read_state)
+    except TypeError:  # unhashable data: a table of this run only
+        steps = None
     steps = {} if steps is None else steps
-    sent = read_state
+    # Round 0 is sent as after a stable round, whose decision the table may hold.
+    before = [read_state, steps.get((True,) * len(read_state), (None, None))[1]]
     decisions = []
     for complete in completes:
-        key = (sent, complete)
         try:
-            row, sent = steps[key]
-        except KeyError:
-            if len(steps) >= _STEPS_SIZE:
-                steps.clear()
-            row, sent = steps[key] = abstract_round(sent, complete, decide, read_state,
-                                                    drop_default_write)
-        except TypeError:  # a list vector or an unhashable datum
-            row, sent = abstract_round(sent, complete, decide, read_state, drop_default_write)
-        decisions.append(row)
+            step = steps[complete]
+        except (KeyError, TypeError) as miss:  # TypeError: a list vector, kept out
+            step = [_next_sent(complete, read_state, drop_default_write), None, {}, any(complete)]
+            if type(miss) is KeyError:
+                if len(steps) >= _STEPS_SIZE:
+                    steps.clear()
+                steps[complete] = step
+        decision = before[1] if step[3] else DEFAULT
+        if decision is None:
+            decision = before[1] = checked_decide(decide, before[0])
+        row = step[2].get(id(decision))
+        if row is None:  # the row holds its decision, so no other object has that id
+            row = step[2][id(decision)] = (decision, _row(complete, decision))
+        decisions.append(row[1])
+        before = step
     return decisions
 
 

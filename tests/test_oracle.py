@@ -2,9 +2,13 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,9 +192,22 @@ def sticky_round(sent, complete, decide, read_state, drop_default_write=False):
                             for old, new in zip(sent, next_sent))
 
 
+def sticky_run(completes, decide, read_state, drop_default_write=False, steps=None):
+    """``run_abstract`` for the model of ``sticky_round``, a fold of it with no table.
+
+    Its next sent vector depends on the one before, so no table keyed by the
+    completeness vector alone could serve it: it stands in for the whole run.
+    """
+    sent, decisions = read_state, []
+    for complete in completes:
+        row, sent = sticky_round(sent, complete, decide, read_state, drop_default_write)
+        decisions.append(row)
+    return decisions
+
+
 def test_a_model_that_never_recovers_is_caught(monkeypatch):
     """A vehicle that has gossiped DEFAULT keeps gossiping it: no rule but recovery breaks."""
-    monkeypatch.setattr(oracle, "abstract_round", sticky_round)
+    monkeypatch.setattr(oracle, "run_abstract", sticky_run)
     report = enumerate_and_verify(2, 3, min_level_decide, high_state(2))
     assert not report.passed
     assert (report.counterexample.rule, report.counterexample.round) == ("recovery", 3)
@@ -366,7 +383,7 @@ def reference_smallest_matrix(complete):
 
 def reference_verify_sequence(n, matrices, decide, read_state, drop_default_write=False):
     completes = [completeness(m) for m in matrices]
-    decisions = run_abstract(completes, decide, read_state, drop_default_write)
+    decisions = oracle.run_abstract(completes, decide, read_state, drop_default_write)
     hit = check_decision_sequence([all(c) for c in completes], decisions)
     if hit is None:
         return None
@@ -409,7 +426,7 @@ def test_sampler_matches_the_matrix_sampler(n, rounds, trials, seed, mutant):
                                                  (4, 20, 5, "mutant")])
 def test_sampled_counterexample_matches_the_matrix_sampler(monkeypatch, n, rounds, seed, model):
     if model == "never-recovers":
-        monkeypatch.setattr(oracle, "abstract_round", sticky_round)
+        monkeypatch.setattr(oracle, "run_abstract", sticky_run)
     args = (n, rounds, 500, seed, min_level_decide, high_state(n), model == "mutant")
     got = sample_and_verify(*args)
     want, matrices = reference_sample_and_verify(*args)
@@ -462,7 +479,7 @@ def test_large_fleet_counterexample_is_cheap_and_well_formed(monkeypatch):
         return smallest_matrix(complete)
 
     smallest_matrix = oracle._smallest_matrix
-    monkeypatch.setattr(oracle, "abstract_round", sticky_round)
+    monkeypatch.setattr(oracle, "run_abstract", sticky_run)
     monkeypatch.setattr(itertools, "product", no_enumeration)
     monkeypatch.setattr(oracle, "_smallest_matrix", counted_matrix)
     t0 = time.perf_counter()
@@ -525,8 +542,9 @@ def test_a_shared_table_matches_the_matrix_model(case):
 
 
 def test_a_full_table_starts_afresh_and_still_matches():
-    n = 6
-    read_state = (HIGH, ServiceLevel.LOW, HIGH, ServiceLevel.MEDIUM, HIGH, HIGH)
+    """At n=11 the drawn vectors are more than the table holds, so it fills and starts afresh."""
+    n = 11
+    read_state = (HIGH, ServiceLevel.LOW, HIGH, ServiceLevel.MEDIUM, HIGH, HIGH) + high_state(5)
     rng = random.Random(3)
     steps, met, sizes = {}, set(), []
     for _ in range(400):
@@ -534,10 +552,7 @@ def test_a_full_table_starts_afresh_and_still_matches():
         matrices = [oracle._smallest_matrix(v) for v in vectors]
         want = reference_run_abstract(n, matrices, min_level_decide, read_state)
         assert run_abstract(vectors, min_level_decide, read_state, False, steps) == want
-        sent = read_state
-        for vector in vectors:
-            met.add((sent, vector))
-            sent = tuple(r if ok else DEFAULT for r, ok in zip(read_state, vector))
+        met.update(vectors)
         sizes.append(len(steps))
     assert len(met) > oracle._STEPS_SIZE
     assert max(sizes) <= oracle._STEPS_SIZE
@@ -563,16 +578,55 @@ def test_a_decide_that_keeps_its_value_is_still_rejected():
         sample_and_verify(3, 10, 50, 1, lambda s: HIGH, high_state(3))
 
 
-def test_each_verification_computes_few_transitions(monkeypatch):
+def test_each_verification_computes_few_transitions():
+    """``decide`` runs at most once per completeness vector a verification meets, plus round 0."""
     calls = []
 
-    def counted_round(*args):
-        calls.append(1)
-        return abstract_round(*args)
+    def decide(s):
+        calls.append(s)
+        return min_level_decide(s)
 
-    monkeypatch.setattr(oracle, "abstract_round", counted_round)
-    assert sample_and_verify(8, 50, 500, 1, min_level_decide, high_state(8)).passed
-    assert len(calls) <= 7_000  # 25,000 rounds
+    assert sample_and_verify(8, 50, 500, 1, decide, high_state(8)).passed
+    assert len(calls) <= 300  # 25,000 rounds, 256 vectors
     calls.clear()
-    assert enumerate_and_verify(3, 3, min_level_decide, high_state(3)).passed
-    assert len(calls) <= 100  # 512 sequences of 3 rounds
+    assert enumerate_and_verify(3, 3, decide, high_state(3)).passed
+    assert len(calls) <= 10  # 512 sequences of 3 rounds, 8 vectors
+
+
+def test_a_sampled_verification_holds_little_memory():
+    """A table of at most 2^8 entries: measured in a fresh interpreter, as ``verify`` runs."""
+    code = ("import tracemalloc; from lockstep import oracle; "
+            "from lockstep.platoon import ServiceLevel, min_level_decide; "
+            "tracemalloc.start(); "
+            "report = oracle.sample_and_verify(8, 50, 500, 1, min_level_decide, "
+            "(ServiceLevel.HIGH,) * 8); "
+            "print(report.passed, tracemalloc.get_traced_memory()[1])")
+    src = Path(oracle.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=60, check=True)
+    passed, peak = out.stdout.split()
+    assert passed == "True"
+    assert int(peak) < 300_000  # 200 KB measured under Python 3.11
+
+
+@st.composite
+def single_rounds(draw):
+    """One round at n <= 5: a sent vector, a completeness vector, a read state and a mutant flag."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    vectors = st.lists(LEVELS, min_size=n, max_size=n).map(tuple)
+    complete = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    return draw(vectors), complete, draw(vectors), draw(st.booleans())
+
+
+@settings(max_examples=300)
+@given(single_rounds())
+def test_a_round_reads_sent_only_through_its_decision(case):
+    """The premise of ``run_abstract``'s table: next sent is a function of the vector alone.
+
+    And the row is decide(sent) where the vehicle is complete, DEFAULT elsewhere.
+    """
+    sent, complete, read_state, mutant = case
+    row, next_sent = abstract_round(sent, complete, min_level_decide, read_state, mutant)
+    assert next_sent == abstract_round(read_state, complete, min_level_decide, read_state,
+                                       mutant)[1]
+    assert row == tuple(min_level_decide(sent) if ok else DEFAULT for ok in complete)
