@@ -76,28 +76,8 @@ def _row(complete: Sequence[bool], decision: Datum) -> tuple:
     return tuple([decision if ok else DEFAULT for ok in complete])
 
 
-def abstract_round(
-    sent: tuple,
-    complete: Sequence[bool],
-    decide: DecideFn,
-    read_state: tuple,
-    drop_default_write: bool = False,
-) -> tuple[tuple, tuple]:
-    """One protocol round at completeness granularity.
-
-    ``sent`` is what each vehicle gossiped this round; ``complete[i]`` whether
-    vehicle i+1 ended it holding every message; ``read_state`` is what each
-    would gossip next round after a complete one. Returns
-    (decisions, next_sent). ``drop_default_write`` is a deliberate mutant that
-    skips writing DEFAULT into the own slot after a failure; it exists to show
-    the verifier catches the resulting consecutive disagreements.
-    """
-    decision = checked_decide(decide, sent) if any(complete) else DEFAULT
-    return _row(complete, decision), _next_sent(complete, read_state, drop_default_write)
-
-
 def run_abstract(
-    completes: Iterable[Sequence[bool]],
+    completes: Iterable[tuple[bool, ...]],
     decide: DecideFn,
     read_state: tuple,
     drop_default_write: bool = False,
@@ -114,12 +94,9 @@ def run_abstract(
     rows by the id of their decision, any(c)], and ``decide`` runs at most
     once an entry. One table serves one model: the same ``decide``,
     ``read_state`` and ``drop_default_write``, with ``decide`` a pure function
-    of its vector. List vectors and unhashable data bypass it.
+    of its vector. ``drop_default_write`` is a deliberate mutant that skips writing
+    DEFAULT into the own slot after a failure, which the verifiers must catch.
     """
-    try:
-        hash(read_state)
-    except TypeError:  # unhashable data: a table of this run only
-        steps = None
     steps = {} if steps is None else steps
     # Round 0 is sent as after a stable round, whose decision the table may hold.
     before = [read_state, steps.get((True,) * len(read_state), (None, None))[1]]
@@ -127,12 +104,11 @@ def run_abstract(
     for complete in completes:
         try:
             step = steps[complete]
-        except (KeyError, TypeError) as miss:  # TypeError: a list vector, kept out
+        except KeyError:
             step = [_next_sent(complete, read_state, drop_default_write), None, {}, any(complete)]
-            if type(miss) is KeyError:
-                if len(steps) >= _STEPS_SIZE:
-                    steps.clear()
-                steps[complete] = step
+            if len(steps) >= _STEPS_SIZE:
+                steps.clear()
+            steps[complete] = step
         decision = before[1] if step[3] else DEFAULT
         if decision is None:
             decision = before[1] = checked_decide(decide, before[0])

@@ -424,8 +424,7 @@ TraceEvent = Union[SendEvent, DeliverEvent, DropEvent, OutputEvent]
 def datum_to_json(d: Datum):
     if is_default(d):
         return None
-    to_json = getattr(d, "to_json", None)
-    return d if to_json is None else to_json()
+    return d.to_json()
 
 
 # json.dumps(obj, sort_keys=True, separators=(",", ":")) without building an
@@ -450,15 +449,14 @@ _BLOCK = 128
 
 # The JSON of each distinct vector met in the passes under way, one memo per
 # kind. The data and decision memos map vector -> (vector, JSON), and a hit
-# counts only if the cached vector holds the very same element objects,
-# since equal vectors of other element types, (1, 0) and (True, False) or
-# ServiceLevel.LOW and 1, encode differently. A kind of its own keeps n=1's
-# data vector (HIGH,) apart from the decision (HIGH,). The ack memo maps an
-# ack mask of n members, keyed as mask | 1 << n, to its JSON list of n
-# booleans. A memo that reaches _MEMO_SIZE entries starts afresh, so vectors
-# that keep changing (the platoon's data, a large fleet's acks) cannot grow
-# it; 512 holds all 256 ack or data vectors an 8-vehicle level run can send.
-# _blocks clears all.
+# counts only if the cached vector holds the very same element objects: equal
+# data may encode apart, as PlatoonDatum(LOW, 0, 20) and (LOW, 0.0, 20.0) do.
+# A kind of its own keeps n=1's data vector (HIGH,) apart from the decision
+# (HIGH,). The ack memo maps an ack mask of n members, keyed as mask | 1 << n,
+# to its JSON list of n booleans. A memo that reaches _MEMO_SIZE entries
+# starts afresh, so vectors that keep changing (the platoon's data, a large
+# fleet's acks) cannot grow it; 512 holds all 256 ack or data vectors an
+# 8-vehicle level run can send. _blocks clears all.
 _MEMO_SIZE = 512
 _ack_json: dict[int, str] = {}
 _data_json: dict[tuple, tuple] = {}
@@ -481,10 +479,7 @@ def _ack_dumps(mask: int, n: int) -> str:
 
 
 def _memo_dumps(memo: dict, vec: tuple, dumps) -> str:
-    try:
-        hit = memo.get(vec)
-    except TypeError:  # an unhashable datum
-        return dumps(vec)
+    hit = memo.get(vec)
     if hit is not None and all(map(operator.is_, hit[0], vec)):
         return hit[1]
     return _remember(memo, vec, (vec, dumps(vec)))[1]
@@ -627,7 +622,9 @@ def simulate(config: SimConfig, app: "LevelApp | PlatoonApp") -> Iterator[TraceE
     The events are a pure function of the inputs. The loop runs only as far
     as the events are read. ``app`` is one of ``platoon``'s two applications.
     A vehicle reads its datum with ``app.read_state(vid)`` and decides a
-    round's vector ``s`` with ``app.decide(s)``; each round output goes to
+    round's vector ``s`` with ``app.decide(s)``. A datum either returns is DEFAULT
+    or, like ``ServiceLevel`` and ``PlatoonDatum``, is hashable and has a
+    ``to_json`` that gives its trace JSON. Each round output goes to
     ``app.on_output(vid, output, t)``. At each global time that
     ``app.app_tick_times()`` yields, ``app.on_app_tick(t)`` runs before any
     vehicle tick at the same instant (the platoon world advances its
@@ -837,10 +834,12 @@ def replay(path: Union[str, Path]) -> None:
     line; bytes left after the run are a divergence too. So neither side is
     held beyond one block; raises ReplayMismatch at the first divergent line.
     """
-    from .platoon import build_app  # platoon imports this module
+    from .platoon import PlatoonApp, build_app  # platoon imports this module
 
     config, app_spec = read_trace_header(path)
     app = build_app(app_spec)
+    if isinstance(app, PlatoonApp) and config != app.scenario.sim_config():
+        raise ConfigError("config is not the one app.scenario runs")
     replayed = _blocks(config, app.spec(), simulate(config, app))
     # The file's bytes are compared as they are, so a "\r" is a divergence,
     # and so is a byte that is not text, at its line, not a crash.

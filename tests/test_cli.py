@@ -24,7 +24,7 @@ from lockstep.cli import (
     sweep_cells,
 )
 from lockstep.oracle import MAX_REPORT_CELLS, MAX_VERIFY_ROUNDS
-from lockstep.platoon import LevelApp, ScenarioSpec, ServiceLevel
+from lockstep.platoon import LevelApp, PlatoonApp, ScenarioSpec, ServiceLevel
 from lockstep.protocol import MAX_INPUT_BYTES, MAX_MEMBERS, MAX_SENDS_PER_ROUND
 from lockstep.sim import MAX_EVENTS, MAX_JOURNEY_EVENTS, BernoulliLoss, run
 
@@ -455,6 +455,11 @@ HEADER_CASES = [
                                  f"about 625000000 events, more than {MAX_EVENTS}"),
     ("endless", "/dev/zero is not a lockstep-trace file: the JSON text is longer than "
                 f"{MAX_INPUT_BYTES} bytes"),
+    # A platoon run's config is its scenario's. In the default scenario's
+    # header, a 2-vehicle scenario would crash the 3-vehicle run, and a
+    # 1 µs duration would replay as identical a run of none of its 40 rounds.
+    ("platoon-scenario-n-not-the-config's", "error: config is not the one app.scenario runs"),
+    ("platoon-duration-not-the-scenario's", "error: config is not the one app.scenario runs"),
 ]
 
 
@@ -545,6 +550,15 @@ def test_replay_malformed_header_is_usage_error(tmp_path, capsys, case, message)
         path.write_bytes(b'{"\xff": 1}\n' + "\n".join(lines[1:]).encode() + b"\n")
     elif case == "endless":
         path = Path("/dev/zero")
+    elif case.startswith("platoon-"):  # written as replay writes it, so line 1 matches
+        scenario = ScenarioSpec()
+        header = {"format": "lockstep-trace", "version": 1,
+                  "config": scenario.sim_config().to_json(), "app": PlatoonApp(scenario).spec()}
+        if "scenario-n" in case:
+            header["app"]["scenario"]["n"] = 2
+        else:
+            header["config"]["duration"] = 1
+        path.write_text(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
     else:
         assert case == "wrong-type"
         _rewrite_header(path, lines, lambda h: h.update(config=5))

@@ -22,12 +22,14 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 from lockstep.cli import main
-from lockstep.platoon import ScenarioSpec
+from lockstep.platoon import PlatoonApp, ScenarioSpec
 
 from conftest import PYTHON_WORDING
 
 # A 3-member trace header with a composite loss of two rules and a fixed
 # delay, so that every kind of object a header holds is there to change.
+# A header is written as replay writes it, compact with sorted keys, so a
+# mutant that replay accepts matches line 1 and reaches the simulator.
 # Replay stops at the first block that differs, and the file holds the
 # header alone, so no mutation costs more than one block of events.
 HEADER = {
@@ -45,13 +47,19 @@ HEADER = {
     "app": {"kind": "level", "level": "high"},
 }
 
+# The default scenario's header: its config and its platoon app spec.
+PLATOON_HEADER = {"format": "lockstep-trace", "version": 1,
+                  "config": ScenarioSpec().sim_config().to_json(),
+                  "app": PlatoonApp(ScenarioSpec()).spec()}
+
 # Acceptance criterion 5's schedule: round 20 lost to members 1 and 2.
 SCHEDULE = [{"round": 20, "from": "*", "to": 1}, {"round": 20, "from": "*", "to": 2}]
 
 SCENARIO = ScenarioSpec().to_json()
 
-# Values put in for a node: one of each JSON type, a huge int, a NaN and a nest.
-VALUES = [None, True, 0, -1, 1.5, "x", [], {}, [1, 2, 3], 10**400, float("nan"),
+# Values put in for a node: one of each JSON type, a huge int, a NaN and a
+# nest, and 2, which keeps a count valid.
+VALUES = [None, True, 0, -1, 1.5, 2, "x", [], {}, [1, 2, 3], 10**400, float("nan"),
           {"kind": [None, {"round": []}]}]
 
 
@@ -104,12 +112,13 @@ def _write(directory, name, text):
     return str(path)
 
 
-@settings(max_examples=150, deadline=None)
-@given(mutants(HEADER))
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(mutants(HEADER), mutants(PLATOON_HEADER)))
 def test_a_changed_trace_header_is_replayed_or_refused(mutant):
     header, added_key = mutant
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
     with tempfile.TemporaryDirectory() as tmp:
-        _check(["replay", _write(tmp, "trace.jsonl", json.dumps(header) + "\n")], added_key)
+        _check(["replay", _write(tmp, "trace.jsonl", text)], added_key)
 
 
 @settings(max_examples=100, deadline=None)

@@ -18,7 +18,6 @@ from lockstep.oracle import (
     MAX_EXHAUSTIVE_BITS,
     Counterexample,
     VerificationReport,
-    abstract_round,
     check_decision_sequence,
     enumerate_and_verify,
     run_abstract,
@@ -60,28 +59,24 @@ def completeness(matrix):
     return tuple(map(all, zip(*matrix)))
 
 
-def test_abstract_round_all_delivered():
-    decisions, sent = abstract_round(high_state(3), completeness(full_matrix(3)),
-                                     min_level_decide, high_state(3))
-    assert decisions == (HIGH, HIGH, HIGH)
-    assert sent == (HIGH, HIGH, HIGH)
+def test_run_abstract_all_delivered():
+    full = completeness(full_matrix(3))
+    decisions = run_abstract([full, full], min_level_decide, high_state(3))
+    assert decisions == [(HIGH, HIGH, HIGH)] * 2  # and the round after still sends HIGH
 
 
-def test_abstract_round_single_missing_link_splits_once():
+def test_run_abstract_single_missing_link_splits_once():
     e = matrix_from_missing(2, [(2, 1)])  # vehicle 1 misses vehicle 2
-    decisions, sent = abstract_round(high_state(2), completeness(e), min_level_decide,
-                                     high_state(2))
+    (decisions,) = run_abstract([completeness(e)], min_level_decide, high_state(2))
     assert is_default(decisions[0]) and decisions[1] == HIGH
-    assert is_default(sent[0]) and sent[1] == HIGH
 
 
-def test_abstract_round_flushes_default_next_round():
-    e = matrix_from_missing(2, [(2, 1)])
-    _, sent = abstract_round(high_state(2), completeness(e), min_level_decide, high_state(2))
-    decisions, sent2 = abstract_round(sent, completeness(full_matrix(2)), min_level_decide,
-                                      high_state(2))
+def test_run_abstract_flushes_default_next_round():
+    incomplete = completeness(matrix_from_missing(2, [(2, 1)]))
+    full = completeness(full_matrix(2))
+    _, decisions, after = run_abstract([incomplete, full, full], min_level_decide, high_state(2))
     assert all(is_default(d) for d in decisions)  # everyone sees the gossiped default
-    assert sent2 == (HIGH, HIGH)
+    assert after == (HIGH, HIGH)  # and the round after it sends HIGH again
 
 
 def test_run_abstract_recovery_timeline():
@@ -186,10 +181,10 @@ def test_sampled_verification_catches_mutant():
 
 def sticky_round(sent, complete, decide, read_state, drop_default_write=False):
     """A model in which a vehicle that has gossiped DEFAULT keeps gossiping it."""
-    decisions, next_sent = abstract_round(sent, complete, decide, read_state,
-                                          drop_default_write)
-    return decisions, tuple(DEFAULT if is_default(old) else new
-                            for old, new in zip(sent, next_sent))
+    decision = checked_decide(decide, sent) if any(complete) else DEFAULT
+    return (tuple(decision if ok else DEFAULT for ok in complete),
+            tuple(DEFAULT if is_default(old) or not (ok or drop_default_write) else r
+                  for old, r, ok in zip(sent, read_state, complete)))
 
 
 def sticky_run(completes, decide, read_state, drop_default_write=False, steps=None):
@@ -263,9 +258,9 @@ def test_relay_monotonicity(case):
 # ---------------------------------------------------------------------------
 
 # The matrix-form round and run that the completeness-vector model replaced,
-# kept verbatim but for the default read state.
+# kept verbatim but for the default read state and the round's name.
 
-def reference_abstract_round(
+def reference_matrix_round(
     sent: tuple,
     matrix,
     decide,
@@ -302,8 +297,8 @@ def reference_run_abstract(n, matrices, decide, read_state, drop_default_write=F
     sent = read_state
     decisions = []
     for matrix in matrices:
-        row, sent = reference_abstract_round(sent, matrix, decide, read_state,
-                                             drop_default_write)
+        row, sent = reference_matrix_round(sent, matrix, decide, read_state,
+                                           drop_default_write)
         decisions.append(row)
     return decisions
 
@@ -319,24 +314,18 @@ def random_matrix(draw, n):
 
 @st.composite
 def model_runs(draw):
-    """Matrix sequences (three links in four up) and gossip vectors that may hold DEFAULT."""
+    """Matrix sequences (three links in four up) and a read state that may hold DEFAULT."""
     n = draw(st.integers(min_value=1, max_value=5))
     rounds = draw(st.integers(min_value=0, max_value=5))
     matrices = [random_matrix(draw, n) for _ in range(rounds)]
-    sent = tuple(draw(st.lists(LEVELS, min_size=n, max_size=n)))
     read_state = tuple(draw(st.lists(LEVELS, min_size=n, max_size=n)))
-    return n, matrices, sent, read_state, draw(st.booleans())
+    return n, matrices, read_state, draw(st.booleans())
 
 
 @settings(max_examples=500)
 @given(model_runs())
 def test_completeness_model_matches_the_matrix_model(case):
-    n, matrices, sent, read_state, mutant = case
-    for matrix in matrices:
-        got = abstract_round(sent, completeness(matrix), min_level_decide, read_state, mutant)
-        want = reference_abstract_round(sent, matrix, min_level_decide, read_state, mutant)
-        assert got == want
-        sent = want[1]
+    n, matrices, read_state, mutant = case
     assert run_abstract(map(completeness, matrices), min_level_decide, read_state,
                         mutant) == \
         reference_run_abstract(n, matrices, min_level_decide, read_state, mutant)
@@ -559,19 +548,6 @@ def test_a_full_table_starts_afresh_and_still_matches():
     assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the table started afresh
 
 
-def test_list_vectors_and_unhashable_data_bypass_the_table():
-    vectors = [[True, False, True], [True, True, True], [False, True, True], [True, True, True]]
-    matrices = [oracle._smallest_matrix(v) for v in vectors]
-    steps = {}
-    got = run_abstract(vectors, min_level_decide, high_state(3), False, steps)
-    assert got == reference_run_abstract(3, matrices, min_level_decide, high_state(3))
-    assert steps == {}
-    lists = ([3], [1], [2])  # min works on lists, which do not hash
-    got = run_abstract(map(tuple, vectors), min_level_decide, lists, True, steps)
-    assert got == reference_run_abstract(3, matrices, min_level_decide, lists, True)
-    assert steps == {}
-
-
 def test_a_decide_that_keeps_its_value_is_still_rejected():
     """The table holds only computed steps, so a broken absorption is never cached away."""
     with pytest.raises(DecideContractError):
@@ -607,26 +583,3 @@ def test_a_sampled_verification_holds_little_memory():
     passed, peak = out.stdout.split()
     assert passed == "True"
     assert int(peak) < 300_000  # 200 KB measured under Python 3.11
-
-
-@st.composite
-def single_rounds(draw):
-    """One round at n <= 5: a sent vector, a completeness vector, a read state and a mutant flag."""
-    n = draw(st.integers(min_value=1, max_value=5))
-    vectors = st.lists(LEVELS, min_size=n, max_size=n).map(tuple)
-    complete = tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    return draw(vectors), complete, draw(vectors), draw(st.booleans())
-
-
-@settings(max_examples=300)
-@given(single_rounds())
-def test_a_round_reads_sent_only_through_its_decision(case):
-    """The premise of ``run_abstract``'s table: next sent is a function of the vector alone.
-
-    And the row is decide(sent) where the vehicle is complete, DEFAULT elsewhere.
-    """
-    sent, complete, read_state, mutant = case
-    row, next_sent = abstract_round(sent, complete, min_level_decide, read_state, mutant)
-    assert next_sent == abstract_round(read_state, complete, min_level_decide, read_state,
-                                       mutant)[1]
-    assert row == tuple(min_level_decide(sent) if ok else DEFAULT for ok in complete)

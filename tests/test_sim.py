@@ -19,7 +19,8 @@ import pytest
 
 from lockstep import oracle, sim
 from lockstep.cli import TABLE1_DROP_RATES, build_sim_config
-from lockstep.platoon import LevelApp, PlatoonApp, ScenarioSpec, ServiceLevel, run_worst_case
+from lockstep.platoon import (LevelApp, PlatoonApp, PlatoonDatum, ScenarioSpec, ServiceLevel,
+                              run_worst_case)
 from lockstep.protocol import (
     DEFAULT,
     ConfigError,
@@ -721,8 +722,6 @@ def hand_built_trace():
     orphan = GossipMessage(2, 0, (DEFAULT, HIGH, DEFAULT), ack_mask((False, True, False)))
     m = GossipMessage(1, 0, (HIGH, DEFAULT, DEFAULT), ack_mask((True, False, False)))
     twin = GossipMessage(*m)  # equal to m, another object
-    unhashable = GossipMessage(3, 1, (DEFAULT, DEFAULT, ["raw", 1]),
-                               ack_mask((False, False, True)))
     never_copied = GossipMessage(2, 1, (DEFAULT, HIGH, DEFAULT), ack_mask((False, True, False)))
     out = RoundOutput(1, (HIGH, DEFAULT, DEFAULT), ack_mask((True, False, False)), DEFAULT)
     events = [
@@ -734,9 +733,6 @@ def hand_built_trace():
         DropEvent(10, 3, m, "bernoulli"),
         DeliverEvent(30, 2, m),  # one copy more than n - 1
         DeliverEvent(25, 2, twin),
-        SendEvent(40, unhashable),
-        DeliverEvent(50, 1, unhashable),
-        DropEvent(40, 2, unhashable, "bernoulli"),
         SendEvent(60, never_copied),  # its copies never appear
         OutputEvent(160_000, 1, out),
     ]
@@ -750,18 +746,22 @@ def test_encoder_matches_reference_on_a_hand_built_trace():
 
 
 def mixed_type_trace():
-    """Equal data and decision vectors whose elements differ in type: no two
-    may share an encoding. An ack is an int mask, so acks have no such types."""
+    """Equal data and decision vectors that encode apart: no two may share an
+    encoding. PlatoonDatum(LOW, 0, 20) and PlatoonDatum(LOW, 0.0, 20.0) are
+    equal and hash alike, but write 0 and 0.0. An ack is an int mask, so acks
+    have no such pairs."""
     config = make_sim_config(n=2, rounds=2, seed=8)
     low = ServiceLevel.LOW
+    ints, floats = PlatoonDatum(low, 0, 20), PlatoonDatum(low, 0.0, 20.0)
+    mixed = PlatoonDatum(low, 0, 20.0)
     sends = [
-        GossipMessage(1, 0, (1, DEFAULT), 0b01),
-        GossipMessage(2, 0, (True, DEFAULT), 0b01),
-        GossipMessage(1, 0, (1.0, DEFAULT), 0b01),
+        GossipMessage(1, 0, (ints, DEFAULT), 0b01),
+        GossipMessage(2, 0, (floats, DEFAULT), 0b01),
+        GossipMessage(1, 0, (mixed, DEFAULT), 0b01),
         GossipMessage(2, 0, (low, DEFAULT), 0b01),
-        GossipMessage(1, 0, (1, DEFAULT), 0b01),  # the first types again
-        GossipMessage(2, 1, (DEFAULT, ["raw", 1]), 0b10),  # unhashable
-        GossipMessage(1, 1, (DEFAULT, ["raw", 1]), 0b10),
+        GossipMessage(1, 0, (ints, DEFAULT), 0b01),  # the first data again
+        GossipMessage(2, 1, (DEFAULT, floats), 0b10),
+        GossipMessage(1, 1, (DEFAULT, ints), 0b10),
     ]
     events = []
     for i, m in enumerate(sends):
@@ -770,11 +770,11 @@ def mixed_type_trace():
         copy = m if i % 2 else GossipMessage(*m)
         events.append(DeliverEvent(10 * i + 5, 3 - m.sender, copy))
     for vid, s, r, decision in [
-        (1, (1, DEFAULT), 0b01, 1),
-        (2, (True, DEFAULT), 0b01, True),
-        (1, (low, 1.0), 0b11, low),
-        (2, (1.0, low), 0b11, 1.0),
-        (1, (1, 1), 0b11, 1),
+        (1, (ints, DEFAULT), 0b01, ints),
+        (2, (floats, DEFAULT), 0b01, floats),
+        (1, (low, floats), 0b11, low),
+        (2, (floats, low), 0b11, mixed),
+        (1, (ints, ints), 0b11, ints),
     ]:
         events.append(OutputEvent(RL, vid, RoundOutput(1, s, r, decision)))
     return Trace(config=config, app_spec={"kind": "level", "level": "high"}, events=events)
@@ -784,6 +784,32 @@ def test_encoder_keeps_equal_vectors_of_other_types_apart():
     trace = mixed_type_trace()
     assert list(trace_lines(trace)) == reference_lines(trace)
     assert_nothing_cached()
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda level=level: (make_sim_config(n=3, rounds=10, seed=29, loss=BernoulliLoss(0.3)),
+                           LevelApp(level)) for level in ServiceLevel],
+    lambda: (ScenarioSpec().sim_config(), PlatoonApp(ScenarioSpec())),
+], ids=[*(f"level-{level.to_json()}" for level in ServiceLevel), "platoon-scenario"])
+def test_every_datum_keeps_the_datum_contract(make):
+    """What the encoder's memos and ``datum_to_json`` rely on: each element of
+    a sent data vector, an output's ``s`` and a decision is DEFAULT, or is
+    hashable and has a ``to_json``."""
+    config, app = make()
+    kinds = Counter()
+    for ev in simulate(config, app):
+        if type(ev) is SendEvent:
+            data = ev.msg.data
+        elif type(ev) is OutputEvent:
+            data = (*ev.output.s, ev.output.decision)
+        else:
+            continue
+        for d in data:
+            if not is_default(d):
+                hash(d)
+                json.dumps(d.to_json())
+            kinds[type(d)] += 1
+    assert kinds[type(DEFAULT)] and len(kinds) >= 2  # failed rounds, and data of the app
 
 
 def test_vector_memos_stay_within_their_bound_on_the_platoon_scenario(monkeypatch):
