@@ -20,12 +20,12 @@ Event order is total: by time, then deliveries before ticks, then receiver
 or clock (so the app's tick comes before vehicle 1's), then insertion order.
 Per transmission the RNG is consumed in a fixed order (delay first, then the
 loss decision), one transmission per receiver in ascending id, sends by
-(time, vehicle). Two functions read the draws in that order. ``simulate``
-calls the delay and loss models for each copy; their methods write the law
-out. ``round_journeys`` takes each round's completeness and transmission
-counts from the draws without running the protocol, and applies the same
-law inline, read once from the models' fields. ``tests/test_journeys.py``
-holds the two equal.
+(time, vehicle). Two functions read the draws in that order, each applying
+the law inline that the models' methods write out, as ``_copy_law`` reads
+it once per run from their fields. ``simulate`` runs the protocol on them;
+``round_journeys`` takes each round's completeness and transmission counts
+from them without running the protocol. ``tests/test_journeys.py`` holds
+the two equal, and both to the models' methods.
 """
 
 from __future__ import annotations
@@ -285,6 +285,19 @@ DelayModel = Union[UniformDelay, FixedDelay]
 def delay_from_json(d: dict, where: str) -> DelayModel:
     kind = read_kind(where, d, {"uniform": (), "fixed": ("delay",)})
     return UniformDelay() if kind == "uniform" else FixedDelay(d["delay"])
+
+
+def _copy_law(config: "SimConfig") -> tuple:
+    """The law the models' methods write out, read once from their fields:
+    a ``FixedDelay``'s delay (else 0: one uniform draw), the Bernoulli or
+    composite ``p`` (else None: no loss draw), and the schedule's draw-free
+    ``decide`` (else None: no rules). A call to each model per copy costs
+    about a quarter of a sweep."""
+    loss = config.loss
+    schedule = loss if isinstance(loss, ScheduleLoss) else getattr(loss, "schedule", None)
+    return (config.delay.delay if isinstance(config.delay, FixedDelay) else 0,
+            None if loss is schedule else loss.p,
+            schedule.decide if schedule is not None and schedule.rules else None)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +649,7 @@ def simulate(config: SimConfig, app: "LevelApp | PlatoonApp") -> Iterator[TraceE
     """
     p = config.protocol
     n = p.n
-    rng = random.Random(config.seed)
+    draw = random.Random(config.seed).random
     max_delay = p.maximum_delay
 
     # Per-vehicle tables are indexed by vehicle id, like the clocks; slot 0
@@ -649,8 +662,8 @@ def simulate(config: SimConfig, app: "LevelApp | PlatoonApp") -> Iterator[TraceE
     receives = [None] + [inst.on_gossip_receive for inst in instances]
     ticks = [None] + [inst.on_tick for inst in instances]
     peers = [()] + [tuple(k for k in range(1, n + 1) if k != vid) for vid in range(1, n + 1)]
-    sample = config.delay.sample
-    decide_loss = config.loss.decide
+    fixed, drop_p, rules = _copy_law(config)
+    draws = drop_p is not None
     new = tuple.__new__  # builds the same NamedTuple events without a Python call
 
     # Clock 0 is the app's, clock i vehicle i's. A heap entry is (t, prio, clock
@@ -693,12 +706,14 @@ def simulate(config: SimConfig, app: "LevelApp | PlatoonApp") -> Iterator[TraceE
             yield new(SendEvent, (t, msg))
             rnd = msg.round
             for rcv in peers[vid]:
-                d = sample(rng, max_delay)
-                cause = decide_loss(rng, rnd, vid, rcv, t)
-                if cause is None:
-                    push(heap, (t + d, _PRIO_DELIVER, rcv, next(seq), msg))
+                d = fixed or 1 + int(draw() * max_delay)
+                lost = draws and draw() < drop_p
+                if rules and rules(None, rnd, vid, rcv, t):
+                    yield new(DropEvent, (t, rcv, msg, "schedule"))
+                elif lost:
+                    yield new(DropEvent, (t, rcv, msg, "bernoulli"))
                 else:
-                    yield new(DropEvent, (t, rcv, msg, cause))
+                    push(heap, (t + d, _PRIO_DELIVER, rcv, next(seq), msg))
         if output is not None:
             yield new(OutputEvent, (t, vid, output))
             app.on_output(vid, output, t)
@@ -719,14 +734,8 @@ def round_journeys(config: SimConfig) -> tuple[list[tuple[bool, ...]], int, int]
     A round-level reading of the run ``simulate`` makes, on its own draws:
     per round, the sends by (global time, vehicle) from ``_send_offsets``;
     per copy, the delay and then the loss, receivers ascending, from
-    ``random.Random(config.seed)``. It draws them by the law the models'
-    methods write out, read once from their fields: a ``FixedDelay``'s
-    ``delay``, or else ``1 + int(random() * maximum_delay)``; then for
-    ``BernoulliLoss`` and ``CompositeLoss`` a drop on ``random() < p``, drawn
-    even where a rule drops the copy; then the rules of a ``ScheduleLoss``
-    or a composite's schedule, through their ``decide``, which draws
-    nothing; a call to each model per copy would cost about a quarter of
-    a sweep. Vehicle i is complete in round r when
+    ``random.Random(config.seed)``, by the law ``_copy_law`` reads, as
+    ``simulate`` applies it. Vehicle i is complete in round r when
     its ack mask holds every slot: what its ack snapshot on entering round
     r + 1 holds. The vectors cover rounds 0 .. duration // round_length - 1,
     the rounds every vehicle ends within the run; the counts cover every
@@ -740,7 +749,10 @@ def round_journeys(config: SimConfig) -> tuple[list[tuple[bool, ...]], int, int]
     the final mask. It lands after its own send, so it is filed before it
     is read. A copy to a receiver whose mask is full is not filed: that
     mask, what the receiver's later sends carry and its final mask are full
-    whatever the copy holds.
+    whatever the copy holds. So once every vehicle's mask, as of its latest
+    send, is full, the round is decided: its vector is all True. Without
+    rules, the rest of its copies, from that send on, only take their draws
+    and count their drops, in C; a rule would have to see each copy.
 
     Rounds are independent, so each is read on its own. With offsets spread within
     ``sync_bound`` and delays in (0, maximum_delay], a round-r copy sent at
@@ -766,12 +778,9 @@ def round_journeys(config: SimConfig) -> tuple[list[tuple[bool, ...]], int, int]
     horizon = config.duration
     max_delay = p.maximum_delay
     draw = random.Random(config.seed).random
-    fixed = config.delay.delay if isinstance(config.delay, FixedDelay) else 0
-    loss = config.loss
-    draws = not isinstance(loss, ScheduleLoss)
-    schedule = getattr(loss, "schedule", None) if draws else loss
-    drop_p = loss.p if draws else 0.0
-    rules = schedule.decide if schedule is not None and schedule.rules else None
+    fixed, drop_p, rules = _copy_law(config)
+    draws = drop_p is not None
+    per = (not fixed) + draws  # a copy's draws: a uniform delay's, then a loss's
     offsets = config.offsets
     send_offsets = _send_offsets(p)
     # A round with every send in [offset, horizon] lists the same sends.
@@ -789,8 +798,21 @@ def round_journeys(config: SimConfig) -> tuple[list[tuple[bool, ...]], int, int]
             sends, times = _round_sends(send_offsets, offsets, base, horizon)
         masks = [1 << i for i in range(n)]
         filed = [[0] * (len(ts) + 1) for ts in times]
-        for t, i, b in sends:
-            carried = masks[i] = masks[i] | filed[i][b]
+        done = 0
+        for j, (t, i, b) in enumerate(sends):
+            mask = masks[i]
+            carried = masks[i] = mask | filed[i][b]
+            if carried == full != mask:
+                done += 1
+                if done == n and not rules:
+                    # Decided: the copies left only take their draws and count
+                    # drops. A copy's last draw is its loss's; with no loss
+                    # draw it is its delay's, which is never below 0.
+                    if per:
+                        left = itertools.repeat((), (len(sends) - j) * (n - 1) * per)
+                        taken = itertools.islice(itertools.starmap(draw, left), per - 1, None, per)
+                        drops += sum(map(operator.lt, taken, itertools.repeat(drop_p or 0)))
+                    break
             at = base + t
             for k in peers[i]:
                 delay = fixed or 1 + int(draw() * max_delay)

@@ -10,6 +10,7 @@ on the simulator's own view.
 """
 
 import multiprocessing
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,10 +23,12 @@ from lockstep.protocol import ProtocolConfig
 from lockstep.sim import (
     BernoulliLoss,
     CompositeLoss,
+    DeliverEvent,
     DropEvent,
     DropRule,
     FixedDelay,
     ScheduleLoss,
+    SendEvent,
     SimConfig,
     UniformDelay,
     round_journeys,
@@ -67,7 +70,8 @@ def journey_configs(draw):
     horizon cuts the last round. The duration need not be a multiple of the
     round. Delay is uniform or
     fixed; loss is Bernoulli, a schedule of round and time-span rules, or the
-    two composed.
+    two composed. The schedule is often empty and ``p`` may be an int, so the
+    rounds decided before their last send meet every loss, the draw-free one too.
     """
     n = draw(st.integers(min_value=2, max_value=5))
     sync = draw(st.sampled_from([0, 1]) | st.integers(min_value=0, max_value=20))
@@ -87,7 +91,7 @@ def journey_configs(draw):
         delay = FixedDelay(draw(st.integers(min_value=1, max_value=max_delay)))
     vehicle = st.one_of(st.none(), st.integers(min_value=1, max_value=n))
     rules = []
-    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+    for _ in range(draw(st.just(0) | st.integers(min_value=0, max_value=6))):
         if draw(st.booleans()):
             rules.append(DropRule(round=draw(st.integers(min_value=0, max_value=rounds)),
                                   sender=draw(vehicle), receiver=draw(vehicle)))
@@ -95,7 +99,7 @@ def journey_configs(draw):
             t0 = draw(st.integers(min_value=0, max_value=duration))
             t1 = draw(st.integers(min_value=t0, max_value=t0 + 2 * rl))
             rules.append(DropRule(t0=t0, t1=t1, sender=draw(vehicle), receiver=draw(vehicle)))
-    p = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
+    p = draw(st.sampled_from([0, 0.0, 0.05, 0.2, 0.5, 1.0, 1]))
     kind = draw(st.sampled_from(["bernoulli", "schedule", "composite"]))
     loss = {"bernoulli": BernoulliLoss(p), "schedule": ScheduleLoss(rules),
             "composite": CompositeLoss(p, ScheduleLoss(rules))}[kind]
@@ -155,19 +159,135 @@ def test_model_matches_the_simulator_on_each_delay_and_loss(delay, loss):
     assert _differences(config) == []
 
 
+def _written_out_law(config, events):
+    """The deliveries and drops that the models' methods give for a run's sends.
+
+    Walks the ``SendEvent``s in order, each one's receivers ascending, and
+    calls ``config.delay.sample`` and then ``config.loss.decide`` on
+    ``random.Random(config.seed)``. A delivered copy arrives at its send time
+    plus its delay; the deliveries are listed in the order ``simulate`` pops
+    them (by time, then receiver, then send order) and the drops in send order.
+    """
+    rng = random.Random(config.seed)
+    p = config.protocol
+    delivers, drops = [], []
+    for ev in events:
+        if type(ev) is SendEvent:
+            t, msg = ev
+            for rcv in range(1, p.n + 1):
+                if rcv != msg.sender:
+                    delay = config.delay.sample(rng, p.maximum_delay)
+                    cause = config.loss.decide(rng, msg.round, msg.sender, rcv, t)
+                    if cause is None:
+                        delivers.append(DeliverEvent(t + delay, rcv, msg))
+                    else:
+                        drops.append(DropEvent(t, rcv, msg, cause))
+    delivers.sort(key=lambda ev: (ev.t, ev.receiver))
+    return delivers, drops
+
+
+@pytest.mark.parametrize("loss", sorted(CASE_LOSSES))
+@pytest.mark.parametrize("delay", sorted(CASE_DELAYS))
+def test_simulator_applies_the_law_the_models_write_out(delay, loss):
+    """``simulate`` draws each copy inline; every delivery's time and message
+    and every drop's cause is the one the models' methods give, so a copy
+    whose rule and draw both drop it is the rule's, as ``CompositeLoss.decide``
+    says."""
+    config = _case(delay, loss)
+    events = list(simulate(config, LevelApp(HIGH)))
+    delivers, drops = _written_out_law(config, events)
+    got = [ev for ev in events if type(ev) is DeliverEvent]
+    assert got == delivers and all(a.msg is b.msg for a, b in zip(got, delivers))
+    assert [ev for ev in events if type(ev) is DropEvent] == drops
+
+
 def test_model_calls_no_delay_or_loss_model_but_the_rules(monkeypatch):
-    """``round_journeys`` applies the models' law from their fields; per copy
-    it calls a schedule's ``decide``, which draws nothing, and no other model."""
+    """``round_journeys`` and ``simulate`` apply the models' law from their
+    fields; per copy they call a schedule's ``decide``, which draws nothing,
+    and no other model."""
     configs = [_case(delay, loss) for delay in CASE_DELAYS for loss in CASE_LOSSES]
     want = [round_journeys(config) for config in configs]
+    want_events = [list(simulate(config, LevelApp(HIGH))) for config in configs]
 
     def called(*args):
-        raise AssertionError("round_journeys called a delay or loss model")
+        raise AssertionError("a delay or loss model was called")
 
     for model, method in ((UniformDelay, "sample"), (FixedDelay, "sample"),
                           (BernoulliLoss, "decide"), (CompositeLoss, "decide")):
         monkeypatch.setattr(model, method, called)
     assert [round_journeys(config) for config in configs] == want
+    assert [list(simulate(config, LevelApp(HIGH))) for config in configs] == want_events
+
+
+def _late_sends(config):
+    """The sends made in a round after each vehicle has sent a full ack mask
+    in it: by then the round is decided, so ``round_journeys`` only draws
+    for their copies, unless the loss has rules."""
+    full = (1 << config.protocol.n) - 1
+    filled = {}
+    late = []
+    for ev in simulate(config, LevelApp(HIGH)):
+        if type(ev) is SendEvent:
+            senders = filled.setdefault(ev.msg.round, set())
+            if len(senders) == config.protocol.n:
+                late.append(ev)
+            elif ev.msg.ack == full:
+                senders.add(ev.msg.sender)
+    return late
+
+
+class _CountedRandom(random.Random):
+    """A ``random.Random`` that counts the draws of all its instances."""
+
+    draws = 0
+
+    def random(self):
+        _CountedRandom.draws += 1
+        return super().random()
+
+
+def _draws(engine):
+    _CountedRandom.draws = 0
+    engine()
+    return _CountedRandom.draws
+
+
+# Copies from vehicle 1 to vehicle 2 are dropped all run long, so vehicle 2
+# fills only through relays, and late sends of vehicle 1 still lose copies to it.
+LATE_RULE = DropRule(t0=0, t1=30 * 34, sender=1, receiver=2)
+DECIDED_CASES = {
+    "int-p": (UniformDelay(), BernoulliLoss(0)),
+    "no-rules-uniform": (UniformDelay(), ScheduleLoss(())),
+    "no-rules-fixed": (FixedDelay(7), ScheduleLoss(())),
+    "composite-no-rules": (UniformDelay(), CompositeLoss(0.2, ScheduleLoss(()))),
+    "fixed-bernoulli": (FixedDelay(7), BernoulliLoss(0.2)),
+    "rules-after-decision": (UniformDelay(), CompositeLoss(0.0, ScheduleLoss((LATE_RULE,)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECIDED_CASES))
+def test_model_matches_the_simulator_on_rounds_decided_early(name, monkeypatch):
+    """Rounds whose masks all fill before their last send, under each kind of
+    loss. An int ``p`` must count drops as a float does. Where rules drop
+    copies after the masks fill, the model must still read each copy. A
+    decided round's copies still take their draws, under a loss that draws
+    nothing too, so both engines take the same draws; with no loss at all no
+    output shows them, so they are counted."""
+    delay, loss = DECIDED_CASES[name]
+    config = SimConfig(CASE_PROTOCOL, (0, 1, 2, 1), loss, 30 * 34, 7, delay)
+    late = _late_sends(config)
+    assert late
+    if name == "rules-after-decision":
+        late = {(ev.t, ev.msg.sender) for ev in late}
+        assert any((ev.t, ev.msg.sender) in late for ev in simulate(config, LevelApp(HIGH))
+                   if type(ev) is DropEvent)
+    assert _differences(config) == []
+
+    monkeypatch.setattr(random, "Random", _CountedRandom)
+    per_copy = isinstance(delay, UniformDelay) + (not isinstance(loss, ScheduleLoss))
+    sim_draws = _draws(lambda: list(simulate(config, LevelApp(HIGH))))
+    assert sim_draws == per_copy * sum(round_journeys(config)[1:])
+    assert _draws(lambda: round_journeys(config)) == sim_draws
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_LEVEL_CONFIGS))
