@@ -187,12 +187,7 @@ def reliability(view: RoundView, highest: Datum) -> float:
     """
     if view.rounds == 0:
         raise AnalysisError("no completed rounds in trace")
-    good = sum(
-        1
-        for t in range(1, view.rounds)
-        if all(d == highest for d in view.decisions[t - 1])
-    )
-    return good / view.rounds
+    return view.decisions[:view.rounds - 1].count((highest,) * view.n) / view.rounds
 
 
 def packet_drop_rate(view: RoundView) -> float:

@@ -80,6 +80,10 @@ class ReplayMismatch(Exception):
 # Loss and delay models
 # ---------------------------------------------------------------------------
 
+_RULE_KEYS = frozenset(("round", "t", "from", "to"))
+_INT_OR_NONE = frozenset((int, type(None)))
+
+
 @dataclass(frozen=True)
 class DropRule:
     """One adversarial drop directive; None fields are wildcards.
@@ -95,10 +99,12 @@ class DropRule:
     receiver: Optional[int] = None
 
     def __post_init__(self) -> None:
-        for name in ("round", "t0", "t1", "sender", "receiver"):
-            value = getattr(self, name)
-            if value is not None:
-                require_int(f"drop rule {name}", value)
+        values = (self.round, self.t0, self.t1, self.sender, self.receiver)
+        # One set test per rule; require_int words the error, and takes an int subclass.
+        if not _INT_OR_NONE.issuperset(map(type, values)):
+            for name, value in zip(("round", "t0", "t1", "sender", "receiver"), values):
+                if value is not None:
+                    require_int(f"drop rule {name}", value)
         has_round = self.round is not None
         has_span = self.t0 is not None and self.t1 is not None
         if has_round == has_span:
@@ -131,15 +137,21 @@ class DropRule:
     @staticmethod
     def from_json(d: dict, where: str) -> "DropRule":
         """Read a rule; a misspelled key would otherwise widen it to a wildcard.
-        Every error names the rule's path, ``where``."""
-        def ref(v):
-            return None if v in (None, "*") else v
-
-        read_object(where, d, optional=("round", "t", "from", "to"))
-        t0, t1 = read_list(f"{where}.t", d["t"], 2) if "t" in d else (None, None)
+        Every error names the rule's path, ``where``. The keys, the span's
+        shape and then the fields are each checked once, with no call for a
+        rule that passes; ``read_object`` and ``read_list`` word a failure."""
+        if type(d) is not dict or not d.keys() <= _RULE_KEYS:
+            read_object(where, d, optional=_RULE_KEYS)
+        t0 = t1 = None
+        if "t" in d:
+            t = d["t"]
+            if type(t) is not list or len(t) != 2:
+                read_list(f"{where}.t", t, 2)
+            t0, t1 = t
+        sender, receiver = d.get("from"), d.get("to")
         try:
-            return DropRule(round=d.get("round"), t0=t0, t1=t1,
-                            sender=ref(d.get("from")), receiver=ref(d.get("to")))
+            return DropRule(d.get("round"), t0, t1, None if sender == "*" else sender,
+                            None if receiver == "*" else receiver)
         except ConfigError as exc:
             raise ConfigError(f"{where}: {exc}") from None
 
@@ -316,10 +328,10 @@ MAX_EVENTS = 1_000_000
 
 # The most events of a run that `round_journeys` reads instead, a sweep cell,
 # which holds one vector per round and no events. A whole `cli._sweep_cell`
-# took 0.29 to 0.43 µs an event at n = 2 to 256 (2 shared cores); n = 2 has
-# the fewest events a round, and 10^7 of them took 4.3 s and peaked at 103 MB.
-# So n = 2 stays near 22 s and 0.5 GB, inside the same budget, and the whole
-# `sweep` command at n = 64 over 360 s (18.6M events) takes about 6.3 s.
+# took 0.29 to 0.69 µs an event at n = 2 to 256 (2 shared cores); n = 2 has
+# the fewest events a round, and 5 * 10^7 of them took 31 s and peaked at
+# 447 MB, inside the same budget. The whole `sweep` command at n = 64 over
+# 360 s (18.6M events) takes about 5.5 to 6.3 s.
 MAX_JOURNEY_EVENTS = 50_000_000
 
 
@@ -719,13 +731,15 @@ def simulate(config: SimConfig, app: "LevelApp | PlatoonApp") -> Iterator[TraceE
             app.on_output(vid, output, t)
 
 
-def _round_sends(send_offsets: range, offsets: tuple[int, ...], base: int,
-                 horizon: float) -> tuple[list[tuple[int, int, int]], list[list[int]]]:
+def _round_sends(send_offsets: range, offsets: tuple[int, ...], base: int, horizon: float
+                 ) -> tuple[list[tuple[int, int, int]], list[list[int]], list[float]]:
     """A round's sends, sorted as (global time - ``base``, vehicle index, its
-    send index), and each vehicle's send times: vehicle i + 1 sends at local
-    ``base + s`` for each ``s`` in ``send_offsets`` within ``[offsets[i], horizon]``."""
+    send index), each vehicle's send times and its last (-inf if none): vehicle
+    i + 1 sends at local ``base + s`` for each ``s`` in ``send_offsets`` within
+    ``[offsets[i], horizon]``."""
     times = [[s - o for s in send_offsets if o <= base + s <= horizon] for o in offsets]
-    return sorted([(t, i, b) for i, ts in enumerate(times) for b, t in enumerate(ts)]), times
+    return (sorted([(t, i, b) for i, ts in enumerate(times) for b, t in enumerate(ts)]), times,
+            [ts[-1] if ts else -math.inf for ts in times])
 
 
 def round_journeys(config: SimConfig) -> tuple[list[tuple[bool, ...]], int, int]:
@@ -743,16 +757,20 @@ def round_journeys(config: SimConfig) -> tuple[list[tuple[bool, ...]], int, int]
 
     Masks only grow by OR, so all a copy's arrival decides is which of its
     receiver's sends come after it. The sends are walked by (global time,
-    vehicle); each delivered copy is filed under its receiver's first send
-    at or after its arrival (``bisect_left``: deliveries before sends at one
-    instant), or past the last, and is ORed in before that send, or into
-    the final mask. It lands after its own send, so it is filed before it
-    is read. A copy to a receiver whose mask is full is not filed: that
-    mask, what the receiver's later sends carry and its final mask are full
-    whatever the copy holds. So once every vehicle's mask, as of its latest
-    send, is full, the round is decided: its vector is all True. Without
-    rules, the rest of its copies, from that send on, only take their draws
-    and count their drops, in C; a rule would have to see each copy.
+    vehicle). ``got[k]`` is vehicle k's own bit ORed with what every copy
+    delivered to it carries, wherever it lands: every copy is ORed in before
+    a later send of its receiver or into the final mask, so ``got[k]`` is
+    exactly the end-of-round mask, and the vector reads ``got[k] == full``.
+    A delivered copy that lands at or before its receiver's last send, to a
+    receiver whose mask is not yet full, is also filed under the first such
+    send at or after its arrival (``bisect_left``: deliveries before sends
+    at one instant) and ORed in before it. It lands after its own send, so
+    it is filed before it is read. Any other copy changes no send: a later
+    one is read by none, and a full mask stays full. So once every ``got``
+    is full, the round is decided: its vector is all True, though some
+    vehicle may not yet have sent a full mask, or never send one. Without
+    rules, the rest of its copies, from the next send on, only take their
+    draws and count their drops, in C; a rule would have to see each copy.
 
     Rounds are independent, so each is read on its own. With offsets spread within
     ``sync_bound`` and delays in (0, maximum_delay], a round-r copy sent at
@@ -793,36 +811,38 @@ def round_journeys(config: SimConfig) -> tuple[list[tuple[bool, ...]], int, int]
     for rnd in range(horizon // rl + 1):
         base = rnd * rl
         if latest <= base + send_offsets[0] and base + send_offsets[-1] <= horizon:
-            sends, times = whole
+            sends, times, lasts = whole
         else:
-            sends, times = _round_sends(send_offsets, offsets, base, horizon)
+            sends, times, lasts = _round_sends(send_offsets, offsets, base, horizon)
         masks = [1 << i for i in range(n)]
-        filed = [[0] * (len(ts) + 1) for ts in times]
+        got = masks[:]
+        filed = [[0] * len(ts) for ts in times]
         done = 0
         for j, (t, i, b) in enumerate(sends):
-            mask = masks[i]
-            carried = masks[i] = mask | filed[i][b]
-            if carried == full != mask:
-                done += 1
-                if done == n and not rules:
-                    # Decided: the copies left only take their draws and count
-                    # drops. A copy's last draw is its loss's; with no loss
-                    # draw it is its delay's, which is never below 0.
-                    if per:
-                        left = itertools.repeat((), (len(sends) - j) * (n - 1) * per)
-                        taken = itertools.islice(itertools.starmap(draw, left), per - 1, None, per)
-                        drops += sum(map(operator.lt, taken, itertools.repeat(drop_p or 0)))
-                    break
+            if done == n and not rules:
+                # Decided: the copies left only take their draws and count
+                # drops. A copy's last draw is its loss's; with no loss draw
+                # it is its delay's, which is never below 0.
+                if per:
+                    left = itertools.repeat((), (len(sends) - j) * (n - 1) * per)
+                    taken = itertools.islice(itertools.starmap(draw, left), per - 1, None, per)
+                    drops += sum(map(operator.lt, taken, itertools.repeat(drop_p or 0)))
+                break
+            carried = masks[i] = masks[i] | filed[i][b]
             at = base + t
             for k in peers[i]:
                 delay = fixed or 1 + int(draw() * max_delay)
                 if (draws and draw() < drop_p) or (rules and rules(None, rnd, i + 1, k + 1, at)):
                     drops += 1
                 elif masks[k] != full:
-                    filed[k][bisect_left(times[k], t + delay)] |= carried
+                    if got[k] != full:
+                        got[k] |= carried
+                        done += got[k] == full
+                    if t + delay <= lasts[k]:
+                        filed[k][bisect_left(times[k], t + delay)] |= carried
         copies += len(sends) * (n - 1)
         if base + rl <= horizon:
-            complete.append(tuple([(mask | f[-1]) == full for mask, f in zip(masks, filed)]))
+            complete.append(tuple([g == full for g in got]))
     return complete, copies - drops, drops
 
 

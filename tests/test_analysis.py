@@ -5,10 +5,12 @@ traces that violate exactly one property, confirming each checker can fail.
 """
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lockstep import oracle
 from lockstep.analysis import (
     AnalysisError,
+    RoundView,
     packet_drop_rate,
     reliability,
     run_all_checks,
@@ -203,6 +205,29 @@ def test_reliability_needs_completed_rounds():
     trace.events = [ev for ev in trace.events if not isinstance(ev, OutputEvent)]
     with pytest.raises(AnalysisError):
         reliability(trace_view(trace), HIGH)
+
+
+@st.composite
+def decision_views(draw):
+    """A view of up to 12 rounds, the one-round and zero-round views included,
+    whose rows are all HIGH, all DEFAULT or mixed, DEFAULT among the levels."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    mixed = st.tuples(*[st.sampled_from([HIGH, LOW, ServiceLevel.MEDIUM, DEFAULT])] * n)
+    rows = draw(st.lists(st.just((HIGH,) * n) | st.just((DEFAULT,) * n) | mixed, max_size=12))
+    return RoundView(n=n, rounds=len(rows), decisions=rows, complete=[(True,) * n] * len(rows))
+
+
+@given(decision_views())
+def test_reliability_counts_the_rounds_every_vehicle_decided_highest(view):
+    """``reliability`` counts whole rows equal to the all-``highest`` row; a
+    vehicle-by-vehicle count over rounds 1 .. rounds - 1 gives the same float."""
+    if view.rounds == 0:
+        with pytest.raises(AnalysisError):
+            reliability(view, HIGH)
+        return
+    good = sum(1 for t in range(1, view.rounds)
+               if all(d == HIGH for d in view.decisions[t - 1]))
+    assert reliability(view, HIGH) == good / view.rounds
 
 
 def test_reliability_high_for_calibrated_mid_round_length():

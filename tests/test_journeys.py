@@ -220,19 +220,27 @@ def test_model_calls_no_delay_or_loss_model_but_the_rules(monkeypatch):
 
 
 def _late_sends(config):
-    """The sends made in a round after each vehicle has sent a full ack mask
-    in it: by then the round is decided, so ``round_journeys`` only draws
-    for their copies, unless the loss has rules."""
-    full = (1 << config.protocol.n) - 1
-    filled = {}
+    """The sends made in a round once every vehicle's end-of-round ack mask is
+    known to be full: each receiver's own bit and the ack masks of the copies
+    delivered to it from the round's earlier sends, wherever those land, hold
+    every member. By then the round is decided, so ``round_journeys`` only
+    draws for their copies, unless the loss has rules."""
+    n = config.protocol.n
+    full = (1 << n) - 1
+    events = list(simulate(config, LevelApp(HIGH)))
+    receivers = {}
+    for ev in events:
+        if type(ev) is DeliverEvent:
+            receivers.setdefault(id(ev.msg), []).append(ev.receiver)
+    got = {}
     late = []
-    for ev in simulate(config, LevelApp(HIGH)):
+    for ev in events:
         if type(ev) is SendEvent:
-            senders = filled.setdefault(ev.msg.round, set())
-            if len(senders) == config.protocol.n:
+            masks = got.setdefault(ev.msg.round, [1 << i for i in range(n)])
+            if all(mask == full for mask in masks):
                 late.append(ev)
-            elif ev.msg.ack == full:
-                senders.add(ev.msg.sender)
+            for rcv in receivers.get(id(ev.msg), ()):
+                masks[rcv - 1] |= ev.msg.ack | 1 << (ev.msg.sender - 1)
     return late
 
 
@@ -262,14 +270,18 @@ DECIDED_CASES = {
     "composite-no-rules": (UniformDelay(), CompositeLoss(0.2, ScheduleLoss(()))),
     "fixed-bernoulli": (FixedDelay(7), BernoulliLoss(0.2)),
     "rules-after-decision": (UniformDelay(), CompositeLoss(0.0, ScheduleLoss((LATE_RULE,)))),
+    # Copies of 10 µs land two sends later, so a vehicle may fill only after its last send.
+    "filled-after-last-send": (FixedDelay(10), BernoulliLoss(0.2)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DECIDED_CASES))
 def test_model_matches_the_simulator_on_rounds_decided_early(name, monkeypatch):
-    """Rounds whose masks all fill before their last send, under each kind of
-    loss. An int ``p`` must count drops as a float does. Where rules drop
-    copies after the masks fill, the model must still read each copy. A
+    """Rounds whose end-of-round masks are all known to be full before their
+    last send, under each kind of loss. An int ``p`` must count drops as a
+    float does. Where rules drop copies after that, the model must still read
+    each copy. Where a vehicle fills only through copies that land after its
+    own last send, it never sends a full mask, yet the round is decided. A
     decided round's copies still take their draws, under a loss that draws
     nothing too, so both engines take the same draws; with no loss at all no
     output shows them, so they are counted."""
@@ -281,6 +293,12 @@ def test_model_matches_the_simulator_on_rounds_decided_early(name, monkeypatch):
         late = {(ev.t, ev.msg.sender) for ev in late}
         assert any((ev.t, ev.msg.sender) in late for ev in simulate(config, LevelApp(HIGH))
                    if type(ev) is DropEvent)
+    if name == "filled-after-last-send":
+        full = (1 << config.protocol.n) - 1
+        sent_full = {(ev.msg.round, ev.msg.sender) for ev in simulate(config, LevelApp(HIGH))
+                     if type(ev) is SendEvent and ev.msg.ack == full}
+        assert any((ev.msg.round, vid) not in sent_full for ev in late
+                   for vid in range(1, config.protocol.n + 1))
     assert _differences(config) == []
 
     monkeypatch.setattr(random, "Random", _CountedRandom)

@@ -429,6 +429,33 @@ def test_schedule_rule_requires_round_or_span():
         DropRule(round=1, t0=0, t1=5)
 
 
+@pytest.mark.parametrize("rules,error", [
+    ([{"round": True}], "schedule[0]: drop rule round must be an int, got True"),
+    ([{"round": 1}, {"t": [0, False]}], "schedule[1]: drop rule t1 must be an int, got False"),
+    ([{"round": "a", "from": "b"}], "schedule[0]: drop rule round must be an int, got 'a'"),
+    ([{"t": [1, 2, 3]}], "schedule[0].t must be a JSON array of length 2, got [1, 2, 3]"),
+    ([{"t": "ab"}], "schedule[0].t must be a JSON array of length 2, got 'ab'"),
+    ([{"t": 5, "x": 1}], "schedule[0] has unknown field 'x'"),
+    ([[1]], "schedule[0] must be a JSON object, got [1]"),
+    ([{"round": 1, "from": 1.0}], "schedule[0]: drop rule sender must be an int, got 1.0"),
+])
+def test_schedule_rules_are_refused_by_the_first_field_at_fault(rules, error):
+    """A rule's keys are checked before its span's shape and both before its
+    values, which are checked in field order, a bool and a float refused."""
+    with pytest.raises(ConfigError) as exc:
+        sim.schedule_from_json(rules, "schedule")
+    assert str(exc.value) == error
+
+
+def test_schedule_rules_read_wildcards_and_int_subclasses():
+    """``"*"`` and null are wildcards, and an int subclass is an int, as for a
+    rule built in Python."""
+    rules = sim.schedule_from_json([{"round": 2, "from": "*", "to": None},
+                                    {"t": [0, 5], "from": 1, "to": "*"}], "schedule").rules
+    assert rules == (DropRule(round=2), DropRule(t0=0, t1=5, sender=1))
+    assert DropRule(round=ServiceLevel.HIGH).round == 3
+
+
 def test_schedule_rejects_unknown_vehicle():
     with pytest.raises(ConfigError):
         make_sim_config(n=2, loss=ScheduleLoss([DropRule(round=0, receiver=9)]))
