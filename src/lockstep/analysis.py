@@ -70,18 +70,21 @@ class RoundView:
 
     ``decisions[t-1]`` is the n-vector entering round t, for t in 1..rounds.
     ``complete[r][i]`` says whether vehicle i+1 ended round r holding every
-    member's message, for r in 0..rounds-1 (so there are ``rounds``
-    completed rounds).
+    member's message, for r in 0..rounds-1; ``rounds``, the number of
+    completed rounds, is the length of both tables.
     ``delivers`` and ``drops`` count the run's point-to-point transmissions.
     """
 
     n: int
-    rounds: int
     decisions: list[tuple]
     complete: list[tuple]
     truncated_outputs: int = 0
     delivers: int = 0
     drops: int = 0
+
+    @property
+    def rounds(self) -> int:
+        return len(self.complete)
 
 
 def round_view(n: int, events: Iterable[TraceEvent]) -> RoundView:
@@ -109,7 +112,7 @@ def round_view(n: int, events: Iterable[TraceEvent]) -> RoundView:
     rounds = min(map(len, decided))
     # zip stops at the vehicle with the fewest outputs; the others' extra
     # outputs are of rounds whose end the run did not reach for every vehicle.
-    return RoundView(n=n, rounds=rounds, decisions=list(zip(*decided)),
+    return RoundView(n=n, decisions=list(zip(*decided)),
                      complete=list(zip(*complete)),
                      truncated_outputs=sum(len(d) - rounds for d in decided),
                      delivers=delivers, drops=drops)

@@ -148,7 +148,7 @@ def _sweep_cell(config: SimConfig) -> dict:
     # and the decisions are the abstract model's over the completeness vectors.
     complete, delivers, drops = round_journeys(config)
     decisions = oracle.run_abstract(complete, min_level_decide, (ServiceLevel.HIGH,) * n)
-    view = analysis.RoundView(n, len(complete), decisions, complete,
+    view = analysis.RoundView(n, decisions, complete,
                               delivers=delivers, drops=drops)
     reports = analysis.run_all_checks(view)
     return {

@@ -62,9 +62,13 @@ STABLE_ROUND_PROBABILITY = 0.5
 _STEPS_SIZE = 1024  # a table this full starts afresh: n=8's 256 vectors take 0.17 MB, n=256 4.6 MB
 
 
-def _next_sent(complete: Sequence[bool], read_state: tuple, drop_default_write: bool) -> tuple:
-    """What each vehicle gossips after a round: its read state if complete, else DEFAULT."""
-    return tuple([r if ok or drop_default_write else DEFAULT for r, ok in zip(read_state, complete)])
+def _new_step(steps: dict, complete: tuple, read_state: tuple, drop_default_write: bool) -> list:
+    """Make and store ``complete``'s entry in ``steps``; see ``run_abstract``."""
+    if len(steps) >= _STEPS_SIZE:
+        steps.clear()
+    sent = tuple([r if ok or drop_default_write else DEFAULT for r, ok in zip(read_state, complete)])
+    step = steps[complete] = [sent, None, {}]
+    return step
 
 
 def _row(complete: Sequence[bool], decision: Datum) -> tuple:
@@ -82,30 +86,27 @@ def run_abstract(
     """Run the abstract model over a sequence of completeness vectors.
 
     The vectors describe rounds 0..T-1; the returned list holds the decision
-    vectors entering rounds 1..T. Initially every vehicle gossips its
-    read_state value, mirroring a freshly initialized instance.
+    vectors entering rounds 1..T. A fresh instance gossips its read_state, as
+    after a stable round, so round 0 starts from the stable vector's entry.
 
     What a vehicle sends next depends only on whether it was complete, so
     ``steps`` maps a vector c to [next sent, its ``decide`` value or None, c's
-    rows by the id of their decision, any(c)], and ``decide`` runs at most
-    once an entry. One table serves one model: the same ``decide``,
+    rows by the id of their decision], and ``decide`` runs at most once an
+    entry. One table serves one model: the same ``decide``,
     ``read_state`` and ``drop_default_write``, with ``decide`` a pure function
     of its vector. ``drop_default_write`` is a deliberate mutant that skips writing
     DEFAULT into the own slot after a failure, which the verifiers must catch.
     """
     steps = {} if steps is None else steps
-    # Round 0 is sent as after a stable round, whose decision the table may hold.
-    before = [read_state, steps.get((True,) * len(read_state), (None, None))[1]]
+    stable = (True,) * len(read_state)
+    before = steps.get(stable) or _new_step(steps, stable, read_state, drop_default_write)
     decisions = []
     for complete in completes:
         try:
             step = steps[complete]
         except KeyError:
-            step = [_next_sent(complete, read_state, drop_default_write), None, {}, any(complete)]
-            if len(steps) >= _STEPS_SIZE:
-                steps.clear()
-            steps[complete] = step
-        decision = before[1] if step[3] else DEFAULT
+            step = _new_step(steps, complete, read_state, drop_default_write)
+        decision = before[1]
         if decision is None:
             decision = before[1] = checked_decide(decide, before[0])
         row = step[2].get(id(decision))
@@ -290,15 +291,14 @@ def enumerate_and_verify(
     vectors = ([(*rest, last) for last, *rest in itertools.product((True, False), repeat=n)]
                if n > 1 else [(True,)])
     steps: dict = {}
-    for seq in itertools.product(enumerate(vectors), repeat=rounds):
-        completes = [c for _, c in seq]
+    for completes in itertools.product(vectors, repeat=rounds):
         hit = _first_break(completes, decide, read_state, drop_default_write, steps)
         if hit is not None:
             rule, rnd, decisions = hit
             rank = 0
-            for k, _ in seq:
-                rank = (rank << cell_bits) | k
-            ce = Counterexample(rule, rnd, completes, decisions)
+            for c in completes:
+                rank = (rank << cell_bits) | vectors.index(c)
+            ce = Counterexample(rule, rnd, list(completes), decisions)
             return VerificationReport(n, rounds, rank + 1, ce, {"mode": "exhaustive"})
     return VerificationReport(n, rounds, 1 << (cell_bits * rounds), None, {"mode": "exhaustive"})
 

@@ -248,17 +248,17 @@ class VehicleProtocol:
 
     Single-threaded by contract: the owner delivers receive events and ticks
     in local-timestamp order. Ticks carry the vehicle's local clock; the
-    instance never reads time itself. ``window_start`` and ``window_end``
-    (``send_window``'s bounds) and ``next_round_start`` belong to
-    ``my_round``: ``_enter_round`` sets all four, once per round, so a tick
-    compares its clock with them and divides only at a boundary.
+    instance never reads time itself. ``next_send``, ``window_end`` and
+    ``next_round_start`` belong to ``my_round``: ``_enter_round`` sets all
+    four, once per round (a send moves ``next_send`` a gossip_interval on),
+    so a tick compares its clock with them and divides only at a boundary.
 
     ``data[k-1]`` is member k's slot and bit k - 1 of ``mask`` its ack;
     ``own`` is this vehicle's bit and ``full`` the mask of every member.
     """
 
     __slots__ = ("config", "vid", "my_round", "data", "mask", "own", "full",
-                 "last_send_time", "window_start", "window_end", "next_round_start")
+                 "next_send", "window_end", "next_round_start")
 
     def __init__(self, config: ProtocolConfig, vid: int, initial_datum: Datum) -> None:
         if not 1 <= vid <= config.n:
@@ -272,7 +272,6 @@ class VehicleProtocol:
         self.data = [DEFAULT] * config.n
         self.data[vid - 1] = initial_datum
         self.mask = self.own
-        self.last_send_time: Optional[int] = None
 
     @property
     def ack(self) -> tuple[bool, ...]:
@@ -288,7 +287,7 @@ class VehicleProtocol:
 
     def _enter_round(self, round_index: int) -> None:
         self.my_round = round_index
-        self.window_start, self.window_end = send_window(self.config, round_index)
+        self.next_send, self.window_end = send_window(self.config, round_index)
         self.next_round_start = self.config.round_length * (round_index + 1)
 
     def on_gossip_receive(self, msg: GossipMessage) -> None:
@@ -333,13 +332,10 @@ class VehicleProtocol:
         round; local_clock must be non-decreasing across calls.
         """
         msg: Optional[GossipMessage] = None
-        if self.window_start <= local_clock <= self.window_end and (
-            self.last_send_time is None
-            or local_clock - self.last_send_time >= self.config.gossip_interval
-        ):
+        if self.next_send <= local_clock <= self.window_end:
             # tuple.__new__ builds the same NamedTuple as its constructor, in C.
             msg = tuple.__new__(GossipMessage, (self.vid, self.my_round, tuple(self.data), self.mask))
-            self.last_send_time = local_clock
+            self.next_send = local_clock + self.config.gossip_interval
 
         output: Optional[RoundOutput] = None
         if local_clock >= self.next_round_start:
@@ -349,11 +345,9 @@ class VehicleProtocol:
             self._enter_round(clock_round)
             self.data = [DEFAULT] * self.config.n
             self.mask = self.own
-            self.last_send_time = None
             if r != self.full:
-                # Missed someone last round: impose the default for one round
-                # and gossip it so everyone else falls back with us.
-                self.data[self.vid - 1] = DEFAULT
+                # Missed someone last round: the own slot stays DEFAULT for
+                # this round and is gossiped, so everyone else falls back with us.
                 output = tuple.__new__(RoundOutput, (clock_round, s, r, DEFAULT))
             else:
                 self.data[self.vid - 1] = read_state()

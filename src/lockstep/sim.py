@@ -413,7 +413,7 @@ def check_events(config: SimConfig, bound: int) -> SimConfig:
 def sample_offsets(seed: int, n: int, sync_bound: int) -> tuple[int, ...]:
     """Per-vehicle clock offsets: uniform in [0, sync_bound], shifted so min is 0."""
     rng = random.Random(f"offsets:{seed}")
-    vals = [rng.randrange(sync_bound + 1) if sync_bound > 0 else 0 for _ in range(n)]
+    vals = [rng.randrange(sync_bound + 1) for _ in range(n)]
     lo = min(vals)
     return tuple(v - lo for v in vals)
 
@@ -464,10 +464,6 @@ def _dumps_data(data: tuple) -> str:
     return _dumps([datum_to_json(d) for d in data])
 
 
-def _dumps_decision(decision: tuple) -> str:
-    return _dumps(datum_to_json(decision[0]))
-
-
 # record, Trace.write and replay encode the events this many at a time into
 # one string, newlines included (about 22 KB of an 8-vehicle trace): one write,
 # or one read and byte compare, per block. Replay holds a block's events, their
@@ -476,19 +472,18 @@ def _dumps_decision(decision: tuple) -> str:
 _BLOCK = 128
 
 # The JSON of each distinct vector met in the passes under way, one memo per
-# kind. The data and decision memos map vector -> (vector, JSON), and a hit
-# counts only if the cached vector holds the very same element objects: equal
-# data may encode apart, as PlatoonDatum(LOW, 0, 20) and (LOW, 0.0, 20.0) do.
-# A kind of its own keeps n=1's data vector (HIGH,) apart from the decision
-# (HIGH,). The ack memo maps an ack mask of n members, keyed as mask | 1 << n,
-# to its JSON list of n booleans. A memo that reaches _MEMO_SIZE entries
-# starts afresh, so vectors that keep changing (the platoon's data, a large
-# fleet's acks) cannot grow it; 512 holds all 256 ack or data vectors an
-# 8-vehicle level run can send. _blocks clears all.
+# kind. The data memo maps vector -> (vector, JSON), and a hit counts only if
+# the cached vector holds the very same element objects: equal data may
+# encode apart, as PlatoonDatum(LOW, 0, 20) and (LOW, 0.0, 20.0) do. A
+# decision is encoded as its one-element vector without the brackets. The ack
+# memo maps an ack mask of n members, keyed as mask | 1 << n, to its JSON list
+# of n booleans. A memo that reaches _MEMO_SIZE entries starts afresh, so
+# vectors that keep changing (the platoon's data, a large fleet's acks) cannot
+# grow it; 512 holds all 256 ack or data vectors an 8-vehicle level run can
+# send. _blocks clears both, and _in_flight.
 _MEMO_SIZE = 512
 _ack_json: dict[int, str] = {}
 _data_json: dict[tuple, tuple] = {}
-_decision_json: dict[tuple, tuple] = {}
 
 
 def _remember(memo: dict, key, value):
@@ -564,7 +559,7 @@ def event_to_json(ev: TraceEvent) -> str:
     t, vehicle, (rnd, s, r, decision) = ev
     return (f'{{"ack":{_ack_dumps(r, len(s))},'
             f'"data":{_memo_dumps(_data_json, s, _dumps_data)},'
-            f'"decision":{_memo_dumps(_decision_json, (decision,), _dumps_decision)},'
+            f'"decision":{_memo_dumps(_data_json, (decision,), _dumps_data)[1:-1]},'
             f'"ev":"output","round":{rnd},"t":{t},"v":{vehicle}}}')
 
 
@@ -582,7 +577,7 @@ def _blocks(config: SimConfig, app_spec: dict,
         # The memos hold the vectors this pass met; _in_flight holds entries
         # only if the pass stopped early or a send's copies are not all in
         # it. A pass still running elsewhere then re-encodes what it misses.
-        for memo in (_in_flight, _ack_json, _data_json, _decision_json):
+        for memo in (_in_flight, _ack_json, _data_json):
             memo.clear()
 
 

@@ -214,7 +214,7 @@ def decision_views(draw):
     n = draw(st.integers(min_value=1, max_value=5))
     mixed = st.tuples(*[st.sampled_from([HIGH, LOW, ServiceLevel.MEDIUM, DEFAULT])] * n)
     rows = draw(st.lists(st.just((HIGH,) * n) | st.just((DEFAULT,) * n) | mixed, max_size=12))
-    return RoundView(n=n, rounds=len(rows), decisions=rows, complete=[(True,) * n] * len(rows))
+    return RoundView(n=n, decisions=rows, complete=[(True,) * n] * len(rows))
 
 
 @given(decision_views())

@@ -51,12 +51,13 @@ def in_send_window(config, round_index, local_clock):
 # ---------------------------------------------------------------------------
 
 def test_init_state_shape():
-    v = VehicleProtocol(make_protocol_config(n=2), 1, HIGH)
+    config = make_protocol_config(n=2)
+    v = VehicleProtocol(config, 1, HIGH)
     assert v.my_round == 0
     assert v.mask == 0b01
     assert v.ack == (True, False)
     assert v.data == [HIGH, DEFAULT]
-    assert v.last_send_time is None
+    assert v.next_send == config.sync_bound
 
 
 def test_paper_timing_accepted_with_50ms_window():
@@ -358,8 +359,10 @@ def test_tick_matches_reference(case):
             reference.on_gossip_receive(msg)
         got = vehicle.on_tick(clock, lambda: datum, min_level_decide)
         assert got == reference.on_tick(clock, lambda: datum, min_level_decide), clock
-    assert ((vehicle.my_round, vehicle.data, list(vehicle.ack), vehicle.last_send_time)
-            == (reference.my_round, reference.data, reference.ack, reference.last_send_time))
+    next_send = (send_window(config, reference.my_round)[0] if reference.last_send_time is None
+                 else reference.last_send_time + config.gossip_interval)
+    assert ((vehicle.my_round, vehicle.data, list(vehicle.ack), vehicle.next_send)
+            == (reference.my_round, reference.data, reference.ack, next_send))
 
 
 # ---------------------------------------------------------------------------

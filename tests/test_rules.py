@@ -192,7 +192,7 @@ REFERENCES = [
 def view_of(n, stable, decisions):
     """A round view whose stable flags are ``stable``: vehicle 1 is incomplete in unstable rounds."""
     complete = [(ok,) + (True,) * (n - 1) for ok in stable]
-    return RoundView(n=n, rounds=len(decisions), decisions=list(decisions), complete=complete)
+    return RoundView(n=n, decisions=list(decisions), complete=complete)
 
 
 def assert_same_verdicts(n, stable, decisions):

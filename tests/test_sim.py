@@ -710,7 +710,7 @@ def assert_encodes_like_reference(trace):
 
 def assert_nothing_cached():
     assert not sim._in_flight
-    assert not sim._ack_json and not sim._data_json and not sim._decision_json
+    assert not sim._ack_json and not sim._data_json
 
 
 @pytest.mark.parametrize("n,seed,p", [
@@ -841,7 +841,7 @@ def test_every_datum_keeps_the_datum_contract(make):
 
 def test_vector_memos_stay_within_their_bound_on_the_platoon_scenario(monkeypatch):
     trace = run_worst_case(ScenarioSpec()).trace
-    memos = (sim._ack_json, sim._data_json, sim._decision_json)
+    memos = (sim._ack_json, sim._data_json)
     # The platoon's data vectors change every round; a small bound shows them reach it.
     assert len({ev.msg.data for ev in events_of(trace, SendEvent)}) > 64
     for bound in (sim._MEMO_SIZE, 64):
