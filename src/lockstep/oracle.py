@@ -26,8 +26,9 @@ own q, and each vehicle is complete with probability q, so every count of
 complete vehicles is equally likely, and an unstable round splits the fleet
 with probability (n - 1)/(n + 1), which grows with n (see ``sample_and_verify``).
 
-Each verifier computes a round's next sent vector, and its ``decide`` value,
-once per completeness vector across all its sequences (``run_abstract``'s ``steps``).
+The protocol absorbs DEFAULT (``checked_decide``), so the model holds no sent
+vector: each verifier calls ``decide`` once, and all its sequences share one
+memo of rows (``run_abstract``).
 
 The four rules of the guarantee, ``RULES``, are implemented once, in
 ``rule_violations``; the trace checkers in ``analysis`` read the same
@@ -41,7 +42,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .protocol import DEFAULT, MAX_MEMBERS, ConfigError, Datum, DecideFn, checked_decide, is_default
+from .protocol import DEFAULT, MAX_MEMBERS, ConfigError, DecideFn, checked_decide, is_default
 
 # E[j][i] == True iff vehicle i+1 effectively receives the round message of
 # vehicle j+1. The diagonal is forced true (own slot is always present).
@@ -59,21 +60,7 @@ MAX_REPORT_CELLS = 1_000_000
 # The round mix of ``sample_and_verify``.
 STABLE_ROUND_PROBABILITY = 0.5
 
-_STEPS_SIZE = 1024  # a table this full starts afresh: n=8's 256 vectors take 0.17 MB, n=256 4.6 MB
-
-
-def _new_step(steps: dict, complete: tuple, read_state: tuple, drop_default_write: bool) -> list:
-    """Make and store ``complete``'s entry in ``steps``; see ``run_abstract``."""
-    if len(steps) >= _STEPS_SIZE:
-        steps.clear()
-    sent = tuple([r if ok or drop_default_write else DEFAULT for r, ok in zip(read_state, complete)])
-    step = steps[complete] = [sent, None, {}]
-    return step
-
-
-def _row(complete: Sequence[bool], decision: Datum) -> tuple:
-    """A round's decisions: ``decision`` where the vehicle is complete, DEFAULT elsewhere."""
-    return tuple([decision if ok else DEFAULT for ok in complete])
+_ROWS_SIZE = 1024  # a memo this full starts afresh: n=8's 256 rows take 0.06 MB, n=256 4.3 MB
 
 
 def run_abstract(
@@ -81,39 +68,41 @@ def run_abstract(
     decide: DecideFn,
     read_state: tuple,
     drop_default_write: bool = False,
-    steps: Optional[dict] = None,
+    rows: Optional[dict] = None,
 ) -> list[tuple]:
     """Run the abstract model over a sequence of completeness vectors.
 
     The vectors describe rounds 0..T-1; the returned list holds the decision
-    vectors entering rounds 1..T. A fresh instance gossips its read_state, as
-    after a stable round, so round 0 starts from the stable vector's entry.
+    vectors entering rounds 1..T; round -1 counts as stable. After a stable
+    round every vehicle holds read_state, so a complete vehicle decides the
+    stable decision, ``checked_decide(decide, read_state)``, and an incomplete
+    one DEFAULT. After an unstable round some slot holds DEFAULT, so every
+    vehicle decides DEFAULT. ``drop_default_write`` is a deliberate mutant that
+    skips writing DEFAULT into the own slot after a failure, so every round
+    reads as if the one before it was stable; the verifiers must catch it.
 
-    What a vehicle sends next depends only on whether it was complete, so
-    ``steps`` maps a vector c to [next sent, its ``decide`` value or None, c's
-    rows by the id of their decision], and ``decide`` runs at most once an
-    entry. One table serves one model: the same ``decide``,
-    ``read_state`` and ``drop_default_write``, with ``decide`` a pure function
-    of its vector. ``drop_default_write`` is a deliberate mutant that skips writing
-    DEFAULT into the own slot after a failure, which the verifiers must catch.
+    ``rows`` maps a vector to its row after a stable round. It keeps the
+    stable vector's row when it starts afresh, so ``decide`` runs once a memo.
+    One memo serves one model: the same ``decide``, ``read_state`` and
+    ``drop_default_write``, with ``decide`` a pure function of its vector.
     """
-    steps = {} if steps is None else steps
-    stable = (True,) * len(read_state)
-    before = steps.get(stable) or _new_step(steps, stable, read_state, drop_default_write)
+    rows = {} if rows is None else rows
+    n = len(read_state)
+    stable = (True,) * n
+    if stable not in rows:
+        rows[stable] = (checked_decide(decide, read_state),) * n
+    stable_row, fallback = rows[stable], (DEFAULT,) * n
     decisions = []
+    after_stable = True
     for complete in completes:
-        try:
-            step = steps[complete]
-        except KeyError:
-            step = _new_step(steps, complete, read_state, drop_default_write)
-        decision = before[1]
-        if decision is None:
-            decision = before[1] = checked_decide(decide, before[0])
-        row = step[2].get(id(decision))
-        if row is None:  # the row holds its decision, so no other object has that id
-            row = step[2][id(decision)] = (decision, _row(complete, decision))
-        decisions.append(row[1])
-        before = step
+        row = rows.get(complete) if after_stable else fallback
+        if row is None:
+            if len(rows) >= _ROWS_SIZE:
+                rows.clear()
+                rows[stable] = stable_row
+            row = rows[complete] = tuple([stable_row[0] if ok else DEFAULT for ok in complete])
+        decisions.append(row)
+        after_stable = drop_default_write or all(complete)
     return decisions
 
 
@@ -224,10 +213,10 @@ def _first_break(
     decide: DecideFn,
     read_state: tuple,
     drop_default_write: bool,
-    steps: dict,
+    rows: dict,
 ) -> Optional[tuple[str, int, list[tuple]]]:
     """Run the model over one vector sequence: (rule, round, decisions) if it breaks a rule."""
-    decisions = run_abstract(completes, decide, read_state, drop_default_write, steps)
+    decisions = run_abstract(completes, decide, read_state, drop_default_write, rows)
     hit = check_decision_sequence([all(c) for c in completes], decisions)
     return None if hit is None else (*hit, decisions)
 
@@ -290,9 +279,9 @@ def enumerate_and_verify(
     cell_bits = n * (n - 1)
     vectors = ([(*rest, last) for last, *rest in itertools.product((True, False), repeat=n)]
                if n > 1 else [(True,)])
-    steps: dict = {}
+    rows: dict = {}
     for completes in itertools.product(vectors, repeat=rounds):
-        hit = _first_break(completes, decide, read_state, drop_default_write, steps)
+        hit = _first_break(completes, decide, read_state, drop_default_write, rows)
         if hit is not None:
             rule, rnd, decisions = hit
             rank = 0
@@ -334,7 +323,7 @@ def sample_and_verify(
     stable = (True,) * n
     # A lone vehicle has no links to lose: its every round is stable.
     stable_probability = STABLE_ROUND_PROBABILITY if n > 1 else 1.0
-    steps: dict = {}
+    rows: dict = {}
     for trial in range(trials):
         # An unstable round's q is drawn before its n vehicle draws.
         completes = [
@@ -342,7 +331,7 @@ def sample_and_verify(
             else tuple([draw() < q for q in (draw(),) for _ in range(n)])
             for _ in range(rounds)
         ]
-        hit = _first_break(completes, decide, read_state, drop_default_write, steps)
+        hit = _first_break(completes, decide, read_state, drop_default_write, rows)
         if hit is not None:
             rule, rnd, decisions = hit
             return VerificationReport(

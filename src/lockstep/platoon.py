@@ -23,8 +23,8 @@ from dataclasses import asdict, dataclass, fields
 from enum import IntEnum
 from typing import Optional
 
-from .protocol import (DEFAULT, ConfigError, Datum, ProtocolConfig, RoundOutput, is_default,
-                       read_kind, read_object)
+from .protocol import (ConfigError, Datum, ProtocolConfig, RoundOutput, is_default, read_kind,
+                       read_object)
 from .sim import (
     MAX_EVENTS,
     DropRule,
@@ -110,16 +110,18 @@ class PlatoonDatum:
 
 
 def min_level_decide(s: tuple) -> Datum:
-    """Shared decision over bare ServiceLevel payloads: the minimum, absorbing DEFAULT."""
-    if any(map(is_default, s)):
-        return DEFAULT
+    """Shared decision over bare ServiceLevel payloads: the minimum.
+
+    ``s`` never holds DEFAULT: the protocol absorbs it (``checked_decide``).
+    """
     return min(s)
 
 
 def platoon_decide(s: tuple) -> Datum:
-    """Shared decision over PlatoonDatum payloads: the minimum supportable level."""
-    if any(map(is_default, s)):
-        return DEFAULT
+    """Shared decision over PlatoonDatum payloads: the minimum supportable level.
+
+    ``s`` never holds DEFAULT: the protocol absorbs it (``checked_decide``).
+    """
     return min(d.los for d in s)
 
 

@@ -4,8 +4,9 @@ Each vehicle runs fixed-length communication rounds. Within a send window it
 gossips its view ``<round, data, ack>``; at every round boundary it snapshots
 the collected view and either applies the shared decision function (all
 members heard from) or falls back to the default value for one round (some
-member missing). The fallback value is itself gossiped, which is what pulls
-the whole group onto the default within one further round.
+member missing). The fallback value is itself gossiped, and a view that holds
+it decides DEFAULT (``checked_decide``), which is what pulls the whole group
+onto the default within one further round.
 
 Pure and clock-free: callers feed in receive events and clock ticks and get
 back at most one message and one round output per tick. Times are integer µs.
@@ -36,10 +37,6 @@ class ConfigError(ValueError):
     """Raised for timing or membership parameters that violate the protocol constraints."""
 
 
-class DecideContractError(Exception):
-    """Raised when an application decide() fails to absorb the default value."""
-
-
 class _Default:
     """The distinguished void/fallback value. A single module-level instance is used."""
 
@@ -58,6 +55,8 @@ DEFAULT = _Default()
 # A datum is either DEFAULT or an application payload with value equality.
 Datum = Any
 
+# An application's shared decision over one round's data vector. The protocol
+# calls it through ``checked_decide``, so its vector never holds DEFAULT.
 DecideFn = Callable[[tuple], Datum]
 ReadStateFn = Callable[[], Datum]
 
@@ -212,7 +211,8 @@ class RoundOutput(NamedTuple):
 
     ``s`` is the data vector and ``r`` the ack mask collected during the
     round that just ended; ``decision`` is DEFAULT exactly when ``r`` lacks a
-    member's bit (``r != (1 << len(s)) - 1``) or decide(s) returned DEFAULT.
+    member's bit (``r != (1 << len(s)) - 1``), ``s`` holds DEFAULT or
+    decide(s) returned DEFAULT.
     """
 
     round: int
@@ -234,13 +234,13 @@ def send_window(config: ProtocolConfig, round_index: int) -> tuple[int, int]:
 
 
 def checked_decide(decide: DecideFn, s: tuple) -> Datum:
-    """Apply ``decide`` and enforce default-absorption: DEFAULT in s forces DEFAULT out."""
-    value = decide(s)
-    if not is_default(value) and any(map(is_default, s)):
-        raise DecideContractError(
-            f"decide() returned {value!r} for an input containing DEFAULT"
-        )
-    return value
+    """DEFAULT when ``s`` holds DEFAULT, else ``decide(s)``.
+
+    This is the one place the protocol absorbs DEFAULT: a vehicle that hears a
+    member's fallback falls back too, whatever the application's ``decide``
+    would say, and ``decide`` only ever sees a vector without DEFAULT.
+    """
+    return DEFAULT if any(map(is_default, s)) else decide(s)
 
 
 class VehicleProtocol:

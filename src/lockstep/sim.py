@@ -645,14 +645,16 @@ def simulate(config: SimConfig, app: "LevelApp | PlatoonApp") -> Iterator[TraceE
     The events are a pure function of the inputs. The loop runs only as far
     as the events are read. ``app`` is one of ``platoon``'s two applications.
     A vehicle reads its datum with ``app.read_state(vid)`` and decides a
-    round's vector ``s`` with ``app.decide(s)``. A datum either returns is DEFAULT
-    or, like ``ServiceLevel`` and ``PlatoonDatum``, is hashable and has a
-    ``to_json`` that gives its trace JSON. Each round output goes to
-    ``app.on_output(vid, output, t)``. At each global time that
-    ``app.app_tick_times()`` yields, ``app.on_app_tick(t)`` runs before any
-    vehicle tick at the same instant (the platoon world advances its
-    kinematics there). The times may not depend on the run: the loop takes
-    each next time before the tick at the one before it runs.
+    complete round's vector ``s`` with ``app.decide(s)``, which the protocol
+    calls only for an ``s`` without DEFAULT (``checked_decide`` decides DEFAULT
+    for the rest). A datum either returns is DEFAULT or, like ``ServiceLevel``
+    and ``PlatoonDatum``, is hashable and has a ``to_json`` that gives its
+    trace JSON. Each round output goes to ``app.on_output(vid, output, t)``.
+    At each global time that ``app.app_tick_times()`` yields,
+    ``app.on_app_tick(t)`` runs before any vehicle tick at the same instant
+    (the platoon world advances its kinematics there). The times may not
+    depend on the run: the loop takes each next time before the tick at the
+    one before it runs.
     """
     p = config.protocol
     n = p.n

@@ -26,7 +26,6 @@ from lockstep.protocol import (
     DEFAULT,
     ConfigError,
     Datum,
-    DecideContractError,
     checked_decide,
     is_default,
 )
@@ -36,6 +35,11 @@ HIGH = ServiceLevel.HIGH
 
 def high_state(n):
     return (HIGH,) * n
+
+
+def keep_high(s):
+    """A decide that never looks at its vector, so it does not absorb DEFAULT itself."""
+    return HIGH
 
 
 def full_matrix(n):
@@ -61,6 +65,9 @@ def test_run_abstract_all_delivered():
     full = completeness(full_matrix(3))
     decisions = run_abstract([full, full], min_level_decide, high_state(3))
     assert decisions == [(HIGH, HIGH, HIGH)] * 2  # and the round after still sends HIGH
+    # A call without a memo starts its own: another read state decides afresh.
+    low = (ServiceLevel.LOW,) * 3
+    assert run_abstract([full], min_level_decide, low) == [low]
 
 
 def test_run_abstract_single_missing_link_splits_once():
@@ -185,10 +192,10 @@ def sticky_round(sent, complete, decide, read_state, drop_default_write=False):
                   for old, r, ok in zip(sent, read_state, complete)))
 
 
-def sticky_run(completes, decide, read_state, drop_default_write=False, steps=None):
-    """``run_abstract`` for the model of ``sticky_round``, a fold of it with no table.
+def sticky_run(completes, decide, read_state, drop_default_write=False, rows=None):
+    """``run_abstract`` for the model of ``sticky_round``, a fold of it with no memo.
 
-    Its next sent vector depends on the one before, so no table keyed by the
+    Its next sent vector depends on the one before, so no memo keyed by the
     completeness vector alone could serve it: it stands in for the whole run.
     """
     sent, decisions = read_state, []
@@ -310,23 +317,29 @@ def random_matrix(draw, n):
                        for i in range(n)) for j in range(n))
 
 
+# Decides the models must agree on: the minimum, the maximum and one that never
+# looks at its vector. None tests for DEFAULT: only the protocol's absorption
+# keeps a view that holds it from deciding a value.
+DECIDES = st.sampled_from([min_level_decide, keep_high, max])
+
+
 @st.composite
 def model_runs(draw):
-    """Matrix sequences (three links in four up) and a read state that may hold DEFAULT."""
+    """Matrix sequences (three links in four up), a read state that may hold
+    DEFAULT, a mutant flag and a decide."""
     n = draw(st.integers(min_value=1, max_value=5))
     rounds = draw(st.integers(min_value=0, max_value=5))
     matrices = [random_matrix(draw, n) for _ in range(rounds)]
     read_state = tuple(draw(st.lists(LEVELS, min_size=n, max_size=n)))
-    return n, matrices, read_state, draw(st.booleans())
+    return n, matrices, read_state, draw(st.booleans()), draw(DECIDES)
 
 
 @settings(max_examples=500)
 @given(model_runs())
 def test_completeness_model_matches_the_matrix_model(case):
-    n, matrices, read_state, mutant = case
-    assert run_abstract(map(completeness, matrices), min_level_decide, read_state,
-                        mutant) == \
-        reference_run_abstract(n, matrices, min_level_decide, read_state, mutant)
+    n, matrices, read_state, mutant, decide = case
+    assert run_abstract(map(completeness, matrices), decide, read_state, mutant) == \
+        reference_run_abstract(n, matrices, decide, read_state, mutant)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -513,56 +526,85 @@ def test_smallest_matrix_is_the_class_representative(monkeypatch, n):
 
 
 # ---------------------------------------------------------------------------
-# The transition table
+# The row memo
 # ---------------------------------------------------------------------------
 
 @st.composite
-def shared_table_runs(draw):
-    """Several matrix sequences of one model: one size, read state and mutant."""
+def shared_memo_runs(draw):
+    """Several matrix sequences of one model: one size, read state, mutant and decide."""
     n = draw(st.integers(min_value=1, max_value=5))
     runs = [[random_matrix(draw, n) for _ in range(draw(st.integers(min_value=0, max_value=5)))]
             for _ in range(draw(st.integers(min_value=1, max_value=8)))]
     read_state = tuple(draw(st.lists(LEVELS, min_size=n, max_size=n)))
-    return n, runs, read_state, draw(st.booleans())
+    return n, runs, read_state, draw(st.booleans()), draw(DECIDES)
 
 
 @settings(max_examples=300)
-@given(shared_table_runs())
+@given(shared_memo_runs())
 def test_a_shared_table_matches_the_matrix_model(case):
-    n, runs, read_state, mutant = case
-    steps = {}
+    """One row memo serves every sequence of a model, and holds only rows of
+    vectors it has met after a stable round."""
+    n, runs, read_state, mutant, decide = case
+    rows = {}
     for matrices in runs:
-        got = run_abstract(map(completeness, matrices), min_level_decide, read_state,
-                           mutant, steps)
-        assert got == reference_run_abstract(n, matrices, min_level_decide, read_state, mutant)
+        got = run_abstract(map(completeness, matrices), decide, read_state, mutant, rows)
+        assert got == reference_run_abstract(n, matrices, decide, read_state, mutant)
+        stable_decision = checked_decide(decide, read_state)
+        for complete, row in rows.items():
+            assert row == tuple(stable_decision if ok else DEFAULT for ok in complete)
 
 
 def test_a_full_table_starts_afresh_and_still_matches():
-    """At n=11 the drawn vectors are more than the table holds, so it fills and starts afresh."""
+    """At n=11 the vectors met after a stable round are more than the row memo
+    holds, so it fills and starts afresh, and ``decide`` still runs once."""
     n = 11
     read_state = (HIGH, ServiceLevel.LOW, HIGH, ServiceLevel.MEDIUM, HIGH, HIGH) + high_state(5)
+    stable = (True,) * n
     rng = random.Random(3)
-    steps, met, sizes = {}, set(), []
+    calls = []
+
+    def decide(s):
+        calls.append(s)
+        return min_level_decide(s)
+
+    rows, met, sizes = {}, set(), []
     for _ in range(400):
-        vectors = [tuple(rng.random() < 0.5 for _ in range(n)) for _ in range(8)]
+        # Each drawn vector follows a stable round, and each stable one an unstable round.
+        vectors = [v for _ in range(4) for v in (tuple(rng.random() < 0.5 for _ in range(n)),
+                                                 stable)]
         matrices = [oracle._smallest_matrix(v) for v in vectors]
         want = reference_run_abstract(n, matrices, min_level_decide, read_state)
-        assert run_abstract(vectors, min_level_decide, read_state, False, steps) == want
+        assert run_abstract(vectors, decide, read_state, False, rows) == want
         met.update(vectors)
-        sizes.append(len(steps))
-    assert len(met) > oracle._STEPS_SIZE
-    assert max(sizes) <= oracle._STEPS_SIZE
-    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the table started afresh
+        sizes.append(len(rows))
+    assert len(met) > oracle._ROWS_SIZE
+    assert max(sizes) <= oracle._ROWS_SIZE
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # the memo started afresh
+    assert calls == [read_state]
 
 
-def test_a_decide_that_keeps_its_value_is_still_rejected():
-    """The table holds only computed steps, so a broken absorption is never cached away."""
-    with pytest.raises(DecideContractError):
-        sample_and_verify(3, 10, 50, 1, lambda s: HIGH, high_state(3))
+def test_a_decide_that_keeps_its_value_still_falls_back():
+    """After an unstable round every row is DEFAULT, whatever ``decide``
+    returns, from a fresh memo and from a filled one."""
+    rows = {}
+    split, stable = (True, False, True), (True,) * 3
+    for _ in range(2):
+        got = run_abstract([split, split, stable, stable], keep_high, high_state(3), False, rows)
+        assert got == [(HIGH, DEFAULT, HIGH), (DEFAULT,) * 3, (DEFAULT,) * 3, (HIGH,) * 3]
+    assert rows == {stable: (HIGH,) * 3, split: (HIGH, DEFAULT, HIGH)}
+
+
+def test_a_decide_that_keeps_its_value_verifies_like_min_level_decide():
+    """The protocol absorbs DEFAULT, so a decide that does not gives the same reports."""
+    for verify in (lambda decide: enumerate_and_verify(3, 3, decide, high_state(3)),
+                   lambda decide: sample_and_verify(8, 50, 500, 1, decide, high_state(8)),
+                   lambda decide: enumerate_and_verify(2, 3, decide, high_state(2),
+                                                       drop_default_write=True)):
+        assert verify(keep_high).to_json() == verify(min_level_decide).to_json()
 
 
 def test_each_verification_computes_few_transitions():
-    """``decide`` runs at most once per completeness vector a verification meets."""
+    """``decide`` runs exactly once per verification: for the stable decision."""
     calls = []
 
     def decide(s):
@@ -570,16 +612,17 @@ def test_each_verification_computes_few_transitions():
         return min_level_decide(s)
 
     assert sample_and_verify(8, 50, 500, 1, decide, high_state(8)).passed
-    assert len(calls) == len(set(calls))
-    assert len(calls) <= 256  # 25,000 rounds, 256 vectors
+    assert calls == [high_state(8)]  # 25,000 rounds, 256 vectors
     calls.clear()
     assert enumerate_and_verify(3, 3, decide, high_state(3)).passed
-    assert len(calls) == len(set(calls))
-    assert len(calls) <= 8  # 512 sequences of 3 rounds, 8 vectors
+    assert calls == [high_state(3)]  # 512 sequences of 3 rounds, 8 vectors
+    calls.clear()
+    assert not enumerate_and_verify(2, 3, decide, high_state(2), drop_default_write=True).passed
+    assert calls == [high_state(2)]
 
 
 def test_a_sampled_verification_holds_little_memory():
-    """A table of at most 2^8 entries: measured in a fresh interpreter, as ``verify`` runs."""
+    """A row memo of at most 2^8 entries: measured in a fresh interpreter, as ``verify`` runs."""
     code = ("import tracemalloc; from lockstep import oracle; "
             "from lockstep.platoon import ServiceLevel, min_level_decide; "
             "tracemalloc.start(); "

@@ -24,7 +24,7 @@ from lockstep.platoon import (
     scenario_facts,
     step_world,
 )
-from lockstep.protocol import DEFAULT, is_default
+from lockstep.protocol import DEFAULT, checked_decide, is_default
 from lockstep.sim import replay
 
 from conftest import acked_copies_agree, checked_receives, trace_view
@@ -51,11 +51,12 @@ def test_platoon_decide_examples():
     assert platoon_decide(s) == HIGH
     s = (datum(HIGH, 20), datum(MEDIUM, 10), datum(HIGH, 0))
     assert platoon_decide(s) == MEDIUM
-    assert is_default(platoon_decide((datum(HIGH, 20), DEFAULT, datum(HIGH, 0))))
+    assert is_default(checked_decide(platoon_decide, (datum(HIGH, 20), DEFAULT, datum(HIGH, 0))))
 
 
 def test_min_level_decide_absorbs_default():
-    assert is_default(min_level_decide((DEFAULT, HIGH)))
+    assert is_default(checked_decide(min_level_decide, (DEFAULT, HIGH)))
+    assert checked_decide(min_level_decide, (MEDIUM, HIGH)) == MEDIUM
 
 
 def test_default_table_orderings():

@@ -19,7 +19,6 @@ from lockstep.protocol import (
     DEFAULT,
     MAX_SENDS_PER_ROUND,
     ConfigError,
-    DecideContractError,
     GossipMessage,
     ProtocolConfig,
     RoundOutput,
@@ -452,30 +451,54 @@ def test_tick_determinism():
 
 
 # ---------------------------------------------------------------------------
-# Decide contract
+# DEFAULT absorption
 # ---------------------------------------------------------------------------
 
+def recording(decide):
+    """``decide``, keeping every vector it is passed in ``.seen``."""
+    def record(s):
+        record.seen.append(s)
+        return decide(s)
+
+    record.seen = []
+    return record
+
+
 def test_decide_absorbs_default():
-    assert is_default(min_level_decide((DEFAULT, HIGH, HIGH)))
-    assert min_level_decide((HIGH, HIGH)) == HIGH
-    assert min_level_decide((HIGH, MEDIUM, HIGH)) == MEDIUM
+    assert is_default(checked_decide(min_level_decide, (DEFAULT, HIGH, HIGH)))
+    assert checked_decide(min_level_decide, (HIGH, HIGH)) == HIGH
+    assert checked_decide(min_level_decide, (HIGH, MEDIUM, HIGH)) == MEDIUM
 
 
-def test_checked_decide_reports_contract_violation():
-    def bad_decide(s):
-        return HIGH
-
-    with pytest.raises(DecideContractError):
-        checked_decide(bad_decide, (DEFAULT, HIGH))
-    # Fine on default-free input.
-    assert checked_decide(bad_decide, (HIGH, MEDIUM)) == HIGH
+def test_checked_decide_absorbs_default_before_decide():
+    """A vector that holds DEFAULT decides DEFAULT, and ``decide`` never sees it."""
+    keep_high = recording(lambda s: HIGH)
+    assert is_default(checked_decide(keep_high, (DEFAULT, HIGH)))
+    assert is_default(checked_decide(keep_high, (HIGH, DEFAULT)))
+    assert checked_decide(keep_high, (HIGH, MEDIUM)) == HIGH
+    assert keep_high.seen == [(HIGH, MEDIUM)]
 
 
 def test_contract_enforced_at_round_boundary():
+    """A complete view that holds DEFAULT decides DEFAULT without calling
+    ``decide``; the next round's view, without DEFAULT, is decided by it."""
+    v = make_vehicle(n=2, vid=1)
+    decide = recording(min_level_decide)
+    v.on_gossip_receive(GossipMessage(2, 0, (DEFAULT, DEFAULT), ack_mask((False, True))))
+    _, out = v.on_tick(160 * MS, read_high, decide)
+    assert out.r == 0b11 and is_default(out.decision)
+    v.on_gossip_receive(GossipMessage(2, 1, (DEFAULT, MEDIUM), ack_mask((False, True))))
+    _, out = v.on_tick(320 * MS, read_high, decide)
+    assert out.decision == MEDIUM
+    assert decide.seen == [(HIGH, MEDIUM)]
+
+
+def test_on_tick_absorbs_default_for_a_decide_that_keeps_its_value():
+    """``lambda s: HIGH`` ignores DEFAULT, yet a view that holds it outputs DEFAULT."""
     v = make_vehicle(n=2, vid=1)
     v.on_gossip_receive(GossipMessage(2, 0, (DEFAULT, DEFAULT), ack_mask((False, True))))
-    with pytest.raises(DecideContractError):
-        v.on_tick(160 * MS, read_high, lambda s: HIGH)
+    _, out = v.on_tick(160 * MS, read_high, lambda s: HIGH)
+    assert out == RoundOutput(1, (HIGH, DEFAULT), 0b11, DEFAULT)
 
 
 @pytest.mark.parametrize("module,loaded", [

@@ -27,6 +27,7 @@ from lockstep.protocol import (
     GossipMessage,
     ProtocolConfig,
     RoundOutput,
+    checked_decide,
     is_default,
 )
 from lockstep.sim import (
@@ -316,15 +317,34 @@ def test_messages_are_well_formed():
 
 
 def test_output_law_on_lossy_run():
-    """decision is DEFAULT exactly when the ack snapshot has a gap or decide(s) does."""
+    """decision is DEFAULT exactly when the ack snapshot has a gap or checked_decide(s) is."""
     trace = run_high(make_sim_config(n=4, rounds=40, seed=21, loss=BernoulliLoss(0.35)))
     from lockstep.platoon import min_level_decide
 
     for ev in events_of(trace, OutputEvent):
         out = ev.output
         complete = all(ack_flags(out.r, len(out.s)))
-        expect_default = (not complete) or is_default(min_level_decide(out.s))
+        expect_default = (not complete) or is_default(checked_decide(min_level_decide, out.s))
         assert is_default(out.decision) == expect_default
+
+
+def test_an_app_decide_never_sees_default():
+    """The protocol absorbs DEFAULT, so ``app.decide`` is passed only vectors
+    without it, though complete views that hold DEFAULT occur on this run."""
+    seen = []
+
+    class RecordingApp(LevelApp):
+        def decide(self, s):
+            seen.append(s)
+            return super().decide(s)
+
+    trace = run(make_sim_config(n=4, rounds=40, seed=21, loss=BernoulliLoss(0.35)),
+                RecordingApp(HIGH))
+    complete = [ev.output for ev in events_of(trace, OutputEvent) if ev.output.r == 0b1111]
+    absorbed = [out for out in complete if any(map(is_default, out.s))]
+    assert absorbed and seen
+    assert not any(map(is_default, itertools.chain.from_iterable(seen)))
+    assert len(seen) == len(complete) - len(absorbed)
 
 
 def test_stable_rounds_have_identical_snapshots():
